@@ -1,20 +1,15 @@
-// Collective-algorithm and streaming-prefetch benchmark.
+// Collective and streaming-prefetch benchmark.
 //
-// Part 1 sweeps the three collectives the solvers lean on (gather,
-// bcast, allreduce) over rank counts and payload sizes, once with the
-// flat O(P) topologies and once with the log(P) trees (binomial
-// gather/bcast, recursive-doubling allreduce). Because this host runs
-// every rank as a thread — often on far fewer cores than ranks — raw
-// wall-clock cannot demonstrate the latency win; each entry therefore
-// records three quantities:
-//   * seconds            measured (best of reps; informational only)
-//   * model_seconds      alpha-beta critical-path cost of the topology
-//                        (alpha = per-message latency, beta = s/byte),
-//                        the machine-independent algorithmic term
+// Part 1 sweeps the three collectives the solvers lean on over rank
+// counts and payload sizes, each in its one topology: flat root-loop
+// gather, binomial-tree bcast, and allreduce as a flat reduce to rank 0
+// followed by the bcast (DESIGN §7 records the measurements that chose
+// these). Each entry records
+//   * seconds            measured (best of reps; informational only —
+//                        ranks are threads, often on fewer cores)
 //   * per-round counters exact bytes/messages moved, and root's posted
-//                        bytes — deterministic, so CI can gate on them
-// The committed BENCH_comm.json is the trajectory; the claim block
-// shows tree beating flat on the model for P >= 8 at >= 1 MiB.
+//                        bytes — deterministic, so CI gates on them
+//                        exactly
 //
 // Part 2 times the pipelined streaming executor end-to-end on the
 // Burgers weak-scaling workload: ParallelStreamingSVD fed by a
@@ -33,11 +28,10 @@
 //   bench_comm --out=F    write the JSON to F
 //   PARSVD_BENCH_OUT=F    same as --out=F
 //
-// JSON schema (schema_version 1): see write_json below.
+// JSON schema (schema_version 2): see write_json below.
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <limits>
@@ -60,56 +54,23 @@ namespace {
 using parsvd::Index;
 using parsvd::Matrix;
 using parsvd::Vector;
-using parsvd::pmpi::CollectiveAlgo;
 using parsvd::pmpi::Communicator;
 using parsvd::pmpi::Context;
 namespace wl = parsvd::workloads;
 
-// alpha-beta machine model for the critical-path costs: a generic
-// cluster-interconnect operating point (1 us latency, 10 GB/s), recorded
-// in the JSON so the trajectory is self-describing.
-constexpr double kAlphaSeconds = 1e-6;
-constexpr double kBetaSecondsPerByte = 1e-10;
-
-int ceil_log2(int p) {
-  int levels = 0;
-  while ((1 << levels) < p) ++levels;
-  return levels;
-}
-
-// Critical-path cost of one collective under the alpha-beta model.
-// `bytes` is one rank's contribution (gather/allreduce) or the payload
-// (bcast). Rank counts in the sweep are powers of two, so the
-// recursive-doubling allreduce needs no fold-in term.
-double model_seconds(const std::string& coll, bool tree, int p,
-                     std::size_t bytes) {
-  const double a = kAlphaSeconds;
-  const double b = static_cast<double>(bytes) * kBetaSecondsPerByte;
-  const int levels = ceil_log2(p);
-  if (coll == "gather") {
-    // Flat: root takes p-1 sequential messages. Tree: root takes one
-    // assembled frame per level; the bytes still all pass through root.
-    return tree ? levels * a + b * (p - 1) : (p - 1) * (a + b);
-  }
-  if (coll == "bcast") {
-    return tree ? levels * (a + b) : (p - 1) * (a + b);
-  }
-  if (coll == "allreduce") {
-    // Flat = reduce at root + flat fan-out; RD = log2(p) full exchanges.
-    return tree ? levels * (a + b) : 2.0 * (p - 1) * (a + b);
-  }
-  std::fprintf(stderr, "unknown collective %s\n", coll.c_str());
-  return 0.0;
+/// The topology Communicator runs for each swept collective.
+const char* topology_of(const std::string& coll) {
+  if (coll == "gather") return "flat";
+  if (coll == "bcast") return "binomial";
+  return "flat-reduce+binomial-bcast";
 }
 
 struct CollectiveEntry {
   std::string collective;
-  bool tree = false;
   int ranks = 0;
   std::size_t payload_bytes = 0;  // one rank's contribution
   int rounds = 0;
   double seconds = 0.0;
-  double model = 0.0;
   double bytes_per_round = 0.0;
   double messages_per_round = 0.0;
   double root_bytes_per_round = 0.0;
@@ -118,18 +79,16 @@ struct CollectiveEntry {
 
 // One timed run of `rounds` iterations of one collective on a fresh
 // context. Every round checks the result exactly (the payloads are
-// small integers, so flat and tree reductions agree bit-for-bit).
-CollectiveEntry run_collective(const std::string& coll, bool tree, int p,
+// small integers, so the sums are exact).
+CollectiveEntry run_collective(const std::string& coll, int p,
                                std::size_t doubles, int rounds) {
   CollectiveEntry e;
   e.collective = coll;
-  e.tree = tree;
   e.ranks = p;
   e.payload_bytes = doubles * sizeof(double);
   e.rounds = rounds;
 
   auto ctx = std::make_shared<Context>(p);
-  ctx->set_collective_algo(tree ? CollectiveAlgo::Tree : CollectiveAlgo::Flat);
   std::vector<int> failures(static_cast<std::size_t>(p), 0);
 
   parsvd::Stopwatch sw;
@@ -166,7 +125,6 @@ CollectiveEntry run_collective(const std::string& coll, bool tree, int p,
     }
   });
   e.seconds = sw.stop();
-  e.model = model_seconds(coll, tree, p, e.payload_bytes);
   e.bytes_per_round = static_cast<double>(ctx->total_bytes()) / rounds;
   e.messages_per_round = static_cast<double>(ctx->total_messages()) / rounds;
   e.root_bytes_per_round = static_cast<double>(ctx->rank_bytes(0)) / rounds;
@@ -207,7 +165,7 @@ PrefetchRun run_streaming_once(int p, Index rows_per_rank, Index snapshots,
     };
     auto source = std::make_unique<wl::GeneratorBatchSource>(
         part.count, snapshots, std::move(gen));
-    parsvd::ParallelStreamingSVD svd(comm, sopts, parsvd::TsqrVariant::Tree);
+    parsvd::ParallelStreamingSVD svd(comm, sopts);
     wl::StreamingExecutorOptions eopts;
     eopts.batch_cols = batch;
     eopts.prefetch = prefetch;
@@ -251,42 +209,25 @@ bool write_json(const std::string& path, bool smoke,
   }
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"bench\": \"comm\",\n");
-  std::fprintf(f, "  \"schema_version\": 1,\n");
+  std::fprintf(f, "  \"schema_version\": 2,\n");
   std::fprintf(f, "  \"smoke\": %s,\n", smoke ? "true" : "false");
-  std::fprintf(f, "  \"alpha_seconds\": %.3e,\n", kAlphaSeconds);
-  std::fprintf(f, "  \"beta_seconds_per_byte\": %.3e,\n", kBetaSecondsPerByte);
+  std::fprintf(f, "  \"host_cores\": %u,\n",
+               std::thread::hardware_concurrency());
   std::fprintf(f, "  \"collectives\": [\n");
   for (std::size_t i = 0; i < sweep.size(); ++i) {
     const CollectiveEntry& e = sweep[i];
     std::fprintf(
         f,
-        "    {\"collective\": \"%s\", \"algo\": \"%s\", \"ranks\": %d, "
+        "    {\"collective\": \"%s\", \"topology\": \"%s\", \"ranks\": %d, "
         "\"payload_bytes\": %zu, \"rounds\": %d, \"seconds\": %.6e, "
-        "\"model_seconds\": %.6e, \"bytes_per_round\": %.1f, "
-        "\"messages_per_round\": %.1f, \"root_bytes_per_round\": %.1f}%s\n",
-        e.collective.c_str(), e.tree ? "tree" : "flat", e.ranks,
-        e.payload_bytes, e.rounds, e.seconds, e.model, e.bytes_per_round,
+        "\"bytes_per_round\": %.1f, \"messages_per_round\": %.1f, "
+        "\"root_bytes_per_round\": %.1f}%s\n",
+        e.collective.c_str(), topology_of(e.collective), e.ranks,
+        e.payload_bytes, e.rounds, e.seconds, e.bytes_per_round,
         e.messages_per_round, e.root_bytes_per_round,
         i + 1 < sweep.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
-
-  // Acceptance claim (a): at P >= 8 and >= 1 MiB, the tree topologies
-  // beat flat gather/bcast on the alpha-beta critical path.
-  const int cp = 8;
-  const std::size_t cbytes = std::size_t{1} << 20;
-  const double g_flat = model_seconds("gather", false, cp, cbytes);
-  const double g_tree = model_seconds("gather", true, cp, cbytes);
-  const double b_flat = model_seconds("bcast", false, cp, cbytes);
-  const double b_tree = model_seconds("bcast", true, cp, cbytes);
-  std::fprintf(f, "  \"claim_tree_beats_flat\": {\n");
-  std::fprintf(f, "    \"ranks\": %d,\n", cp);
-  std::fprintf(f, "    \"payload_bytes\": %zu,\n", cbytes);
-  std::fprintf(f, "    \"gather_model_speedup\": %.4f,\n", g_flat / g_tree);
-  std::fprintf(f, "    \"bcast_model_speedup\": %.4f,\n", b_flat / b_tree);
-  std::fprintf(f, "    \"holds\": %s\n",
-               (g_tree < g_flat && b_tree < b_flat) ? "true" : "false");
-  std::fprintf(f, "  },\n");
 
   const auto prefetch_block = [f](const char* key, const PrefetchEntry& e,
                                   bool last) {
@@ -339,27 +280,25 @@ int main(int argc, char** argv) {
   const std::vector<std::size_t> payloads = {1024, 131072};  // 8 KiB, 1 MiB
   const int reps = smoke ? 1 : 3;
   std::vector<CollectiveEntry> sweep;
-  std::printf("%-10s %-5s %6s %12s %10s %12s %14s\n", "collective", "algo",
-              "ranks", "bytes/rank", "time[ms]", "model[us]", "rootB/round");
+  std::printf("%-10s %-26s %6s %12s %10s %14s\n", "collective", "topology",
+              "ranks", "bytes/rank", "time[ms]", "rootB/round");
   for (const char* coll : {"gather", "bcast", "allreduce"}) {
     for (int p : rank_counts) {
       for (std::size_t doubles : payloads) {
         const bool big = doubles >= 65536;
         const int rounds = smoke ? 2 : (big ? 6 : 20);
-        for (bool tree : {false, true}) {
-          CollectiveEntry best;
-          best.seconds = std::numeric_limits<double>::max();
-          for (int rep = 0; rep < reps; ++rep) {
-            CollectiveEntry e = run_collective(coll, tree, p, doubles, rounds);
-            failures += e.failures;
-            if (e.seconds < best.seconds) best = e;
-          }
-          std::printf("%-10s %-5s %6d %12zu %10.3f %12.2f %14.0f\n",
-                      best.collective.c_str(), tree ? "tree" : "flat", p,
-                      best.payload_bytes, best.seconds * 1e3, best.model * 1e6,
-                      best.root_bytes_per_round);
-          sweep.push_back(std::move(best));
+        CollectiveEntry best;
+        best.seconds = std::numeric_limits<double>::max();
+        for (int rep = 0; rep < reps; ++rep) {
+          CollectiveEntry e = run_collective(coll, p, doubles, rounds);
+          failures += e.failures;
+          if (e.seconds < best.seconds) best = e;
         }
+        std::printf("%-10s %-26s %6d %12zu %10.3f %14.0f\n",
+                    best.collective.c_str(), topology_of(coll), p,
+                    best.payload_bytes, best.seconds * 1e3,
+                    best.root_bytes_per_round);
+        sweep.push_back(std::move(best));
       }
     }
   }

@@ -12,7 +12,7 @@
 // timing, because shared CI runners make wall-clock assertions flaky;
 // smoke mode instead asserts the invariants that cannot be
 // load-sensitive: bit-identical singular values across configurations,
-// per-rank trace rows covering >= 95% of the traced wall time, and a
+// per-rank trace rows covering >= 95% of that rank's wall time, and a
 // Perfetto-loadable flush.
 //
 // Usage:
@@ -38,6 +38,7 @@
 #include <vector>
 
 #include "core/parallel_streaming.hpp"
+#include "obs/clock.hpp"
 #include "obs/trace.hpp"
 #include "pmpi/comm.hpp"
 #include "support/env.hpp"
@@ -55,9 +56,16 @@ using parsvd::pmpi::Communicator;
 
 constexpr int kRanks = 4;
 
+struct Interval {
+  std::int64_t start, end;
+};
+
 struct RunResult {
   double seconds = 0.0;
   Vector svals;
+  // Per rank, [entry, exit] of its body on the obs clock: the wall time
+  // that rank's trace row should cover.
+  std::vector<Interval> rank_windows;
 };
 
 RunResult run_streaming_once(Index rows_per_rank, Index snapshots,
@@ -72,20 +80,24 @@ RunResult run_streaming_once(Index rows_per_rank, Index snapshots,
   sopts.forget_factor = 1.0;
 
   RunResult out;
+  out.rank_windows.resize(kRanks);
   parsvd::Stopwatch sw;
   sw.start();
   parsvd::pmpi::run(kRanks, [&](Communicator& comm) {
+    const std::int64_t entry = parsvd::obs::clock().now_ns();
     const auto part = wl::partition_rows(cfg.grid_points, kRanks, comm.rank());
     auto gen = [&burgers, part](Index col0, Index ncols) {
       return burgers.snapshot_block(part.offset, part.count, col0, ncols);
     };
     auto source = std::make_unique<wl::GeneratorBatchSource>(
         part.count, snapshots, std::move(gen));
-    parsvd::ParallelStreamingSVD svd(comm, sopts, parsvd::TsqrVariant::Tree);
+    parsvd::ParallelStreamingSVD svd(comm, sopts);
     wl::StreamingExecutorOptions eopts;
     eopts.batch_cols = batch;
     wl::run_streaming(svd, std::move(source), eopts);
     if (comm.is_root()) out.svals = svd.singular_values();
+    out.rank_windows[static_cast<std::size_t>(comm.rank())] = {
+        entry, parsvd::obs::clock().now_ns()};
   });
   out.seconds = sw.stop();
   return out;
@@ -106,39 +118,36 @@ struct TraceStats {
   int rank_rows = 0;
 };
 
-// Coverage of the traced wall time by each rank's process row: union of
-// that rank's span intervals over [min start, max end] across all spans.
-TraceStats analyze_trace() {
+// Coverage of each rank's traced wall time by its process row: union of
+// that rank's span intervals over the rank's own [entry, exit] window.
+// Per-rank windows keep OS scheduling skew out of the figure — a rank
+// thread launched late, or one that leaves while the root finishes the
+// final mode gather, is not running untraced work.
+TraceStats analyze_trace(const std::vector<Interval>& rank_windows) {
   namespace trace = parsvd::obs::trace;
   TraceStats stats;
   const std::vector<trace::FlushedEvent> events = trace::snapshot();
   stats.dropped = trace::dropped();
 
-  std::int64_t t0 = std::numeric_limits<std::int64_t>::max();
-  std::int64_t t1 = std::numeric_limits<std::int64_t>::min();
-  struct Interval {
-    std::int64_t start, end;
-  };
   // pid -> intervals; pids are small (rank+1, 0 = shared).
   std::vector<std::vector<Interval>> by_pid(
       static_cast<std::size_t>(kRanks) + 1);
   for (const auto& fe : events) {
     if (fe.event.dur_ns < 0) continue;  // instants don't cover time
     ++stats.events;
-    t0 = std::min(t0, fe.event.start_ns);
-    t1 = std::max(t1, fe.event.start_ns + fe.event.dur_ns);
     if (fe.pid >= 1 && fe.pid <= kRanks) {
       by_pid[static_cast<std::size_t>(fe.pid)].push_back(
           {fe.event.start_ns, fe.event.start_ns + fe.event.dur_ns});
     }
   }
-  if (stats.events == 0 || t1 <= t0) return stats;
-  const double wall = static_cast<double>(t1 - t0);
+  if (stats.events == 0) return stats;
 
   stats.coverage_min_pct = 100.0;
   for (int pid = 1; pid <= kRanks; ++pid) {
     auto& ivals = by_pid[static_cast<std::size_t>(pid)];
-    if (ivals.empty()) continue;
+    const Interval& window = rank_windows[static_cast<std::size_t>(pid - 1)];
+    const double wall = static_cast<double>(window.end - window.start);
+    if (ivals.empty() || wall <= 0.0) continue;
     ++stats.rank_rows;
     std::sort(ivals.begin(), ivals.end(),
               [](const Interval& a, const Interval& b) {
@@ -254,7 +263,8 @@ int main(int argc, char** argv) {
       armed.seconds = a.seconds;
       armed.svals = a.svals;
     }
-    stats = analyze_trace();  // writers quiescent: run() joined its threads
+    // Writers quiescent: run() joined its threads.
+    stats = analyze_trace(a.rank_windows);
   }
 
   int failures = 0;

@@ -7,9 +7,8 @@ std::unique_ptr<SvdBase> make_streaming_svd(const StreamingOptions& opts) {
 }
 
 std::unique_ptr<SvdBase> make_streaming_svd(const StreamingOptions& opts,
-                                            pmpi::Communicator& comm,
-                                            TsqrVariant tsqr_variant) {
-  return std::make_unique<ParallelStreamingSVD>(comm, opts, tsqr_variant);
+                                            pmpi::Communicator& comm) {
+  return std::make_unique<ParallelStreamingSVD>(comm, opts);
 }
 
 }  // namespace parsvd

@@ -14,8 +14,7 @@ namespace parsvd {
 std::unique_ptr<SvdBase> make_streaming_svd(const StreamingOptions& opts);
 
 /// Distributed streaming SVD over `comm` (must outlive the object).
-std::unique_ptr<SvdBase> make_streaming_svd(
-    const StreamingOptions& opts, pmpi::Communicator& comm,
-    TsqrVariant tsqr_variant = TsqrVariant::Direct);
+std::unique_ptr<SvdBase> make_streaming_svd(const StreamingOptions& opts,
+                                            pmpi::Communicator& comm);
 
 }  // namespace parsvd

@@ -124,14 +124,4 @@ struct ApmosOptions {
   void validate() const;
 };
 
-/// TSQR variant selection.
-enum class TsqrVariant {
-  /// Paper/Benson et al. "direct" TSQR: gather all local R factors at
-  /// rank 0, one QR of the stack, scatter Q slices. O(p n^2) root memory.
-  Direct,
-  /// Binary-tree reduction: pairwise QR combines up a tree, transforms
-  /// unwound down it. O(log p) depth, O(n^2) per-message volume.
-  Tree,
-};
-
 }  // namespace parsvd

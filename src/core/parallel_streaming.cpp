@@ -14,12 +14,8 @@
 namespace parsvd {
 
 ParallelStreamingSVD::ParallelStreamingSVD(pmpi::Communicator& comm,
-                                           StreamingOptions opts,
-                                           TsqrVariant tsqr_variant)
-    : SvdBase(std::move(opts)),
-      comm_(comm),
-      tsqr_variant_(tsqr_variant),
-      rng_(opts_.randomized.seed) {}
+                                           StreamingOptions opts)
+    : SvdBase(std::move(opts)), comm_(comm), rng_(opts_.randomized.seed) {}
 
 void ParallelStreamingSVD::initialize(const Matrix& batch) {
   PARSVD_REQUIRE(!initialized_, "initialize() called twice");
@@ -139,7 +135,7 @@ void ParallelStreamingSVD::incorporate_data(const Matrix& batch) {
     scal(opts_.forget_factor * singular_values_[j], ll.col_span(j));
   }
   ll = hcat(ll, weighted);
-  TsqrResult qr = tsqr(comm_, ll, tsqr_variant_, opts_.fault_tolerant);
+  TsqrResult qr = tsqr(comm_, ll, opts_.fault_tolerant);
 
   // Step 2 (small, at root): SVD of the global R, truncated to K.
   // PyParSVD's listing only truncates on the low-rank path, which lets

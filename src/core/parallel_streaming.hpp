@@ -18,8 +18,7 @@ class ParallelStreamingSVD final : public SvdBase {
  public:
   /// `comm` must outlive the object; every rank of the communicator
   /// constructs its own instance with identical options.
-  ParallelStreamingSVD(pmpi::Communicator& comm, StreamingOptions opts,
-                       TsqrVariant tsqr_variant = TsqrVariant::Direct);
+  ParallelStreamingSVD(pmpi::Communicator& comm, StreamingOptions opts);
 
   /// Collective. `batch` is this rank's row-block of the first batch.
   void initialize(const Matrix& batch) override;
@@ -70,7 +69,6 @@ class ParallelStreamingSVD final : public SvdBase {
   void update_fault_report();
 
   pmpi::Communicator& comm_;
-  TsqrVariant tsqr_variant_;
   Matrix u_local_;        // local rows of the global modes, M_i x K
   Rng rng_;               // root-rank sketch stream (low_rank mode)
   Index num_rows_ = 0;    // this rank's row count (fixed after init)

@@ -6,19 +6,14 @@
 #include "linalg/blas.hpp"
 #include "linalg/qr.hpp"
 #include "obs/trace.hpp"
-#include "pmpi/request.hpp"
 #include "pmpi/tags.hpp"
-#include "pmpi/topology.hpp"
-#include "support/log.hpp"
 
 namespace parsvd {
 namespace {
 
-// Wire tags come from the pmpi registry: the tree variant owns the
-// kTsqrUpBase/kTsqrDownBase bands (one tag per level); the direct
-// variant reuses the down-sweep band for its Q-slice scatter.
+// Wire tag from the pmpi registry: the Q-slice scatter owns the
+// kTsqrDownBase band.
 using pmpi::tags::tsqr_down;
-using pmpi::tags::tsqr_up;
 
 TsqrResult tsqr_direct(pmpi::Communicator& comm, const Matrix& a_local) {
   PARSVD_TRACE_SCOPE("tsqr.direct");
@@ -129,124 +124,13 @@ TsqrResult tsqr_direct_ft(pmpi::Communicator& comm, const Matrix& a_local) {
   return out;
 }
 
-TsqrResult tsqr_tree(pmpi::Communicator& comm, const Matrix& a_local) {
-  PARSVD_TRACE_SCOPE("tsqr.tree");
-  const int p = comm.size();
-  const int rank = comm.rank();
-
-  if (p == 1) {
-    QrResult local = qr_thin(a_local);
-    return {std::move(local.q), std::move(local.r), {}};
-  }
-
-  // A rank's whole exchange schedule is a pure function of (rank, p) —
-  // topology::tsqr_plan, shared with the static verifier: it is
-  // "active" at level l while rank % 2^(l+1) == 0, receiving from
-  // partner rank + 2^l, and ships its R upward at the level of its
-  // lowest set bit. That makes every receive postable BEFORE the local
-  // panel factorization, so partners' R factors (and eventually the
-  // parent's down-sweep transform) arrive while this rank is busy in
-  // qr_thin — the up-sweep pipelining this variant exists for.
-  const pmpi::topology::TsqrPlan plan = pmpi::topology::tsqr_plan(rank, p);
-
-  // parsvd-pipelined begin (pre-posted schedule overlaps qr_thin; a
-  // blocking receive here would serialize the up-sweep again)
-  std::vector<pmpi::Request> up_reqs;
-  up_reqs.reserve(plan.recvs.size());
-  for (const auto& step : plan.recvs) {
-    up_reqs.push_back(comm.irecv(step.partner, tsqr_up(step.level)));
-  }
-  pmpi::Request t_req;
-  if (rank != 0) {
-    // The down-sweep transform from the parent is on a statically known
-    // channel too; posting it now costs nothing and completes the
-    // rank's whole receive schedule before any compute.
-    t_req = comm.irecv(plan.parent, tsqr_down(plan.sent_level));
-  }
-
-  QrResult local = [&] {
-    PARSVD_TRACE_SCOPE("tsqr.factor_panel");
-    return qr_thin(a_local);
-  }();
-  // parsvd-pipelined end
-
-  // Upward sweep: pairwise R combination, consuming the pre-posted
-  // receives in level order.
-  struct LevelRecord {
-    Index rows_mine;     // rows contributed by our subtree's R
-    Index rows_partner;  // rows contributed by the partner's R
-    Matrix q_comb;       // (rows_mine + rows_partner) x k' combined Q
-    int partner;
-    int level;           // tree level (levels with no in-range partner skip)
-  };
-  std::vector<LevelRecord> records;
-  records.reserve(plan.recvs.size());
-  Matrix r_mine = local.r;
-  {
-    PARSVD_TRACE_SCOPE("tsqr.up_sweep");
-    for (std::size_t i = 0; i < plan.recvs.size(); ++i) {
-      up_reqs[i].wait();
-      Matrix r_partner = up_reqs[i].take_matrix();
-      const Index rows_mine = r_mine.rows();
-      const Index rows_partner = r_partner.rows();
-      QrResult combined = qr_thin(vcat(r_mine, r_partner));
-      records.push_back(LevelRecord{rows_mine, rows_partner,
-                                    std::move(combined.q),
-                                    plan.recvs[i].partner,
-                                    plan.recvs[i].level});
-      r_mine = std::move(combined.r);
-    }
-    if (plan.sent_level >= 0) {
-      comm.send_matrix(r_mine, plan.parent, tsqr_up(plan.sent_level));
-    }
-  }
-
-  // Downward sweep: unwind accumulated transforms. The final R lives at
-  // rank 0; each rank's transform T satisfies Q_slice = Q_local · T.
-  Matrix r_final;
-  Matrix t;
-  {
-    PARSVD_TRACE_SCOPE("tsqr.down_sweep");
-    if (rank == 0) {
-      r_final = r_mine;
-      t = Matrix::identity(r_mine.rows());
-    } else {
-      // Our transform arrives from the partner we sent our R to.
-      t_req.wait();
-      t = t_req.take_matrix();
-    }
-    for (auto it = records.rbegin(); it != records.rend(); ++it) {
-      const Matrix q_top =
-          it->q_comb.block(0, 0, it->rows_mine, it->q_comb.cols());
-      const Matrix q_bot = it->q_comb.block(it->rows_mine, 0, it->rows_partner,
-                                            it->q_comb.cols());
-      comm.send_matrix(matmul(q_bot, t), it->partner, tsqr_down(it->level));
-      t = matmul(q_top, t);
-    }
-    comm.bcast_matrix(r_final, 0);
-  }
-  return {matmul(local.q, t), std::move(r_final), {}};
-}
-
 }  // namespace
 
 TsqrResult tsqr(pmpi::Communicator& comm, const Matrix& a_local,
-                TsqrVariant variant, bool fault_tolerant) {
+                bool fault_tolerant) {
   PARSVD_REQUIRE(!a_local.empty(), "tsqr of an empty local block");
-  if (fault_tolerant) {
-    if (variant == TsqrVariant::Tree) {
-      log::debug("tsqr: Tree variant has no exclusion path; using Direct "
-                 "for the fault-tolerant call");
-    }
-    return tsqr_direct_ft(comm, a_local);
-  }
-  switch (variant) {
-    case TsqrVariant::Direct:
-      return tsqr_direct(comm, a_local);
-    case TsqrVariant::Tree:
-      return tsqr_tree(comm, a_local);
-  }
-  throw ConfigError("unknown TSQR variant");
+  return fault_tolerant ? tsqr_direct_ft(comm, a_local)
+                        : tsqr_direct(comm, a_local);
 }
 
 }  // namespace parsvd

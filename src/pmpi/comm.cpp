@@ -38,24 +38,6 @@ Context::Context(int size)
       std::max<std::int64_t>(0, env::get_int("PARSVD_FAULT_RETRIES", 3)));
   const std::int64_t max_mb = env::get_int("PARSVD_MAX_PAYLOAD_MB", 0);
   if (max_mb > 0) max_payload_ = static_cast<std::uint64_t>(max_mb) << 20;
-  const std::string algo = env::get_string("PARSVD_COMM_ALGO", "auto");
-  if (algo == "flat") {
-    collective_algo_.store(CollectiveAlgo::Flat, std::memory_order_relaxed);
-  } else if (algo == "tree") {
-    collective_algo_.store(CollectiveAlgo::Tree, std::memory_order_relaxed);
-  } else if (algo != "auto") {
-    throw ConfigError("PARSVD_COMM_ALGO must be auto, flat or tree (got '" +
-                      algo + "')");
-  }
-  eager_bytes_.store(
-      static_cast<std::uint64_t>(std::max<std::int64_t>(
-          0, env::get_int("PARSVD_COMM_EAGER_BYTES",
-                          static_cast<std::int64_t>(std::uint64_t{1} << 14)))),
-      std::memory_order_relaxed);
-  tree_min_ranks_.store(
-      static_cast<int>(std::max<std::int64_t>(
-          2, env::get_int("PARSVD_COMM_TREE_MIN_RANKS", 8))),
-      std::memory_order_relaxed);
   FaultPlan env_plan = FaultPlan::from_env();
   if (!env_plan.empty()) set_fault_plan(std::move(env_plan));
 }
@@ -849,134 +831,9 @@ void Communicator::bcast_index(Index& value, int root) {
   value = static_cast<Index>(buf.at(0));
 }
 
-// --------------------------------------------- collective topology policy
-
-// The predicates themselves are pure functions in pmpi/topology.hpp,
-// shared with the static verifier; these wrappers bind them to the
-// live Context settings.
-bool Communicator::use_tree_gather() const {
-  return topology::use_tree_gather(ctx_->collective_algo(), size(),
-                                   ctx_->tree_min_ranks());
-}
-
-bool Communicator::use_tree_reduce(std::size_t bytes) const {
-  return topology::use_tree_reduce(ctx_->collective_algo(), size(), bytes,
-                                   ctx_->tree_min_ranks(),
-                                   ctx_->eager_threshold_bytes());
-}
-
-namespace {
-
-/// Gather frames are self-describing so internal tree nodes can append
-/// subtrees without any global size agreement:
-///   [u64 n_entries][n_entries x (u64 src, u64 nbytes)][payloads...]
-std::vector<std::byte> encode_gather_frame(
-    const std::vector<std::pair<int, std::vector<std::byte>>>& entries) {
-  std::size_t total = sizeof(std::uint64_t);
-  for (const auto& [src, payload] : entries) {
-    total += 2 * sizeof(std::uint64_t) + payload.size();
-  }
-  std::vector<std::byte> frame(total);
-  std::byte* cursor = frame.data();
-  const std::uint64_t n = entries.size();
-  std::memcpy(cursor, &n, sizeof(n));
-  cursor += sizeof(n);
-  for (const auto& [src, payload] : entries) {
-    const std::uint64_t meta[2] = {static_cast<std::uint64_t>(src),
-                                   static_cast<std::uint64_t>(payload.size())};
-    std::memcpy(cursor, meta, sizeof(meta));
-    cursor += sizeof(meta);
-  }
-  for (const auto& [src, payload] : entries) {
-    if (payload.empty()) continue;
-    std::memcpy(cursor, payload.data(), payload.size());
-    cursor += payload.size();
-  }
-  return frame;
-}
-
-/// Append a frame's entries to `entries` (non-root nodes) or place them
-/// by source rank into `out` (root). Exactly one of the two is used.
-void decode_gather_frame(
-    std::span<const std::byte> frame,
-    std::vector<std::pair<int, std::vector<std::byte>>>* entries,
-    std::vector<std::vector<std::byte>>* out, int p) {
-  PARSVD_REQUIRE(frame.size() >= sizeof(std::uint64_t),
-                 "gather frame too short");
-  std::uint64_t n = 0;
-  std::memcpy(&n, frame.data(), sizeof(n));
-  const std::size_t meta_bytes = sizeof(std::uint64_t) +
-                                 static_cast<std::size_t>(n) * 2 *
-                                     sizeof(std::uint64_t);
-  PARSVD_REQUIRE(frame.size() >= meta_bytes, "gather frame header truncated");
-  const std::byte* meta = frame.data() + sizeof(std::uint64_t);
-  const std::byte* body = frame.data() + meta_bytes;
-  std::size_t remaining = frame.size() - meta_bytes;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    std::uint64_t entry[2];
-    std::memcpy(entry, meta + i * sizeof(entry), sizeof(entry));
-    const int src = static_cast<int>(entry[0]);
-    const std::size_t nbytes = static_cast<std::size_t>(entry[1]);
-    PARSVD_REQUIRE(src >= 0 && src < p, "gather frame: source out of range");
-    PARSVD_REQUIRE(nbytes <= remaining, "gather frame body truncated");
-    std::vector<std::byte> payload(body, body + nbytes);
-    body += nbytes;
-    remaining -= nbytes;
-    if (entries) {
-      entries->emplace_back(src, std::move(payload));
-    } else {
-      (*out)[static_cast<std::size_t>(src)] = std::move(payload);
-    }
-  }
-  PARSVD_REQUIRE(remaining == 0, "gather frame has trailing bytes");
-}
-
-}  // namespace
-
-std::vector<std::vector<std::byte>> Communicator::gather_bytes_tree(
-    std::vector<std::byte> local, int root) {
-  PARSVD_TRACE_SCOPE("comm.gather.tree");
-  const int p = size();
-  const int vrank = (rank_ - root + p) % p;
-  // Children sit at vrank + mask for every mask below our lowest set
-  // bit (all of p for the root); the parent is vrank with that bit
-  // cleared (topology::binomial_*). Receiving in ascending mask order
-  // matches the binomial schedule: small subtrees complete first while
-  // big ones are still aggregating below.
-  std::vector<std::vector<std::byte>> out;
-  std::vector<std::pair<int, std::vector<std::byte>>> entries;
-  if (vrank == 0) {
-    out.resize(static_cast<std::size_t>(p));
-    out[static_cast<std::size_t>(rank_)] = std::move(local);
-  } else {
-    entries.reserve(
-        static_cast<std::size_t>(topology::binomial_subtree(vrank, p)));
-    entries.emplace_back(rank_, std::move(local));
-  }
-
-  for (const int child_v :
-       topology::binomial_children(vrank, p, /*ascending=*/true)) {
-    const int child = (child_v + root) % p;
-    // One frame per child: the child has already aggregated its whole
-    // subtree, which is what turns the root's p-1 sequential receives
-    // into log2(p) — the α·(P-1) → α·log P critical-path win.
-    const std::vector<std::byte> frame =
-        wait_scoped(child, tags::kGatherTree);
-    decode_gather_frame(frame, vrank == 0 ? nullptr : &entries,
-                        vrank == 0 ? &out : nullptr, p);
-  }
-
-  if (vrank != 0) {
-    const int parent = (topology::binomial_parent(vrank) + root) % p;
-    post_scoped(parent, tags::kGatherTree, encode_gather_frame(entries));
-  }
-  return out;
-}
-
 std::vector<std::vector<std::byte>> Communicator::gather_bytes_impl(
     std::vector<std::byte> local, int root) {
   check_peer(root);
-  if (use_tree_gather()) return gather_bytes_tree(std::move(local), root);
   PARSVD_TRACE_SCOPE("comm.gather.flat");
   if (rank_ != root) {
     post_scoped(root, tags::kGather, std::move(local));
@@ -1086,10 +943,6 @@ void apply_op(Op op, std::span<double> acc, std::span<const double> incoming) {
 void Communicator::reduce(std::span<double> data, Op op, int root) {
   check_peer(root);
   if (size() == 1) return;
-  if (use_tree_reduce(data.size_bytes())) {
-    reduce_tree(data, op, root);
-    return;
-  }
   PARSVD_TRACE_SCOPE("comm.reduce.flat");
   if (rank_ != root) {
     std::vector<std::byte> payload(data.size_bytes());
@@ -1110,111 +963,13 @@ void Communicator::reduce(std::span<double> data, Op op, int root) {
   }
 }
 
-void Communicator::reduce_tree(std::span<double> data, Op op, int root) {
-  // Binomial tree mirroring gather_bytes_tree: each node folds its
-  // children's subtree partials into its own copy (own data first, then
-  // children in ascending mask order — a fixed association per (p,
-  // root), so the result is deterministic run-to-run; the association
-  // differs from the flat root-ordered fold in the usual last-bit
-  // floating-point sense). Non-root `data` stays untouched.
-  PARSVD_TRACE_SCOPE("comm.reduce.tree");
-  const int p = size();
-  const int vrank = (rank_ - root + p) % p;
-  std::vector<double> acc(data.begin(), data.end());
-  for (const int child_v :
-       topology::binomial_children(vrank, p, /*ascending=*/true)) {
-    const int child = (child_v + root) % p;
-    const std::vector<std::byte> payload =
-        wait_scoped(child, tags::kReduceTree);
-    PARSVD_REQUIRE(payload.size() == data.size_bytes(),
-                   "reduce: contribution size mismatch");
-    std::span<const double> incoming(
-        reinterpret_cast<const double*>(payload.data()), data.size());
-    apply_op(op, acc, incoming);
-  }
-  if (vrank == 0) {
-    std::copy(acc.begin(), acc.end(), data.begin());
-  } else {
-    const int parent = (topology::binomial_parent(vrank) + root) % p;
-    std::vector<std::byte> payload(data.size_bytes());
-    std::memcpy(payload.data(), acc.data(), payload.size());
-    post_scoped(parent, tags::kReduceTree, std::move(payload));
-  }
-}
-
 void Communicator::allreduce(std::span<double> data, Op op) {
   if (size() == 1) return;
-  if (use_tree_reduce(data.size_bytes())) {
-    allreduce_rd(data, op);
-    return;
-  }
   PARSVD_TRACE_SCOPE("comm.allreduce.flat");
   reduce(data, op, 0);
   std::vector<double> buf(data.begin(), data.end());
   bcast(buf, 0);
   std::copy(buf.begin(), buf.end(), data.begin());
-}
-
-void Communicator::allreduce_rd(std::span<double> data, Op op) {
-  // Recursive doubling over the largest power-of-two core, with the
-  // surplus ranks folded in before and fanned out after (the classic
-  // MPICH shape; schedule math in topology::rd_schedule). Every rank
-  // applies the same balanced combine tree, and the elementwise
-  // two-operand ops (sum/max/min of two doubles) are exactly
-  // commutative in IEEE arithmetic, so all ranks finish with
-  // bit-identical results.
-  PARSVD_TRACE_SCOPE("comm.allreduce.rd");
-  const topology::RdSchedule sched = topology::rd_schedule(rank_, size());
-  std::vector<double> acc(data.begin(), data.end());
-  std::vector<double> incoming;
-
-  const auto exchange_with = [&](int partner) {
-    std::vector<std::byte> payload(acc.size() * sizeof(double));
-    std::memcpy(payload.data(), acc.data(), payload.size());
-    post_scoped(partner, tags::kAllreduce, std::move(payload));
-    const std::vector<std::byte> reply =
-        wait_scoped(partner, tags::kAllreduce);
-    PARSVD_REQUIRE(reply.size() == data.size_bytes(),
-                   "allreduce: contribution size mismatch");
-    incoming.assign(reinterpret_cast<const double*>(reply.data()),
-                    reinterpret_cast<const double*>(reply.data()) + data.size());
-  };
-
-  // Fold-in: the first 2*rem ranks pair up; odd ranks hand their data
-  // to the even neighbour and sit out the doubling phase.
-  if (sched.folded_out) {
-    std::vector<std::byte> payload(acc.size() * sizeof(double));
-    std::memcpy(payload.data(), acc.data(), payload.size());
-    post_scoped(sched.fold_peer, tags::kAllreduce, std::move(payload));
-    const std::vector<std::byte> result =
-        wait_scoped(sched.fold_peer, tags::kAllreduce);
-    PARSVD_REQUIRE(result.size() == data.size_bytes(),
-                   "allreduce: result size mismatch");
-    std::memcpy(data.data(), result.data(), result.size());
-    return;
-  }
-  if (sched.fold_peer >= 0) {
-    const std::vector<std::byte> payload =
-        wait_scoped(sched.fold_peer, tags::kAllreduce);
-    PARSVD_REQUIRE(payload.size() == data.size_bytes(),
-                   "allreduce: contribution size mismatch");
-    apply_op(op, acc,
-             std::span<const double>(
-                 reinterpret_cast<const double*>(payload.data()), data.size()));
-  }
-
-  for (const int partner : sched.partners) {
-    exchange_with(partner);
-    apply_op(op, acc, incoming);
-  }
-
-  if (sched.fold_peer >= 0) {
-    // Fan the finished result back out to the folded-in odd partner.
-    std::vector<std::byte> payload(acc.size() * sizeof(double));
-    std::memcpy(payload.data(), acc.data(), payload.size());
-    post_scoped(sched.fold_peer, tags::kAllreduce, std::move(payload));
-  }
-  std::copy(acc.begin(), acc.end(), data.begin());
 }
 
 double Communicator::allreduce_scalar(double value, Op op) {

@@ -52,10 +52,9 @@ namespace parsvd::pmpi {
 /// Reduction operators for reduce/allreduce.
 enum class Op { Sum, Max, Min };
 
-// CollectiveAlgo and the schedule math every collective follows live in
-// pmpi/topology.hpp, shared with the static verifier (src/verify): the
-// schedule the model checker proves deadlock-free is the schedule these
-// methods post.
+// The broadcast's binomial-tree schedule math lives in pmpi/topology.hpp,
+// shared with the static verifier (src/verify): the schedule the model
+// checker proves deadlock-free is the schedule these methods post.
 
 /// Serialize a matrix into the wire format used by send_matrix (shape
 /// header + column-major body). Exposed so degraded-mode callers can
@@ -182,39 +181,6 @@ class Context {
   /// either mint in a fixed order (Communicator::split does) or pre-mint
   /// here before ranks start.
   std::shared_ptr<const Group> group_for(std::vector<int> members);
-
-  // ------------------------------------------- collective algorithm policy
-  // Job-wide so all ranks agree on the topology (see CollectiveAlgo).
-  // Configure before ranks start communicating, or between collectives.
-  // Defaults come from PARSVD_COMM_ALGO / PARSVD_COMM_EAGER_BYTES /
-  // PARSVD_COMM_TREE_MIN_RANKS.
-
-  void set_collective_algo(CollectiveAlgo algo) {
-    collective_algo_.store(algo, std::memory_order_relaxed);
-  }
-  CollectiveAlgo collective_algo() const {
-    return collective_algo_.load(std::memory_order_relaxed);
-  }
-
-  /// Auto policy: reduce/allreduce payloads at or above this take the
-  /// log(P) path (below it, one eager flat round trip is cheaper than
-  /// tree latency).
-  void set_eager_threshold_bytes(std::uint64_t bytes) {
-    eager_bytes_.store(bytes, std::memory_order_relaxed);
-  }
-  std::uint64_t eager_threshold_bytes() const {
-    return eager_bytes_.load(std::memory_order_relaxed);
-  }
-
-  /// Auto policy: jobs with fewer ranks than this keep flat gather /
-  /// reduce topologies (the tree only shortens the root's critical path
-  /// once there are enough ranks to amortize the extra hops).
-  void set_tree_min_ranks(int ranks) {
-    tree_min_ranks_.store(ranks, std::memory_order_relaxed);
-  }
-  int tree_min_ranks() const {
-    return tree_min_ranks_.load(std::memory_order_relaxed);
-  }
 
   /// Two-phase dissemination barrier over the mailbox fabric is not
   /// needed in-process; a generation-counted central barrier is exact.
@@ -397,10 +363,6 @@ class Context {
   obs::Counter* timeouts_ = nullptr;
   obs::Counter* timeout_retries_ = nullptr;
 
-  std::atomic<CollectiveAlgo> collective_algo_{CollectiveAlgo::Auto};
-  std::atomic<std::uint64_t> eager_bytes_{std::uint64_t{1} << 14};  // 16 KiB
-  std::atomic<int> tree_min_ranks_{8};
-
   // Debug-build registry of outstanding non-blocking receives, keyed
   // (dest, src, tag). Unused (but kept declared, for a single layout
   // across build types) in release builds.
@@ -550,8 +512,8 @@ class Communicator {
   void bcast_double(double& value, int root = 0);
   void bcast_index(Index& value, int root = 0);
 
-  /// Gather per-rank matrices at root, indexed by source rank. Non-root
-  /// ranks receive an empty vector.
+  /// Gather per-rank matrices at root (flat root loop), indexed by source
+  /// rank. Non-root ranks receive an empty vector.
   std::vector<Matrix> gather_matrices(const Matrix& local, int root = 0);
 
   /// Gather variable-length element buffers at root (concatenated in rank
@@ -570,11 +532,12 @@ class Communicator {
   Matrix scatter_rows(const Matrix& full, std::span<const Index> rows_per_rank,
                       int root = 0);
 
-  /// Elementwise reduction to root; `data` must be the same length on
-  /// every rank. Non-root contents are left untouched.
+  /// Elementwise reduction to root (flat root loop, folded in rank
+  /// order); `data` must be the same length on every rank. Non-root
+  /// contents are left untouched.
   void reduce(std::span<double> data, Op op, int root = 0);
 
-  /// Reduction visible on every rank.
+  /// Reduction visible on every rank: reduce to rank 0, then bcast.
   void allreduce(std::span<double> data, Op op);
   double allreduce_scalar(double value, Op op);
 
@@ -640,24 +603,11 @@ class Communicator {
   void post_scoped(int dest, int tag, std::vector<std::byte> payload);
   std::vector<std::byte> wait_scoped(int src, int tag);
 
-  // ----------------------------------- collective topology dispatch
-  // Policy predicates evaluate Context-wide settings plus inputs every
-  // rank agrees on (rank count; symmetric reduce lengths), so all ranks
-  // of one collective call pick the same topology.
-  bool use_tree_gather() const;
-  bool use_tree_reduce(std::size_t bytes) const;
-
-  /// Gather engine under gatherv / gather_matrices: returns, at root,
-  /// one payload per rank (indexed by source); empty elsewhere. Flat
-  /// root loop or binomial tree with framed subtree aggregation,
-  /// depending on policy.
+  /// Gather engine under gatherv / gather_matrices (flat root loop):
+  /// returns, at root, one payload per rank (indexed by source); empty
+  /// elsewhere.
   std::vector<std::vector<std::byte>> gather_bytes_impl(
       std::vector<std::byte> local, int root);
-  std::vector<std::vector<std::byte>> gather_bytes_tree(
-      std::vector<std::byte> local, int root);
-
-  void reduce_tree(std::span<double> data, Op op, int root);
-  void allreduce_rd(std::span<double> data, Op op);
 
   // Group-local rank on a group communicator, world rank otherwise.
   int rank_;
@@ -672,27 +622,6 @@ void Communicator::bcast(std::vector<T>& data, int root) {
   const int p = size();
   if (p == 1) return;
 
-  if (ctx_->collective_algo() == CollectiveAlgo::Flat) {
-    // One-level fan-out: root posts p-1 copies. Benchmark baseline (and
-    // lowest latency for tiny jobs); never chosen by Auto because only
-    // the Context-wide setting keeps all ranks consistent — receivers
-    // cannot see the payload size a size-aware switch would need.
-    PARSVD_TRACE_SCOPE("comm.bcast.flat");
-    if (rank_ == root) {
-      for (int dst = 0; dst < p; ++dst) {
-        if (dst == root) continue;
-        std::vector<std::byte> payload(data.size() * sizeof(T));
-        std::memcpy(payload.data(), data.data(), payload.size());
-        post_scoped(dst, tags::kBcast, std::move(payload));
-      }
-    } else {
-      const std::vector<std::byte> payload = wait_scoped(root, tags::kBcast);
-      data.resize(payload.size() / sizeof(T));
-      std::memcpy(data.data(), payload.data(), payload.size());
-    }
-    return;
-  }
-
   // Classic binomial tree (shared schedule math in pmpi/topology.hpp):
   // receive from the parent — vrank with its lowest set bit cleared —
   // then fan out to the children in descending mask order, so big
@@ -706,8 +635,7 @@ void Communicator::bcast(std::vector<T>& data, int root) {
     data.resize(payload.size() / sizeof(T));
     std::memcpy(data.data(), payload.data(), payload.size());
   }
-  for (const int child_v :
-       topology::binomial_children(vrank, p, /*ascending=*/false)) {
+  for (const int child_v : topology::binomial_children(vrank, p)) {
     const int child = (child_v + root) % p;
     std::vector<std::byte> payload(data.size() * sizeof(T));
     std::memcpy(payload.data(), data.data(), payload.size());

@@ -7,10 +7,10 @@
 //     point-to-point API rejects negative user tags, so collective
 //     traffic can never be intercepted by (or mistaken for) user
 //     messages on the same channel.
-//   * [100, 1024) — reserved solver protocol ranges, one kRangeWidth-wide
-//     band per protocol. Level-indexed protocols (the TSQR reduction
-//     tree) get a whole band so `base + level` arithmetic stays inside
-//     their reservation by construction.
+//   * [164, 1024) — reserved solver protocol ranges, one kRangeWidth-wide
+//     band per protocol, so `base + index` arithmetic stays inside a
+//     protocol's reservation by construction. [100, 164) stays vacant
+//     so the bands keep their wire values.
 //   * [1024, ...) — application space: user code that needs stable tags
 //     alongside the solvers should start at kUserBase.
 //   * (-inf, -kGroupScopedBase] — group-scoped bands. Every communicator
@@ -30,35 +30,29 @@
 namespace parsvd::pmpi::tags {
 
 // ----------------------------------------------------- collective tags
-inline constexpr int kBcast = -2;       // binomial-tree / flat broadcast
-inline constexpr int kGather = -3;      // flat gather (root loop)
-inline constexpr int kScatter = -4;     // scatter_rows
-inline constexpr int kReduce = -5;      // flat reduce (root loop)
-inline constexpr int kFtGather = -6;    // fault-tolerant flat gather
-inline constexpr int kFtBcast = -7;     // fault-tolerant flat bcast
-inline constexpr int kGatherTree = -8;  // binomial-tree gather frames
-inline constexpr int kReduceTree = -9;  // binomial-tree reduce partials
-inline constexpr int kAllreduce = -10;  // recursive-doubling exchange
-inline constexpr int kBarrier = -11;    // message-based subgroup barrier
+// Values are wire-stable: -8..-10 stay vacant so kBarrier and every
+// group band offset keep their values.
+inline constexpr int kBcast = -2;     // binomial-tree broadcast
+inline constexpr int kGather = -3;    // flat gather (root loop)
+inline constexpr int kScatter = -4;   // scatter_rows
+inline constexpr int kReduce = -5;    // flat reduce (root loop)
+inline constexpr int kFtGather = -6;  // fault-tolerant flat gather
+inline constexpr int kFtBcast = -7;   // fault-tolerant flat bcast
+inline constexpr int kBarrier = -11;  // message-based subgroup barrier
 
 // ------------------------------------------------ solver protocol bands
-/// Width of one reserved band. 64 covers every level-indexed protocol:
-/// a binomial tree over int ranks has at most 31 levels.
+/// Width of one reserved band.
 inline constexpr int kRangeWidth = 64;
 
-inline constexpr int kTsqrUpBase = 100;
-inline constexpr int kTsqrDownBase = kTsqrUpBase + kRangeWidth;
+inline constexpr int kTsqrDownBase = 164;
 inline constexpr int kApmosGatherBase = kTsqrDownBase + kRangeWidth;
 
 /// First tag applications should use for their own traffic.
 inline constexpr int kUserBase = 1024;
 
-/// TSQR tree up-sweep: R factors flowing toward rank 0, one tag per
-/// tree level so a rank's pre-posted receives are distinct channels.
-constexpr int tsqr_up(int level) { return kTsqrUpBase + level; }
-
-/// TSQR tree down-sweep: Q transforms flowing back toward the leaves.
-constexpr int tsqr_down(int level) { return kTsqrDownBase + level; }
+/// TSQR Q row-slices flowing from rank 0 back to the ranks (the direct
+/// TSQR uses index 0 of the band).
+constexpr int tsqr_down(int index) { return kTsqrDownBase + index; }
 
 /// APMOS Stage-3 gather of per-rank W blocks (overlapped at root with
 /// the Stage-2 small SVD).
@@ -131,11 +125,11 @@ static_assert(!is_group_scoped(kBarrier) && !is_group_scoped(kUserBase),
 static_assert(is_group_scoped(group_scope(1, kBcast)) &&
                   is_group_scoped(group_scope(kMaxGroups, kGroupUserLimit - 1)),
               "every band slot must read as group-scoped");
-static_assert(scoped_group(group_scope(7, kAllreduce)) == 7 &&
-                  unscoped(group_scope(7, kAllreduce)) == kAllreduce,
+static_assert(scoped_group(group_scope(7, kBarrier)) == 7 &&
+                  unscoped(group_scope(7, kBarrier)) == kBarrier,
               "group_scope must round-trip collective tags");
-static_assert(scoped_group(group_scope(3, kTsqrUpBase + 5)) == 3 &&
-                  unscoped(group_scope(3, kTsqrUpBase + 5)) == kTsqrUpBase + 5,
+static_assert(scoped_group(group_scope(3, tsqr_down(5))) == 3 &&
+                  unscoped(group_scope(3, tsqr_down(5))) == tsqr_down(5),
               "group_scope must round-trip solver band tags");
 static_assert(group_scope(1, kGroupUserLimit - 1) >
                   group_scope(2, -kGroupTagBias),

@@ -1,48 +1,28 @@
-// Pure schedule math for every SPMD protocol in the library.
+// Pure schedule math for the binomial-tree broadcast.
 //
-// Each function here derives, from nothing but (rank, P) (plus the
-// job-wide collective policy inputs), WHO a rank talks to and in WHAT
-// order — no payloads, no threads, no Context. The production paths
-// (Communicator collectives in comm.hpp/comm.cpp, tsqr_tree in
-// core/tsqr.cpp) and the static verifier (src/verify) both consume
-// these functions, so the schedule the model checker proves
-// deadlock-free is, by construction, the schedule the solvers post.
-// Changing a topology here changes both sides at once; a divergence is
-// impossible rather than merely tested for.
+// Each function here derives, from nothing but (rank, P), WHO a rank
+// talks to and in WHAT order — no payloads, no threads, no Context. The
+// production path (Communicator::bcast in comm.hpp) and the static
+// verifier (src/verify) both consume these functions, so the schedule
+// the model checker proves deadlock-free is, by construction, the
+// schedule the solvers post. Changing the topology here changes both
+// sides at once; a divergence is impossible rather than merely tested
+// for.
+//
+// Every other collective (gather, gatherv, reduce, the reduce leg of
+// allreduce) is a flat root loop with no schedule math to share; DESIGN
+// §7 records the measurements that picked one topology per collective.
 //
 // "P" is a COMMUNICATOR size, not necessarily the Context's world size:
 // group communicators (Communicator::split / subgroup) call in with
-// their group size and dense group ranks, so every tree/recursive-
-// doubling shape — and the Auto policy thresholds — apply per group
-// exactly as they do world-wide.
+// their group size and dense group ranks, so the tree shape applies per
+// group exactly as it does world-wide.
 #pragma once
 
 #include <algorithm>
-#include <bit>
-#include <cstdint>
 #include <vector>
 
-namespace parsvd::pmpi {
-
-/// Collective algorithm selection (Context-wide so every rank of a job
-/// takes the same code path — a per-call or per-size disagreement
-/// between ranks would deadlock the collective).
-///   Flat — root-loop topologies everywhere (the seed behaviour for
-///          gather/reduce; also forces a flat one-level broadcast).
-///   Tree — binomial-tree gather/reduce/bcast and recursive-doubling
-///          allreduce regardless of size.
-///   Auto — size-aware: eager flat for small payloads and small jobs,
-///          log(P) trees once `tree_min_ranks` / `eager_threshold_bytes`
-///          are crossed. Broadcast always takes the tree (receivers do
-///          not know the payload size in advance, so a size-dependent
-///          switch could not be made consistently); gather switches on
-///          the rank count alone (per-rank contributions may differ in
-///          size, and only the rank count is guaranteed to be agreed on
-///          by everyone); reduce/allreduce switch on rank count and
-///          payload size (lengths are symmetric by API contract).
-enum class CollectiveAlgo { Auto, Flat, Tree };
-
-namespace topology {
+namespace parsvd::pmpi::topology {
 
 /// Lowest set bit of a positive rank (0 for vrank 0, the tree root).
 constexpr int lowbit(int v) { return v & -v; }
@@ -51,144 +31,19 @@ constexpr int lowbit(int v) { return v & -v; }
 /// the lowest set bit cleared. Meaningless (returns 0) for the root.
 constexpr int binomial_parent(int vrank) { return vrank & (vrank - 1); }
 
-/// Number of ranks in the binomial subtree rooted at `vrank` out of
-/// `p`: the span [vrank, vrank + lowbit(vrank)) clipped to p.
-constexpr int binomial_subtree(int vrank, int p) {
-  if (vrank == 0) return p;
-  const int low = lowbit(vrank);
-  return low < p - vrank ? low : p - vrank;
-}
-
 /// Children of `vrank` in the binomial tree over `p` ranks: vrank + m
 /// for every power-of-two m below vrank's lowest set bit (below p for
-/// the root), clipped to p. Gather/reduce receive in ASCENDING mask
-/// order (small subtrees complete first while big ones are still
-/// aggregating below); broadcast fans out in DESCENDING mask order
-/// (big subtrees get the payload first so their forwarding overlaps
-/// the small sends).
-inline std::vector<int> binomial_children(int vrank, int p, bool ascending) {
+/// the root), clipped to p — in DESCENDING mask order, the broadcast's
+/// send order (big subtrees get the payload first so their forwarding
+/// overlaps the small sends).
+inline std::vector<int> binomial_children(int vrank, int p) {
   const int limit = vrank == 0 ? p : lowbit(vrank);
   std::vector<int> children;
   for (int mask = 1; mask < limit && vrank + mask < p; mask <<= 1) {
     children.push_back(vrank + mask);
   }
-  if (!ascending) std::reverse(children.begin(), children.end());
+  std::reverse(children.begin(), children.end());
   return children;
 }
 
-/// Recursive-doubling allreduce schedule (the classic MPICH shape):
-/// the largest power-of-two core doubles; the surplus ranks fold their
-/// contribution into an even partner before the doubling phase and
-/// receive the finished result after it.
-struct RdSchedule {
-  /// True for the odd ranks below 2*rem: they send their contribution
-  /// to `fold_peer`, then block for the finished result — no doubling.
-  bool folded_out = false;
-  /// The fold/fan-out partner (rank±1) for ranks below 2*rem; -1 for
-  /// ranks that enter the doubling phase directly.
-  int fold_peer = -1;
-  /// Doubling-phase exchange partners, in mask order. Each exchange is
-  /// a post-then-wait pair with the partner. Empty when folded out.
-  std::vector<int> partners;
-};
-
-inline RdSchedule rd_schedule(int rank, int p) {
-  RdSchedule s;
-  const int m = static_cast<int>(std::bit_floor(static_cast<unsigned>(p)));
-  const int rem = p - m;
-  int vr;
-  if (rank < 2 * rem) {
-    s.fold_peer = rank % 2 == 1 ? rank - 1 : rank + 1;
-    if (rank % 2 == 1) {
-      s.folded_out = true;
-      return s;
-    }
-    vr = rank / 2;
-  } else {
-    vr = rank - rem;
-  }
-  for (int mask = 1; mask < m; mask <<= 1) {
-    const int partner_v = vr ^ mask;
-    s.partners.push_back(partner_v < rem ? 2 * partner_v : partner_v + rem);
-  }
-  return s;
-}
-
-/// TSQR reduction-tree schedule: a pure function of (rank, p). A rank
-/// is "active" at level l while rank % 2^(l+1) == 0, receiving from
-/// partner rank + 2^l; it ships its R upward at the level of its
-/// lowest set bit and later receives its down-sweep transform from the
-/// same parent on the matching down-band tag. Every receive is
-/// postable before the local panel factorization — the up-sweep
-/// pipelining tsqr_tree exists for.
-struct TsqrPlan {
-  struct Level {
-    int level;    ///< tree level (levels with no in-range partner skip)
-    int partner;  ///< rank + 2^level, the subtree merged at this level
-  };
-  /// Up-sweep receives in ascending level order (empty for leaf-only
-  /// ranks that merge nothing).
-  std::vector<Level> recvs;
-  /// Level at which this rank ships its R to `parent` (-1 for rank 0).
-  int sent_level = -1;
-  /// Parent rank for the up-sweep send and the down-sweep transform
-  /// receive (-1 for rank 0).
-  int parent = -1;
-};
-
-inline TsqrPlan tsqr_plan(int rank, int p) {
-  TsqrPlan plan;
-  for (int level = 0; (1 << level) < p; ++level) {
-    const int stride = 1 << level;
-    if (rank % (2 * stride) != 0) {
-      plan.sent_level = level;
-      plan.parent = rank - stride;
-      break;
-    }
-    const int partner = rank + stride;
-    if (partner >= p) continue;  // unpaired at this level; stay active
-    plan.recvs.push_back({level, partner});
-  }
-  return plan;
-}
-
-// -------------------------------------------- collective topology policy
-// Predicates over Context-wide settings plus inputs every rank agrees
-// on (rank count; symmetric reduce lengths), so all ranks of one
-// collective call pick the same topology. Communicator evaluates these
-// with its live Context settings; the verifier sweeps them over every
-// algo/threshold combination.
-
-constexpr bool use_tree_gather(CollectiveAlgo algo, int p, int tree_min_ranks) {
-  switch (algo) {
-    case CollectiveAlgo::Flat:
-      return false;
-    case CollectiveAlgo::Tree:
-      return p > 2;  // at p <= 2 the tree IS the flat topology
-    case CollectiveAlgo::Auto:
-      // Rank count is the only input every rank is guaranteed to agree
-      // on (per-rank contribution sizes may straddle any byte
-      // threshold), so Auto switches on it alone.
-      return p >= tree_min_ranks;
-  }
-  return false;
-}
-
-constexpr bool use_tree_reduce(CollectiveAlgo algo, int p, std::uint64_t bytes,
-                               int tree_min_ranks,
-                               std::uint64_t eager_threshold_bytes) {
-  switch (algo) {
-    case CollectiveAlgo::Flat:
-      return false;
-    case CollectiveAlgo::Tree:
-      return p > 2;
-    case CollectiveAlgo::Auto:
-      // reduce/allreduce lengths are symmetric by API contract, so a
-      // size-aware switch is consistent across ranks.
-      return p >= tree_min_ranks && bytes >= eager_threshold_bytes;
-  }
-  return false;
-}
-
-}  // namespace topology
-}  // namespace parsvd::pmpi
+}  // namespace parsvd::pmpi::topology

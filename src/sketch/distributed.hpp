@@ -7,7 +7,7 @@
 // one global Ω, so
 //     B = Ωᵀ A = Σ_i Ω[rows_i, :]ᵀ A_i
 // is one local sketch per rank followed by an allreduce-sum over the s x n
-// partials through the existing tree collectives.
+// partials through the existing collectives.
 #pragma once
 
 #include "linalg/matrix.hpp"

@@ -2,9 +2,21 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <cstdlib>
 
+#include "support/error.hpp"
+
 namespace parsvd::env {
+
+namespace {
+
+[[noreturn]] void reject(const std::string& name, const std::string& value,
+                         const char* expected) {
+  throw ConfigError(name + "='" + value + "' is not " + expected);
+}
+
+}  // namespace
 
 std::optional<std::string> get(const std::string& name) {
   const char* v = std::getenv(name.c_str());
@@ -16,8 +28,11 @@ std::int64_t get_int(const std::string& name, std::int64_t fallback) {
   const auto v = get(name);
   if (!v) return fallback;
   char* end = nullptr;
+  errno = 0;
   const long long parsed = std::strtoll(v->c_str(), &end, 10);
-  if (end == v->c_str() || *end != '\0') return fallback;
+  if (end == v->c_str() || *end != '\0' || errno == ERANGE) {
+    reject(name, *v, "an integer");
+  }
   return static_cast<std::int64_t>(parsed);
 }
 
@@ -26,7 +41,7 @@ double get_double(const std::string& name, double fallback) {
   if (!v) return fallback;
   char* end = nullptr;
   const double parsed = std::strtod(v->c_str(), &end);
-  if (end == v->c_str() || *end != '\0') return fallback;
+  if (end == v->c_str() || *end != '\0') reject(name, *v, "a number");
   return parsed;
 }
 
@@ -38,7 +53,7 @@ bool get_bool(const std::string& name, bool fallback) {
                  [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
   if (lower == "1" || lower == "true" || lower == "yes" || lower == "on") return true;
   if (lower == "0" || lower == "false" || lower == "no" || lower == "off") return false;
-  return fallback;
+  reject(name, *v, "a boolean (1/0, true/false, yes/no, on/off)");
 }
 
 std::string get_string(const std::string& name, const std::string& fallback) {

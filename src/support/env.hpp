@@ -11,13 +11,17 @@ namespace parsvd::env {
 /// Raw lookup; nullopt when unset.
 std::optional<std::string> get(const std::string& name);
 
-/// Parse as int64; returns fallback when unset or malformed.
+// The typed getters return `fallback` only when the variable is unset; a
+// value that does not parse whole throws ConfigError naming the variable
+// and the value, so a typo never silently runs the default.
+
+/// Parse as int64 (base 10, no trailing characters).
 std::int64_t get_int(const std::string& name, std::int64_t fallback);
 
-/// Parse as double; returns fallback when unset or malformed.
+/// Parse as double (no trailing characters).
 double get_double(const std::string& name, double fallback);
 
-/// Returns fallback when unset; "1/true/yes/on" → true (case-insensitive).
+/// "1/true/yes/on" → true, "0/false/no/off" → false (case-insensitive).
 bool get_bool(const std::string& name, bool fallback);
 
 /// String with fallback.

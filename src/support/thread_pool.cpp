@@ -1,11 +1,11 @@
 #include "support/thread_pool.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <memory>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "support/env.hpp"
 #include "support/error.hpp"
 
 namespace parsvd {
@@ -155,11 +155,8 @@ void ThreadPool::parallel_for(
 namespace {
 
 std::size_t env_thread_count() {
-  if (const char* env = std::getenv("PARSVD_NUM_THREADS")) {
-    const long v = std::strtol(env, nullptr, 10);
-    if (v > 0) return static_cast<std::size_t>(v);
-  }
-  return 0;
+  const std::int64_t v = env::get_int("PARSVD_NUM_THREADS", 0);
+  return v > 0 ? static_cast<std::size_t>(v) : 0;
 }
 
 std::unique_ptr<ThreadPool>& global_pool_slot() {

@@ -684,8 +684,9 @@ bool tag_registered(int tag) {
     if (base >= tags::kGroupUserLimit) return false;
     return base == tags::kBarrier || tag_registered(base);
   }
-  if (tag >= tags::kAllreduce && tag <= tags::kBcast) return true;
-  if (tag >= tags::kTsqrUpBase && tag < tags::kApmosGatherBase + tags::kRangeWidth)
+  if (tag >= tags::kFtBcast && tag <= tags::kBcast) return true;
+  if (tag >= tags::kTsqrDownBase &&
+      tag < tags::kApmosGatherBase + tags::kRangeWidth)
     return true;
   return tag >= tags::kUserBase;
 }

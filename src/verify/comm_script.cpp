@@ -137,4 +137,19 @@ Schedule make_schedule(std::string name, int p) {
   return s;
 }
 
+std::uint64_t matrix_bytes(std::int64_t rows, std::int64_t cols) {
+  return 2 * sizeof(std::int64_t) +
+         static_cast<std::uint64_t>(rows) * static_cast<std::uint64_t>(cols) *
+             sizeof(double);
+}
+
+std::string rows_suffix(std::span<const std::int64_t> rows) {
+  std::string s;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    if (i) s += '/';
+    s += std::to_string(rows[i]);
+  }
+  return s;
+}
+
 }  // namespace parsvd::verify

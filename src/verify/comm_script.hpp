@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -79,7 +80,7 @@ class CommScript {
 
 /// One protocol instance: a named set of per-rank scripts, index = rank.
 struct Schedule {
-  std::string name;  ///< e.g. "gather(p=12, root=0, algo=tree)"
+  std::string name;  ///< e.g. "gather(p=12, root=0)"
   std::vector<CommScript> ranks;
 
   int size() const { return static_cast<int>(ranks.size()); }
@@ -92,6 +93,13 @@ struct Schedule {
 
 /// A Schedule with one per-rank script builder per rank, ready to emit.
 Schedule make_schedule(std::string name, int p);
+
+/// pack_matrix framing: 16-byte [rows, cols] header + column-major
+/// doubles — what send_matrix / gather_matrices put on the wire.
+std::uint64_t matrix_bytes(std::int64_t rows, std::int64_t cols);
+
+/// "a/b/c" rendering of a per-rank row layout, for schedule names.
+std::string rows_suffix(std::span<const std::int64_t> rows);
 
 /// A single-rank failure transition over a Schedule: `victim` executes
 /// exactly its first `kill_step` events, then dies. The event at index

@@ -16,14 +16,6 @@ namespace {
 using pmpi::tags::kFtBcast;
 using pmpi::tags::kFtGather;
 
-/// pack_matrix framing: 16-byte [rows, cols] header + column-major
-/// doubles — what send_matrix / gather_matrices_ft put on the wire.
-std::uint64_t matrix_bytes(std::int64_t rows, std::int64_t cols) {
-  return 2 * sizeof(std::int64_t) +
-         static_cast<std::uint64_t>(rows) * static_cast<std::uint64_t>(cols) *
-             sizeof(double);
-}
-
 /// Scenario-aware emission. Routes every event into the Schedule while
 /// tracking (a) the victim's healthy event index, (b) per-channel FIFO
 /// queues of the victim's sends, so a survivor's bounded receive knows
@@ -200,15 +192,6 @@ void finish(FaultSchedule& out, const FaultBuilder& b) {
   out.deterministic = b.deterministic();
   out.messages = b.messages();
   out.bytes = b.bytes();
-}
-
-std::string rows_suffix(std::span<const std::int64_t> rows) {
-  std::string s;
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    if (i) s += '/';
-    s += std::to_string(rows[i]);
-  }
-  return s;
 }
 
 }  // namespace

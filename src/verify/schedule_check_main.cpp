@@ -1,7 +1,6 @@
-// schedule_check: sweep every SPMD protocol schedule over P in [1, 64]
-// and every collective-policy combination, proving match-completeness,
-// tag hygiene, channel discipline and deadlock-freedom statically (no
-// threads, no payloads). Also self-tests the checker against seeded
+// schedule_check: sweep every SPMD protocol schedule over P in [1, 64],
+// proving match-completeness, tag hygiene, channel discipline and
+// deadlock-freedom statically (no threads, no payloads). Also self-tests the checker against seeded
 // defective schedules, printing the counterexample trace for each.
 //
 // Subgroup schedules are swept alongside the world ones: every P is
@@ -47,20 +46,6 @@ namespace {
 using namespace parsvd;
 using namespace parsvd::verify;
 
-/// The policy grid: both fixed algorithms, the default Auto policy, and
-/// Auto with thresholds pushed to each extreme so both sides of every
-/// eager/tree switch are exercised at every rank count.
-std::vector<CollectiveConfig> policy_grid() {
-  using A = pmpi::CollectiveAlgo;
-  return {
-      {A::Flat, std::uint64_t{1} << 14, 8},
-      {A::Tree, std::uint64_t{1} << 14, 8},
-      {A::Auto, std::uint64_t{1} << 14, 8},  // shipped defaults
-      {A::Auto, 0, 2},                       // trees wherever Auto can
-      {A::Auto, 256, 4},                     // mid thresholds
-  };
-}
-
 struct SweepStats {
   std::size_t schedules = 0;
   std::size_t events = 0;
@@ -77,8 +62,7 @@ void run_check(const Schedule& s, SweepStats* stats) {
   }
 }
 
-void sweep_p(int p, const std::vector<CollectiveConfig>& grid,
-             SweepStats* stats) {
+void sweep_p(int p, SweepStats* stats) {
   // Roots: first, last, middle (deduplicated for small p) so the
   // virtual-rank rotation is exercised, not just the root-0 layout.
   std::vector<int> roots{0};
@@ -96,23 +80,28 @@ void sweep_p(int p, const std::vector<CollectiveConfig>& grid,
         16 + 8 * 3 * static_cast<std::uint64_t>(r + 1);
   }
 
-  for (const CollectiveConfig& cfg : grid) {
-    for (const int root : roots) {
-      run_check(script_bcast(p, root, 4096, cfg), stats);
-      run_check(script_gather(p, root, gather_bytes, cfg), stats);
-      run_check(script_scatter_rows(p, root, scatter_bytes, cfg), stats);
-      // Both sides of the 16 KiB default (and 256 B mid) eager switch.
-      run_check(script_reduce(p, root, 64, cfg), stats);
-      run_check(script_reduce(p, root, std::uint64_t{1} << 15, cfg), stats);
-    }
-    run_check(script_allgather(p, 8, cfg), stats);
-    run_check(script_allreduce(p, 64, cfg), stats);
-    run_check(script_allreduce(p, std::uint64_t{1} << 15, cfg), stats);
-    run_check(script_tsqr_tree(p, 4, cfg), stats);
-    run_check(script_apmos(p, /*w=*/16 + 8 * 6 * 4, /*x=*/16 + 8 * 6 * 4,
-                           /*lambda=*/4 * 8, cfg),
-              stats);
+  for (const int root : roots) {
+    run_check(script_bcast(p, root, 4096), stats);
+    run_check(script_gather(p, root, gather_bytes), stats);
+    run_check(script_scatter_rows(p, root, scatter_bytes), stats);
+    run_check(script_reduce(p, root, 64), stats);
   }
+  run_check(script_allgather(p, 8), stats);
+  run_check(script_allreduce(p, 64), stats);
+  for (const std::int64_t k : {std::int64_t{3}, std::int64_t{5}}) {
+    // Uniform tall panels, and a ragged layout with some blocks shorter
+    // than k so the min(rows, k) extents are exercised.
+    std::vector<std::int64_t> uniform(static_cast<std::size_t>(p), k + 2);
+    std::vector<std::int64_t> ragged(static_cast<std::size_t>(p));
+    for (int r = 0; r < p; ++r) {
+      ragged[static_cast<std::size_t>(r)] = 2 + (r % 5);
+    }
+    run_check(script_tsqr_direct(uniform, k), stats);
+    run_check(script_tsqr_direct(ragged, k), stats);
+  }
+  run_check(script_apmos(p, /*w=*/16 + 8 * 6 * 4, /*x=*/16 + 8 * 6 * 4,
+                         /*lambda=*/4 * 8),
+            stats);
 }
 
 /// The partition shapes swept per world size: contiguous halves, a
@@ -157,49 +146,40 @@ std::vector<std::vector<GroupSpec>> partitions_for(int p) {
   return out;
 }
 
-void sweep_groups(int p, const std::vector<CollectiveConfig>& grid,
-                  SweepStats* stats) {
+void sweep_groups(int p, SweepStats* stats) {
   constexpr GroupProtocol kProtos[] = {
-      GroupProtocol::TsqrTree,  GroupProtocol::Allreduce,
-      GroupProtocol::Gather,    GroupProtocol::Bcast,
-      GroupProtocol::Barrier,   GroupProtocol::Allgather,
-      GroupProtocol::Reduce,    GroupProtocol::Apmos,
+      GroupProtocol::Tsqr,     GroupProtocol::Allreduce,
+      GroupProtocol::Gather,   GroupProtocol::Bcast,
+      GroupProtocol::Barrier,  GroupProtocol::Allgather,
+      GroupProtocol::Reduce,   GroupProtocol::Apmos,
   };
   constexpr int kNumProtos = static_cast<int>(std::size(kProtos));
   const std::vector<std::vector<GroupSpec>> partitions = partitions_for(p);
-  for (const CollectiveConfig& cfg : grid) {
-    for (std::size_t shape = 0; shape < partitions.size(); ++shape) {
-      const std::vector<GroupSpec>& groups = partitions[shape];
-      // Rotate protocol assignments with the shape index so every
-      // protocol eventually runs concurrently with every other.
-      std::vector<GroupProtocol> protos;
-      protos.reserve(groups.size());
-      for (std::size_t i = 0; i < groups.size(); ++i) {
-        protos.push_back(
-            kProtos[(static_cast<int>(i + shape)) % kNumProtos]);
-      }
-      // Both sides of the 16 KiB default eager switch, per group.
-      run_check(script_partition(p, groups, protos, 64, cfg), stats);
-      run_check(script_partition(p, groups, protos, std::uint64_t{1} << 15,
-                                 cfg),
-                stats);
+  for (std::size_t shape = 0; shape < partitions.size(); ++shape) {
+    const std::vector<GroupSpec>& groups = partitions[shape];
+    // Rotate protocol assignments with the shape index so every protocol
+    // eventually runs concurrently with every other.
+    std::vector<GroupProtocol> protos;
+    protos.reserve(groups.size());
+    for (std::size_t i = 0; i < groups.size(); ++i) {
+      protos.push_back(kProtos[(static_cast<int>(i + shape)) % kNumProtos]);
     }
+    run_check(script_partition(p, groups, protos, 64), stats);
   }
 }
 
 bool run_sweep(bool smoke, bool groups_only) {
   SweepStats stats;
-  const std::vector<CollectiveConfig> grid = policy_grid();
   const std::vector<int> smoke_ps{1, 2, 3, 4, 5, 8, 16, 33, 64};
   if (smoke) {
     for (const int p : smoke_ps) {
-      if (!groups_only) sweep_p(p, grid, &stats);
-      sweep_groups(p, grid, &stats);
+      if (!groups_only) sweep_p(p, &stats);
+      sweep_groups(p, &stats);
     }
   } else {
     for (int p = 1; p <= 64; ++p) {
-      if (!groups_only) sweep_p(p, grid, &stats);
-      sweep_groups(p, grid, &stats);
+      if (!groups_only) sweep_p(p, &stats);
+      sweep_groups(p, &stats);
     }
   }
   std::cout << "schedule_check: " << stats.schedules << " schedules, "

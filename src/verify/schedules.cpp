@@ -1,9 +1,12 @@
 #include "verify/schedules.hpp"
 
+#include <algorithm>
 #include <map>
+#include <string>
 #include <utility>
 
 #include "pmpi/tags.hpp"
+#include "pmpi/topology.hpp"
 #include "support/error.hpp"
 
 namespace parsvd::verify {
@@ -13,34 +16,13 @@ namespace {
 namespace tags = pmpi::tags;
 namespace topo = pmpi::topology;
 
-/// Packed Matrix wire size: [i64 rows][i64 cols][doubles...].
-constexpr std::uint64_t matrix_bytes(std::int64_t rows, std::int64_t cols) {
-  return 2 * sizeof(std::int64_t) +
-         static_cast<std::uint64_t>(rows * cols) * sizeof(double);
-}
-
-/// Mirror of Communicator::bcast appended onto an existing schedule, so
-/// the composite protocols (allreduce fallback, allgather, TSQR final R)
-/// reuse it exactly as the production code reuses bcast().
+/// Mirror of Communicator::bcast (binomial tree) appended onto an
+/// existing schedule, so the composite protocols (allreduce, allgather,
+/// TSQR final R) reuse it exactly as the production code reuses bcast().
 void emit_bcast(Schedule& s, int root, std::uint64_t bytes,
-                const CollectiveConfig& cfg, const std::string& note) {
+                const std::string& note) {
   const int p = s.size();
   if (p == 1) return;
-  if (cfg.algo == pmpi::CollectiveAlgo::Flat) {
-    for (int r = 0; r < p; ++r) {
-      if (r == root) {
-        for (int dst = 0; dst < p; ++dst) {
-          if (dst == root) continue;
-          s.ranks[static_cast<std::size_t>(r)].send(dst, tags::kBcast, bytes,
-                                                    note);
-        }
-      } else {
-        s.ranks[static_cast<std::size_t>(r)].recv(root, tags::kBcast, bytes,
-                                                  note);
-      }
-    }
-    return;
-  }
   for (int r = 0; r < p; ++r) {
     CommScript& script = s.ranks[static_cast<std::size_t>(r)];
     const int vrank = (r - root + p) % p;
@@ -48,216 +30,97 @@ void emit_bcast(Schedule& s, int root, std::uint64_t bytes,
       const int parent = (topo::binomial_parent(vrank) + root) % p;
       script.recv(parent, tags::kBcast, bytes, note);
     }
-    for (const int child_v : topo::binomial_children(vrank, p,
-                                                     /*ascending=*/false)) {
+    for (const int child_v : topo::binomial_children(vrank, p)) {
       script.send((child_v + root) % p, tags::kBcast, bytes, note);
     }
   }
 }
 
-/// Mirror of Communicator::gather_bytes_impl (flat root loop or binomial
-/// tree with framed subtree aggregation).
-void emit_gather(Schedule& s, int root,
-                 std::span<const std::uint64_t> bytes_per_rank,
-                 const CollectiveConfig& cfg, const std::string& note) {
+/// Mirror of a flat root loop on `tag`: every non-root rank posts its
+/// contribution, the root receives them in ascending rank order — the
+/// shape of Communicator::gather_bytes_impl and Communicator::reduce.
+void emit_root_loop(Schedule& s, int root, int tag,
+                    std::span<const std::uint64_t> bytes_per_rank,
+                    const std::string& note) {
   const int p = s.size();
   PARSVD_REQUIRE(static_cast<int>(bytes_per_rank.size()) == p,
-                 "emit_gather: need one byte count per rank");
+                 "emit_root_loop: need one byte count per rank");
   if (p == 1) return;
-  if (!topo::use_tree_gather(cfg.algo, p, cfg.tree_min_ranks)) {
-    for (int r = 0; r < p; ++r) {
-      if (r == root) continue;
-      s.ranks[static_cast<std::size_t>(r)].send(
-          root, tags::kGather, bytes_per_rank[static_cast<std::size_t>(r)],
-          note);
-    }
-    for (int src = 0; src < p; ++src) {
-      if (src == root) continue;
-      s.ranks[static_cast<std::size_t>(root)].recv(
-          src, tags::kGather, bytes_per_rank[static_cast<std::size_t>(src)],
-          note);
-    }
-    return;
-  }
-  // A node's frame carries its whole virtual subtree [vrank, vrank+n):
-  //   [u64 n][n x (u64 src, u64 nbytes)][payloads...]
-  const auto frame_bytes = [&](int vrank) {
-    const int n = topo::binomial_subtree(vrank, p);
-    std::uint64_t total = sizeof(std::uint64_t) +
-                          static_cast<std::uint64_t>(n) * 2 *
-                              sizeof(std::uint64_t);
-    for (int v = vrank; v < vrank + n; ++v) {
-      total += bytes_per_rank[static_cast<std::size_t>((v + root) % p)];
-    }
-    return total;
-  };
-  for (int r = 0; r < p; ++r) {
-    CommScript& script = s.ranks[static_cast<std::size_t>(r)];
-    const int vrank = (r - root + p) % p;
-    for (const int child_v : topo::binomial_children(vrank, p,
-                                                     /*ascending=*/true)) {
-      script.recv((child_v + root) % p, tags::kGatherTree,
-                  frame_bytes(child_v), note + " subtree frame");
-    }
-    if (vrank != 0) {
-      script.send((topo::binomial_parent(vrank) + root) % p, tags::kGatherTree,
-                  frame_bytes(vrank), note + " subtree frame");
-    }
-  }
-}
-
-/// Mirror of Communicator::reduce (flat root loop or binomial tree).
-void emit_reduce(Schedule& s, int root, std::uint64_t bytes,
-                 const CollectiveConfig& cfg, const std::string& note) {
-  const int p = s.size();
-  if (p == 1) return;
-  if (topo::use_tree_reduce(cfg.algo, p, bytes, cfg.tree_min_ranks,
-                            cfg.eager_threshold_bytes)) {
-    for (int r = 0; r < p; ++r) {
-      CommScript& script = s.ranks[static_cast<std::size_t>(r)];
-      const int vrank = (r - root + p) % p;
-      for (const int child_v : topo::binomial_children(vrank, p,
-                                                       /*ascending=*/true)) {
-        script.recv((child_v + root) % p, tags::kReduceTree, bytes, note);
-      }
-      if (vrank != 0) {
-        script.send((topo::binomial_parent(vrank) + root) % p,
-                    tags::kReduceTree, bytes, note);
-      }
-    }
-    return;
-  }
   for (int r = 0; r < p; ++r) {
     if (r == root) continue;
-    s.ranks[static_cast<std::size_t>(r)].send(root, tags::kReduce, bytes, note);
+    s.ranks[static_cast<std::size_t>(r)].send(
+        root, tag, bytes_per_rank[static_cast<std::size_t>(r)], note);
   }
   for (int src = 0; src < p; ++src) {
     if (src == root) continue;
-    s.ranks[static_cast<std::size_t>(root)].recv(src, tags::kReduce, bytes,
-                                                 note);
+    s.ranks[static_cast<std::size_t>(root)].recv(
+        src, tag, bytes_per_rank[static_cast<std::size_t>(src)], note);
   }
 }
 
-/// Mirror of Communicator::allreduce (recursive doubling above the eager
-/// threshold, reduce-to-0 + bcast below it).
-void emit_allreduce(Schedule& s, std::uint64_t bytes,
-                    const CollectiveConfig& cfg, const std::string& note) {
-  const int p = s.size();
-  if (p == 1) return;
-  if (!topo::use_tree_reduce(cfg.algo, p, bytes, cfg.tree_min_ranks,
-                             cfg.eager_threshold_bytes)) {
-    // allreduce() delegates to reduce(0) + bcast(0); reduce re-evaluates
-    // the same predicate with the same inputs, so it stays flat.
-    emit_reduce(s, 0, bytes, cfg, note + " reduce leg");
-    emit_bcast(s, 0, bytes, cfg, note + " bcast leg");
-    return;
-  }
-  for (int r = 0; r < p; ++r) {
-    CommScript& script = s.ranks[static_cast<std::size_t>(r)];
-    const topo::RdSchedule sched = topo::rd_schedule(r, p);
-    if (sched.folded_out) {
-      script.send(sched.fold_peer, tags::kAllreduce, bytes, note + " fold-in");
-      script.recv(sched.fold_peer, tags::kAllreduce, bytes, note + " fan-out");
-      continue;
-    }
-    if (sched.fold_peer >= 0) {
-      script.recv(sched.fold_peer, tags::kAllreduce, bytes, note + " fold-in");
-    }
-    for (const int partner : sched.partners) {
-      script.send(partner, tags::kAllreduce, bytes, note + " rd exchange");
-      script.recv(partner, tags::kAllreduce, bytes, note + " rd exchange");
-    }
-    if (sched.fold_peer >= 0) {
-      script.send(sched.fold_peer, tags::kAllreduce, bytes, note + " fan-out");
-    }
-  }
-}
-
-std::string algo_name(pmpi::CollectiveAlgo algo) {
-  switch (algo) {
-    case pmpi::CollectiveAlgo::Auto:
-      return "auto";
-    case pmpi::CollectiveAlgo::Flat:
-      return "flat";
-    case pmpi::CollectiveAlgo::Tree:
-      return "tree";
-  }
-  return "?";
+void emit_reduce(Schedule& s, int root, std::uint64_t bytes,
+                 const std::string& note) {
+  const std::vector<std::uint64_t> per_rank(static_cast<std::size_t>(s.size()),
+                                            bytes);
+  emit_root_loop(s, root, tags::kReduce, per_rank, note);
 }
 
 }  // namespace
 
-std::string CollectiveConfig::suffix() const {
-  return ", algo=" + algo_name(algo) +
-         ", eager=" + std::to_string(eager_threshold_bytes) +
-         ", tmr=" + std::to_string(tree_min_ranks);
-}
-
-Schedule script_bcast(int p, int root, std::uint64_t bytes,
-                      const CollectiveConfig& cfg) {
+Schedule script_bcast(int p, int root, std::uint64_t bytes) {
   Schedule s = make_schedule("bcast(p=" + std::to_string(p) +
                                  ", root=" + std::to_string(root) + ", " +
-                                 std::to_string(bytes) + " B" + cfg.suffix() +
-                                 ")",
+                                 std::to_string(bytes) + " B)",
                              p);
-  emit_bcast(s, root, bytes, cfg, "bcast");
+  emit_bcast(s, root, bytes, "bcast");
   return s;
 }
 
 Schedule script_gather(int p, int root,
-                       std::span<const std::uint64_t> bytes_per_rank,
-                       const CollectiveConfig& cfg) {
+                       std::span<const std::uint64_t> bytes_per_rank) {
   Schedule s = make_schedule("gather(p=" + std::to_string(p) +
-                                 ", root=" + std::to_string(root) +
-                                 cfg.suffix() + ")",
+                                 ", root=" + std::to_string(root) + ")",
                              p);
-  emit_gather(s, root, bytes_per_rank, cfg, "gather");
+  emit_root_loop(s, root, tags::kGather, bytes_per_rank, "gather");
   return s;
 }
 
-Schedule script_allgather(int p, std::uint64_t per_rank_bytes,
-                          const CollectiveConfig& cfg) {
+Schedule script_allgather(int p, std::uint64_t per_rank_bytes) {
   Schedule s = make_schedule("allgather(p=" + std::to_string(p) + ", " +
-                                 std::to_string(per_rank_bytes) +
-                                 " B/rank" + cfg.suffix() + ")",
+                                 std::to_string(per_rank_bytes) + " B/rank)",
                              p);
   const std::vector<std::uint64_t> per_rank(static_cast<std::size_t>(p),
                                             per_rank_bytes);
-  emit_gather(s, 0, per_rank, cfg, "allgather gather leg");
-  emit_bcast(s, 0, per_rank_bytes * static_cast<std::uint64_t>(p), cfg,
+  emit_root_loop(s, 0, tags::kGather, per_rank, "allgather gather leg");
+  emit_bcast(s, 0, per_rank_bytes * static_cast<std::uint64_t>(p),
              "allgather bcast leg");
   return s;
 }
 
-Schedule script_reduce(int p, int root, std::uint64_t bytes,
-                       const CollectiveConfig& cfg) {
+Schedule script_reduce(int p, int root, std::uint64_t bytes) {
   Schedule s = make_schedule("reduce(p=" + std::to_string(p) +
                                  ", root=" + std::to_string(root) + ", " +
-                                 std::to_string(bytes) + " B" + cfg.suffix() +
-                                 ")",
+                                 std::to_string(bytes) + " B)",
                              p);
-  emit_reduce(s, root, bytes, cfg, "reduce");
+  emit_reduce(s, root, bytes, "reduce");
   return s;
 }
 
-Schedule script_allreduce(int p, std::uint64_t bytes,
-                          const CollectiveConfig& cfg) {
+Schedule script_allreduce(int p, std::uint64_t bytes) {
   Schedule s = make_schedule("allreduce(p=" + std::to_string(p) + ", " +
-                                 std::to_string(bytes) + " B" + cfg.suffix() +
-                                 ")",
+                                 std::to_string(bytes) + " B)",
                              p);
-  emit_allreduce(s, bytes, cfg, "allreduce");
+  emit_reduce(s, 0, bytes, "allreduce reduce leg");
+  emit_bcast(s, 0, bytes, "allreduce bcast leg");
   return s;
 }
 
 Schedule script_scatter_rows(int p, int root,
-                             std::span<const std::uint64_t> block_bytes,
-                             const CollectiveConfig& cfg) {
+                             std::span<const std::uint64_t> block_bytes) {
   PARSVD_REQUIRE(static_cast<int>(block_bytes.size()) == p,
                  "script_scatter_rows: need one block size per rank");
   Schedule s = make_schedule("scatter_rows(p=" + std::to_string(p) +
-                                 ", root=" + std::to_string(root) +
-                                 cfg.suffix() + ")",
+                                 ", root=" + std::to_string(root) + ")",
                              p);
   if (p == 1) return s;
   for (int dst = 0; dst < p; ++dst) {
@@ -272,65 +135,42 @@ Schedule script_scatter_rows(int p, int root,
   return s;
 }
 
-Schedule script_tsqr_tree(int p, std::int64_t k, const CollectiveConfig& cfg) {
-  Schedule s = make_schedule("tsqr_tree(p=" + std::to_string(p) +
-                                 ", k=" + std::to_string(k) + cfg.suffix() +
-                                 ")",
+Schedule script_tsqr_direct(std::span<const std::int64_t> rows_by_rank,
+                            std::int64_t k) {
+  const int p = static_cast<int>(rows_by_rank.size());
+  PARSVD_REQUIRE(p >= 1 && k >= 1, "tsqr_direct: need p >= 1 and k >= 1");
+  Schedule s = make_schedule("tsqr_direct(p=" + std::to_string(p) +
+                                 ", k=" + std::to_string(k) + ", rows=" +
+                                 rows_suffix(rows_by_rank) + ")",
                              p);
   if (p == 1) return s;
-  // With local rows >= k (the documented precondition), every exchanged
-  // R factor and down-sweep transform is a packed k x k matrix.
-  const std::uint64_t kk = matrix_bytes(k, k);
+  // qr_thin of an m x k block yields a min(m, k) x k R factor; the
+  // stacked QR's Q has min(Σ min(mᵢ, k), k) columns.
+  const auto rloc = [&](int r) {
+    return std::min<std::int64_t>(rows_by_rank[static_cast<std::size_t>(r)], k);
+  };
+  std::vector<std::uint64_t> rbytes(static_cast<std::size_t>(p));
+  std::int64_t stack = 0;
   for (int r = 0; r < p; ++r) {
-    CommScript& script = s.ranks[static_cast<std::size_t>(r)];
-    const topo::TsqrPlan plan = topo::tsqr_plan(r, p);
-
-    // Pre-posted receive schedule (the pipelined region): every up-sweep
-    // R and the parent's down-sweep transform, before any compute.
-    std::vector<int> up_reqs;
-    up_reqs.reserve(plan.recvs.size());
-    for (const auto& step : plan.recvs) {
-      up_reqs.push_back(script.irecv(
-          step.partner, tags::tsqr_up(step.level), kk,
-          "up-sweep R, level " + std::to_string(step.level)));
-    }
-    int t_req = -1;
-    if (r != 0) {
-      t_req = script.irecv(plan.parent, tags::tsqr_down(plan.sent_level), kk,
-                           "down-sweep transform");
-    }
-
-    // Upward sweep: consume pre-posted receives in level order, then
-    // ship the combined R to the parent.
-    for (std::size_t i = 0; i < up_reqs.size(); ++i) {
-      script.wait(up_reqs[i],
-                  "combine level " + std::to_string(plan.recvs[i].level));
-    }
-    if (plan.sent_level >= 0) {
-      script.send(plan.parent, tags::tsqr_up(plan.sent_level), kk,
-                  "ship R up, level " + std::to_string(plan.sent_level));
-    }
-
-    // Downward sweep: take the transform, unwind in reverse level order.
-    if (r != 0) {
-      script.wait(t_req, "take down-sweep transform");
-    }
-    for (std::size_t i = plan.recvs.size(); i-- > 0;) {
-      script.send(plan.recvs[i].partner, tags::tsqr_down(plan.recvs[i].level),
-                  kk,
-                  "forward transform, level " +
-                      std::to_string(plan.recvs[i].level));
-    }
+    rbytes[static_cast<std::size_t>(r)] = matrix_bytes(rloc(r), k);
+    stack += rloc(r);
   }
-  emit_bcast(s, 0, kk, cfg, "final R bcast");
+  const std::int64_t qcols = std::min(stack, k);
+
+  emit_root_loop(s, 0, tags::kGather, rbytes, "local R factor");
+  for (int dst = 1; dst < p; ++dst) {
+    const std::uint64_t slice = matrix_bytes(rloc(dst), qcols);
+    s.ranks[0].send(dst, tags::tsqr_down(0), slice, "Q row-slice");
+    s.ranks[static_cast<std::size_t>(dst)].recv(0, tags::tsqr_down(0), slice,
+                                                "Q row-slice");
+  }
+  emit_bcast(s, 0, matrix_bytes(qcols, k), "final R bcast");
   return s;
 }
 
 Schedule script_apmos(int p, std::uint64_t w_bytes, std::uint64_t x_bytes,
-                      std::uint64_t lambda_bytes, const CollectiveConfig& cfg) {
-  Schedule s = make_schedule("apmos(p=" + std::to_string(p) + cfg.suffix() +
-                                 ")",
-                             p);
+                      std::uint64_t lambda_bytes) {
+  Schedule s = make_schedule("apmos(p=" + std::to_string(p) + ")", p);
   if (p > 1) {
     // Stage 3: root pre-posts every W receive before its own Stage-1/2
     // factorization and consumes them in completion order (wait_any, so
@@ -349,8 +189,8 @@ Schedule script_apmos(int p, std::uint64_t w_bytes, std::uint64_t x_bytes,
     }
   }
   // Stage 5: result broadcasts.
-  emit_bcast(s, 0, x_bytes, cfg, "X bcast");
-  emit_bcast(s, 0, lambda_bytes, cfg, "lambda bcast");
+  emit_bcast(s, 0, x_bytes, "X bcast");
+  emit_bcast(s, 0, lambda_bytes, "lambda bcast");
   return s;
 }
 
@@ -442,7 +282,7 @@ const char* to_string(GroupProtocol proto) {
       return "allgather";
     case GroupProtocol::Barrier:
       return "barrier";
-    case GroupProtocol::TsqrTree:
+    case GroupProtocol::Tsqr:
       return "tsqr";
     case GroupProtocol::Apmos:
       return "apmos";
@@ -453,11 +293,10 @@ const char* to_string(GroupProtocol proto) {
 namespace {
 
 Schedule group_protocol_schedule(GroupProtocol proto, int p,
-                                 std::uint64_t bytes,
-                                 const CollectiveConfig& cfg) {
+                                 std::uint64_t bytes) {
   switch (proto) {
     case GroupProtocol::Bcast:
-      return script_bcast(p, 0, bytes, cfg);
+      return script_bcast(p, 0, bytes);
     case GroupProtocol::Gather: {
       // Asymmetric contributions, as gatherv allows.
       std::vector<std::uint64_t> per(static_cast<std::size_t>(p));
@@ -465,20 +304,27 @@ Schedule group_protocol_schedule(GroupProtocol proto, int p,
         per[static_cast<std::size_t>(r)] =
             bytes + 8 * static_cast<std::uint64_t>(r);
       }
-      return script_gather(p, 0, per, cfg);
+      return script_gather(p, 0, per);
     }
     case GroupProtocol::Reduce:
-      return script_reduce(p, 0, bytes, cfg);
+      return script_reduce(p, 0, bytes);
     case GroupProtocol::Allreduce:
-      return script_allreduce(p, bytes, cfg);
+      return script_allreduce(p, bytes);
     case GroupProtocol::Allgather:
-      return script_allgather(p, bytes, cfg);
+      return script_allgather(p, bytes);
     case GroupProtocol::Barrier:
       return script_group_barrier(p);
-    case GroupProtocol::TsqrTree:
-      return script_tsqr_tree(p, 3, cfg);
+    case GroupProtocol::Tsqr: {
+      // Ragged panels of 2..5 rows at k = 3, so some R factors are
+      // shorter than k.
+      std::vector<std::int64_t> rows(static_cast<std::size_t>(p));
+      for (int r = 0; r < p; ++r) {
+        rows[static_cast<std::size_t>(r)] = 2 + r % 4;
+      }
+      return script_tsqr_direct(rows, 3);
+    }
     case GroupProtocol::Apmos:
-      return script_apmos(p, bytes, bytes, 32, cfg);
+      return script_apmos(p, bytes, bytes, 32);
   }
   PARSVD_REQUIRE(false, "group_protocol_schedule: unknown protocol");
   return make_schedule("?", p);
@@ -488,7 +334,7 @@ Schedule group_protocol_schedule(GroupProtocol proto, int p,
 
 Schedule script_partition(int world_p, std::span<const GroupSpec> groups,
                           std::span<const GroupProtocol> protocols,
-                          std::uint64_t bytes, const CollectiveConfig& cfg) {
+                          std::uint64_t bytes) {
   PARSVD_REQUIRE(groups.size() == protocols.size(),
                  "script_partition: one protocol per group");
   std::string name = "partition(P=" + std::to_string(world_p);
@@ -497,7 +343,7 @@ Schedule script_partition(int world_p, std::span<const GroupSpec> groups,
             std::to_string(groups[i].members.size()) + "]=" +
             to_string(protocols[i]);
   }
-  name += ", " + std::to_string(bytes) + " B" + cfg.suffix() + ")";
+  name += ", " + std::to_string(bytes) + " B)";
   Schedule world = make_schedule(std::move(name), world_p);
   std::vector<bool> claimed(static_cast<std::size_t>(world_p), false);
   for (std::size_t i = 0; i < groups.size(); ++i) {
@@ -509,7 +355,7 @@ Schedule script_partition(int world_p, std::span<const GroupSpec> groups,
       claimed[static_cast<std::size_t>(m)] = true;
     }
     const Schedule local = group_protocol_schedule(
-        protocols[i], static_cast<int>(g.members.size()), bytes, cfg);
+        protocols[i], static_cast<int>(g.members.size()), bytes);
     embed_group_schedule(world, local, g);
   }
   return world;

@@ -1,11 +1,11 @@
 // Schedule emitters: one per SPMD protocol in the library.
 //
-// Each emitter rebuilds, from (rank, P) and the job-wide collective
-// policy alone, the exact per-rank wire schedule the production path
-// posts — same topology functions (pmpi/topology.hpp), same tag
-// registry (pmpi/tags.hpp), same program order, same byte counts. The
-// result is a CommScript Schedule the ScheduleChecker can prove
-// match-complete and deadlock-free without running a single thread.
+// Each emitter rebuilds, from (rank, P) and the payload shape alone, the
+// exact per-rank wire schedule the production path posts — same
+// topology functions (pmpi/topology.hpp), same tag registry
+// (pmpi/tags.hpp), same program order, same byte counts. The result is
+// a CommScript Schedule the ScheduleChecker can prove match-complete and
+// deadlock-free without running a single thread.
 //
 // Scope: the fault-FREE protocols. The degraded-mode (_ft) collectives
 // react to deaths observed at runtime, so their schedules are pure
@@ -19,62 +19,44 @@
 #include <map>
 #include <span>
 
-#include "pmpi/topology.hpp"
 #include "verify/comm_script.hpp"
 
 namespace parsvd::verify {
 
-/// Job-wide collective policy inputs, mirroring the Context settings
-/// every rank of a real job agrees on (PARSVD_COMM_ALGO /
-/// PARSVD_COMM_EAGER_BYTES / PARSVD_COMM_TREE_MIN_RANKS).
-struct CollectiveConfig {
-  pmpi::CollectiveAlgo algo = pmpi::CollectiveAlgo::Auto;
-  std::uint64_t eager_threshold_bytes = std::uint64_t{1} << 14;
-  int tree_min_ranks = 8;
+/// Communicator::bcast — binomial tree rooted at `root`.
+Schedule script_bcast(int p, int root, std::uint64_t bytes);
 
-  std::string suffix() const;  ///< ", algo=tree, eager=16384, tmr=8"
-};
-
-/// Communicator::bcast — binomial tree (or flat fan-out under Flat).
-Schedule script_bcast(int p, int root, std::uint64_t bytes,
-                      const CollectiveConfig& cfg);
-
-/// The gather engine under gatherv / gather_matrices: flat root loop or
-/// binomial tree with framed subtree aggregation. `bytes_per_rank` is
-/// each rank's contribution payload (size p).
+/// The gather engine under gatherv / gather_matrices: flat root loop.
+/// `bytes_per_rank` is each rank's contribution payload (size p).
 Schedule script_gather(int p, int root,
-                       std::span<const std::uint64_t> bytes_per_rank,
-                       const CollectiveConfig& cfg);
+                       std::span<const std::uint64_t> bytes_per_rank);
 
 /// allgather_double / allgather_index: gatherv to root 0 then bcast.
-Schedule script_allgather(int p, std::uint64_t per_rank_bytes,
-                          const CollectiveConfig& cfg);
+Schedule script_allgather(int p, std::uint64_t per_rank_bytes);
 
-/// Communicator::reduce — flat root loop or binomial tree.
-Schedule script_reduce(int p, int root, std::uint64_t bytes,
-                       const CollectiveConfig& cfg);
+/// Communicator::reduce — flat root loop.
+Schedule script_reduce(int p, int root, std::uint64_t bytes);
 
-/// Communicator::allreduce — recursive doubling, or reduce+bcast below
-/// the eager threshold.
-Schedule script_allreduce(int p, std::uint64_t bytes,
-                          const CollectiveConfig& cfg);
+/// Communicator::allreduce — reduce to rank 0, then bcast.
+Schedule script_allreduce(int p, std::uint64_t bytes);
 
 /// Communicator::scatter_rows — root fans row blocks out directly.
 /// `block_bytes` is the packed payload each rank receives (size p).
 Schedule script_scatter_rows(int p, int root,
-                             std::span<const std::uint64_t> block_bytes,
-                             const CollectiveConfig& cfg);
+                             std::span<const std::uint64_t> block_bytes);
 
-/// core/tsqr.cpp tsqr_tree: pre-posted up/down-sweep irecvs, level-
-/// tagged exchanges, final R broadcast. `k` is the panel column count
-/// (every exchanged R / transform is k×k once local rows >= k, the
-/// documented TSQR precondition).
-Schedule script_tsqr_tree(int p, std::int64_t k, const CollectiveConfig& cfg);
+/// core/tsqr.cpp tsqr_direct (root = rank 0): gather of the local R
+/// factors (min(rows, k) x k each) on tags::kGather, Q row-slices back
+/// on tags::tsqr_down(0), then the binomial bcast of the final R. The
+/// healthy twin of script_ft_tsqr_direct; `rows_by_rank` may be ragged,
+/// including ranks with fewer rows than k.
+Schedule script_tsqr_direct(std::span<const std::int64_t> rows_by_rank,
+                            std::int64_t k);
 
 /// core/apmos.cpp Stage-3 W gather (root pre-posts, consumes via
 /// wait_any) plus the Stage-5 X / Λ result broadcasts.
 Schedule script_apmos(int p, std::uint64_t w_bytes, std::uint64_t x_bytes,
-                      std::uint64_t lambda_bytes, const CollectiveConfig& cfg);
+                      std::uint64_t lambda_bytes);
 
 // ------------------------------------------------ communicator groups
 // Mirrors of Communicator::split / subgroup (pmpi/comm.hpp): a group
@@ -114,7 +96,7 @@ enum class GroupProtocol {
   Allreduce,
   Allgather,
   Barrier,
-  TsqrTree,
+  Tsqr,
   Apmos,
 };
 
@@ -123,11 +105,11 @@ const char* to_string(GroupProtocol proto);
 /// A full partitioned job: every group of `groups` runs its protocol
 /// concurrently on one world of `world_p` ranks, each embedded with its
 /// own tag scope. Members must be disjoint; a world rank in no group
-/// simply stays silent. `bytes` seeds the payload sizes (TSQR/APMOS
-/// derive their frames from it).
+/// simply stays silent. `bytes` seeds the collective and APMOS payload
+/// sizes; TSQR runs a fixed ragged k = 3 layout.
 Schedule script_partition(int world_p, std::span<const GroupSpec> groups,
                           std::span<const GroupProtocol> protocols,
-                          std::uint64_t bytes, const CollectiveConfig& cfg);
+                          std::uint64_t bytes);
 
 /// Per-group send totals of a schedule — the model-side mirror of the
 /// "comm.group<id>.messages" / "comm.group<id>.bytes" registry counters

@@ -41,6 +41,9 @@ Index run_streaming(SvdBase& svd, std::unique_ptr<BatchSource> source,
     ++batches;
     batch_count.add(1);
   }
+  // Shut the source down (joining a prefetch worker) inside stream.run,
+  // so the trace accounts for it instead of leaving a gap after the span.
+  source.reset();
   return batches;
 }
 

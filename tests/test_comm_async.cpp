@@ -1,13 +1,11 @@
-// Non-blocking messaging layer and collective-algorithm sweep: Request
-// lifecycle (isend/irecv/test/wait/wait_any), debug channel discipline,
-// and every collective checked at awkward rank counts under both the
-// flat and the log(P) tree topologies.
+// Non-blocking messaging layer and collective sweep: Request lifecycle
+// (isend/irecv/test/wait/wait_any), debug channel discipline, and every
+// collective checked at awkward rank counts.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <numeric>
+#include <string>
 #include <thread>
-#include <tuple>
 #include <vector>
 
 #include "pmpi/comm.hpp"
@@ -18,7 +16,6 @@
 namespace parsvd {
 namespace {
 
-using pmpi::CollectiveAlgo;
 using pmpi::Communicator;
 using pmpi::Op;
 using pmpi::Request;
@@ -204,20 +201,13 @@ TEST(CommAsync, CancelReleasesChannel) {
 #endif  // !NDEBUG
 
 // ---------------------------------------------------------------------
-// Collective sweep: every collective × awkward rank counts × topology.
-// Values are small exact integers so flat and tree reductions must agree
-// bit-for-bit despite different association orders.
+// Collective sweep: every collective × awkward rank counts (odd, prime,
+// non-power-of-two, so the binomial broadcast has ragged subtrees).
 
-class CollectiveSweep
-    : public ::testing::TestWithParam<std::tuple<int, CollectiveAlgo>> {
+class CollectiveSweep : public ::testing::TestWithParam<int> {
  protected:
-  int ranks() const { return std::get<0>(GetParam()); }
-  CollectiveAlgo algo() const { return std::get<1>(GetParam()); }
-
   std::shared_ptr<pmpi::Context> make_ctx() const {
-    auto ctx = std::make_shared<pmpi::Context>(ranks());
-    ctx->set_collective_algo(algo());
-    return ctx;
+    return std::make_shared<pmpi::Context>(GetParam());
   }
 };
 
@@ -286,7 +276,7 @@ TEST_P(CollectiveSweep, GathervVariableLengths) {
 
 TEST_P(CollectiveSweep, GathervEmptyContribution) {
   pmpi::run_on(make_ctx(), [](Communicator& comm) {
-    // Odd ranks contribute nothing — exercises the zero-length frames.
+    // Odd ranks contribute nothing — exercises zero-length messages.
     std::vector<double> mine;
     if (comm.rank() % 2 == 0) mine.assign(2, static_cast<double>(comm.rank()));
     const std::vector<double> all =
@@ -365,63 +355,11 @@ TEST_P(CollectiveSweep, ScatterRows) {
   });
 }
 
-TEST_P(CollectiveSweep, TreeAndFlatBitIdentical) {
-  // The same job run under both topologies must produce identical
-  // gather/allreduce results (integer payloads; order-insensitive sums).
-  const auto run_with = [this](CollectiveAlgo algo) {
-    auto ctx = std::make_shared<pmpi::Context>(ranks());
-    ctx->set_collective_algo(algo);
-    std::vector<double> out;
-    pmpi::run_on(ctx, [&out](Communicator& comm) {
-      std::vector<double> mine{static_cast<double>(comm.rank() + 1)};
-      comm.allreduce(std::span<double>(mine), Op::Sum);
-      const std::vector<double> all = comm.gatherv(
-          std::span<const double>(mine), 0);
-      if (comm.is_root()) out = all;
-    });
-    return out;
-  };
-  EXPECT_EQ(run_with(CollectiveAlgo::Flat), run_with(CollectiveAlgo::Tree));
-}
-
 INSTANTIATE_TEST_SUITE_P(
-    RanksAlgos, CollectiveSweep,
-    ::testing::Combine(::testing::Values(3, 5, 6, 7, 12),
-                       ::testing::Values(CollectiveAlgo::Flat,
-                                         CollectiveAlgo::Tree)),
-    [](const ::testing::TestParamInfo<CollectiveSweep::ParamType>& param) {
-      return "p" + std::to_string(std::get<0>(param.param)) +
-             (std::get<1>(param.param) == CollectiveAlgo::Flat ? "Flat"
-                                                               : "Tree");
+    Ranks, CollectiveSweep, ::testing::Values(3, 5, 6, 7, 12),
+    [](const ::testing::TestParamInfo<int>& param) {
+      return std::string("p") + std::to_string(param.param);
     });
-
-// Auto policy: small jobs keep the flat topologies, big jobs switch.
-TEST(CollectivePolicy, AutoRespectsTreeMinRanks) {
-  auto ctx = std::make_shared<pmpi::Context>(4);
-  ctx->set_tree_min_ranks(8);
-  EXPECT_EQ(ctx->collective_algo(), CollectiveAlgo::Auto);
-  std::vector<double> out;
-  pmpi::run_on(ctx, [&out](Communicator& comm) {
-    std::vector<double> v{static_cast<double>(comm.rank())};
-    comm.allreduce(std::span<double>(v), Op::Sum);
-    if (comm.is_root()) out = v;
-  });
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_DOUBLE_EQ(out[0], 6.0);
-}
-
-TEST(CollectivePolicy, BadEnvAlgoThrows) {
-  ::setenv("PARSVD_COMM_ALGO", "bogus", 1);
-  EXPECT_THROW(pmpi::Context(2), ConfigError);
-  ::unsetenv("PARSVD_COMM_ALGO");
-}
-
-TEST(CollectivePolicy, EnvAlgoForcesTree) {
-  ::setenv("PARSVD_COMM_ALGO", "tree", 1);
-  pmpi::Context ctx(4);
-  EXPECT_EQ(ctx.collective_algo(), CollectiveAlgo::Tree);
-  ::unsetenv("PARSVD_COMM_ALGO");
-}
 
 }  // namespace
 }  // namespace parsvd

@@ -362,7 +362,7 @@ TEST(FaultCrossValidation, TsqrDirectKillBeforeRFactorPost) {
   pmpi::run_on(ctx, [&](Communicator& comm) {
     const auto r = static_cast<std::size_t>(comm.rank());
     const Matrix a = testing::random_matrix(rows[r], k, 900 + r);
-    const TsqrResult out = tsqr(comm, a, TsqrVariant::Direct, true);
+    const TsqrResult out = tsqr(comm, a, /*fault_tolerant=*/true);
     if (comm.rank() != victim) {
       EXPECT_EQ(out.excluded_ranks, std::vector<int>{victim})
           << "rank " << comm.rank();
@@ -454,7 +454,7 @@ void cross_validate_streaming(int p, std::vector<std::int64_t> rows,
     StreamingOptions opts;
     opts.num_modes = K;
     opts.fault_tolerant = true;
-    ParallelStreamingSVD svd(comm, opts, TsqrVariant::Direct);
+    ParallelStreamingSVD svd(comm, opts);
     svd.initialize(testing::random_matrix(rows[r], cols0, 70 + r));
     for (int t = 0; t < updates; ++t) {
       svd.incorporate_data(testing::random_matrix(

@@ -262,11 +262,11 @@ TEST(Groups, ConcurrentTsqrBitIdenticalToSolo) {
   std::array<std::optional<TsqrResult>, 4> solo_b;
   pmpi::run(4, [&](Communicator& comm) {
     solo_a[static_cast<std::size_t>(comm.rank())] =
-        tsqr(comm, local_panel(comm.rank(), 1000), TsqrVariant::Tree);
+        tsqr(comm, local_panel(comm.rank(), 1000));
   });
   pmpi::run(4, [&](Communicator& comm) {
     solo_b[static_cast<std::size_t>(comm.rank())] =
-        tsqr(comm, local_panel(comm.rank(), 2000), TsqrVariant::Tree);
+        tsqr(comm, local_panel(comm.rank(), 2000));
   });
 
   // Both jobs concurrently, on disjoint halves of one 8-rank Context.
@@ -276,7 +276,7 @@ TEST(Groups, ConcurrentTsqrBitIdenticalToSolo) {
     ASSERT_TRUE(sub.has_value());
     const std::uint64_t job_seed = comm.rank() < 4 ? 1000 : 2000;
     got[static_cast<std::size_t>(comm.rank())] =
-        tsqr(*sub, local_panel(sub->rank(), job_seed), TsqrVariant::Tree);
+        tsqr(*sub, local_panel(sub->rank(), job_seed));
   });
 
   for (int r = 0; r < 8; ++r) {
@@ -314,7 +314,7 @@ TEST(GroupsFault, KillInOneGroupIsolatedFromSibling) {
     StreamingOptions opts;
     opts.num_modes = 5;
     opts.fault_tolerant = true;
-    ParallelStreamingSVD svd(comm, opts, TsqrVariant::Direct);
+    ParallelStreamingSVD svd(comm, opts);
     svd.initialize(testing::random_matrix(rows, cols0, job_seed + 70 + r));
     for (int i = 0; i < 2; ++i) {
       svd.incorporate_data(testing::random_matrix(
@@ -362,7 +362,7 @@ TEST(GroupsFault, KillInOneGroupIsolatedFromSibling) {
       opts.num_modes = 5;
       opts.fault_tolerant = true;
       const std::uint64_t seed = comm.rank() < kHalf ? 1000 : 2000;
-      ParallelStreamingSVD svd(*sub, opts, TsqrVariant::Direct);
+      ParallelStreamingSVD svd(*sub, opts);
       svd.initialize(testing::random_matrix(rows, cols0, seed + 70 + r));
       svd.incorporate_data(
           testing::random_matrix(rows, cols, seed + 100 + r));

@@ -33,13 +33,12 @@ struct ParallelRun {
 };
 
 ParallelRun run_parallel_streaming(const Matrix& a, int p, Index batch,
-                                   StreamingOptions opts,
-                                   TsqrVariant variant = TsqrVariant::Direct) {
+                                   StreamingOptions opts) {
   ParallelRun out;
   std::mutex mu;
   pmpi::run(p, [&](Communicator& comm) {
     const auto part = partition_rows(a.rows(), p, comm.rank());
-    ParallelStreamingSVD s(comm, opts, variant);
+    ParallelStreamingSVD s(comm, opts);
     Index done = std::min(batch, a.cols());
     s.initialize(a.block(part.offset, 0, part.count, done));
     while (done < a.cols()) {
@@ -131,16 +130,16 @@ TEST(ParallelStreaming, RankCountInvariance) {
   }
 }
 
-TEST(ParallelStreaming, TsqrVariantsEquivalent) {
+TEST(ParallelStreaming, FaultTolerantPathMatchesHealthy) {
+  // The healthy and fault-tolerant TSQR paths agree when nobody dies.
   const Matrix a = burgers_data(256, 60);
   StreamingOptions opts;
   opts.num_modes = 4;
-  const ParallelRun direct =
-      run_parallel_streaming(a, 4, 15, opts, TsqrVariant::Direct);
-  const ParallelRun tree =
-      run_parallel_streaming(a, 4, 15, opts, TsqrVariant::Tree);
-  testing::expect_vector_near(direct.s, tree.s, 1e-9);
-  testing::expect_matrix_near(direct.modes, tree.modes, 1e-8);
+  const ParallelRun healthy = run_parallel_streaming(a, 4, 15, opts);
+  opts.fault_tolerant = true;
+  const ParallelRun ft = run_parallel_streaming(a, 4, 15, opts);
+  testing::expect_vector_near(healthy.s, ft.s, 1e-9);
+  testing::expect_matrix_near(healthy.modes, ft.modes, 1e-8);
 }
 
 TEST(ParallelStreaming, GatheredModesOrthonormal) {

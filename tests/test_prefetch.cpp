@@ -110,7 +110,7 @@ StreamedResult stream_distributed(int p, Index batch, bool prefetch,
   opts.num_modes = 6;
   opts.forget_factor = 1.0;
   pmpi::run(p, [&](pmpi::Communicator& comm) {
-    ParallelStreamingSVD svd(comm, opts, TsqrVariant::Tree);
+    ParallelStreamingSVD svd(comm, opts);
     wl::StreamingExecutorOptions eopts;
     eopts.batch_cols = batch;
     eopts.prefetch = prefetch;

@@ -1,8 +1,9 @@
 // Parameterized property sweeps over the streaming SVD configuration
-// space: every (K, batch, ff, backend, parallel-ranks) combination must
-// uphold the structural invariants regardless of accuracy — orthonormal
-// modes, non-negative descending singular values, stable shapes — and
-// the ff = 1 configurations must track the batch SVD.
+// space: every (K, batch, ff, backend, parallel-ranks, fault-tolerant)
+// combination must uphold the structural invariants regardless of
+// accuracy — orthonormal modes, non-negative descending singular values,
+// stable shapes — and the ff = 1 configurations must track the batch
+// SVD.
 #include <gtest/gtest.h>
 
 #include <mutex>
@@ -96,25 +97,25 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ----------------------------------------------- parallel sweep (TEST_P)
 
-using ParallelCase = std::tuple<int, int, int>;  // ranks, K, tsqr variant
+using ParallelCase = std::tuple<int, int, int>;  // ranks, K, fault_tolerant
 
 class ParallelStreamingSweep : public ::testing::TestWithParam<ParallelCase> {};
 
 TEST_P(ParallelStreamingSweep, StructuralInvariants) {
-  const auto [p, k, variant_idx] = GetParam();
+  const auto [p, k, fault_tolerant] = GetParam();
   const Matrix& data = shared_data();
-  const auto variant = static_cast<TsqrVariant>(variant_idx);
 
   StreamingOptions opts;
   opts.num_modes = k;
   opts.forget_factor = 0.95;
+  opts.fault_tolerant = fault_tolerant != 0;
 
   Matrix modes;
   Vector sv;
   std::mutex mu;
   pmpi::run(p, [&](Communicator& comm) {
     const auto part = wl::partition_rows(data.rows(), p, comm.rank());
-    ParallelStreamingSVD s(comm, opts, variant);
+    ParallelStreamingSVD s(comm, opts);
     wl::MatrixBatchSource src(data, part.offset, part.count);
     s.initialize(src.next_batch(24));
     while (!src.exhausted()) s.incorporate_data(src.next_batch(24));
@@ -135,7 +136,7 @@ INSTANTIATE_TEST_SUITE_P(
     Configs, ParallelStreamingSweep,
     ::testing::Combine(::testing::Values(1, 2, 3, 5, 8),  // ranks
                        ::testing::Values(2, 6),           // K
-                       ::testing::Values(0, 1)));         // Direct, Tree
+                       ::testing::Values(0, 1)));         // healthy, FT
 
 }  // namespace
 }  // namespace parsvd

@@ -55,8 +55,8 @@ TEST(VerifyNegative, ReportRendersCounterexample) {
 
 TEST(VerifyNegative, TagRegistry) {
   EXPECT_TRUE(tag_registered(pmpi::tags::kBcast));
-  EXPECT_TRUE(tag_registered(pmpi::tags::kAllreduce));
-  EXPECT_TRUE(tag_registered(pmpi::tags::tsqr_up(0)));
+  EXPECT_TRUE(tag_registered(pmpi::tags::kFtBcast));
+  EXPECT_TRUE(tag_registered(pmpi::tags::tsqr_down(0)));
   EXPECT_TRUE(tag_registered(pmpi::tags::tsqr_down(30)));
   EXPECT_TRUE(tag_registered(pmpi::tags::apmos_w()));
   EXPECT_TRUE(tag_registered(pmpi::tags::kUserBase));
@@ -64,6 +64,9 @@ TEST(VerifyNegative, TagRegistry) {
   EXPECT_FALSE(tag_registered(0));
   EXPECT_FALSE(tag_registered(7));
   EXPECT_FALSE(tag_registered(-1));
+  // Vacant tag slots stay unregistered.
+  EXPECT_FALSE(tag_registered(pmpi::tags::kFtBcast - 1));
+  EXPECT_FALSE(tag_registered(pmpi::tags::kTsqrDownBase - 1));
   // kBarrier is wire traffic only inside a group's scoped band; the
   // world barrier is the context's central rendezvous.
   EXPECT_FALSE(tag_registered(pmpi::tags::kBarrier));
@@ -76,7 +79,7 @@ TEST(VerifyNegative, TagRegistryGroupScoped) {
   // A group band holds the group's whole local tag space...
   EXPECT_TRUE(tag_registered(tags::group_scope(1, tags::kBcast)));
   EXPECT_TRUE(tag_registered(tags::group_scope(1, tags::kBarrier)));
-  EXPECT_TRUE(tag_registered(tags::group_scope(3, tags::tsqr_up(12))));
+  EXPECT_TRUE(tag_registered(tags::group_scope(3, tags::tsqr_down(12))));
   EXPECT_TRUE(tag_registered(tags::group_scope(3, tags::apmos_w())));
   EXPECT_TRUE(tag_registered(tags::group_scope(7, tags::kUserBase)));
   EXPECT_TRUE(tag_registered(
@@ -94,7 +97,7 @@ TEST(VerifyNegative, TagRegistryGroupScoped) {
 // ------------------------------------------------------ group schedules
 
 TEST(VerifyGroups, EmbedTranslatesPeersAndScopesTags) {
-  const Schedule local = script_bcast(2, 0, 48, CollectiveConfig{});
+  const Schedule local = script_bcast(2, 0, 48);
   Schedule world = make_schedule("embed test", 4);
   const GroupSpec g{2, {3, 1}};  // group rank 0 -> world 3, 1 -> world 1
   embed_group_schedule(world, local, g);
@@ -115,16 +118,15 @@ TEST(VerifyGroups, EmbedTranslatesPeersAndScopesTags) {
 }
 
 TEST(VerifyGroups, PartitionSchedulesPass) {
-  const CollectiveConfig cfg;
   // Interleaved membership plus a bystander world rank (8 is in no
   // group): the checker must prove the whole choreography.
   const std::vector<GroupSpec> groups{
       {1, {0, 2, 4, 6}},
       {2, {1, 3, 5, 7}},
   };
-  const std::vector<GroupProtocol> protos{GroupProtocol::TsqrTree,
+  const std::vector<GroupProtocol> protos{GroupProtocol::Tsqr,
                                           GroupProtocol::Allreduce};
-  const Schedule s = script_partition(9, groups, protos, 512, cfg);
+  const Schedule s = script_partition(9, groups, protos, 512);
   const CheckReport report = check_schedule(s);
   EXPECT_TRUE(report.ok()) << report.to_string();
   EXPECT_TRUE(s.ranks[8].events().empty());
@@ -156,8 +158,7 @@ TEST(VerifyGroups, OverlappingPartitionRejected) {
   const std::vector<GroupSpec> groups{{1, {0, 1}}, {2, {1, 2}}};
   const std::vector<GroupProtocol> protos{GroupProtocol::Bcast,
                                           GroupProtocol::Bcast};
-  EXPECT_THROW(script_partition(3, groups, protos, 8, CollectiveConfig{}),
-               Error);
+  EXPECT_THROW(script_partition(3, groups, protos, 8), Error);
 }
 
 // ------------------------------------------------------ cross-validation
@@ -179,105 +180,87 @@ Totals schedule_totals(const Schedule& s) {
   return t;
 }
 
-std::shared_ptr<pmpi::Context> make_ctx(int p, const CollectiveConfig& cfg) {
-  auto ctx = std::make_shared<pmpi::Context>(p);
-  ctx->set_collective_algo(cfg.algo);
-  ctx->set_eager_threshold_bytes(cfg.eager_threshold_bytes);
-  ctx->set_tree_min_ranks(cfg.tree_min_ranks);
-  return ctx;
-}
-
 /// Run the real collective and require the schedule to (a) pass the
 /// checker and (b) predict the context's message/byte counters exactly.
 void expect_matches_reality(
-    const Schedule& s, int p, const CollectiveConfig& cfg,
+    const Schedule& s, int p,
     const std::function<void(pmpi::Communicator&)>& body) {
   const CheckReport report = check_schedule(s);
   EXPECT_TRUE(report.ok()) << report.to_string();
-  auto ctx = make_ctx(p, cfg);
+  auto ctx = std::make_shared<pmpi::Context>(p);
   pmpi::run_on(ctx, body);
   const Totals t = schedule_totals(s);
   EXPECT_EQ(ctx->total_messages(), t.messages) << s.name;
   EXPECT_EQ(ctx->total_bytes(), t.bytes) << s.name;
 }
 
-std::vector<CollectiveConfig> cross_configs() {
-  using A = pmpi::CollectiveAlgo;
-  return {
-      {A::Flat, std::uint64_t{1} << 14, 8},
-      {A::Tree, std::uint64_t{1} << 14, 8},
-      {A::Auto, 256, 4},
-  };
+/// A deterministic local panel for the TSQR runs.
+Matrix tsqr_panel(Index rows, Index k, int rank) {
+  Matrix a(rows, k);
+  for (Index i = 0; i < a.size(); ++i) {
+    a.data()[i] = 0.1 * static_cast<double>((i * 7 + rank * 13) % 23) + 1.0;
+  }
+  return a;
 }
 
 const int kRankCounts[] = {1, 2, 3, 5, 8, 16};
 
 TEST(VerifyCrossValidation, Bcast) {
-  for (const CollectiveConfig& cfg : cross_configs()) {
-    for (const int p : kRankCounts) {
-      for (const int root : {0, p - 1}) {
-        const Schedule s = script_bcast(p, root, 7 * sizeof(double), cfg);
-        expect_matches_reality(s, p, cfg, [root](pmpi::Communicator& comm) {
-          std::vector<double> v(7, comm.rank() == root ? 1.5 : 0.0);
-          comm.bcast(v, root);
-        });
-      }
+  for (const int p : kRankCounts) {
+    for (const int root : {0, p - 1}) {
+      const Schedule s = script_bcast(p, root, 7 * sizeof(double));
+      expect_matches_reality(s, p, [root](pmpi::Communicator& comm) {
+        std::vector<double> v(7, comm.rank() == root ? 1.5 : 0.0);
+        comm.bcast(v, root);
+      });
     }
   }
 }
 
 TEST(VerifyCrossValidation, Gatherv) {
-  for (const CollectiveConfig& cfg : cross_configs()) {
-    for (const int p : kRankCounts) {
-      std::vector<std::uint64_t> per_rank(static_cast<std::size_t>(p));
-      for (int r = 0; r < p; ++r) {
-        per_rank[static_cast<std::size_t>(r)] =
-            sizeof(double) * static_cast<std::uint64_t>(3 + r);
-      }
-      const Schedule s = script_gather(p, 0, per_rank, cfg);
-      expect_matches_reality(s, p, cfg, [](pmpi::Communicator& comm) {
-        std::vector<double> local(static_cast<std::size_t>(3 + comm.rank()),
-                                  2.0);
-        comm.gatherv<double>(local, 0);
-      });
+  for (const int p : kRankCounts) {
+    std::vector<std::uint64_t> per_rank(static_cast<std::size_t>(p));
+    for (int r = 0; r < p; ++r) {
+      per_rank[static_cast<std::size_t>(r)] =
+          sizeof(double) * static_cast<std::uint64_t>(3 + r);
     }
+    const Schedule s = script_gather(p, 0, per_rank);
+    expect_matches_reality(s, p, [](pmpi::Communicator& comm) {
+      std::vector<double> local(static_cast<std::size_t>(3 + comm.rank()),
+                                2.0);
+      comm.gatherv<double>(local, 0);
+    });
   }
 }
 
 TEST(VerifyCrossValidation, Allgather) {
-  for (const CollectiveConfig& cfg : cross_configs()) {
-    for (const int p : kRankCounts) {
-      const Schedule s = script_allgather(p, sizeof(double), cfg);
-      expect_matches_reality(s, p, cfg, [](pmpi::Communicator& comm) {
-        comm.allgather_double(static_cast<double>(comm.rank()));
-      });
-    }
+  for (const int p : kRankCounts) {
+    const Schedule s = script_allgather(p, sizeof(double));
+    expect_matches_reality(s, p, [](pmpi::Communicator& comm) {
+      comm.allgather_double(static_cast<double>(comm.rank()));
+    });
   }
 }
 
 TEST(VerifyCrossValidation, ReduceAndAllreduce) {
-  for (const CollectiveConfig& cfg : cross_configs()) {
-    for (const int p : kRankCounts) {
-      // 16 doubles sit below the 256 B Auto threshold, 64 above it: both
-      // sides of the eager switch are validated against reality.
-      for (const std::size_t n : {std::size_t{16}, std::size_t{64}}) {
-        const Schedule sr = script_reduce(p, 0, n * sizeof(double), cfg);
-        expect_matches_reality(sr, p, cfg, [n](pmpi::Communicator& comm) {
-          std::vector<double> v(n, static_cast<double>(comm.rank()));
-          comm.reduce(v, pmpi::Op::Sum, 0);
-        });
-        const Schedule sa = script_allreduce(p, n * sizeof(double), cfg);
-        expect_matches_reality(sa, p, cfg, [n](pmpi::Communicator& comm) {
-          std::vector<double> v(n, 1.0);
-          comm.allreduce(v, pmpi::Op::Sum);
-        });
-      }
+  for (const int p : kRankCounts) {
+    // Small and large payloads share one topology; both are pinned.
+    for (const std::size_t n : {std::size_t{16}, std::size_t{4096}}) {
+      const Schedule sr = script_reduce(p, 0, n * sizeof(double));
+      expect_matches_reality(sr, p, [n](pmpi::Communicator& comm) {
+        std::vector<double> v(n, static_cast<double>(comm.rank()));
+        comm.reduce(v, pmpi::Op::Sum, 0);
+      });
+      const Schedule sa = script_allreduce(p, n * sizeof(double));
+      expect_matches_reality(sa, p, [n](pmpi::Communicator& comm) {
+        std::vector<double> v(n, 1.0);
+        comm.allreduce(v, pmpi::Op::Sum);
+      });
     }
   }
 }
 
 TEST(VerifyCrossValidation, ScatterRows) {
-  const CollectiveConfig cfg;  // scatter has a single topology
   for (const int p : kRankCounts) {
     const Index cols = 3;
     std::vector<Index> rows_per_rank(static_cast<std::size_t>(p));
@@ -290,9 +273,9 @@ TEST(VerifyCrossValidation, ScatterRows) {
           sizeof(double) * static_cast<std::uint64_t>((r + 1) * cols);
       total += r + 1;
     }
-    const Schedule s = script_scatter_rows(p, 0, block_bytes, cfg);
+    const Schedule s = script_scatter_rows(p, 0, block_bytes);
     expect_matches_reality(
-        s, p, cfg, [&rows_per_rank, total, cols](pmpi::Communicator& comm) {
+        s, p, [&rows_per_rank, total, cols](pmpi::Communicator& comm) {
           Matrix full;
           if (comm.rank() == 0) {
             full = Matrix(total, cols);
@@ -303,19 +286,21 @@ TEST(VerifyCrossValidation, ScatterRows) {
   }
 }
 
-TEST(VerifyCrossValidation, TsqrTree) {
-  for (const CollectiveConfig& cfg : cross_configs()) {
-    for (const int p : kRankCounts) {
-      const Index k = 4;
-      const Schedule s = script_tsqr_tree(p, k, cfg);
-      expect_matches_reality(s, p, cfg, [k](pmpi::Communicator& comm) {
-        Matrix a(8, k);  // local rows >= k, the tree precondition
-        for (Index i = 0; i < a.size(); ++i) {
-          a.data()[i] = 0.1 * static_cast<double>(
-                                  (i * 7 + comm.rank() * 13) % 23) +
-                        1.0;
-        }
-        tsqr(comm, a, TsqrVariant::Tree);
+TEST(VerifyCrossValidation, TsqrDirect) {
+  constexpr Index k = 4;
+  for (const int p : kRankCounts) {
+    // Uniform tall panels, and a ragged layout where some ranks hold
+    // fewer rows than k (their R factors and Q slices shrink).
+    std::vector<std::int64_t> uniform(static_cast<std::size_t>(p), 8);
+    std::vector<std::int64_t> ragged(static_cast<std::size_t>(p));
+    for (int r = 0; r < p; ++r) {
+      ragged[static_cast<std::size_t>(r)] = 2 + r % 5;
+    }
+    for (const auto& rows : {uniform, ragged}) {
+      const Schedule s = script_tsqr_direct(rows, k);
+      expect_matches_reality(s, p, [&rows](pmpi::Communicator& comm) {
+        tsqr(comm, tsqr_panel(rows[static_cast<std::size_t>(comm.rank())], k,
+                              comm.rank()));
       });
     }
   }
@@ -326,49 +311,45 @@ TEST(VerifyCrossValidation, TsqrTree) {
 // The accessors consumed above (total_messages / total_bytes) are thin
 // views over the per-context obs::Registry. Pin the registry series
 // themselves — dotted names, per-sender split, payload histogram —
-// against the schedule predictions for one flat and one tree bcast, so
-// a metric rename or a half-done migration cannot silently detach the
-// Context accessors from the registry while both tests keep passing.
+// against the schedule prediction for a binomial bcast (interior ranks
+// forward, so several ranks send), so a metric rename or a half-done
+// migration cannot silently detach the Context accessors from the
+// registry while both tests keep passing.
 TEST(VerifyCrossValidation, MetricsRegistryTotals) {
-  using A = pmpi::CollectiveAlgo;
   constexpr int p = 8;
-  constexpr std::size_t n = 48;  // doubles, comfortably above eager games
-  for (const A algo : {A::Flat, A::Tree}) {
-    const CollectiveConfig cfg{algo, std::uint64_t{1} << 14, 4};
-    const Schedule s = script_bcast(p, 0, n * sizeof(double), cfg);
-    ASSERT_TRUE(check_schedule(s).ok());
-    auto ctx = make_ctx(p, cfg);
-    pmpi::run_on(ctx, [](pmpi::Communicator& comm) {
-      std::vector<double> v(n, comm.rank() == 0 ? 3.0 : 0.0);
-      comm.bcast(v, 0);
-    });
-    obs::Registry& reg = ctx->metrics();
-    const Totals t = schedule_totals(s);
-    EXPECT_EQ(reg.counter("comm.messages").value(), t.messages) << s.name;
-    EXPECT_EQ(reg.counter("comm.bytes").value(), t.bytes) << s.name;
-    // Per-sender series against each rank's script, and their sum
-    // against the total (no bytes may hide outside the rank split).
-    std::uint64_t rank_sum = 0;
-    for (int r = 0; r < p; ++r) {
-      std::uint64_t sent = 0;
-      for (const CommEvent& e :
-           s.ranks[static_cast<std::size_t>(r)].events()) {
-        if (e.kind == CommEvent::Kind::Send) sent += e.bytes;
-      }
-      const std::uint64_t got =
-          reg.counter("comm.rank" + std::to_string(r) + ".bytes").value();
-      EXPECT_EQ(got, sent) << s.name << " rank " << r;
-      rank_sum += got;
+  constexpr std::size_t n = 48;  // doubles
+  const Schedule s = script_bcast(p, 0, n * sizeof(double));
+  ASSERT_TRUE(check_schedule(s).ok());
+  auto ctx = std::make_shared<pmpi::Context>(p);
+  pmpi::run_on(ctx, [](pmpi::Communicator& comm) {
+    std::vector<double> v(n, comm.rank() == 0 ? 3.0 : 0.0);
+    comm.bcast(v, 0);
+  });
+  obs::Registry& reg = ctx->metrics();
+  const Totals t = schedule_totals(s);
+  EXPECT_EQ(reg.counter("comm.messages").value(), t.messages) << s.name;
+  EXPECT_EQ(reg.counter("comm.bytes").value(), t.bytes) << s.name;
+  // Per-sender series against each rank's script, and their sum against
+  // the total (no bytes may hide outside the rank split).
+  std::uint64_t rank_sum = 0;
+  for (int r = 0; r < p; ++r) {
+    std::uint64_t sent = 0;
+    for (const CommEvent& e : s.ranks[static_cast<std::size_t>(r)].events()) {
+      if (e.kind == CommEvent::Kind::Send) sent += e.bytes;
     }
-    EXPECT_EQ(rank_sum, t.bytes) << s.name;
-    // Every post records its payload in the size histogram.
-    const obs::Histogram& h = reg.histogram("comm.payload_bytes");
-    EXPECT_EQ(h.count(), t.messages) << s.name;
-    EXPECT_EQ(h.sum(), t.bytes) << s.name;
-    // And the legacy accessors must read the same registry, not a copy.
-    EXPECT_EQ(ctx->total_messages(), t.messages);
-    EXPECT_EQ(ctx->total_bytes(), t.bytes);
+    const std::uint64_t got =
+        reg.counter("comm.rank" + std::to_string(r) + ".bytes").value();
+    EXPECT_EQ(got, sent) << s.name << " rank " << r;
+    rank_sum += got;
   }
+  EXPECT_EQ(rank_sum, t.bytes) << s.name;
+  // Every post records its payload in the size histogram.
+  const obs::Histogram& h = reg.histogram("comm.payload_bytes");
+  EXPECT_EQ(h.count(), t.messages) << s.name;
+  EXPECT_EQ(h.sum(), t.bytes) << s.name;
+  // And the legacy accessors must read the same registry, not a copy.
+  EXPECT_EQ(ctx->total_messages(), t.messages);
+  EXPECT_EQ(ctx->total_bytes(), t.bytes);
 }
 
 // Two concurrent jobs on disjoint subgroups of one context: the model
@@ -383,61 +364,55 @@ TEST(VerifyCrossValidation, GroupRegistryTotals) {
   constexpr std::size_t n = 64;  // allreduce payload, doubles
   const std::array<int, 4> evens{0, 2, 4, 6};
   const std::array<int, 4> odds{1, 3, 5, 7};
-  for (const CollectiveConfig& cfg : cross_configs()) {
-    // Model: group 1 (evens) runs a tree TSQR, group 2 (odds) an
-    // allreduce followed by a group barrier.
-    Schedule s = make_schedule("two subgroup jobs", p);
-    embed_group_schedule(s, script_tsqr_tree(4, k, cfg),
-                         GroupSpec{1, {evens.begin(), evens.end()}});
-    const GroupSpec odd_spec{2, {odds.begin(), odds.end()}};
-    embed_group_schedule(s, script_allreduce(4, n * sizeof(double), cfg),
-                         odd_spec);
-    embed_group_schedule(s, script_group_barrier(4), odd_spec);
-    const CheckReport report = check_schedule(s);
-    ASSERT_TRUE(report.ok()) << report.to_string();
+  // Ragged TSQR panels: group rank 0 holds fewer rows than k.
+  const std::vector<std::int64_t> rows{3, 8, 5, 6};
+  // Model: group 1 (evens) runs a direct TSQR, group 2 (odds) an
+  // allreduce followed by a group barrier.
+  Schedule s = make_schedule("two subgroup jobs", p);
+  embed_group_schedule(s, script_tsqr_direct(rows, k),
+                       GroupSpec{1, {evens.begin(), evens.end()}});
+  const GroupSpec odd_spec{2, {odds.begin(), odds.end()}};
+  embed_group_schedule(s, script_allreduce(4, n * sizeof(double)), odd_spec);
+  embed_group_schedule(s, script_group_barrier(4), odd_spec);
+  const CheckReport report = check_schedule(s);
+  ASSERT_TRUE(report.ok()) << report.to_string();
 
-    // Reality: pre-mint the groups in a fixed order so ids are stable,
-    // then run both jobs concurrently on one context.
-    auto ctx = make_ctx(p, cfg);
-    ctx->group_for({evens.begin(), evens.end()});
-    ctx->group_for({odds.begin(), odds.end()});
-    pmpi::run_on(ctx, [&](pmpi::Communicator& comm) {
-      if (comm.rank() % 2 == 0) {
-        auto sub = comm.subgroup(evens);
-        ASSERT_TRUE(sub.has_value());
-        Matrix a(8, k);  // local rows >= k, the tree precondition
-        for (Index i = 0; i < a.size(); ++i) {
-          a.data()[i] =
-              0.1 * static_cast<double>((i * 7 + sub->rank() * 13) % 23) +
-              1.0;
-        }
-        tsqr(*sub, a, TsqrVariant::Tree);
-      } else {
-        auto sub = comm.subgroup(odds);
-        ASSERT_TRUE(sub.has_value());
-        std::vector<double> v(n, 1.0);
-        sub->allreduce(v, pmpi::Op::Sum);
-        sub->barrier();
-      }
-    });
-
-    const std::map<int, GroupTotals> model = group_send_totals(s);
-    ASSERT_EQ(model.size(), 2u);
-    obs::Registry& reg = ctx->metrics();
-    std::uint64_t msg_sum = 0;
-    std::uint64_t byte_sum = 0;
-    for (const auto& [id, t] : model) {
-      const std::string prefix = "comm.group" + std::to_string(id);
-      EXPECT_EQ(reg.counter(prefix + ".messages").value(), t.messages)
-          << s.name << " group " << id;
-      EXPECT_EQ(reg.counter(prefix + ".bytes").value(), t.bytes)
-          << s.name << " group " << id;
-      msg_sum += t.messages;
-      byte_sum += t.bytes;
+  // Reality: pre-mint the groups in a fixed order so ids are stable, then
+  // run both jobs concurrently on one context.
+  auto ctx = std::make_shared<pmpi::Context>(p);
+  ctx->group_for({evens.begin(), evens.end()});
+  ctx->group_for({odds.begin(), odds.end()});
+  pmpi::run_on(ctx, [&](pmpi::Communicator& comm) {
+    if (comm.rank() % 2 == 0) {
+      auto sub = comm.subgroup(evens);
+      ASSERT_TRUE(sub.has_value());
+      tsqr(*sub, tsqr_panel(rows[static_cast<std::size_t>(sub->rank())], k,
+                            sub->rank()));
+    } else {
+      auto sub = comm.subgroup(odds);
+      ASSERT_TRUE(sub.has_value());
+      std::vector<double> v(n, 1.0);
+      sub->allreduce(v, pmpi::Op::Sum);
+      sub->barrier();
     }
-    EXPECT_EQ(ctx->total_messages(), msg_sum) << s.name;
-    EXPECT_EQ(ctx->total_bytes(), byte_sum) << s.name;
+  });
+
+  const std::map<int, GroupTotals> model = group_send_totals(s);
+  ASSERT_EQ(model.size(), 2u);
+  obs::Registry& reg = ctx->metrics();
+  std::uint64_t msg_sum = 0;
+  std::uint64_t byte_sum = 0;
+  for (const auto& [id, t] : model) {
+    const std::string prefix = "comm.group" + std::to_string(id);
+    EXPECT_EQ(reg.counter(prefix + ".messages").value(), t.messages)
+        << s.name << " group " << id;
+    EXPECT_EQ(reg.counter(prefix + ".bytes").value(), t.bytes)
+        << s.name << " group " << id;
+    msg_sum += t.messages;
+    byte_sum += t.bytes;
   }
+  EXPECT_EQ(ctx->total_messages(), msg_sum) << s.name;
+  EXPECT_EQ(ctx->total_bytes(), byte_sum) << s.name;
 }
 
 TEST(VerifyCrossValidation, GroupBarrierTotals) {
@@ -451,8 +426,7 @@ TEST(VerifyCrossValidation, GroupBarrierTotals) {
     const CheckReport report = check_schedule(world);
     ASSERT_TRUE(report.ok()) << report.to_string();
 
-    const CollectiveConfig cfg;
-    auto ctx = make_ctx(p, cfg);
+    auto ctx = std::make_shared<pmpi::Context>(p);
     ctx->group_for(members);
     pmpi::run_on(ctx, [&members](pmpi::Communicator& comm) {
       auto sub = comm.subgroup(members);
@@ -475,27 +449,24 @@ TEST(VerifyCrossValidation, GroupBarrierTotals) {
 }
 
 TEST(VerifyCrossValidation, Apmos) {
-  for (const CollectiveConfig& cfg : cross_configs()) {
-    for (const int p : kRankCounts) {
-      // a_local: 8 x 5 per rank, r1 = 3, r2 = 2. W^i is 5 x 3; the
-      // broadcast X is 5 x 2 and Lambda has 2 entries.
-      const std::uint64_t mat_hdr = 2 * sizeof(std::int64_t);
-      const Schedule s = script_apmos(
-          p, /*w=*/mat_hdr + sizeof(double) * 5 * 3,
-          /*x=*/mat_hdr + sizeof(double) * 5 * 2,
-          /*lambda=*/sizeof(double) * 2, cfg);
-      expect_matches_reality(s, p, cfg, [](pmpi::Communicator& comm) {
-        Matrix a(8, 5);
-        for (Index i = 0; i < a.size(); ++i) {
-          a.data()[i] =
-              1.0 + 0.01 * static_cast<double>((i * 11 + comm.rank()) % 17);
-        }
-        ApmosOptions opts;
-        opts.r1 = 3;
-        opts.r2 = 2;
-        apmos_svd(comm, a, opts);
-      });
-    }
+  for (const int p : kRankCounts) {
+    // a_local: 8 x 5 per rank, r1 = 3, r2 = 2. W^i is 5 x 3; the
+    // broadcast X is 5 x 2 and Lambda has 2 entries.
+    const std::uint64_t mat_hdr = 2 * sizeof(std::int64_t);
+    const Schedule s = script_apmos(p, /*w=*/mat_hdr + sizeof(double) * 5 * 3,
+                                    /*x=*/mat_hdr + sizeof(double) * 5 * 2,
+                                    /*lambda=*/sizeof(double) * 2);
+    expect_matches_reality(s, p, [](pmpi::Communicator& comm) {
+      Matrix a(8, 5);
+      for (Index i = 0; i < a.size(); ++i) {
+        a.data()[i] =
+            1.0 + 0.01 * static_cast<double>((i * 11 + comm.rank()) % 17);
+      }
+      ApmosOptions opts;
+      opts.r1 = 3;
+      opts.r2 = 2;
+      apmos_svd(comm, a, opts);
+    });
   }
 }
 

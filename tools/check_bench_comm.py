@@ -4,18 +4,16 @@
 Validates a freshly produced BENCH_comm.json (usually a --smoke run)
 against the committed trajectory:
 
-  1. both files parse and carry the schema_version-1 keys;
-  2. the committed trajectory's acceptance claims hold (tree beats flat
-     on the alpha-beta model at P >= 8 / 1 MiB; prefetch >= +20% with
-     ingest latency; prefetch on/off bit-identical);
-  3. for every (collective, algo, ranks, payload_bytes) entry present in
-     BOTH files, the deterministic per-round byte/message counters agree
-     within a tolerance (default 25%). The counters are exact functions
-     of the topology, so a drift means a collective silently changed
-     shape — the regression wall-clock timing cannot flag on a noisy
-     shared runner.
+  1. both files parse and carry the schema_version-2 keys;
+  2. the committed trajectory's acceptance claims hold (prefetch >= +20%
+     with ingest latency; prefetch on/off bit-identical);
+  3. for every (collective, topology, ranks, payload_bytes) entry present
+     in BOTH files, the deterministic per-round byte/message counters
+     agree exactly. The counters are exact functions of the topology, so
+     a drift means a collective silently changed shape — the regression
+     wall-clock timing cannot flag on a noisy shared runner.
 
-Usage: check_bench_comm.py FRESH_JSON COMMITTED_JSON [--tolerance=0.25]
+Usage: check_bench_comm.py FRESH_JSON COMMITTED_JSON
 """
 
 import sys
@@ -27,17 +25,15 @@ REQUIRED_TOP = [
     "bench",
     "schema_version",
     "collectives",
-    "claim_tree_beats_flat",
     "prefetch",
     "prefetch_zero_latency",
 ]
 REQUIRED_ENTRY = [
     "collective",
-    "algo",
+    "topology",
     "ranks",
     "payload_bytes",
     "seconds",
-    "model_seconds",
     "bytes_per_round",
     "messages_per_round",
     "root_bytes_per_round",
@@ -47,27 +43,18 @@ GATED_COUNTERS = ["bytes_per_round", "messages_per_round", "root_bytes_per_round
 
 def load(path):
     return benchlib.load_record(
-        path, "comm", 1, REQUIRED_TOP, {"collectives": REQUIRED_ENTRY})
+        path, "comm", 2, REQUIRED_TOP, {"collectives": REQUIRED_ENTRY})
 
 
 def entry_key(e):
-    return (e["collective"], e["algo"], e["ranks"], e["payload_bytes"])
+    return (e["collective"], e["topology"], e["ranks"], e["payload_bytes"])
 
 
 def main(argv):
-    fresh_path, committed_path, opts = benchlib.parse_gate_args(
-        argv, __doc__, {"tolerance": (float, 0.25)})
-    tolerance = opts["tolerance"]
+    fresh_path, committed_path, _ = benchlib.parse_gate_args(argv, __doc__)
     fresh = load(fresh_path)
     committed = load(committed_path)
 
-    claim = committed["claim_tree_beats_flat"]
-    if not claim.get("holds"):
-        fail("committed trajectory: claim_tree_beats_flat does not hold")
-    if claim.get("gather_model_speedup", 0) <= 1 or claim.get(
-        "bcast_model_speedup", 0
-    ) <= 1:
-        fail("committed trajectory: tree model speedups must exceed 1x")
     pref = committed["prefetch"]
     if not pref.get("bit_identical"):
         fail("committed trajectory: prefetch results not bit-identical")
@@ -84,8 +71,7 @@ def main(argv):
     for key, e, ref in benchlib.match_entries(
             fresh["collectives"], committed["collectives"], entry_key):
         for counter in GATED_COUNTERS:
-            benchlib.gate_within(key, counter, e[counter], ref[counter],
-                                 tolerance)
+            benchlib.gate_exact(key, counter, e[counter], ref[counter])
         compared += 1
     benchlib.require_compared(compared)
 
@@ -93,9 +79,8 @@ def main(argv):
         fail("fresh run: prefetch results not bit-identical")
 
     print(
-        f"OK: {compared} collective entries within {tolerance * 100:.0f}%, "
-        f"claims hold (gather model speedup "
-        f"{claim['gather_model_speedup']:.2f}x, prefetch {gain * 100:+.1f}%)"
+        f"OK: {compared} collective entries match exactly, claims hold "
+        f"(prefetch {gain * 100:+.1f}%)"
     )
     return 0
 
