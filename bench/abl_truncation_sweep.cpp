@@ -56,8 +56,10 @@ int main() {
         const Matrix local =
             data.block(part.offset, 0, part.count, cfg.snapshots);
         ApmosResult res = apmos_svd(comm, local, opts);
-        const std::vector<Matrix> blocks =
-            comm.gather_matrices(res.u_local, 0);
+        std::vector<Matrix> blocks;
+        for (auto& b : comm.gather_matrices(res.u_local, 0)) {
+          blocks.push_back(std::move(b.value()));
+        }
         if (comm.is_root()) {
           std::lock_guard<std::mutex> lock(mu);
           modes = vcat(blocks);

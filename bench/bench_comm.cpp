@@ -2,7 +2,7 @@
 //
 // Part 1 sweeps the three collectives the solvers lean on over rank
 // counts and payload sizes, each in its one topology: flat root-loop
-// gather, binomial-tree bcast, and allreduce as a flat reduce to rank 0
+// gather, flat fan-out bcast, and allreduce as a flat reduce to rank 0
 // followed by the bcast (DESIGN §7 records the measurements that chose
 // these). Each entry records
 //   * seconds            measured (best of reps; informational only —
@@ -61,8 +61,8 @@ namespace wl = parsvd::workloads;
 /// The topology Communicator runs for each swept collective.
 const char* topology_of(const std::string& coll) {
   if (coll == "gather") return "flat";
-  if (coll == "bcast") return "binomial";
-  return "flat-reduce+binomial-bcast";
+  if (coll == "bcast") return "flat";
+  return "flat-reduce+flat-bcast";
 }
 
 struct CollectiveEntry {

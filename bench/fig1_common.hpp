@@ -81,7 +81,10 @@ inline int run_fig1(Index mode, const std::string& csv_name) {
     const Matrix local =
         burgers.snapshot_block(part.offset, part.count, 0, cfg.snapshots);
     ApmosResult res = apmos_svd(comm, local, aopts);
-    const std::vector<Matrix> blocks = comm.gather_matrices(res.u_local, 0);
+    std::vector<Matrix> blocks;
+    for (auto& b : comm.gather_matrices(res.u_local, 0)) {
+      blocks.push_back(std::move(b.value()));
+    }
     if (comm.is_root()) {
       std::lock_guard<std::mutex> lock(mu);
       par_modes = vcat(blocks);

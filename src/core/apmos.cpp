@@ -1,6 +1,7 @@
 #include "core/apmos.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <optional>
 #include <span>
@@ -8,8 +9,6 @@
 #include "core/randomized.hpp"
 #include "linalg/blas.hpp"
 #include "obs/trace.hpp"
-#include "pmpi/request.hpp"
-#include "pmpi/tags.hpp"
 
 namespace parsvd {
 
@@ -32,20 +31,6 @@ ApmosResult apmos_svd(pmpi::Communicator& comm, const Matrix& a_local,
   PARSVD_REQUIRE(!a_local.empty(), "apmos of an empty local block");
   PARSVD_TRACE_SCOPE("apmos.svd");
 
-  // The Stage-3 receive schedule is static — root takes one W block
-  // from every other rank — so root posts the whole gather BEFORE its
-  // own Stage-1/2 factorization: the other ranks' blocks land while
-  // root is busy in its local SVD.
-  // parsvd-pipelined begin (Stage-3 irecvs overlap the Stage-1/2 local
-  // factorization; a blocking receive here would serialize the gather)
-  std::vector<pmpi::Request> w_reqs;
-  if (!opts.fault_tolerant && comm.is_root() && comm.size() > 1) {
-    w_reqs.reserve(static_cast<std::size_t>(comm.size() - 1));
-    for (int src = 1; src < comm.size(); ++src) {
-      w_reqs.push_back(comm.irecv(src, pmpi::tags::apmos_w()));
-    }
-  }
-
   // Stages 1-2: local right vectors scaled by singular values.
   Matrix wlocal;  // n x k1
   {
@@ -57,7 +42,6 @@ ApmosResult apmos_svd(pmpi::Communicator& comm, const Matrix& a_local,
       scal(slocal[j], wlocal.col_span(j));
     }
   }
-  // parsvd-pipelined end
 
   // Root SVD of the assembled W with truncation to r2 (stages 4-5).
   const auto root_svd = [&](const Matrix& w) {
@@ -84,86 +68,62 @@ ApmosResult apmos_svd(pmpi::Communicator& comm, const Matrix& a_local,
     return f;
   };
 
+  // Stage 3: gather W at rank 0 (column-wise concatenation). One atomic
+  // payload per rank — its row count, then the packed W^i — so a
+  // contribution that arrives always carries its own extent.
+  const std::int64_t rows = a_local.rows();
+  std::vector<std::byte> payload(sizeof(rows));
+  std::memcpy(payload.data(), &rows, sizeof(rows));
+  pmpi::pack_matrix_into(wlocal, payload);
+  std::vector<std::optional<std::vector<std::byte>>> parts;
+  {
+    PARSVD_TRACE_SCOPE("apmos.stage3.gather");
+    parts = comm.gather_bytes(std::move(payload), 0);
+  }
+
   Matrix x;
   Vector lambda;
   FaultReport report;
+  if (comm.is_root()) {
+    std::vector<Matrix> blocks;
+    blocks.reserve(parts.size());
+    for (int src = 0; src < comm.size(); ++src) {
+      const auto& part = parts[static_cast<std::size_t>(src)];
+      if (!part) {
+        report.dead_ranks.push_back(src);
+        continue;
+      }
+      PARSVD_REQUIRE(part->size() > sizeof(rows), "apmos: short W payload");
+      std::int64_t src_rows = 0;
+      std::memcpy(&src_rows, part->data(), sizeof(src_rows));
+      report.surviving_rows += static_cast<Index>(src_rows);
+      blocks.push_back(pmpi::unpack_matrix(
+          std::span<const std::byte>(*part).subspan(sizeof(rows))));
+    }
+    accept_or_throw(opts.fault_tolerant, report.dead_ranks, "apmos W gather");
+    report.degraded = !report.dead_ranks.empty();
+    // A rank that died before its gather post never reported its
+    // extent, so the lost rows and energy are unknowable here and the
+    // Weyl-type bound degrades to the vacuous worst case.
+    report.extent_known = !report.degraded;
+    report.coverage = report.degraded ? 0.0 : 1.0;
+    report.accuracy_bound = report.degraded ? 1.0 : 0.0;
+
+    SvdResult f = root_svd(hcat(blocks));
+    x = std::move(f.u);
+    lambda = std::move(f.s);
+  }
+  comm.bcast_matrix(x, 0);
+  {
+    std::vector<double> lam(lambda.begin(), lambda.end());
+    comm.bcast(lam, 0);
+    lambda = Vector(static_cast<Index>(lam.size()));
+    std::copy(lam.begin(), lam.end(), lambda.begin());
+  }
   if (opts.fault_tolerant) {
-    // Stage 3, degraded-capable: one atomic payload per rank —
-    // [rows, ‖A^i‖_F²] header + packed W^i — so a contribution that
-    // arrives always carries its own metadata.
-    const double frob = a_local.norm_fro();
-    const double meta[2] = {static_cast<double>(a_local.rows()), frob * frob};
-    std::vector<std::byte> payload(sizeof(meta));
-    std::memcpy(payload.data(), meta, sizeof(meta));
-    pmpi::pack_matrix_into(wlocal, payload);
-    const auto raw = comm.gather_bytes_ft(std::move(payload), 0);
-
-    if (comm.is_root()) {
-      std::vector<Matrix> blocks;
-      blocks.reserve(raw.size());
-      for (int src = 0; src < comm.size(); ++src) {
-        const auto& c = raw[static_cast<std::size_t>(src)];
-        if (!c) {
-          report.dead_ranks.push_back(src);
-          continue;
-        }
-        PARSVD_REQUIRE(c->size() > sizeof(meta), "apmos: short ft payload");
-        double hdr[2];
-        std::memcpy(hdr, c->data(), sizeof(hdr));
-        report.surviving_rows += static_cast<Index>(hdr[0]);
-        blocks.push_back(pmpi::unpack_matrix(
-            std::span<const std::byte>(*c).subspan(sizeof(meta))));
-      }
-      report.degraded = !report.dead_ranks.empty();
-      // A rank that died before its gather post never reported its
-      // extent or energy, so the lost mass is unknowable here and the
-      // Weyl-type bound degrades to the vacuous worst case.
-      report.extent_known = !report.degraded;
-      report.coverage = report.degraded ? 0.0 : 1.0;
-      report.accuracy_bound = report.degraded ? 1.0 : 0.0;
-
-      SvdResult f = root_svd(hcat(blocks));
-      x = std::move(f.u);
-      lambda = std::move(f.s);
-    }
-    comm.bcast_matrix_ft(x, 0);
-    {
-      std::vector<double> lam(lambda.begin(), lambda.end());
-      comm.bcast_doubles_ft(lam, 0);
-      lambda = Vector(static_cast<Index>(lam.size()));
-      std::copy(lam.begin(), lam.end(), lambda.begin());
-    }
     std::vector<double> flat = report.to_doubles();
-    comm.bcast_doubles_ft(flat, 0);
+    comm.bcast(flat, 0);
     report = FaultReport::from_doubles(flat);
-  } else {
-    // Stage 3: gather W at rank 0 (column-wise concatenation). Root
-    // consumes the receives it posted before Stage 1 in completion
-    // order; non-roots ship their block as a buffered isend and move
-    // straight on to the result broadcast.
-    if (comm.is_root()) {
-      std::vector<Matrix> blocks(static_cast<std::size_t>(comm.size()));
-      blocks[0] = std::move(wlocal);
-      {
-        PARSVD_TRACE_SCOPE("apmos.stage3.gather");
-        for (std::size_t n = 0; n < w_reqs.size(); ++n) {
-          const std::size_t which = pmpi::wait_any(w_reqs);
-          blocks[which + 1] = w_reqs[which].take_matrix();
-        }
-      }
-      SvdResult f = root_svd(hcat(blocks));
-      x = std::move(f.u);
-      lambda = std::move(f.s);
-    } else {
-      comm.isend_matrix(wlocal, 0, pmpi::tags::apmos_w());
-    }
-    comm.bcast_matrix(x, 0);
-    {
-      std::vector<double> lam(lambda.begin(), lambda.end());
-      comm.bcast(lam, 0);
-      lambda = Vector(static_cast<Index>(lam.size()));
-      std::copy(lam.begin(), lam.end(), lambda.begin());
-    }
   }
 
   // Stage 6: lift the global right-space modes through the local block:

@@ -28,7 +28,8 @@ struct ApmosResult {
   /// Approximate global singular values (k), identical on every rank.
   Vector s;
   /// Loss metadata when opts.fault_tolerant was set and ranks died
-  /// mid-call; default-clean otherwise. One-shot APMOS never hears from
+  /// mid-call (without it such a death raises RankDeadError); default-
+  /// clean otherwise. One-shot APMOS never hears from
   /// a rank that dies before its gather post, so a degraded report
   /// carries the vacuous worst-case bound (extent_known = false); the
   /// streaming driver, which records extents up front, sharpens it.

@@ -1,5 +1,6 @@
 #include "core/options.hpp"
 
+#include "pmpi/comm.hpp"
 #include "support/error.hpp"
 
 namespace parsvd {
@@ -35,6 +36,11 @@ FaultReport FaultReport::from_doubles(const std::vector<double>& flat) {
   out.coverage = flat[i++];
   out.accuracy_bound = flat[i++];
   return out;
+}
+
+void accept_or_throw(bool fault_tolerant, std::span<const int> missing,
+                     const char* what) {
+  if (!fault_tolerant) pmpi::require_no_missing(missing, what);
 }
 
 void StreamingOptions::validate() const {

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "linalg/blas.hpp"
@@ -44,12 +45,22 @@ struct FaultReport {
   /// singular-value perturbation caused by the lost rows.
   double accuracy_bound = 0.0;
 
-  /// Flat double encoding so the report can ride bcast_doubles_ft from
-  /// root to the survivors: [degraded, ndead, dead..., surviving_rows,
+  /// Flat double encoding so the report can ride a bcast from root to
+  /// the survivors: [degraded, ndead, dead..., surviving_rows,
   /// lost_rows, extent_known, coverage, accuracy_bound].
   std::vector<double> to_doubles() const;
   static FaultReport from_doubles(const std::vector<double>& flat);
 };
+
+/// The fault policy's accept-or-throw decision, taken at root once a
+/// death-aware collective reports the ranks whose contribution it lost
+/// (`missing`; `what` names the collective). A fault-tolerant policy
+/// accepts the degraded result and lets the FaultReport account for the
+/// loss; the strict policy raises RankDeadError naming the first missing
+/// rank, so no result is ever built on fewer rows (pmpi::run_on then
+/// aborts the job).
+void accept_or_throw(bool fault_tolerant, std::span<const int> missing,
+                     const char* what);
 
 /// Randomized range-finder configuration (Halko et al. style).
 struct RandomizedOptions {
@@ -97,9 +108,12 @@ struct StreamingOptions {
   /// the √w-scaled (Euclidean-orthonormal) vectors and physical_modes()
   /// undoes the scaling, yielding vectors orthonormal under ⟨·,·⟩_w.
   Vector row_weights{};
-  /// Use fault-tolerant collectives: ranks that die mid-run are excluded
-  /// and the SVD completes on the survivors, with the loss quantified in
-  /// a FaultReport. Adds one ft-gather per update; off by default.
+  /// Fault policy. The collectives are death-aware either way; this
+  /// decides what a lost contribution means. Set: ranks that die
+  /// mid-run are excluded and the SVD completes on the survivors, with
+  /// the loss quantified in a FaultReport (costing one energy-ledger
+  /// gather and one report broadcast per update). Unset (the default):
+  /// a lost contribution raises RankDeadError at root.
   bool fault_tolerant = false;
 
   void validate() const;
@@ -118,7 +132,8 @@ struct ApmosOptions {
   /// Eigensolver for the MethodOfSnapshots local stage (the paper's
   /// suggested path when M_i >> N; Tridiagonal is the fast choice).
   EighMethod eigh_method = EighMethod::Jacobi;
-  /// Use fault-tolerant collectives (see StreamingOptions::fault_tolerant).
+  /// Fault policy (see StreamingOptions::fault_tolerant); set, it costs
+  /// one FaultReport broadcast per call.
   bool fault_tolerant = false;
 
   void validate() const;

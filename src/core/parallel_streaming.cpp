@@ -1,7 +1,6 @@
 #include "core/parallel_streaming.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <cstring>
 #include <optional>
@@ -85,13 +84,8 @@ void ParallelStreamingSVD::root_svd_and_broadcast(const Matrix& r,
     s = std::move(f.s);
   }
   std::vector<double> sv(s.begin(), s.end());
-  if (opts_.fault_tolerant) {
-    comm_.bcast_matrix_ft(u_small, 0);
-    comm_.bcast_doubles_ft(sv, 0);
-  } else {
-    comm_.bcast_matrix(u_small, 0);
-    comm_.bcast(sv, 0);
-  }
+  comm_.bcast_matrix(u_small, 0);
+  comm_.bcast(sv, 0);
   s = Vector(static_cast<Index>(sv.size()));
   std::copy(sv.begin(), sv.end(), s.begin());
 }
@@ -107,19 +101,19 @@ void ParallelStreamingSVD::incorporate_data(const Matrix& batch) {
 
   const Matrix weighted = apply_row_weights(batch);
 
-  // Fault-tolerant mode: fold this batch's energy into root's per-rank
-  // ledger before the factorization touches the network, so a rank that
-  // dies later in this update counts its in-flight batch as lost (the
-  // conservative direction for the coverage bound).
+  // Fault-tolerant policy: fold this batch's energy into root's
+  // per-rank ledger before the factorization touches the network, so a
+  // rank that dies later in this update counts its in-flight batch as
+  // lost (the conservative direction for the coverage bound).
   if (opts_.fault_tolerant) {
     const double frob = weighted.norm_fro();
     const double energy = frob * frob;
-    std::array<std::byte, sizeof(double)> buf;
+    std::vector<std::byte> buf(sizeof(double));
     std::memcpy(buf.data(), &energy, sizeof(double));
-    const auto raw = comm_.gather_bytes_ft(buf, 0);
+    const auto parts = comm_.gather_bytes(std::move(buf), 0);
     if (comm_.is_root()) {
       for (int src = 0; src < comm_.size(); ++src) {
-        const auto& c = raw[static_cast<std::size_t>(src)];
+        const auto& c = parts[static_cast<std::size_t>(src)];
         if (!c || c->size() != sizeof(double)) continue;
         double e = 0.0;
         std::memcpy(&e, c->data(), sizeof(double));
@@ -135,7 +129,8 @@ void ParallelStreamingSVD::incorporate_data(const Matrix& batch) {
     scal(opts_.forget_factor * singular_values_[j], ll.col_span(j));
   }
   ll = hcat(ll, weighted);
-  TsqrResult qr = tsqr(comm_, ll, opts_.fault_tolerant);
+  TsqrResult qr = tsqr(comm_, ll);
+  accept_or_throw(opts_.fault_tolerant, qr.excluded_ranks, "tsqr R gather");
 
   // Step 2 (small, at root): SVD of the global R, truncated to K.
   // PyParSVD's listing only truncates on the low-rank path, which lets
@@ -154,27 +149,25 @@ void ParallelStreamingSVD::incorporate_data(const Matrix& batch) {
 
 void ParallelStreamingSVD::gather_modes() {
   PARSVD_TRACE_SCOPE("pssvd.gather_modes");
-  if (opts_.fault_tolerant) {
-    std::vector<std::optional<Matrix>> blocks =
-        comm_.gather_matrices_ft(u_local_, 0);
-    if (comm_.is_root()) {
-      std::vector<Matrix> alive;
-      alive.reserve(blocks.size());
-      for (auto& b : blocks) {
-        if (b) alive.push_back(std::move(*b));
-      }
-      modes_ = vcat(alive);
+  modes_ = gather_rows(u_local_);
+}
+
+Matrix ParallelStreamingSVD::gather_rows(const Matrix& local) {
+  std::vector<std::optional<Matrix>> blocks = comm_.gather_matrices(local, 0);
+  if (!comm_.is_root()) return Matrix{};
+  std::vector<Matrix> alive;
+  std::vector<int> missing;
+  alive.reserve(blocks.size());
+  for (int src = 0; src < comm_.size(); ++src) {
+    auto& b = blocks[static_cast<std::size_t>(src)];
+    if (b) {
+      alive.push_back(std::move(*b));
     } else {
-      modes_ = Matrix{};
+      missing.push_back(src);
     }
-    return;
   }
-  std::vector<Matrix> blocks = comm_.gather_matrices(u_local_, 0);
-  if (comm_.is_root()) {
-    modes_ = vcat(blocks);
-  } else {
-    modes_ = Matrix{};
-  }
+  accept_or_throw(opts_.fault_tolerant, missing, "mode gather");
+  return vcat(alive);
 }
 
 void ParallelStreamingSVD::update_fault_report() {
@@ -208,7 +201,7 @@ void ParallelStreamingSVD::update_fault_report() {
     rep.accuracy_bound = std::sqrt(std::max(0.0, 1.0 - rep.coverage));
     flat = rep.to_doubles();
   }
-  comm_.bcast_doubles_ft(flat, 0);
+  comm_.bcast(flat, 0);
   report_ = FaultReport::from_doubles(flat);
 }
 
@@ -220,11 +213,10 @@ Matrix ParallelStreamingSVD::project(const Matrix& batch) {
   Matrix local =
       matmul(u_local_, apply_row_weights(batch), Trans::Yes, Trans::No);
   std::span<double> flat(local.data(), static_cast<std::size_t>(local.size()));
-  if (opts_.fault_tolerant) {
-    comm_.allreduce_sum_ft(flat, 0);
-  } else {
-    comm_.allreduce(flat, pmpi::Op::Sum);
-  }
+  // Accept-or-throw: without the fault-tolerant policy a lost addend
+  // raises RankDeadError at root, before the sum is broadcast.
+  std::vector<int> lost;
+  comm_.allreduce(flat, pmpi::Op::Sum, opts_.fault_tolerant ? &lost : nullptr);
   return local;
 }
 
@@ -238,21 +230,7 @@ Matrix ParallelStreamingSVD::reconstruct(const Matrix& coefficients) const {
 Matrix ParallelStreamingSVD::physical_modes() {
   // Each rank unscales its own rows (it holds its own weights), then the
   // physical blocks are gathered at root.
-  if (opts_.fault_tolerant) {
-    std::vector<std::optional<Matrix>> blocks =
-        comm_.gather_matrices_ft(remove_row_weights(u_local_), 0);
-    if (!comm_.is_root()) return Matrix{};
-    std::vector<Matrix> alive;
-    alive.reserve(blocks.size());
-    for (auto& b : blocks) {
-      if (b) alive.push_back(std::move(*b));
-    }
-    return vcat(alive);
-  }
-  std::vector<Matrix> blocks =
-      comm_.gather_matrices(remove_row_weights(u_local_), 0);
-  if (!comm_.is_root()) return Matrix{};
-  return vcat(blocks);
+  return gather_rows(remove_row_weights(u_local_));
 }
 
 }  // namespace parsvd

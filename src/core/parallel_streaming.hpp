@@ -48,7 +48,8 @@ class ParallelStreamingSVD final : public SvdBase {
   Index global_rows() const { return global_rows_; }
 
   /// Loss metadata when opts.fault_tolerant is set and ranks died during
-  /// a streaming update; default-clean otherwise. Because initialize()
+  /// a streaming update (without it such a death raises RankDeadError at
+  /// root); default-clean otherwise. Because initialize()
   /// records every rank's row extent and Frobenius energy up front, the
   /// report carries exact lost_rows and a sharp √(1 − coverage) bound —
   /// unlike one-shot APMOS. Updated by each incorporate_data() call.
@@ -62,10 +63,14 @@ class ParallelStreamingSVD final : public SvdBase {
   /// Re-gather the global modes at root into SvdBase::modes_.
   void gather_modes();
 
-  /// Fault-tolerant mode only: root accumulates each rank's streamed
-  /// Frobenius energy (for the coverage bound) from the per-batch
-  /// ft-gathers; broadcast of the resulting report keeps survivors
-  /// consistent.
+  /// Collective: vcat at root of every rank's `local` row block that
+  /// arrived (empty elsewhere), after the fault policy's accept-or-throw
+  /// decision on the missing ones.
+  Matrix gather_rows(const Matrix& local);
+
+  /// Fault-tolerant policy only: root turns its per-rank energy ledger
+  /// (fed by the per-batch energy gathers) and the dead ranks into a
+  /// FaultReport; broadcasting it keeps the survivors consistent.
   void update_fault_report();
 
   pmpi::Communicator& comm_;

@@ -23,12 +23,13 @@ namespace parsvd {
 
 struct TsqrResult {
   /// Local slice of the global Q: rows match this rank's a_local rows,
-  /// columns = min(Σ min(Mᵢ, n), n).
+  /// columns = min(Σ min(Mᵢ, n), n) over the contributing ranks.
   Matrix q_local;
-  /// Global R factor, identical on every rank.
+  /// Global R factor, identical on every surviving rank.
   Matrix r;
-  /// Ranks whose R factor was lost to a failure (fault-tolerant mode
-  /// only; always empty otherwise). Their rows are absent from R.
+  /// Root-side only: ranks that died before posting their R factor, so
+  /// their rows are absent from R. Always empty on the other ranks and
+  /// in a run where nobody dies.
   std::vector<int> excluded_ranks;
 };
 
@@ -36,12 +37,11 @@ struct TsqrResult {
 /// A = [a_local⁰; a_local¹; ...]. Collective: every rank must call with
 /// the same column count.
 ///
-/// With `fault_tolerant` set the gather/broadcast legs use the
-/// ft-collectives: ranks that die mid-call are excluded and the
-/// factorization completes on the survivors' rows (excluded_ranks lists
-/// the casualties). Rank 0's death remains unrecoverable (it owns the
-/// stacked factorization).
-TsqrResult tsqr(pmpi::Communicator& comm, const Matrix& a_local,
-                bool fault_tolerant = false);
+/// Death-aware: a rank that dies before posting its R factor is left
+/// out and the factorization completes on the survivors' rows; rank 0
+/// lists it in excluded_ranks, and the caller's fault policy decides
+/// whether to accept that result (see accept_or_throw). Rank 0's death
+/// remains unrecoverable (it owns the stacked factorization).
+TsqrResult tsqr(pmpi::Communicator& comm, const Matrix& a_local);
 
 }  // namespace parsvd

@@ -812,10 +812,36 @@ Request Communicator::irecv(int src, int tag) {
                  /*done=*/false);
 }
 
+void require_no_missing(std::span<const int> missing, const char* what) {
+  if (missing.empty()) return;
+  throw RankDeadError("pmpi: " + std::string(what) +
+                      " is missing the contribution of dead rank " +
+                      std::to_string(missing.front()));
+}
+
+void Communicator::bcast_bytes(std::vector<std::byte>& payload, int root) {
+  check_peer(root);
+  if (size() == 1) return;
+  PARSVD_TRACE_SCOPE("comm.bcast.flat");
+  if (rank_ == root) {
+    for (int dst = 0; dst < size(); ++dst) {
+      if (dst == root || is_dead(dst)) continue;
+      // A rank dying after this aliveness check is harmless: the posted
+      // copy simply stays unconsumed in its mailbox.
+      post_scoped(dst, tags::kBcast, std::vector<std::byte>(payload));
+    }
+  } else {
+    // Root-must-survive contract: the root owns the broadcast value, so
+    // a plain wait on it is the documented exception.
+    // parsvd-lint: allow-ft-wait
+    payload = wait_scoped(root, tags::kBcast);
+  }
+}
+
 void Communicator::bcast_matrix(Matrix& m, int root) {
   std::vector<std::byte> payload;
   if (rank_ == root) payload = pack_matrix(m);
-  bcast(payload, root);
+  bcast_bytes(payload, root);
   if (rank_ != root) m = unpack_matrix(payload);
 }
 
@@ -831,7 +857,17 @@ void Communicator::bcast_index(Index& value, int root) {
   value = static_cast<Index>(buf.at(0));
 }
 
-std::vector<std::vector<std::byte>> Communicator::gather_bytes_impl(
+std::optional<std::vector<std::byte>> Communicator::wait_bounded(int src,
+                                                                 int tag) {
+  try {
+    return wait_scoped(src, tag);
+  } catch (const RankDeadError&) {
+    // Died before posting: excluded, not waited for.
+    return std::nullopt;
+  }
+}
+
+std::vector<std::optional<std::vector<std::byte>>> Communicator::gather_bytes(
     std::vector<std::byte> local, int root) {
   check_peer(root);
   PARSVD_TRACE_SCOPE("comm.gather.flat");
@@ -839,23 +875,24 @@ std::vector<std::vector<std::byte>> Communicator::gather_bytes_impl(
     post_scoped(root, tags::kGather, std::move(local));
     return {};
   }
-  std::vector<std::vector<std::byte>> out(static_cast<std::size_t>(size()));
+  std::vector<std::optional<std::vector<std::byte>>> out(
+      static_cast<std::size_t>(size()));
   out[static_cast<std::size_t>(root)] = std::move(local);
   for (int src = 0; src < size(); ++src) {
     if (src == root) continue;
-    out[static_cast<std::size_t>(src)] = wait_scoped(src, tags::kGather);
+    out[static_cast<std::size_t>(src)] = wait_bounded(src, tags::kGather);
   }
   return out;
 }
 
-std::vector<Matrix> Communicator::gather_matrices(const Matrix& local, int root) {
-  check_peer(root);
-  std::vector<std::vector<std::byte>> parts =
-      gather_bytes_impl(pack_matrix(local), root);
-  if (rank_ != root) return {};
-  std::vector<Matrix> out;
-  out.reserve(parts.size());
-  for (const auto& part : parts) out.push_back(unpack_matrix(part));
+std::vector<std::optional<Matrix>> Communicator::gather_matrices(
+    const Matrix& local, int root) {
+  std::vector<std::optional<std::vector<std::byte>>> parts =
+      gather_bytes(pack_matrix(local), root);
+  std::vector<std::optional<Matrix>> out(parts.size());
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    if (parts[i]) out[i] = unpack_matrix(*parts[i]);
+  }
   return out;
 }
 
@@ -940,7 +977,8 @@ void apply_op(Op op, std::span<double> acc, std::span<const double> incoming) {
 
 }  // namespace
 
-void Communicator::reduce(std::span<double> data, Op op, int root) {
+void Communicator::reduce(std::span<double> data, Op op, int root,
+                          std::vector<int>* missing) {
   check_peer(root);
   if (size() == 1) return;
   PARSVD_TRACE_SCOPE("comm.reduce.flat");
@@ -952,21 +990,33 @@ void Communicator::reduce(std::span<double> data, Op op, int root) {
   }
   // Accumulate contributions in a fixed rank order so the result is
   // deterministic run-to-run (floating-point reduction order matters).
+  std::vector<int> lost;
   for (int src = 0; src < size(); ++src) {
     if (src == root) continue;
-    const std::vector<std::byte> payload = wait_scoped(src, tags::kReduce);
-    PARSVD_REQUIRE(payload.size() == data.size_bytes(),
+    const std::optional<std::vector<std::byte>> payload =
+        wait_bounded(src, tags::kReduce);
+    if (!payload) {
+      lost.push_back(src);
+      continue;
+    }
+    PARSVD_REQUIRE(payload->size() == data.size_bytes(),
                    "reduce: contribution size mismatch");
     std::span<const double> incoming(
-        reinterpret_cast<const double*>(payload.data()), data.size());
+        reinterpret_cast<const double*>(payload->data()), data.size());
     apply_op(op, data, incoming);
+  }
+  if (missing == nullptr) {
+    require_no_missing(lost, "reduce");
+  } else {
+    *missing = std::move(lost);
   }
 }
 
-void Communicator::allreduce(std::span<double> data, Op op) {
+void Communicator::allreduce(std::span<double> data, Op op,
+                             std::vector<int>* missing) {
   if (size() == 1) return;
   PARSVD_TRACE_SCOPE("comm.allreduce.flat");
-  reduce(data, op, 0);
+  reduce(data, op, 0, missing);
   std::vector<double> buf(data.begin(), data.end());
   bcast(buf, 0);
   std::copy(buf.begin(), buf.end(), data.begin());
@@ -976,111 +1026,6 @@ double Communicator::allreduce_scalar(double value, Op op) {
   double buf[1] = {value};
   allreduce(std::span<double>(buf, 1), op);
   return buf[0];
-}
-
-// -------------------------------------------- fault-tolerant collectives
-
-std::vector<std::optional<std::vector<std::byte>>> Communicator::gather_bytes_ft(
-    std::span<const std::byte> local, int root) {
-  return gather_bytes_ft(std::vector<std::byte>(local.begin(), local.end()),
-                         root);
-}
-
-std::vector<std::optional<std::vector<std::byte>>> Communicator::gather_bytes_ft(
-    std::vector<std::byte>&& local, int root) {
-  PARSVD_TRACE_SCOPE("comm.gather.ft");
-  check_peer(root);
-  if (rank_ != root) {
-    post_scoped(root, tags::kFtGather, std::move(local));
-    return {};
-  }
-  std::vector<std::optional<std::vector<std::byte>>> out(
-      static_cast<std::size_t>(size()));
-  out[static_cast<std::size_t>(root)] = std::move(local);
-  for (int src = 0; src < size(); ++src) {
-    if (src == root) continue;
-    try {
-      out[static_cast<std::size_t>(src)] =
-          wait_scoped(src, tags::kFtGather);
-    } catch (const RankDeadError&) {
-      // Died before posting its contribution: excluded, not waited for.
-      out[static_cast<std::size_t>(src)] = std::nullopt;
-    }
-  }
-  return out;
-}
-
-std::vector<std::optional<Matrix>> Communicator::gather_matrices_ft(
-    const Matrix& local, int root) {
-  std::vector<std::optional<std::vector<std::byte>>> raw =
-      gather_bytes_ft(pack_matrix(local), root);
-  std::vector<std::optional<Matrix>> out(raw.size());
-  for (std::size_t i = 0; i < raw.size(); ++i) {
-    if (raw[i]) out[i] = unpack_matrix(*raw[i]);
-  }
-  return out;
-}
-
-void Communicator::bcast_bytes_ft(std::vector<std::byte>& payload, int root) {
-  PARSVD_TRACE_SCOPE("comm.bcast.ft");
-  check_peer(root);
-  if (size() == 1) return;
-  if (rank_ == root) {
-    for (int dst = 0; dst < size(); ++dst) {
-      if (dst == root || is_dead(dst)) continue;
-      // A rank dying after this aliveness check is harmless: the posted
-      // copy simply stays unconsumed in its mailbox.
-      post_scoped(dst, tags::kFtBcast, std::vector<std::byte>(payload));
-    }
-  } else {
-    // Root-must-survive contract: the FT collectives recover from
-    // non-root deaths only; root owns the recovered result, so a naked
-    // wait on it is the documented exception. parsvd-lint: allow-ft-wait
-    payload = wait_scoped(root, tags::kFtBcast);
-  }
-}
-
-void Communicator::bcast_matrix_ft(Matrix& m, int root) {
-  std::vector<std::byte> payload;
-  if (rank_ == root) payload = pack_matrix(m);
-  bcast_bytes_ft(payload, root);
-  if (rank_ != root) m = unpack_matrix(payload);
-}
-
-void Communicator::bcast_doubles_ft(std::vector<double>& values, int root) {
-  std::vector<std::byte> payload;
-  if (rank_ == root) {
-    payload.resize(values.size() * sizeof(double));
-    std::memcpy(payload.data(), values.data(), payload.size());
-  }
-  bcast_bytes_ft(payload, root);
-  if (rank_ != root) {
-    PARSVD_REQUIRE(payload.size() % sizeof(double) == 0,
-                   "bcast_doubles_ft: payload not a whole number of doubles");
-    values.resize(payload.size() / sizeof(double));
-    std::memcpy(values.data(), payload.data(), payload.size());
-  }
-}
-
-void Communicator::allreduce_sum_ft(std::span<double> data, int root) {
-  PARSVD_TRACE_SCOPE("comm.allreduce.ft");
-  std::vector<std::byte> payload(data.size_bytes());
-  std::memcpy(payload.data(), data.data(), data.size_bytes());
-  std::vector<std::optional<std::vector<std::byte>>> contributions =
-      gather_bytes_ft(payload, root);
-  std::vector<double> total(data.size(), 0.0);
-  if (rank_ == root) {
-    for (const auto& c : contributions) {
-      if (!c) continue;
-      PARSVD_REQUIRE(c->size() == data.size_bytes(),
-                     "allreduce_sum_ft: contribution size mismatch");
-      std::span<const double> incoming(
-          reinterpret_cast<const double*>(c->data()), data.size());
-      for (std::size_t i = 0; i < total.size(); ++i) total[i] += incoming[i];
-    }
-  }
-  bcast_doubles_ft(total, root);
-  std::copy(total.begin(), total.end(), data.begin());
 }
 
 // ------------------------------------------------------------------ run

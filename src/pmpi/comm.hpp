@@ -6,8 +6,8 @@
 //   * explicit point-to-point send/recv with (source, tag) matching and
 //     per-channel FIFO ordering — the MPI guarantee algorithms rely on;
 //   * the collectives PyParSVD uses (gather, bcast, scatter, allgather,
-//     allreduce, reduce, barrier) built on top of point-to-point, with a
-//     binomial-tree broadcast like production MPI libraries;
+//     allreduce, reduce, barrier) built on top of point-to-point as flat
+//     root loops and fan-outs that are death-aware by construction;
 //   * communication-volume accounting (bytes per rank and total), which
 //     feeds the weak-scaling cost model in the Figure 1(c) bench.
 //
@@ -44,7 +44,6 @@
 #include "pmpi/fault.hpp"
 #include "pmpi/request.hpp"
 #include "pmpi/tags.hpp"
-#include "pmpi/topology.hpp"
 #include "support/error.hpp"
 
 namespace parsvd::pmpi {
@@ -52,19 +51,20 @@ namespace parsvd::pmpi {
 /// Reduction operators for reduce/allreduce.
 enum class Op { Sum, Max, Min };
 
-// The broadcast's binomial-tree schedule math lives in pmpi/topology.hpp,
-// shared with the static verifier (src/verify): the schedule the model
-// checker proves deadlock-free is the schedule these methods post.
-
 /// Serialize a matrix into the wire format used by send_matrix (shape
-/// header + column-major body). Exposed so degraded-mode callers can
-/// build composite payloads (metadata + matrix) for one atomic gather.
+/// header + column-major body). Exposed so callers can build composite
+/// payloads (metadata + matrix) for one atomic gather.
 std::vector<std::byte> pack_matrix(const Matrix& m);
 /// Append the wire form of `m` to `out` — lets composite payloads
 /// (header + matrix) be built in ONE buffer that is then moved into
 /// Context::post, instead of packing into a temporary and copying.
 void pack_matrix_into(const Matrix& m, std::vector<std::byte>& out);
 Matrix unpack_matrix(std::span<const std::byte> payload);
+
+/// How a strict caller rejects a contribution a death-aware collective
+/// could not collect: throws RankDeadError naming the first rank of
+/// `missing` (and the collective, `what`); returns when it is empty.
+void require_no_missing(std::span<const int> missing, const char* what);
 
 class Context;
 
@@ -495,8 +495,15 @@ class Communicator {
   Request irecv(int src, int tag = 0);
 
   // ----------------------------------------------------------- collectives
-  // Every collective must be called by all ranks of the communicator, in
-  // the same order — the MPI contract.
+  // Every collective must be called by all SURVIVING ranks of the
+  // communicator, in the same order — the MPI contract. One family,
+  // death-aware by construction: every root-side wait is death-bounded
+  // (a rank that died before posting leaves a missing slot instead of a
+  // hang), and the bcast fan-out skips ranks already marked dead.
+  // Messages a rank posted before dying are still consumed, so a
+  // contribution is only missing when its rank died before sending it.
+  // The root must survive: non-roots wait on it with a plain receive,
+  // and its death surfaces as RankDeadError.
 
   /// World communicator: the context's central generation barrier.
   /// Group communicator: a message-based flat gather + release on the
@@ -504,7 +511,9 @@ class Communicator {
   /// here (RankDeadError) and never stalls a sibling group's barrier.
   void barrier();
 
-  /// Binomial-tree broadcast; `data` is input at root, output elsewhere.
+  /// Flat fan-out broadcast: the root posts one copy on tags::kBcast to
+  /// every rank not marked dead; `data` is input at root, output
+  /// elsewhere.
   template <typename T>
   void bcast(std::vector<T>& data, int root = 0);
 
@@ -512,17 +521,25 @@ class Communicator {
   void bcast_double(double& value, int root = 0);
   void bcast_index(Index& value, int root = 0);
 
-  /// Gather per-rank matrices at root (flat root loop), indexed by source
-  /// rank. Non-root ranks receive an empty vector.
-  std::vector<Matrix> gather_matrices(const Matrix& local, int root = 0);
+  /// The gather engine (flat root loop on tags::kGather, ascending rank
+  /// order): at root, slot i holds rank i's payload, or nullopt when
+  /// rank i died before posting it. Non-root ranks receive an empty
+  /// vector.
+  std::vector<std::optional<std::vector<std::byte>>> gather_bytes(
+      std::vector<std::byte> local, int root = 0);
+
+  /// gather_bytes of packed matrices, unpacked at root.
+  std::vector<std::optional<Matrix>> gather_matrices(const Matrix& local,
+                                                     int root = 0);
 
   /// Gather variable-length element buffers at root (concatenated in rank
   /// order); the per-rank lengths are returned via `counts` at root.
+  /// Strict: a missing contribution raises RankDeadError at root.
   template <typename T>
   std::vector<T> gatherv(std::span<const T> local, int root,
                          std::vector<std::size_t>* counts = nullptr);
 
-  /// Allgather of one scalar per rank → vector indexed by rank.
+  /// Allgather of one scalar per rank → vector indexed by rank. Strict.
   std::vector<double> allgather_double(double value);
   std::vector<Index> allgather_index(Index value);
 
@@ -532,45 +549,21 @@ class Communicator {
   Matrix scatter_rows(const Matrix& full, std::span<const Index> rows_per_rank,
                       int root = 0);
 
-  /// Elementwise reduction to root (flat root loop, folded in rank
-  /// order); `data` must be the same length on every rank. Non-root
-  /// contents are left untouched.
-  void reduce(std::span<double> data, Op op, int root = 0);
+  /// Elementwise reduction to root (flat root loop on tags::kReduce):
+  /// the root's own data first, then the other ranks in ascending order,
+  /// so the result is deterministic run-to-run. `data` must be the same
+  /// length on every rank; non-root contents are left untouched. A rank
+  /// that died before posting is left out of the fold: with `missing`
+  /// null that raises RankDeadError at root (strict), otherwise root
+  /// lists the rank in `*missing` and reduces over the survivors.
+  void reduce(std::span<double> data, Op op, int root = 0,
+              std::vector<int>* missing = nullptr);
 
   /// Reduction visible on every rank: reduce to rank 0, then bcast.
-  void allreduce(std::span<double> data, Op op);
+  /// `missing` as for reduce (filled at rank 0 only).
+  void allreduce(std::span<double> data, Op op,
+                 std::vector<int>* missing = nullptr);
   double allreduce_scalar(double value, Op op);
-
-  // ------------------------------------- fault-tolerant (degraded) mode
-  // Flat-topology collectives that exclude ranks marked dead and absorb
-  // deaths racing with the collective. Contract: every SURVIVING rank
-  // calls them in the same order; the root must survive (root death is
-  // unrecoverable and surfaces as RankDeadError). Messages posted by a
-  // rank before its death are still consumed, so a contribution is only
-  // lost when the rank died before sending it.
-
-  /// Gather one raw payload per rank at root; result[i] is rank i's
-  /// payload, nullopt when rank i is dead and its payload unrecoverable.
-  /// Non-root ranks receive an empty vector.
-  std::vector<std::optional<std::vector<std::byte>>> gather_bytes_ft(
-      std::span<const std::byte> local, int root = 0);
-  /// Move overload: callers that build the wire buffer themselves hand
-  /// it over without another copy (the span form copies into this one).
-  std::vector<std::optional<std::vector<std::byte>>> gather_bytes_ft(
-      std::vector<std::byte>&& local, int root = 0);
-
-  /// As gather_matrices, but dead ranks yield nullopt at root.
-  std::vector<std::optional<Matrix>> gather_matrices_ft(const Matrix& local,
-                                                        int root = 0);
-
-  /// Root fans `payload` directly out to every living rank.
-  void bcast_bytes_ft(std::vector<std::byte>& payload, int root = 0);
-  void bcast_matrix_ft(Matrix& m, int root = 0);
-  void bcast_doubles_ft(std::vector<double>& values, int root = 0);
-
-  /// Sum-allreduce over the survivors: dead ranks' contributions are
-  /// simply absent from the sum.
-  void allreduce_sum_ft(std::span<double> data, int root = 0);
 
  private:
   void check_peer(int peer) const {
@@ -603,11 +596,13 @@ class Communicator {
   void post_scoped(int dest, int tag, std::vector<std::byte> payload);
   std::vector<std::byte> wait_scoped(int src, int tag);
 
-  /// Gather engine under gatherv / gather_matrices (flat root loop):
-  /// returns, at root, one payload per rank (indexed by source); empty
-  /// elsewhere.
-  std::vector<std::vector<std::byte>> gather_bytes_impl(
-      std::vector<std::byte> local, int root);
+  /// A death-bounded receive: the payload, or nullopt when `src` died
+  /// before posting it (RankDeadError from the wait, caught).
+  std::optional<std::vector<std::byte>> wait_bounded(int src, int tag);
+
+  /// The bcast engine under bcast / bcast_matrix: `payload` is input at
+  /// root, output elsewhere.
+  void bcast_bytes(std::vector<std::byte>& payload, int root);
 
   // Group-local rank on a group communicator, world rank otherwise.
   int rank_;
@@ -618,28 +613,17 @@ class Communicator {
 template <typename T>
 void Communicator::bcast(std::vector<T>& data, int root) {
   static_assert(std::is_trivially_copyable_v<T>);
-  check_peer(root);
-  const int p = size();
-  if (p == 1) return;
-
-  // Classic binomial tree (shared schedule math in pmpi/topology.hpp):
-  // receive from the parent — vrank with its lowest set bit cleared —
-  // then fan out to the children in descending mask order, so big
-  // subtrees get the payload first and their forwarding overlaps the
-  // small sends. Ranks are rotated so the tree is rooted at `root`.
-  PARSVD_TRACE_SCOPE("comm.bcast.tree");
-  const int vrank = (rank_ - root + p) % p;
-  if (vrank != 0) {
-    const int parent = (topology::binomial_parent(vrank) + root) % p;
-    const std::vector<std::byte> payload = wait_scoped(parent, tags::kBcast);
+  std::vector<std::byte> payload;
+  if (rank_ == root) {
+    payload.resize(data.size() * sizeof(T));
+    std::memcpy(payload.data(), data.data(), payload.size());
+  }
+  bcast_bytes(payload, root);
+  if (rank_ != root) {
+    PARSVD_REQUIRE(payload.size() % sizeof(T) == 0,
+                   "bcast: payload not a whole number of elements");
     data.resize(payload.size() / sizeof(T));
     std::memcpy(data.data(), payload.data(), payload.size());
-  }
-  for (const int child_v : topology::binomial_children(vrank, p)) {
-    const int child = (child_v + root) % p;
-    std::vector<std::byte> payload(data.size() * sizeof(T));
-    std::memcpy(payload.data(), data.data(), payload.size());
-    post_scoped(child, tags::kBcast, std::move(payload));
   }
 }
 
@@ -650,16 +634,25 @@ std::vector<T> Communicator::gatherv(std::span<const T> local, int root,
   check_peer(root);
   std::vector<std::byte> payload(local.size_bytes());
   std::memcpy(payload.data(), local.data(), local.size_bytes());
-  std::vector<std::vector<std::byte>> parts =
-      gather_bytes_impl(std::move(payload), root);
+  std::vector<std::optional<std::vector<std::byte>>> parts =
+      gather_bytes(std::move(payload), root);
   if (rank_ != root) return {};
-  if (counts) counts->assign(static_cast<std::size_t>(size()), 0);
+  std::vector<int> missing;
   std::size_t total = 0;
-  for (const auto& part : parts) total += part.size();
+  for (int src = 0; src < size(); ++src) {
+    const auto& part = parts[static_cast<std::size_t>(src)];
+    if (part) {
+      total += part->size();
+    } else {
+      missing.push_back(src);
+    }
+  }
+  require_no_missing(missing, "gatherv");
+  if (counts) counts->assign(static_cast<std::size_t>(size()), 0);
   std::vector<T> out(total / sizeof(T));
   std::byte* cursor = reinterpret_cast<std::byte*>(out.data());
   for (int src = 0; src < size(); ++src) {
-    const auto& part = parts[static_cast<std::size_t>(src)];
+    const std::vector<std::byte>& part = *parts[static_cast<std::size_t>(src)];
     if (counts) (*counts)[static_cast<std::size_t>(src)] = part.size() / sizeof(T);
     if (part.empty()) continue;
     std::memcpy(cursor, part.data(), part.size());

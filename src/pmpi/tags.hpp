@@ -9,8 +9,9 @@
 //     messages on the same channel.
 //   * [164, 1024) — reserved solver protocol ranges, one kRangeWidth-wide
 //     band per protocol, so `base + index` arithmetic stays inside a
-//     protocol's reservation by construction. [100, 164) stays vacant
-//     so the bands keep their wire values.
+//     protocol's reservation by construction. [100, 164) and the retired
+//     APMOS band [228, 292) stay vacant so the bands keep their wire
+//     values.
 //   * [1024, ...) — application space: user code that needs stable tags
 //     alongside the solvers should start at kUserBase.
 //   * (-inf, -kGroupScopedBase] — group-scoped bands. Every communicator
@@ -30,14 +31,12 @@
 namespace parsvd::pmpi::tags {
 
 // ----------------------------------------------------- collective tags
-// Values are wire-stable: -8..-10 stay vacant so kBarrier and every
-// group band offset keep their values.
-inline constexpr int kBcast = -2;     // binomial-tree broadcast
+// Values are wire-stable: the retired -6..-10 stay vacant so kBarrier
+// and every group band offset keep their values.
+inline constexpr int kBcast = -2;     // flat fan-out broadcast
 inline constexpr int kGather = -3;    // flat gather (root loop)
 inline constexpr int kScatter = -4;   // scatter_rows
 inline constexpr int kReduce = -5;    // flat reduce (root loop)
-inline constexpr int kFtGather = -6;  // fault-tolerant flat gather
-inline constexpr int kFtBcast = -7;   // fault-tolerant flat bcast
 inline constexpr int kBarrier = -11;  // message-based subgroup barrier
 
 // ------------------------------------------------ solver protocol bands
@@ -45,7 +44,6 @@ inline constexpr int kBarrier = -11;  // message-based subgroup barrier
 inline constexpr int kRangeWidth = 64;
 
 inline constexpr int kTsqrDownBase = 164;
-inline constexpr int kApmosGatherBase = kTsqrDownBase + kRangeWidth;
 
 /// First tag applications should use for their own traffic.
 inline constexpr int kUserBase = 1024;
@@ -54,11 +52,7 @@ inline constexpr int kUserBase = 1024;
 /// TSQR uses index 0 of the band).
 constexpr int tsqr_down(int index) { return kTsqrDownBase + index; }
 
-/// APMOS Stage-3 gather of per-rank W blocks (overlapped at root with
-/// the Stage-2 small SVD).
-constexpr int apmos_w() { return kApmosGatherBase; }
-
-static_assert(kApmosGatherBase + kRangeWidth <= kUserBase,
+static_assert(kTsqrDownBase + kRangeWidth <= kUserBase,
               "solver tag bands overflow into application space");
 
 // ------------------------------------------------- group tag namespace
@@ -116,7 +110,7 @@ constexpr int unscoped(int tag) {
 
 static_assert(kBarrier > -kGroupTagBias,
               "collective tags must fit above the group band bias");
-static_assert(kApmosGatherBase + kRangeWidth <= kGroupUserLimit,
+static_assert(kTsqrDownBase + kRangeWidth <= kGroupUserLimit,
               "solver tag bands must fit inside one group band");
 static_assert(kUserBase < kGroupUserLimit,
               "group communicators must accept tags at kUserBase");

@@ -684,9 +684,9 @@ bool tag_registered(int tag) {
     if (base >= tags::kGroupUserLimit) return false;
     return base == tags::kBarrier || tag_registered(base);
   }
-  if (tag >= tags::kFtBcast && tag <= tags::kBcast) return true;
+  if (tag >= tags::kReduce && tag <= tags::kBcast) return true;
   if (tag >= tags::kTsqrDownBase &&
-      tag < tags::kApmosGatherBase + tags::kRangeWidth)
+      tag < tags::kTsqrDownBase + tags::kRangeWidth)
     return true;
   return tag >= tags::kUserBase;
 }

@@ -1,9 +1,9 @@
 // CommScript: a solver's communication schedule as plain data.
 //
 // The verify layer never spawns a thread or touches a payload. Each
-// protocol emitter (schedules.hpp) replays the schedule math the
-// production code shares with it (pmpi/topology.hpp) and records, per
-// rank, the ordered sequence of wire operations the rank would post:
+// protocol emitter (fault_schedules.hpp, schedules.hpp) replays the
+// program order of the production code and records, per rank, the
+// ordered sequence of wire operations the rank would post:
 // sends, blocking receives, non-blocking receive posts and their
 // completion waits — each carrying (peer, tag, byte count) and nothing
 // else. The ScheduleChecker (checker.hpp) then proves properties of
@@ -39,10 +39,10 @@ struct CommEvent {
   int req = -1;             ///< IrecvPost: id it opens; Wait: id it closes
   std::vector<int> reqs;    ///< WaitAll: ids it closes
   /// Recv only: the receive resolves when its source rank dies (the
-  /// _ft collectives' wait_scoped under a fault plan catches
-  /// RankDeadError / dead-resolves instead of blocking forever). A
-  /// naked (bounded=false) receive stuck on a dead source is the
-  /// OrphanedWait defect the fault checker exists to catch.
+  /// collectives' root-side waits catch RankDeadError and dead-resolve
+  /// instead of blocking forever). A naked (bounded=false) receive
+  /// stuck on a dead source is the OrphanedWait defect the fault
+  /// checker exists to catch.
   bool bounded = false;
   std::string note;         ///< human context for counterexample traces
 };
@@ -63,7 +63,7 @@ class CommScript {
   void send(int dest, int tag, std::uint64_t bytes, std::string note = "");
   void recv(int src, int tag, std::uint64_t bytes, std::string note = "");
   /// A death-bounded blocking receive: resolves (without consuming)
-  /// once `src` is dead with nothing recoverable in flight — the FT
+  /// once `src` is dead with nothing recoverable in flight — the
   /// collectives' degraded-completion wait.
   void recv_bounded(int src, int tag, std::uint64_t bytes,
                     std::string note = "");
@@ -107,7 +107,7 @@ std::string rows_suffix(std::span<const std::int64_t> rows);
 /// BEFORE the op posts a message or blocks, so a killing post neither
 /// delivers nor counts in the registry totals. kill_step >= the
 /// victim's event count (e.g. kNoKillStep) models a run the victim
-/// survives.
+/// survives; victim = -1 (kKillFree) models a run where no rank dies.
 struct FaultScenario {
   int victim = -1;
   std::size_t kill_step = 0;
@@ -117,5 +117,9 @@ struct FaultScenario {
 
 /// kill_step sentinel for "the victim never dies" (healthy emission).
 inline constexpr std::size_t kNoKillStep = ~std::size_t{0};
+
+/// The scenario in which nobody dies: every protocol emitter's default,
+/// under which it emits the fault-free schedule.
+inline constexpr FaultScenario kKillFree{-1, kNoKillStep};
 
 }  // namespace parsvd::verify

@@ -13,8 +13,7 @@
 namespace parsvd::verify {
 namespace {
 
-using pmpi::tags::kFtBcast;
-using pmpi::tags::kFtGather;
+namespace tags = pmpi::tags;
 
 /// Scenario-aware emission. Routes every event into the Schedule while
 /// tracking (a) the victim's healthy event index, (b) per-channel FIFO
@@ -72,7 +71,7 @@ class FaultBuilder {
     return delivered;
   }
 
-  /// The root-side is_dead(victim) guard of bcast_bytes_ft, consulted
+  /// The root-side is_dead(victim) guard of the bcast fan-out, consulted
   /// immediately before the victim's matching receive is emitted.
   /// True: the guard deterministically skips the post (`r` observed the
   /// death through an earlier dead-resolved wait). False: the post is
@@ -132,53 +131,61 @@ class FaultBuilder {
   std::uint64_t bytes_ = 0;
 };
 
-/// Mirror of gather_bytes_ft to `root`: every non-root posts its
-/// contribution on kFtGather, the root death-bounded-waits on each
-/// source in ascending rank order (its own entry needs no wire).
-/// Returns delivered[src] — root and survivors always, the victim iff
-/// its post executes.
-std::vector<bool> gather_ft(FaultBuilder& b, Schedule& s, int root,
+/// Mirror of the flat root loop on `tag` (Communicator::gather_bytes on
+/// kGather, Communicator::reduce on kReduce): every non-root posts its
+/// contribution, the root death-bounded-waits on each source in
+/// ascending rank order (its own entry needs no wire). Returns
+/// delivered[src] — root and survivors always, the victim iff its post
+/// executes.
+std::vector<bool> root_loop(FaultBuilder& b, Schedule& s, int root, int tag,
                             std::span<const std::uint64_t> bytes_per_rank,
                             const std::string& what) {
   const int p = s.size();
+  PARSVD_REQUIRE(static_cast<int>(bytes_per_rank.size()) == p,
+                 "root_loop: need one byte count per rank");
   std::vector<bool> delivered(static_cast<std::size_t>(p), true);
   for (int src = 0; src < p; ++src) {
     if (src == root) continue;
-    b.send(src, root, kFtGather, bytes_per_rank[static_cast<std::size_t>(src)],
+    b.send(src, root, tag, bytes_per_rank[static_cast<std::size_t>(src)],
            what);
   }
   for (int src = 0; src < p; ++src) {
     if (src == root) continue;
     delivered[static_cast<std::size_t>(src)] = b.recv_bounded(
-        root, src, kFtGather, bytes_per_rank[static_cast<std::size_t>(src)],
-        what + " (dead-resolvable)");
+        root, src, tag, bytes_per_rank[static_cast<std::size_t>(src)], what);
   }
   return delivered;
 }
 
-/// Mirror of bcast_bytes_ft from `root`: guarded sends to every other
-/// rank, then the non-root receives — NAKED, per the root-must-survive
+/// Mirror of the bcast fan-out from `root`: guarded sends to every other
+/// rank, then the non-root receives — plain, per the root-must-survive
 /// contract. `healthy` is the fault-free payload (the victim's receive
 /// expectation), `actual` the degraded payload surviving destinations
 /// get; whenever the victim's receive actually executes the two are
 /// equal by construction (a live victim means nothing was excluded).
-void bcast_ft(FaultBuilder& b, Schedule& s, int root, std::uint64_t healthy,
-              std::uint64_t actual, const std::string& what, int victim) {
+void bcast(FaultBuilder& b, Schedule& s, int root, std::uint64_t healthy,
+           std::uint64_t actual, const std::string& what, int victim) {
   const int p = s.size();
-  if (p == 1) return;  // bcast_bytes_ft early-outs on size()==1
+  if (p == 1) return;  // bcast_bytes early-outs on size()==1
   for (int dst = 0; dst < p; ++dst) {
     if (dst == root) continue;
     if (dst == victim && victim != root && b.guard_skips(root)) continue;
-    b.send(root, dst, kFtBcast, actual, what);
+    b.send(root, dst, tags::kBcast, actual, what);
   }
   for (int dst = 0; dst < p; ++dst) {
     if (dst == root) continue;
-    b.recv(dst, root, kFtBcast, dst == victim ? healthy : actual,
-           what + " (naked; root must survive)");
+    b.recv(dst, root, tags::kBcast, dst == victim ? healthy : actual, what);
   }
 }
 
+/// Ranks whose contribution a root loop lost.
+int count_lost(const std::vector<bool>& delivered) {
+  return static_cast<int>(
+      std::count(delivered.begin(), delivered.end(), false));
+}
+
 void check_victim(int p, const FaultScenario& f, bool root_must_survive) {
+  if (f.victim == kKillFree.victim) return;
   PARSVD_REQUIRE(f.victim >= 0 && f.victim < p,
                  "fault scenario: victim outside [0, P)");
   if (root_must_survive) {
@@ -188,97 +195,128 @@ void check_victim(int p, const FaultScenario& f, bool root_must_survive) {
   }
 }
 
+/// A fresh FaultSchedule for `f` over p ranks.
+FaultSchedule start(std::string name, int p, const FaultScenario& f) {
+  FaultSchedule out;
+  out.scenario = f;
+  out.schedule = make_schedule(std::move(name), p);
+  return out;
+}
+
 void finish(FaultSchedule& out, const FaultBuilder& b) {
   out.deterministic = b.deterministic();
   out.messages = b.messages();
   out.bytes = b.bytes();
 }
 
+std::string p_root(int p, int root) {
+  return "(p=" + std::to_string(p) + ", root=" + std::to_string(root);
+}
+
 }  // namespace
 
-FaultSchedule script_ft_gather(int p, int root,
-                               std::span<const std::uint64_t> bytes_per_rank,
+FaultSchedule script_gather(int p, int root,
+                            std::span<const std::uint64_t> bytes_per_rank,
+                            const FaultScenario& f) {
+  PARSVD_REQUIRE(p >= 1 && root >= 0 && root < p, "gather: bad (p, root)");
+  check_victim(p, f, /*root_must_survive=*/false);
+  FaultSchedule out = start("gather" + p_root(p, root) + ")", p, f);
+  FaultBuilder b(out.schedule, f);
+  root_loop(b, out.schedule, root, tags::kGather, bytes_per_rank,
+            "gather contribution");
+  finish(out, b);
+  return out;
+}
+
+FaultSchedule script_bcast(int p, int root, std::uint64_t bytes,
+                           const FaultScenario& f) {
+  PARSVD_REQUIRE(p >= 1 && root >= 0 && root < p, "bcast: bad (p, root)");
+  check_victim(p, f, /*root_must_survive=*/false);
+  FaultSchedule out = start(
+      "bcast" + p_root(p, root) + ", " + std::to_string(bytes) + " B)", p, f);
+  FaultBuilder b(out.schedule, f);
+  bcast(b, out.schedule, root, bytes, bytes, "bcast payload", f.victim);
+  finish(out, b);
+  return out;
+}
+
+FaultSchedule script_reduce(int p, int root, std::uint64_t bytes,
+                            const FaultScenario& f) {
+  PARSVD_REQUIRE(p >= 1 && root >= 0 && root < p, "reduce: bad (p, root)");
+  check_victim(p, f, /*root_must_survive=*/false);
+  FaultSchedule out = start(
+      "reduce" + p_root(p, root) + ", " + std::to_string(bytes) + " B)", p, f);
+  FaultBuilder b(out.schedule, f);
+  const std::vector<std::uint64_t> per_rank(static_cast<std::size_t>(p), bytes);
+  root_loop(b, out.schedule, root, tags::kReduce, per_rank, "reduce addend");
+  finish(out, b);
+  return out;
+}
+
+FaultSchedule script_allreduce(int p, std::uint64_t bytes,
                                const FaultScenario& f) {
-  PARSVD_REQUIRE(p >= 1 && root >= 0 && root < p, "ft_gather: bad (p, root)");
-  PARSVD_REQUIRE(static_cast<int>(bytes_per_rank.size()) == p,
-                 "ft_gather: bytes_per_rank size != p");
-  check_victim(p, f, /*root_must_survive=*/false);
-  FaultSchedule out;
-  out.scenario = f;
-  out.schedule = make_schedule("ft_gather(p=" + std::to_string(p) +
-                                   ", root=" + std::to_string(root) + ")",
-                               p);
-  FaultBuilder b(out.schedule, f);
-  gather_ft(b, out.schedule, root, bytes_per_rank, "ft gather contribution");
-  finish(out, b);
-  return out;
-}
-
-FaultSchedule script_ft_bcast(int p, int root, std::uint64_t bytes,
-                              const FaultScenario& f) {
-  PARSVD_REQUIRE(p >= 1 && root >= 0 && root < p, "ft_bcast: bad (p, root)");
-  check_victim(p, f, /*root_must_survive=*/false);
-  FaultSchedule out;
-  out.scenario = f;
-  out.schedule = make_schedule("ft_bcast(p=" + std::to_string(p) +
-                                   ", root=" + std::to_string(root) + ")",
-                               p);
-  FaultBuilder b(out.schedule, f);
-  bcast_ft(b, out.schedule, root, bytes, bytes, "ft bcast payload", f.victim);
-  finish(out, b);
-  return out;
-}
-
-FaultSchedule script_ft_allreduce(int p, int root, std::size_t n_doubles,
-                                  const FaultScenario& f) {
-  PARSVD_REQUIRE(p >= 1 && root >= 0 && root < p,
-                 "ft_allreduce: bad (p, root)");
-  check_victim(p, f, /*root_must_survive=*/false);
-  FaultSchedule out;
-  out.scenario = f;
-  out.schedule = make_schedule("ft_allreduce(p=" + std::to_string(p) +
-                                   ", root=" + std::to_string(root) + ")",
-                               p);
-  FaultBuilder b(out.schedule, f);
-  const std::uint64_t payload = n_doubles * sizeof(double);
-  const std::vector<std::uint64_t> per_rank(static_cast<std::size_t>(p),
-                                            payload);
-  gather_ft(b, out.schedule, root, per_rank, "ft allreduce addend");
-  bcast_ft(b, out.schedule, root, payload, payload, "ft allreduce total",
-           f.victim);
-  finish(out, b);
-  return out;
-}
-
-FaultSchedule script_ft_tsqr_direct(std::span<const std::int64_t> rows_by_rank,
-                                    std::int64_t k, const FaultScenario& f) {
-  const int p = static_cast<int>(rows_by_rank.size());
-  PARSVD_REQUIRE(p >= 2 && k >= 1, "ft_tsqr_direct: need p >= 2 and k >= 1");
+  PARSVD_REQUIRE(p >= 1, "allreduce: bad p");
   check_victim(p, f, /*root_must_survive=*/true);
-  FaultSchedule out;
-  out.scenario = f;
-  out.schedule = make_schedule(
-      "ft_tsqr_direct(p=" + std::to_string(p) + ", k=" + std::to_string(k) +
-          ", rows=" + rows_suffix(rows_by_rank) + ")",
-      p);
+  FaultSchedule out = start("allreduce(p=" + std::to_string(p) + ", " +
+                                std::to_string(bytes) + " B)",
+                            p, f);
+  FaultBuilder b(out.schedule, f);
+  const std::vector<std::uint64_t> per_rank(static_cast<std::size_t>(p), bytes);
+  root_loop(b, out.schedule, 0, tags::kReduce, per_rank, "allreduce addend");
+  bcast(b, out.schedule, 0, bytes, bytes, "allreduce total", f.victim);
+  finish(out, b);
+  return out;
+}
+
+FaultSchedule script_allgather(int p, std::uint64_t per_rank_bytes,
+                               const FaultScenario& f) {
+  PARSVD_REQUIRE(p >= 1, "allgather: bad p");
+  check_victim(p, f, /*root_must_survive=*/true);
+  FaultSchedule out = start("allgather(p=" + std::to_string(p) + ", " +
+                                std::to_string(per_rank_bytes) + " B/rank)",
+                            p, f);
+  FaultBuilder b(out.schedule, f);
+  const std::vector<std::uint64_t> per_rank(static_cast<std::size_t>(p),
+                                            per_rank_bytes);
+  const std::vector<bool> delivered = root_loop(
+      b, out.schedule, 0, tags::kGather, per_rank, "allgather gather leg");
+  const auto table = [&](int entries) {
+    return per_rank_bytes * static_cast<std::uint64_t>(entries);
+  };
+  bcast(b, out.schedule, 0, table(p), table(p - count_lost(delivered)),
+        "allgather bcast leg", f.victim);
+  finish(out, b);
+  return out;
+}
+
+FaultSchedule script_tsqr_direct(std::span<const std::int64_t> rows_by_rank,
+                                 std::int64_t k, const FaultScenario& f) {
+  const int p = static_cast<int>(rows_by_rank.size());
+  PARSVD_REQUIRE(p >= 1 && k >= 1, "tsqr_direct: need p >= 1 and k >= 1");
+  check_victim(p, f, /*root_must_survive=*/true);
+  FaultSchedule out = start("tsqr_direct(p=" + std::to_string(p) +
+                                ", k=" + std::to_string(k) + ", rows=" +
+                                rows_suffix(rows_by_rank) + ")",
+                            p, f);
+  if (p == 1) return out;
   FaultBuilder b(out.schedule, f);
   Schedule& s = out.schedule;
 
+  // qr_thin of an m x k block yields a min(m, k) x k R factor.
   const auto rloc = [&](int r) {
     return std::min<std::int64_t>(rows_by_rank[static_cast<std::size_t>(r)], k);
   };
-
-  // FT gather of the local R factors (min(rows, k) x k each).
   std::vector<std::uint64_t> rbytes(static_cast<std::size_t>(p));
   for (int r = 0; r < p; ++r) {
     rbytes[static_cast<std::size_t>(r)] = matrix_bytes(rloc(r), k);
   }
   const std::vector<bool> delivered =
-      gather_ft(b, s, 0, rbytes, "local R factor");
+      root_loop(b, s, 0, tags::kGather, rbytes, "local R factor");
 
   // Stacked-QR extent over the contributors (root included), degraded
-  // and healthy. A delivered victim means nothing was excluded, so the
-  // two agree whenever the victim's later receives execute.
+  // and healthy: the stacked QR's Q has min(Σ min(mᵢ, k), k) columns.
+  // A delivered victim means nothing was excluded, so the two agree
+  // whenever the victim's later receives execute.
   std::int64_t stack = 0;
   std::int64_t stack_h = 0;
   for (int r = 0; r < p; ++r) {
@@ -287,8 +325,6 @@ FaultSchedule script_ft_tsqr_direct(std::span<const std::int64_t> rows_by_rank,
   }
   const std::int64_t qcols = std::min(stack, k);
   const std::int64_t qcols_h = std::min(stack_h, k);
-  const std::int64_t ndead =
-      delivered[static_cast<std::size_t>(f.victim)] ? 0 : 1;
 
   // Q row-slices back to the contributing survivors only. The skip is
   // decided from the gather results — deterministic, not an is_dead
@@ -296,44 +332,39 @@ FaultSchedule script_ft_tsqr_direct(std::span<const std::int64_t> rows_by_rank,
   // unconsumed in the dead mailbox.
   for (int dst = 1; dst < p; ++dst) {
     if (!delivered[static_cast<std::size_t>(dst)]) continue;
-    b.send(0, dst, pmpi::tags::tsqr_down(0), matrix_bytes(rloc(dst), qcols),
+    b.send(0, dst, tags::tsqr_down(0), matrix_bytes(rloc(dst), qcols),
            "Q row-slice");
   }
   for (int dst = 1; dst < p; ++dst) {
-    b.recv(dst, 0, pmpi::tags::tsqr_down(0),
+    b.recv(dst, 0, tags::tsqr_down(0),
            matrix_bytes(rloc(dst), dst == f.victim ? qcols_h : qcols),
-           "Q row-slice (naked; root must survive)");
+           "Q row-slice (plain; root must survive)");
   }
-
-  // FT broadcasts of the final R and the exclusion list.
-  bcast_ft(b, s, 0, matrix_bytes(qcols_h, k), matrix_bytes(qcols, k),
-           "final R", f.victim);
-  bcast_ft(b, s, 0, 0,
-           static_cast<std::uint64_t>(ndead) * sizeof(double),
-           "exclusion list", f.victim);
+  bcast(b, s, 0, matrix_bytes(qcols_h, k), matrix_bytes(qcols, k), "final R",
+        f.victim);
   finish(out, b);
   return out;
 }
 
-FaultSchedule script_ft_apmos(std::span<const std::int64_t> rows_by_rank,
-                              std::int64_t n_cols, std::int64_t r1,
-                              std::int64_t r2, const FaultScenario& f) {
+FaultSchedule script_apmos(std::span<const std::int64_t> rows_by_rank,
+                           std::int64_t n_cols, std::int64_t r1,
+                           std::int64_t r2, bool fault_tolerant,
+                           const FaultScenario& f) {
   const int p = static_cast<int>(rows_by_rank.size());
-  PARSVD_REQUIRE(p >= 2 && n_cols >= 1 && r1 >= 1 && r2 >= 1,
-                 "ft_apmos: need p >= 2 and positive n_cols/r1/r2");
+  PARSVD_REQUIRE(p >= 1 && n_cols >= 1 && r1 >= 1 && r2 >= 1,
+                 "apmos: need p >= 1 and positive n_cols/r1/r2");
   check_victim(p, f, /*root_must_survive=*/true);
-  FaultSchedule out;
-  out.scenario = f;
-  out.schedule = make_schedule(
-      "ft_apmos(p=" + std::to_string(p) + ", n=" + std::to_string(n_cols) +
+  FaultSchedule out = start(
+      "apmos(p=" + std::to_string(p) + ", n=" + std::to_string(n_cols) +
           ", r1=" + std::to_string(r1) + ", r2=" + std::to_string(r2) +
-          ", rows=" + rows_suffix(rows_by_rank) + ")",
-      p);
+          ", rows=" + rows_suffix(rows_by_rank) +
+          (fault_tolerant ? ", fault_tolerant)" : ")"),
+      p, f);
   FaultBuilder b(out.schedule, f);
   Schedule& s = out.schedule;
 
-  // Stage-3 payload per rank: 16-byte [rows, energy] header + packed
-  // W^i, W^i being n_cols x k1 with k1 = min(r1, rows, n_cols).
+  // Stage-3 payload per rank: 8-byte row-count header + packed W^i,
+  // W^i being n_cols x k1 with k1 = min(r1, rows, n_cols).
   const auto k1 = [&](int r) {
     return std::min(
         r1, std::min(rows_by_rank[static_cast<std::size_t>(r)], n_cols));
@@ -341,10 +372,10 @@ FaultSchedule script_ft_apmos(std::span<const std::int64_t> rows_by_rank,
   std::vector<std::uint64_t> wbytes(static_cast<std::size_t>(p));
   for (int r = 0; r < p; ++r) {
     wbytes[static_cast<std::size_t>(r)] =
-        2 * sizeof(double) + matrix_bytes(n_cols, k1(r));
+        sizeof(std::int64_t) + matrix_bytes(n_cols, k1(r));
   }
   const std::vector<bool> delivered =
-      gather_ft(b, s, 0, wbytes, "W block + extent header");
+      root_loop(b, s, 0, tags::kGather, wbytes, "W block + extent header");
 
   // Root SVD extent over the surviving stack, degraded and healthy.
   std::int64_t ksum = 0;
@@ -359,45 +390,47 @@ FaultSchedule script_ft_apmos(std::span<const std::int64_t> rows_by_rank,
   }
   const std::int64_t rho = std::min(r2, std::min(n_cols, ksum));
   const std::int64_t rho_h = std::min(r2, std::min(n_cols, ksum_h));
-  const bool degraded = !delivered[static_cast<std::size_t>(f.victim)];
+  const bool degraded = count_lost(delivered) > 0;
 
-  bcast_ft(b, s, 0, matrix_bytes(n_cols, rho_h), matrix_bytes(n_cols, rho),
-           "X modes", f.victim);
-  bcast_ft(b, s, 0, static_cast<std::uint64_t>(rho_h) * sizeof(double),
-           static_cast<std::uint64_t>(rho) * sizeof(double), "singular values",
-           f.victim);
+  bcast(b, s, 0, matrix_bytes(n_cols, rho_h), matrix_bytes(n_cols, rho),
+        "X modes", f.victim);
+  bcast(b, s, 0, static_cast<std::uint64_t>(rho_h) * sizeof(double),
+        static_cast<std::uint64_t>(rho) * sizeof(double), "singular values",
+        f.victim);
 
-  // The APMOS FaultReport is derived entirely from the gather results,
-  // so unlike the streaming report it is race-free by construction.
-  out.report_flat.push_back(degraded ? 1.0 : 0.0);
-  out.report_flat.push_back(degraded ? 1.0 : 0.0);  // ndead
-  if (degraded) out.report_flat.push_back(static_cast<double>(f.victim));
-  out.report_flat.push_back(static_cast<double>(surviving_rows));
-  out.report_flat.push_back(0.0);  // lost_rows: unknowable pre-extent
-  out.report_flat.push_back(degraded ? 0.0 : 1.0);  // extent_known
-  out.report_flat.push_back(degraded ? 0.0 : 1.0);  // coverage
-  out.report_flat.push_back(degraded ? 1.0 : 0.0);  // accuracy_bound
-  bcast_ft(b, s, 0, 7 * sizeof(double),
-           out.report_flat.size() * sizeof(double), "fault report", f.victim);
+  if (fault_tolerant) {
+    // The APMOS FaultReport is derived entirely from the gather results,
+    // so unlike the streaming report it is race-free by construction.
+    out.report_flat.push_back(degraded ? 1.0 : 0.0);
+    out.report_flat.push_back(degraded ? 1.0 : 0.0);  // ndead
+    if (degraded) out.report_flat.push_back(static_cast<double>(f.victim));
+    out.report_flat.push_back(static_cast<double>(surviving_rows));
+    out.report_flat.push_back(0.0);  // lost_rows: unknowable pre-extent
+    out.report_flat.push_back(degraded ? 0.0 : 1.0);  // extent_known
+    out.report_flat.push_back(degraded ? 0.0 : 1.0);  // coverage
+    out.report_flat.push_back(degraded ? 1.0 : 0.0);  // accuracy_bound
+    bcast(b, s, 0, 7 * sizeof(double),
+          out.report_flat.size() * sizeof(double), "fault report", f.victim);
+  }
   finish(out, b);
   return out;
 }
 
-FaultSchedule script_ft_streaming_updates(const StreamingShape& shape,
-                                          const FaultScenario& f) {
+FaultSchedule script_streaming_updates(const StreamingShape& shape,
+                                       const FaultScenario& f) {
   const int p = static_cast<int>(shape.rows_by_rank.size());
-  PARSVD_REQUIRE(p >= 2, "ft_streaming: need p >= 2");
+  PARSVD_REQUIRE(p >= 1, "streaming: need p >= 1");
   PARSVD_REQUIRE(shape.num_modes >= 1 && shape.batch_cols >= 1 &&
                      shape.rounds >= 1,
-                 "ft_streaming: need positive num_modes/batch_cols/rounds");
+                 "streaming: need positive num_modes/batch_cols/rounds");
   check_victim(p, f, /*root_must_survive=*/true);
   PARSVD_REQUIRE(shape.init_energy.empty() ||
                      static_cast<int>(shape.init_energy.size()) == p,
-                 "ft_streaming: init_energy size != p");
+                 "streaming: init_energy size != p");
   PARSVD_REQUIRE(shape.round_energy.empty() ||
                      static_cast<int>(shape.round_energy.size()) ==
                          shape.rounds,
-                 "ft_streaming: round_energy size != rounds");
+                 "streaming: round_energy size != rounds");
 
   const std::int64_t K = shape.num_modes;
   const std::int64_t B = shape.batch_cols;
@@ -407,13 +440,12 @@ FaultSchedule script_ft_streaming_updates(const StreamingShape& shape,
     return n;
   }();
 
-  FaultSchedule out;
-  out.scenario = f;
-  out.schedule = make_schedule(
-      "ft_streaming(p=" + std::to_string(p) + ", K=" + std::to_string(K) +
+  FaultSchedule out = start(
+      "streaming(p=" + std::to_string(p) + ", K=" + std::to_string(K) +
           ", B=" + std::to_string(B) + ", T=" + std::to_string(shape.rounds) +
-          ", rows=" + rows_suffix(shape.rows_by_rank) + ")",
-      p);
+          ", rows=" + rows_suffix(shape.rows_by_rank) +
+          (shape.fault_tolerant ? ", fault_tolerant)" : ")"),
+      p, f);
   FaultBuilder b(out.schedule, f);
   Schedule& s = out.schedule;
 
@@ -433,70 +465,74 @@ FaultSchedule script_ft_streaming_updates(const StreamingShape& shape,
   for (int t = 0; t < shape.rounds; ++t) {
     const std::string round = "update " + std::to_string(t + 1);
 
-    // Energy fold: 8-byte Frobenius addend per rank.
-    const std::vector<std::uint64_t> ebytes(static_cast<std::size_t>(p),
-                                            sizeof(double));
-    const std::vector<bool> delivered_e =
-        gather_ft(b, s, 0, ebytes, round + ": batch energy");
-    for (int r = 0; r < p; ++r) {
-      if (!delivered_e[static_cast<std::size_t>(r)]) continue;
-      ledger[static_cast<std::size_t>(r)] +=
-          shape.round_energy.empty()
-              ? 1.0
-              : shape.round_energy[static_cast<std::size_t>(t)]
-                                  [static_cast<std::size_t>(r)];
-    }
-
-    // tsqr_direct_ft on [discounted modes | batch]: k = ucols + B.
-    const std::int64_t k = ucols + B;
-    const std::int64_t k_h = ucols_h + B;
-    std::vector<std::uint64_t> rbytes(static_cast<std::size_t>(p));
-    for (int r = 0; r < p; ++r) {
-      const std::int64_t kk = r == f.victim ? k_h : k;
-      rbytes[static_cast<std::size_t>(r)] =
-          matrix_bytes(std::min(rows(r), kk), kk);
-    }
-    const std::vector<bool> delivered_t =
-        gather_ft(b, s, 0, rbytes, round + ": local R factor");
-    std::int64_t stack = 0;
-    std::int64_t stack_h = 0;
-    for (int r = 0; r < p; ++r) {
-      stack_h += std::min(rows(r), k_h);
-      if (delivered_t[static_cast<std::size_t>(r)]) {
-        stack += std::min(rows(r), k);
+    if (shape.fault_tolerant) {
+      // Energy ledger: 8-byte Frobenius addend per rank.
+      const std::vector<std::uint64_t> ebytes(static_cast<std::size_t>(p),
+                                              sizeof(double));
+      const std::vector<bool> delivered_e =
+          root_loop(b, s, 0, tags::kGather, ebytes, round + ": batch energy");
+      for (int r = 0; r < p; ++r) {
+        if (!delivered_e[static_cast<std::size_t>(r)]) continue;
+        ledger[static_cast<std::size_t>(r)] +=
+            shape.round_energy.empty()
+                ? 1.0
+                : shape.round_energy[static_cast<std::size_t>(t)]
+                                    [static_cast<std::size_t>(r)];
       }
     }
-    const std::int64_t qcols = std::min(stack, k);
-    const std::int64_t qcols_h = std::min(stack_h, k_h);
-    const std::int64_t ndead_t =
-        delivered_t[static_cast<std::size_t>(f.victim)] ? 0 : 1;
-    for (int dst = 1; dst < p; ++dst) {
-      if (!delivered_t[static_cast<std::size_t>(dst)]) continue;
-      b.send(0, dst, pmpi::tags::tsqr_down(0),
-             matrix_bytes(std::min(rows(dst), k), qcols),
-             round + ": Q row-slice");
-    }
-    for (int dst = 1; dst < p; ++dst) {
-      const std::int64_t kk = dst == f.victim ? k_h : k;
-      b.recv(dst, 0, pmpi::tags::tsqr_down(0),
-             matrix_bytes(std::min(rows(dst), kk),
-                          dst == f.victim ? qcols_h : qcols),
-             round + ": Q row-slice (naked; root must survive)");
-    }
-    bcast_ft(b, s, 0, matrix_bytes(qcols_h, k_h), matrix_bytes(qcols, k),
-             round + ": final R", f.victim);
-    bcast_ft(b, s, 0, 0,
-             static_cast<std::uint64_t>(ndead_t) * sizeof(double),
-             round + ": exclusion list", f.victim);
 
-    // Root SVD of the global R, truncated to K, then FT result bcasts.
+    // tsqr on [discounted modes | batch]: k = ucols + B.
+    const std::int64_t k = ucols + B;
+    const std::int64_t k_h = ucols_h + B;
+    std::int64_t qcols = k;
+    std::int64_t qcols_h = k_h;
+    if (p > 1) {
+      std::vector<std::uint64_t> rbytes(static_cast<std::size_t>(p));
+      for (int r = 0; r < p; ++r) {
+        const std::int64_t kk = r == f.victim ? k_h : k;
+        rbytes[static_cast<std::size_t>(r)] =
+            matrix_bytes(std::min(rows(r), kk), kk);
+      }
+      const std::vector<bool> delivered_t =
+          root_loop(b, s, 0, tags::kGather, rbytes, round + ": local R factor");
+      std::int64_t stack = 0;
+      std::int64_t stack_h = 0;
+      for (int r = 0; r < p; ++r) {
+        stack_h += std::min(rows(r), k_h);
+        if (delivered_t[static_cast<std::size_t>(r)]) {
+          stack += std::min(rows(r), k);
+        }
+      }
+      qcols = std::min(stack, k);
+      qcols_h = std::min(stack_h, k_h);
+      for (int dst = 1; dst < p; ++dst) {
+        if (!delivered_t[static_cast<std::size_t>(dst)]) continue;
+        b.send(0, dst, tags::tsqr_down(0),
+               matrix_bytes(std::min(rows(dst), k), qcols),
+               round + ": Q row-slice");
+      }
+      for (int dst = 1; dst < p; ++dst) {
+        const std::int64_t kk = dst == f.victim ? k_h : k;
+        b.recv(dst, 0, tags::tsqr_down(0),
+               matrix_bytes(std::min(rows(dst), kk),
+                            dst == f.victim ? qcols_h : qcols),
+               round + ": Q row-slice (plain; root must survive)");
+      }
+      bcast(b, s, 0, matrix_bytes(qcols_h, k_h), matrix_bytes(qcols, k),
+            round + ": final R", f.victim);
+    } else {
+      qcols = std::min(rows(0), k);
+      qcols_h = qcols;
+    }
+
+    // Root SVD of the global R, truncated to K, then the result bcasts.
     const std::int64_t keep = std::min(K, qcols);
     const std::int64_t keep_h = std::min(K, qcols_h);
-    bcast_ft(b, s, 0, matrix_bytes(qcols_h, keep_h),
-             matrix_bytes(qcols, keep), round + ": rotation U", f.victim);
-    bcast_ft(b, s, 0, static_cast<std::uint64_t>(keep_h) * sizeof(double),
-             static_cast<std::uint64_t>(keep) * sizeof(double),
-             round + ": singular values", f.victim);
+    bcast(b, s, 0, matrix_bytes(qcols_h, keep_h), matrix_bytes(qcols, keep),
+          round + ": rotation U", f.victim);
+    bcast(b, s, 0, static_cast<std::uint64_t>(keep_h) * sizeof(double),
+          static_cast<std::uint64_t>(keep) * sizeof(double),
+          round + ": singular values", f.victim);
     ucols = keep;
     ucols_h = keep_h;
 
@@ -506,8 +542,9 @@ FaultSchedule script_ft_streaming_updates(const StreamingShape& shape,
       mbytes[static_cast<std::size_t>(r)] =
           matrix_bytes(rows(r), r == f.victim ? ucols_h : ucols);
     }
-    gather_ft(b, s, 0, mbytes, round + ": mode block");
+    root_loop(b, s, 0, tags::kGather, mbytes, round + ": mode block");
 
+    if (!shape.fault_tolerant) continue;
     // FaultReport: root reads Communicator::dead_ranks() — context
     // truth, so the observation is racy when the kill lands exactly at
     // the victim's report receive.
@@ -528,8 +565,8 @@ FaultSchedule script_ft_streaming_updates(const StreamingShape& shape,
     flat.push_back(1.0);  // extent_known: rows recorded at initialize
     flat.push_back(coverage);
     flat.push_back(std::sqrt(std::max(0.0, 1.0 - coverage)));
-    bcast_ft(b, s, 0, 7 * sizeof(double), flat.size() * sizeof(double),
-             round + ": fault report", f.victim);
+    bcast(b, s, 0, 7 * sizeof(double), flat.size() * sizeof(double),
+          round + ": fault report", f.victim);
     out.report_flat = std::move(flat);
   }
   finish(out, b);

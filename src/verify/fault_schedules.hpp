@@ -1,21 +1,24 @@
-// Failure-space schedule emitters: one per fault-tolerant protocol.
+// Protocol schedule emitters: one per SPMD protocol, parameterised by a
+// FaultScenario.
 //
-// Each emitter rebuilds the degraded execution a single-rank kill
-// induces on an _ft protocol (pmpi gather_bytes_ft / bcast_bytes_ft /
-// allreduce_sum_ft, core tsqr_direct_ft, APMOS and streaming FT
-// branches) as plain CommScript data — same tags (pmpi/tags.hpp), same
-// framing (pack_matrix's 16-byte header), same program order, same
-// recovery decisions (skip-dead on gather results, is_dead guards on
-// broadcast) the production code makes. The kill itself is a
-// FaultScenario: the victim runs its first kill_step events, then
-// vanishes (DESIGN §13).
+// Each emitter rebuilds, from (rank, P) and the payload shape alone, the
+// exact per-rank wire schedule the production path posts — same tags
+// (pmpi/tags.hpp), same framing (pack_matrix's 16-byte header), same
+// program order, same byte counts, and the same death handling: the
+// collectives' root-side waits are death-bounded (dead-resolved slots
+// are skipped), the bcast fan-out's is_dead() guard skips a dead
+// destination, and non-roots wait on the root with a plain receive
+// (the root-must-survive contract). The kill is a FaultScenario: the
+// victim runs its first kill_step events, then vanishes (DESIGN §13).
+// Under the default kKillFree scenario nobody dies and the emitter
+// yields the fault-free schedule, so the schedule the sweep proves
+// deadlock-free and the schedule every kill perturbs are one program.
 //
-// Unlike the fault-free emitters, a degraded schedule is a function of
-// the scenario: which contributions the root collects decides the
-// stacked-QR extent, the slice sizes, the exclusion list and the
-// FaultReport. The emitters replay that dataflow and additionally
-// predict the observable side effects the cross-validation tests pin
-// to the real runtime:
+// A degraded schedule is a function of the scenario: which
+// contributions the root collects decides the stacked-QR extent, the
+// slice sizes and the FaultReport. The emitters replay that dataflow
+// and additionally predict the observable side effects the
+// cross-validation tests pin to the real runtime:
 //   - effective registry totals (messages / bytes actually posted),
 //   - the FaultReport wire payload the root broadcasts,
 //   - whether the scenario is deterministic, i.e. free of the one
@@ -23,6 +26,12 @@
 //     sampled while the kill is concurrent with the victim's matching
 //     receive. Racy scenarios are still CHECKED (the model takes the
 //     alive branch, which dominates traffic), but not cross-validated.
+//
+// The degraded executions are those of the fault-tolerant policy. The
+// strict policy (and the strict pmpi callers gatherv / allgather /
+// reduce without `missing`) raise RankDeadError at the root once a
+// contribution is missing; that abort is not a quiescing schedule and
+// is pinned by runtime tests instead.
 #pragma once
 
 #include <cstdint>
@@ -33,7 +42,7 @@
 
 namespace parsvd::verify {
 
-/// A degraded-mode schedule plus the scenario that shaped it and the
+/// A protocol schedule plus the scenario that shaped it and the
 /// runtime observables the model predicts for it.
 struct FaultSchedule {
   Schedule schedule;       ///< victim's script = its full healthy program
@@ -43,48 +52,65 @@ struct FaultSchedule {
   bool deterministic = true;
   std::uint64_t messages = 0;  ///< posts that execute under the kill
   std::uint64_t bytes = 0;     ///< payload bytes of those posts
-  /// Predicted FaultReport::to_doubles() payload (APMOS / streaming
-  /// protocols only; empty for the bare collectives).
+  /// Predicted FaultReport::to_doubles() payload (fault-tolerant APMOS /
+  /// streaming only; empty otherwise).
   std::vector<double> report_flat;
 };
 
-/// pmpi gather_bytes_ft: non-roots post on tags::kFtGather, the root
+/// Communicator::gather_bytes (the engine under gatherv /
+/// gather_matrices): non-roots post on tags::kGather, the root
 /// death-bounded-waits on every source in ascending rank order.
-FaultSchedule script_ft_gather(int p, int root,
-                               std::span<const std::uint64_t> bytes_per_rank,
-                               const FaultScenario& f);
+/// `bytes_per_rank` is each rank's contribution payload (size p).
+FaultSchedule script_gather(int p, int root,
+                            std::span<const std::uint64_t> bytes_per_rank,
+                            const FaultScenario& f = kKillFree);
 
-/// pmpi bcast_bytes_ft: the root posts tags::kFtBcast copies to every
+/// Communicator::bcast: the root posts tags::kBcast copies to every
 /// destination its is_dead() guard does not skip; non-roots block on a
-/// NAKED receive (the documented root-must-survive contract).
-FaultSchedule script_ft_bcast(int p, int root, std::uint64_t bytes,
-                              const FaultScenario& f);
+/// plain receive from the root.
+FaultSchedule script_bcast(int p, int root, std::uint64_t bytes,
+                           const FaultScenario& f = kKillFree);
 
-/// pmpi allreduce_sum_ft: gather_bytes_ft of the addends to the root,
-/// root sums the survivors, bcast_bytes_ft of the total.
-FaultSchedule script_ft_allreduce(int p, int root, std::size_t n_doubles,
-                                  const FaultScenario& f);
+/// Communicator::reduce: the gather's root loop on tags::kReduce.
+FaultSchedule script_reduce(int p, int root, std::uint64_t bytes,
+                            const FaultScenario& f = kKillFree);
 
-/// core tsqr_direct_ft (root = rank 0): FT gather of the local R
-/// factors, stacked QR over the survivors, Q row-slices sent back to
-/// the contributing survivors only, then FT broadcasts of the final R
-/// and the exclusion list. The victim must be a non-root rank.
-FaultSchedule script_ft_tsqr_direct(std::span<const std::int64_t> rows_by_rank,
-                                    std::int64_t k, const FaultScenario& f);
+/// Communicator::allreduce: reduce to rank 0, then bcast.
+FaultSchedule script_allreduce(int p, std::uint64_t bytes,
+                               const FaultScenario& f = kKillFree);
 
-/// core apmos_svd FT branch (root = rank 0): FT gather of the
-/// header+W payloads, root SVD over the surviving stack, FT broadcasts
-/// of X, Λ and the FaultReport. The victim must be a non-root rank.
-FaultSchedule script_ft_apmos(std::span<const std::int64_t> rows_by_rank,
-                              std::int64_t n_cols, std::int64_t r1,
-                              std::int64_t r2, const FaultScenario& f);
+/// allgather_double / allgather_index: gather to rank 0 of
+/// `per_rank_bytes` each, then bcast of the p-entry table.
+FaultSchedule script_allgather(int p, std::uint64_t per_rank_bytes,
+                               const FaultScenario& f = kKillFree);
 
-/// Shape of a ParallelStreamingSVD FT run for the update-loop emitter.
+/// core tsqr (root = rank 0): gather of the local R factors
+/// (min(rows, k) x k each), stacked QR over the contributors, Q
+/// row-slices on tags::tsqr_down(0) back to the contributors only, then
+/// the bcast of the final R. `rows_by_rank` may be ragged, including
+/// ranks with fewer rows than k. A victim must be a non-root rank.
+FaultSchedule script_tsqr_direct(std::span<const std::int64_t> rows_by_rank,
+                                 std::int64_t k,
+                                 const FaultScenario& f = kKillFree);
+
+/// core apmos_svd (root = rank 0): gather of the [rows] header + W
+/// payloads, root SVD over the surviving stack, bcasts of X and Λ, and
+/// — under the fault-tolerant policy — of the FaultReport. A victim
+/// must be a non-root rank.
+FaultSchedule script_apmos(std::span<const std::int64_t> rows_by_rank,
+                           std::int64_t n_cols, std::int64_t r1,
+                           std::int64_t r2, bool fault_tolerant,
+                           const FaultScenario& f = kKillFree);
+
+/// Shape of a ParallelStreamingSVD run for the update-loop emitter.
 struct StreamingShape {
   std::vector<std::int64_t> rows_by_rank;
   std::int64_t num_modes = 2;  ///< K — modes retained per update
   std::int64_t batch_cols = 2; ///< B — columns in every update batch
   int rounds = 1;              ///< update() calls modelled
+  /// StreamingOptions::fault_tolerant: adds the energy-ledger gather and
+  /// the FaultReport bcast to every update.
+  bool fault_tolerant = false;
   /// Columns of u_local_ entering the first modelled update (the keep
   /// count initialize() produced). Defaults to num_modes, which is
   /// exact whenever the initialize batch had >= num_modes columns.
@@ -97,13 +123,13 @@ struct StreamingShape {
   std::vector<std::vector<double>> round_energy;
 };
 
-/// core parallel_streaming.cpp FT update loop (root = rank 0), `rounds`
-/// updates after a healthy initialize. Per round: FT energy gather,
-/// tsqr_direct_ft on [discounted modes | batch], u_small / singular
-/// value FT broadcasts, FT mode gather, FaultReport FT broadcast. The
-/// victim must be a non-root rank; report_flat is the LAST round's
-/// report payload.
-FaultSchedule script_ft_streaming_updates(const StreamingShape& shape,
-                                          const FaultScenario& f);
+/// core parallel_streaming.cpp update loop (root = rank 0), `rounds`
+/// updates after a healthy initialize. Per round: [energy gather], tsqr
+/// on [discounted modes | batch], u_small / singular value bcasts, mode
+/// gather, [FaultReport bcast] — bracketed legs under the fault-tolerant
+/// policy only. A victim must be a non-root rank; report_flat is the
+/// LAST round's report payload.
+FaultSchedule script_streaming_updates(const StreamingShape& shape,
+                                       const FaultScenario& f = kKillFree);
 
 }  // namespace parsvd::verify

@@ -9,13 +9,15 @@
 // its own tag scope, and the partition is checked as one world
 // schedule — proving sibling groups cannot interfere by construction.
 //
-// The --faults mode sweeps the FAILURE space instead (DESIGN §13):
-// every FT protocol × P in [1, 32] × every non-root victim × every
-// single-rank kill point, each scenario checked for degraded-mode
-// quiescence with check_fault_schedule, plus the healthy (victim
-// survives) emission of every degraded schedule. Seeded recovery-path
-// defects self-test the fault checker the same way seeded_defects()
-// self-tests the fault-free one.
+// Every death-aware protocol has ONE emitter (verify/fault_schedules.hpp),
+// parameterised by a FaultScenario: the default and --groups sweeps run
+// its kill-free emission, and the --faults mode sweeps the FAILURE space
+// over the same emitters (DESIGN §13): every protocol × P in [2, 32] ×
+// every non-root victim × every single-rank kill point, each scenario
+// checked for degraded-mode quiescence with check_fault_schedule, plus
+// the emission where the victim survives. Seeded recovery-path defects
+// self-test the fault checker the same way seeded_defects() self-tests
+// the fault-free one.
 //
 //   schedule_check            full sweep (world + groups) + selftest
 //   schedule_check --smoke    reduced rank set (CI gate)
@@ -81,13 +83,13 @@ void sweep_p(int p, SweepStats* stats) {
   }
 
   for (const int root : roots) {
-    run_check(script_bcast(p, root, 4096), stats);
-    run_check(script_gather(p, root, gather_bytes), stats);
+    run_check(script_bcast(p, root, 4096).schedule, stats);
+    run_check(script_gather(p, root, gather_bytes).schedule, stats);
     run_check(script_scatter_rows(p, root, scatter_bytes), stats);
-    run_check(script_reduce(p, root, 64), stats);
+    run_check(script_reduce(p, root, 64).schedule, stats);
   }
-  run_check(script_allgather(p, 8), stats);
-  run_check(script_allreduce(p, 64), stats);
+  run_check(script_allgather(p, 8).schedule, stats);
+  run_check(script_allreduce(p, 64).schedule, stats);
   for (const std::int64_t k : {std::int64_t{3}, std::int64_t{5}}) {
     // Uniform tall panels, and a ragged layout with some blocks shorter
     // than k so the min(rows, k) extents are exercised.
@@ -96,12 +98,21 @@ void sweep_p(int p, SweepStats* stats) {
     for (int r = 0; r < p; ++r) {
       ragged[static_cast<std::size_t>(r)] = 2 + (r % 5);
     }
-    run_check(script_tsqr_direct(uniform, k), stats);
-    run_check(script_tsqr_direct(ragged, k), stats);
+    run_check(script_tsqr_direct(uniform, k).schedule, stats);
+    run_check(script_tsqr_direct(ragged, k).schedule, stats);
   }
-  run_check(script_apmos(p, /*w=*/16 + 8 * 6 * 4, /*x=*/16 + 8 * 6 * 4,
-                         /*lambda=*/4 * 8),
-            stats);
+  std::vector<std::int64_t> rows(static_cast<std::size_t>(p));
+  for (int r = 0; r < p; ++r) {
+    rows[static_cast<std::size_t>(r)] = 3 + (r % 4);
+  }
+  for (const bool fault_tolerant : {false, true}) {
+    run_check(script_apmos(rows, 6, 4, 4, fault_tolerant).schedule, stats);
+    StreamingShape shape;
+    shape.rows_by_rank = rows;
+    shape.rounds = 2;
+    shape.fault_tolerant = fault_tolerant;
+    run_check(script_streaming_updates(shape).schedule, stats);
+  }
 }
 
 /// The partition shapes swept per world size: contiguous halves, a
@@ -225,11 +236,12 @@ bool proto_enabled(const std::string& filter, const char* name) {
   return filter.empty() || filter == name;
 }
 
-/// All FT protocols × P in [1, 32] × every non-root victim × every
-/// kill point. Root victims are excluded by contract — every _ft
-/// collective documents root-must-survive; the seeded ft defects cover
-/// what the checker reports when that contract is broken. P=1 runs no
-/// wire protocol, so the sweep starts at the first p with a victim.
+/// Every death-aware protocol × P in [2, 32] × every non-root victim ×
+/// every kill point. Root victims are excluded by contract — every
+/// collective documents root-must-survive; the seeded fault defects
+/// cover what the checker reports when that contract is broken. P=1
+/// runs no wire protocol, so the sweep starts at the first p with a
+/// victim.
 bool run_fault_sweep(bool smoke, const std::string& proto) {
   SweepStats stats;
   std::size_t racy = 0;
@@ -256,7 +268,7 @@ bool run_fault_sweep(bool smoke, const std::string& proto) {
         for (int v = 0; v < p; ++v) {
           if (v == root) continue;
           sweep_kill_points(
-              [&](FaultScenario f) { return script_ft_gather(p, root, bytes, f); },
+              [&](FaultScenario f) { return script_gather(p, root, bytes, f); },
               v, &stats, &racy);
         }
       }
@@ -266,21 +278,19 @@ bool run_fault_sweep(bool smoke, const std::string& proto) {
         for (int v = 0; v < p; ++v) {
           if (v == root) continue;
           sweep_kill_points(
-              [&](FaultScenario f) { return script_ft_bcast(p, root, 4096, f); },
+              [&](FaultScenario f) { return script_bcast(p, root, 4096, f); },
               v, &stats, &racy);
         }
       }
     }
     if (proto_enabled(proto, "allreduce")) {
-      for (const int root : roots) {
-        for (int v = 0; v < p; ++v) {
-          if (v == root) continue;
-          sweep_kill_points(
-              [&](FaultScenario f) {
-                return script_ft_allreduce(p, root, 6, f);
-              },
-              v, &stats, &racy);
-        }
+      for (int v = 1; v < p; ++v) {
+        sweep_kill_points(
+            [&](FaultScenario f) { return script_allreduce(p, 48, f); }, v,
+            &stats, &racy);
+        sweep_kill_points(
+            [&](FaultScenario f) { return script_reduce(p, 0, 48, f); }, v,
+            &stats, &racy);
       }
     }
     if (proto_enabled(proto, "tsqr")) {
@@ -296,7 +306,7 @@ bool run_fault_sweep(bool smoke, const std::string& proto) {
           for (int v = 1; v < p; ++v) {
             sweep_kill_points(
                 [&](FaultScenario f) {
-                  return script_ft_tsqr_direct(rows, k, f);
+                  return script_tsqr_direct(rows, k, f);
                 },
                 v, &stats, &racy);
           }
@@ -315,7 +325,8 @@ bool run_fault_sweep(bool smoke, const std::string& proto) {
         for (int v = 1; v < p; ++v) {
           sweep_kill_points(
               [&](FaultScenario f) {
-                return script_ft_apmos(rows, sh.n_cols, sh.r1, sh.r2, f);
+                return script_apmos(rows, sh.n_cols, sh.r1, sh.r2,
+                                    /*fault_tolerant=*/true, f);
               },
               v, &stats, &racy);
         }
@@ -335,10 +346,11 @@ bool run_fault_sweep(bool smoke, const std::string& proto) {
           shape.num_modes = kb.num_modes;
           shape.batch_cols = kb.batch_cols;
           shape.rounds = rounds;
+          shape.fault_tolerant = true;
           for (int v = 1; v < p; ++v) {
             sweep_kill_points(
                 [&](FaultScenario f) {
-                  return script_ft_streaming_updates(shape, f);
+                  return script_streaming_updates(shape, f);
                 },
                 v, &stats, &racy);
           }

@@ -1,18 +1,15 @@
-// Schedule emitters: one per SPMD protocol in the library.
+// Schedule emitters for the protocols that have no fault story of their
+// own, and the communicator-group machinery.
 //
-// Each emitter rebuilds, from (rank, P) and the payload shape alone, the
-// exact per-rank wire schedule the production path posts — same
-// topology functions (pmpi/topology.hpp), same tag registry
-// (pmpi/tags.hpp), same program order, same byte counts. The result is
-// a CommScript Schedule the ScheduleChecker can prove match-complete and
-// deadlock-free without running a single thread.
-//
-// Scope: the fault-FREE protocols. The degraded-mode (_ft) collectives
-// react to deaths observed at runtime, so their schedules are pure
-// functions of (rank, P) only once the failure is part of the input —
-// verify/fault_schedules.hpp emits them conditioned on a
-// (victim, kill_step) scenario, and schedule_check --faults sweeps that
-// failure space (DESIGN §13).
+// The death-aware collectives and solvers (gather, bcast, reduce,
+// allreduce, allgather, TSQR, APMOS, streaming) each have ONE emitter,
+// parameterised by a FaultScenario, in verify/fault_schedules.hpp; its
+// kill-free emission is the fault-free schedule. This header holds the
+// rest: scatter_rows, the message-based group barrier, and the
+// embedding of a group-local schedule into a world schedule. Same tag
+// registry (pmpi/tags.hpp), same program order, same byte counts as the
+// production path, as plain CommScript data the ScheduleChecker can
+// prove match-complete and deadlock-free without running a thread.
 #pragma once
 
 #include <cstdint>
@@ -23,40 +20,10 @@
 
 namespace parsvd::verify {
 
-/// Communicator::bcast — binomial tree rooted at `root`.
-Schedule script_bcast(int p, int root, std::uint64_t bytes);
-
-/// The gather engine under gatherv / gather_matrices: flat root loop.
-/// `bytes_per_rank` is each rank's contribution payload (size p).
-Schedule script_gather(int p, int root,
-                       std::span<const std::uint64_t> bytes_per_rank);
-
-/// allgather_double / allgather_index: gatherv to root 0 then bcast.
-Schedule script_allgather(int p, std::uint64_t per_rank_bytes);
-
-/// Communicator::reduce — flat root loop.
-Schedule script_reduce(int p, int root, std::uint64_t bytes);
-
-/// Communicator::allreduce — reduce to rank 0, then bcast.
-Schedule script_allreduce(int p, std::uint64_t bytes);
-
 /// Communicator::scatter_rows — root fans row blocks out directly.
 /// `block_bytes` is the packed payload each rank receives (size p).
 Schedule script_scatter_rows(int p, int root,
                              std::span<const std::uint64_t> block_bytes);
-
-/// core/tsqr.cpp tsqr_direct (root = rank 0): gather of the local R
-/// factors (min(rows, k) x k each) on tags::kGather, Q row-slices back
-/// on tags::tsqr_down(0), then the binomial bcast of the final R. The
-/// healthy twin of script_ft_tsqr_direct; `rows_by_rank` may be ragged,
-/// including ranks with fewer rows than k.
-Schedule script_tsqr_direct(std::span<const std::int64_t> rows_by_rank,
-                            std::int64_t k);
-
-/// core/apmos.cpp Stage-3 W gather (root pre-posts, consumes via
-/// wait_any) plus the Stage-5 X / Λ result broadcasts.
-Schedule script_apmos(int p, std::uint64_t w_bytes, std::uint64_t x_bytes,
-                      std::uint64_t lambda_bytes);
 
 // ------------------------------------------------ communicator groups
 // Mirrors of Communicator::split / subgroup (pmpi/comm.hpp): a group
@@ -105,8 +72,9 @@ const char* to_string(GroupProtocol proto);
 /// A full partitioned job: every group of `groups` runs its protocol
 /// concurrently on one world of `world_p` ranks, each embedded with its
 /// own tag scope. Members must be disjoint; a world rank in no group
-/// simply stays silent. `bytes` seeds the collective and APMOS payload
-/// sizes; TSQR runs a fixed ragged k = 3 layout.
+/// simply stays silent. `bytes` seeds the collective payload sizes;
+/// TSQR runs a fixed ragged k = 3 layout and APMOS a fixed ragged
+/// n = 6, r1 = 3, r2 = 2 one.
 Schedule script_partition(int world_p, std::span<const GroupSpec> groups,
                           std::span<const GroupProtocol> protocols,
                           std::uint64_t bytes);

@@ -106,11 +106,11 @@ SeededDefect scoped_rogue_tag() {
 /// before its post, recovery never runs: OrphanedWait.
 SeededFaultDefect ft_naked_wait() {
   Schedule s = make_schedule("bad:ft-naked-wait (un-watchdogged gather root)", 3);
-  s.ranks[1].send(0, tags::kFtGather, 64, "contribution");
-  s.ranks[2].send(0, tags::kFtGather, 64, "contribution");
-  s.ranks[0].recv(1, tags::kFtGather, 64,
+  s.ranks[1].send(0, tags::kGather, 64, "contribution");
+  s.ranks[2].send(0, tags::kGather, 64, "contribution");
+  s.ranks[0].recv(1, tags::kGather, 64,
                   "NAKED wait on a possibly-dead child — the defect");
-  s.ranks[0].recv_bounded(2, tags::kFtGather, 64, "bounded wait");
+  s.ranks[0].recv_bounded(2, tags::kGather, 64, "bounded wait");
   return {std::move(s), {/*victim=*/1, /*kill_step=*/0},
           Violation::Kind::OrphanedWait};
 }
@@ -123,14 +123,14 @@ SeededFaultDefect ft_retransmit_reframed() {
   Schedule s =
       make_schedule("bad:ft-retransmit-reframed (recovery reframes a live "
                     "channel)", 3);
-  s.ranks[1].send(0, tags::kFtGather, 64, "contribution");
-  s.ranks[2].send(0, tags::kFtGather, 64, "contribution");
-  s.ranks[2].send(0, tags::kFtGather, 72,
+  s.ranks[1].send(0, tags::kGather, 64, "contribution");
+  s.ranks[2].send(0, tags::kGather, 64, "contribution");
+  s.ranks[2].send(0, tags::kGather, 72,
                   "retransmit of rank 1's slot, +8 B repair header — the "
                   "defect");
-  s.ranks[0].recv_bounded(1, tags::kFtGather, 64, "bounded wait");
-  s.ranks[0].recv_bounded(2, tags::kFtGather, 64, "bounded wait");
-  s.ranks[0].recv(2, tags::kFtGather, 64,
+  s.ranks[0].recv_bounded(1, tags::kGather, 64, "bounded wait");
+  s.ranks[0].recv_bounded(2, tags::kGather, 64, "bounded wait");
+  s.ranks[0].recv(2, tags::kGather, 64,
                   "recovery consume — expects original framing");
   return {std::move(s), {/*victim=*/1, /*kill_step=*/0},
           Violation::Kind::ByteMismatch};
@@ -144,14 +144,14 @@ SeededFaultDefect ft_skipped_release() {
   Schedule s = make_schedule(
       "bad:ft-skipped-release (recovery forgets a live survivor)", 4);
   for (int src = 1; src < 4; ++src) {
-    s.ranks[src].send(0, tags::kFtGather, 32, "contribution");
+    s.ranks[src].send(0, tags::kGather, 32, "contribution");
   }
   for (int src = 1; src < 4; ++src) {
-    s.ranks[0].recv_bounded(src, tags::kFtGather, 32, "bounded wait");
+    s.ranks[0].recv_bounded(src, tags::kGather, 32, "bounded wait");
   }
-  s.ranks[0].send(2, tags::kFtBcast, 16, "release (loop strides by 2)");
-  s.ranks[2].recv(0, tags::kFtBcast, 16, "release");
-  s.ranks[3].recv(0, tags::kFtBcast, 16, "release — never sent: the defect");
+  s.ranks[0].send(2, tags::kBcast, 16, "release (loop strides by 2)");
+  s.ranks[2].recv(0, tags::kBcast, 16, "release");
+  s.ranks[3].recv(0, tags::kBcast, 16, "release — never sent: the defect");
   return {std::move(s), {/*victim=*/1, /*kill_step=*/0},
           Violation::Kind::Deadlock};
 }
@@ -164,10 +164,10 @@ SeededFaultDefect ft_dropped_contribution() {
   Schedule s = make_schedule(
       "bad:ft-dropped-contribution (root forgets the victim's delivered "
       "slot)", 3);
-  s.ranks[1].send(0, tags::kFtGather, 64,
+  s.ranks[1].send(0, tags::kGather, 64,
                   "contribution — executes before the kill");
-  s.ranks[2].send(0, tags::kFtGather, 64, "contribution");
-  s.ranks[0].recv_bounded(2, tags::kFtGather, 64,
+  s.ranks[2].send(0, tags::kGather, 64, "contribution");
+  s.ranks[0].recv_bounded(2, tags::kGather, 64,
                           "bounded wait (rank 1's slot skipped — the defect)");
   return {std::move(s), {/*victim=*/1, /*kill_step=*/1},
           Violation::Kind::UnmatchedSend};

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -202,7 +203,7 @@ TEST(CommAsync, CancelReleasesChannel) {
 
 // ---------------------------------------------------------------------
 // Collective sweep: every collective × awkward rank counts (odd, prime,
-// non-power-of-two, so the binomial broadcast has ragged subtrees).
+// non-power-of-two).
 
 class CollectiveSweep : public ::testing::TestWithParam<int> {
  protected:
@@ -237,11 +238,12 @@ TEST_P(CollectiveSweep, GatherMatrices) {
   pmpi::run_on(make_ctx(), [](Communicator& comm) {
     const Matrix mine = testing::random_matrix(3 + comm.rank(), 2,
                                                100 + comm.rank());
-    const std::vector<Matrix> all = comm.gather_matrices(mine, 0);
+    const std::vector<std::optional<Matrix>> all =
+        comm.gather_matrices(mine, 0);
     if (comm.is_root()) {
       ASSERT_EQ(all.size(), static_cast<std::size_t>(comm.size()));
       for (int src = 0; src < comm.size(); ++src) {
-        expect_matrix_near(all[static_cast<std::size_t>(src)],
+        expect_matrix_near(all[static_cast<std::size_t>(src)].value(),
                            testing::random_matrix(3 + src, 2, 100 + src), 0.0);
       }
     } else {

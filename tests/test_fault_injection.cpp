@@ -13,7 +13,10 @@
 //   * degraded-completion tests: killing a rank mid-call still yields
 //     modes for the surviving partitions, with the loss quantified in a
 //     FaultReport (the streaming driver's bound is sharp because it
-//     records per-rank extents and energies up front).
+//     records per-rank extents and energies up front);
+//   * strict-policy tests: without fault_tolerant the same kill makes
+//     the job raise RankDeadError instead of returning a result built
+//     on fewer rows.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -423,15 +426,16 @@ TEST(FaultDegraded, TsqrExcludesDeadRankAndStaysAFactorization) {
   auto ctx = make_ctx(p, std::move(plan));
   std::array<std::optional<TsqrResult>, 3> results;
   pmpi::run_on(ctx, [&](Communicator& comm) {
-    results[static_cast<std::size_t>(comm.rank())] = tsqr(
-        comm, blocks[static_cast<std::size_t>(comm.rank())],
-        /*fault_tolerant=*/true);
+    results[static_cast<std::size_t>(comm.rank())] =
+        tsqr(comm, blocks[static_cast<std::size_t>(comm.rank())]);
   });
   EXPECT_FALSE(results[1].has_value());
+  // The exclusion list is root-side only.
+  EXPECT_EQ(results[0]->excluded_ranks, std::vector<int>{1});
+  EXPECT_TRUE(results[2]->excluded_ranks.empty());
   for (int r : {0, 2}) {
     const auto& res = results[static_cast<std::size_t>(r)];
     ASSERT_TRUE(res.has_value()) << "rank " << r;
-    EXPECT_EQ(res->excluded_ranks, std::vector<int>{1});
     // Still an exact factorization of the surviving rows.
     testing::expect_matrix_near(
         testing::naive_matmul(res->q_local, res->r),
@@ -517,6 +521,96 @@ TEST(FaultDegraded, StreamingSurvivesKillingOneOfFourMidStream) {
   }
   // Root's gathered modes cover exactly the surviving partitions.
   EXPECT_EQ(modes_rows, total_rows - lost_rows);
+}
+
+// ------------------------------------------------------- strict policy
+// Without fault_tolerant the collectives stay death-aware, but a lost
+// contribution is fatal: the root raises RankDeadError (run_on then
+// aborts the job), so no rank ever returns a result built on fewer
+// rows. Each job kills rank 2 of 4 at its TSQR / APMOS gather post.
+
+constexpr int kStrictRanks = 4;
+constexpr int kStrictVictim = 2;
+
+TEST(FaultStrict, StreamingKillAtTsqrGatherPostRaises) {
+  const Index rows = 12;
+  const auto job = [&](Communicator& comm, int updates,
+                       std::array<bool, kStrictRanks>& returned) {
+    const auto r = static_cast<std::uint64_t>(comm.rank());
+    StreamingOptions opts;
+    opts.num_modes = 3;
+    ParallelStreamingSVD svd(comm, opts);
+    svd.initialize(testing::random_matrix(rows, 4, 70 + r));
+    for (int i = 0; i < updates; ++i) {
+      svd.incorporate_data(testing::random_matrix(rows, 3, 100 + r));
+    }
+    returned[static_cast<std::size_t>(comm.rank())] = true;
+  };
+  // Probe: the victim's first op of the first update is its R-gather
+  // post (the strict policy runs no energy ledger).
+  auto probe = std::make_shared<Context>(kStrictRanks);
+  std::array<bool, kStrictRanks> probe_returned{};
+  pmpi::run_on(probe,
+               [&](Communicator& comm) { job(comm, 0, probe_returned); });
+
+  FaultPlan plan;
+  plan.kill_rank(kStrictVictim, probe->ops(kStrictVictim));
+  auto ctx = make_ctx(kStrictRanks, std::move(plan));
+  std::array<bool, kStrictRanks> returned{};
+  EXPECT_THROW(
+      pmpi::run_on(ctx, [&](Communicator& comm) { job(comm, 1, returned); }),
+      RankDeadError);
+  EXPECT_EQ(ctx->dead_ranks(), std::vector<int>{kStrictVictim});
+  for (int r = 0; r < kStrictRanks; ++r) {
+    EXPECT_FALSE(returned[static_cast<std::size_t>(r)]) << "rank " << r;
+  }
+}
+
+TEST(FaultStrict, ApmosKillAtGatherPostRaises) {
+  FaultPlan plan;
+  plan.kill_rank(kStrictVictim, 0);  // its first op: the W gather post
+  auto ctx = make_ctx(kStrictRanks, std::move(plan));
+  std::array<bool, kStrictRanks> returned{};
+  EXPECT_THROW(pmpi::run_on(ctx,
+                            [&](Communicator& comm) {
+                              const Matrix a = testing::random_matrix(
+                                  12, 10,
+                                  40 + static_cast<std::uint64_t>(comm.rank()));
+                              ApmosOptions opts;
+                              opts.r1 = 6;
+                              opts.r2 = 4;
+                              (void)apmos_svd(comm, a, opts);
+                              returned[static_cast<std::size_t>(
+                                  comm.rank())] = true;
+                            }),
+               RankDeadError);
+  for (int r = 0; r < kStrictRanks; ++r) {
+    EXPECT_FALSE(returned[static_cast<std::size_t>(r)]) << "rank " << r;
+  }
+}
+
+TEST(FaultStrict, BareTsqrKillAtGatherPostRaisesAtRoot) {
+  // Bare tsqr reports the loss at root; the strict decision there is the
+  // same accept_or_throw the solvers take, so the job raises.
+  FaultPlan plan;
+  plan.kill_rank(kStrictVictim, 0);  // its first op: the R gather post
+  auto ctx = make_ctx(kStrictRanks, std::move(plan));
+  bool root_returned = false;
+  EXPECT_THROW(pmpi::run_on(ctx,
+                            [&](Communicator& comm) {
+                              const TsqrResult res = tsqr(
+                                  comm,
+                                  testing::random_matrix(
+                                      8, 5,
+                                      60 + static_cast<std::uint64_t>(
+                                               comm.rank())));
+                              accept_or_throw(/*fault_tolerant=*/false,
+                                              res.excluded_ranks, "tsqr");
+                              if (comm.is_root()) root_returned = true;
+                            }),
+               RankDeadError);
+  EXPECT_FALSE(root_returned);
+  EXPECT_EQ(ctx->dead_ranks(), std::vector<int>{kStrictVictim});
 }
 
 }  // namespace

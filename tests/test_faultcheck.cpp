@@ -8,9 +8,10 @@
 //     kill and the registry message/byte totals and FaultReport
 //     contents must equal the model's prediction. Only deterministic
 //     scenarios (no is_dead()-guard race) are pinned;
-//   * the zero-failure regression — the sweep over every FT protocol
-//     and kill point must stay clean, so any future recovery-path edit
-//     that breaks quiescence fails here, not in production.
+//   * the zero-failure regression — the sweep over every death-aware
+//     protocol and kill point must stay clean, so any future
+//     recovery-path edit that breaks quiescence fails here, not in
+//     production.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -76,7 +77,7 @@ TEST(FaultTraceGolden, NakedWaitNamesVictimStepAndStuckOp) {
   expect_contains(text, "+ kill(victim=1, step=0)");
   expect_contains(text,
                   "[orphaned-wait] receive 0 on channel (src 1 -> dst 0, tag "
-                  "-6) is a naked wait on rank 1, which dies at step 0 "
+                  "-3) is a naked wait on rank 1, which dies at step 0 "
                   "without posting it — the wait can never complete");
   expect_contains(text,
                   "[orphaned-wait] rank 0 blocks forever on rank 1, which "
@@ -86,10 +87,10 @@ TEST(FaultTraceGolden, NakedWaitNamesVictimStepAndStuckOp) {
   expect_contains(text, "rank 0 (event 0 of 2):");
   expect_contains(
       text,
-      "> [0] Recv(src=1, tag=-6, 64 B)  // NAKED wait on a possibly-dead "
+      "> [0] Recv(src=1, tag=-3, 64 B)  // NAKED wait on a possibly-dead "
       "child — the defect");
   expect_contains(text,
-                  "[1] Recv(src=2, tag=-6, 64 B, bounded)  // bounded wait");
+                  "[1] Recv(src=2, tag=-3, 64 B, bounded)  // bounded wait");
 }
 
 TEST(FaultTraceGolden, RetransmitReframeIsByteMismatchOnLiveChannel) {
@@ -101,10 +102,10 @@ TEST(FaultTraceGolden, RetransmitReframeIsByteMismatchOnLiveChannel) {
   const std::string text = report.to_string();
   expect_contains(text,
                   "[byte-mismatch] message 1 on channel (src 2 -> dst 0, tag "
-                  "-6): sender posts 72 B, receiver expects 64 B");
+                  "-3): sender posts 72 B, receiver expects 64 B");
   expect_contains(text, "rank 2 (event 1 of 2):");
   expect_contains(text,
-                  "> [1] Send(dest=0, tag=-6, 72 B)  // retransmit of rank "
+                  "> [1] Send(dest=0, tag=-3, 72 B)  // retransmit of rank "
                   "1's slot, +8 B repair header — the defect");
 }
 
@@ -119,10 +120,10 @@ TEST(FaultTraceGolden, SkippedReleaseDeadlocksTheLiveSurvivor) {
   // Rank 3 is stuck on the ALIVE root, so this must NOT read as an
   // orphaned wait on the victim.
   expect_contains(text,
-                  "rank 3 blocked on channel (src 0 -> dst 3, tag -7) — "
+                  "rank 3 blocked on channel (src 0 -> dst 3, tag -2) — "
                   "source rank has FINISHED its script (dropped send)");
   expect_contains(
-      text, "> [1] Recv(src=0, tag=-7, 16 B)  // release — never sent");
+      text, "> [1] Recv(src=0, tag=-2, 16 B)  // release — never sent");
 }
 
 TEST(FaultTraceGolden, DroppedContributionIsUnmatchedPreKillSend) {
@@ -135,10 +136,10 @@ TEST(FaultTraceGolden, DroppedContributionIsUnmatchedPreKillSend) {
   expect_contains(text, "+ kill(victim=1, step=1)");
   expect_contains(text,
                   "[unmatched-send] send 0 on channel (src 1 -> dst 0, tag "
-                  "-6) (64 B) was posted by the victim pre-kill but no "
+                  "-3) (64 B) was posted by the victim pre-kill but no "
                   "survivor ever consumes it");
   expect_contains(text,
-                  "> [0] Send(dest=0, tag=-6, 64 B)  // contribution — "
+                  "> [0] Send(dest=0, tag=-3, 64 B)  // contribution — "
                   "executes before the kill");
 }
 
@@ -162,7 +163,7 @@ TEST(FaultTraceGolden, EverySeededFaultDefectIsDetectedWithExpectedKind) {
 
 // --------------------------------------------- zero-failure regression
 
-// The failure-space sweep on the shipped FT protocols must stay clean.
+// The failure-space sweep on the shipped protocols must stay clean.
 // schedule_check --faults covers the full grid; this in-process slice
 // keeps the guarantee inside the unit suite so a recovery-path edit
 // cannot regress quiescence without a red test.
@@ -195,27 +196,29 @@ TEST(FaultSweepRegression, AllKillPointsQuiesceOnShippedProtocols) {
     }
     for (int v = 1; v < p; ++v) {
       sweep([&](FaultScenario f) {
-        return verify::script_ft_gather(p, 0, bytes, f);
+        return verify::script_gather(p, 0, bytes, f);
       }, v);
       sweep([&](FaultScenario f) {
-        return verify::script_ft_bcast(p, 0, 256, f);
+        return verify::script_bcast(p, 0, 256, f);
       }, v);
       sweep([&](FaultScenario f) {
-        return verify::script_ft_allreduce(p, 0, 5, f);
+        return verify::script_allreduce(p, 5 * sizeof(double), f);
       }, v);
       sweep([&](FaultScenario f) {
-        return verify::script_ft_tsqr_direct(rows, 3, f);
+        return verify::script_tsqr_direct(rows, 3, f);
       }, v);
       sweep([&](FaultScenario f) {
-        return verify::script_ft_apmos(rows, 4, 3, 2, f);
+        return verify::script_apmos(rows, 4, 3, 2, /*fault_tolerant=*/true,
+                                    f);
       }, v);
       StreamingShape shape;
       shape.rows_by_rank = rows;
       shape.num_modes = 2;
       shape.batch_cols = 2;
       shape.rounds = 2;
+      shape.fault_tolerant = true;
       sweep([&](FaultScenario f) {
-        return verify::script_ft_streaming_updates(shape, f);
+        return verify::script_streaming_updates(shape, f);
       }, v);
     }
   }
@@ -238,7 +241,7 @@ TEST(FaultCrossValidation, GatherKillBeforePost) {
     bytes.push_back(24 + 8 * static_cast<std::uint64_t>(r));
   }
   const FaultSchedule model =
-      verify::script_ft_gather(p, root, bytes, {victim, 0});
+      verify::script_gather(p, root, bytes, {victim, 0});
   ASSERT_TRUE(model.deterministic);
   ASSERT_TRUE(check_fault_schedule(model.schedule, model.scenario).ok());
 
@@ -248,7 +251,7 @@ TEST(FaultCrossValidation, GatherKillBeforePost) {
   pmpi::run_on(ctx, [&](Communicator& comm) {
     std::vector<std::byte> payload(
         bytes[static_cast<std::size_t>(comm.rank())]);
-    const auto out = comm.gather_bytes_ft(std::move(payload), root);
+    const auto out = comm.gather_bytes(std::move(payload), root);
     if (comm.rank() == root) {
       ASSERT_EQ(out.size(), static_cast<std::size_t>(p));
       EXPECT_FALSE(out[victim].has_value());
@@ -267,7 +270,7 @@ TEST(FaultCrossValidation, GatherRotatedRootKillBeforePost) {
   const int victim = 0;
   const std::vector<std::uint64_t> bytes{40, 56, 72};
   const FaultSchedule model =
-      verify::script_ft_gather(p, root, bytes, {victim, 0});
+      verify::script_gather(p, root, bytes, {victim, 0});
   ASSERT_TRUE(model.deterministic);
   ASSERT_TRUE(check_fault_schedule(model.schedule, model.scenario).ok());
 
@@ -277,7 +280,7 @@ TEST(FaultCrossValidation, GatherRotatedRootKillBeforePost) {
   pmpi::run_on(ctx, [&](Communicator& comm) {
     std::vector<std::byte> payload(
         bytes[static_cast<std::size_t>(comm.rank())]);
-    const auto out = comm.gather_bytes_ft(std::move(payload), root);
+    const auto out = comm.gather_bytes(std::move(payload), root);
     if (comm.rank() == root) {
       EXPECT_FALSE(out[0].has_value());
       EXPECT_TRUE(out[1].has_value());
@@ -291,7 +294,8 @@ TEST(FaultCrossValidation, AllreduceKillBeforeContribution) {
   const int p = 4;
   const int victim = 1;
   const std::size_t n = 6;
-  const FaultSchedule model = verify::script_ft_allreduce(p, 0, n, {victim, 0});
+  const FaultSchedule model =
+      verify::script_allreduce(p, n * sizeof(double), {victim, 0});
   ASSERT_TRUE(model.deterministic);
   ASSERT_TRUE(check_fault_schedule(model.schedule, model.scenario).ok());
 
@@ -313,7 +317,11 @@ TEST(FaultCrossValidation, AllreduceKillBeforeContribution) {
     for (std::size_t i = 0; i < n; ++i) {
       data[i] = static_cast<double>(comm.rank() * 100) + static_cast<double>(i);
     }
-    comm.allreduce_sum_ft(std::span<double>(data), 0);
+    std::vector<int> missing;
+    comm.allreduce(std::span<double>(data), pmpi::Op::Sum, &missing);
+    if (comm.is_root()) {
+      EXPECT_EQ(missing, std::vector<int>{victim});
+    }
     results[static_cast<std::size_t>(comm.rank())] = std::move(data);
   });
   for (int r = 0; r < p; ++r) {
@@ -327,7 +335,8 @@ TEST(FaultCrossValidation, AllreduceKillBeforeContribution) {
 TEST(FaultCrossValidation, AllreduceLargerWorldKillBeforeContribution) {
   const int p = 6;
   const int victim = 5;
-  const FaultSchedule model = verify::script_ft_allreduce(p, 0, 9, {victim, 0});
+  const FaultSchedule model =
+      verify::script_allreduce(p, 9 * sizeof(double), {victim, 0});
   ASSERT_TRUE(model.deterministic);
   ASSERT_TRUE(check_fault_schedule(model.schedule, model.scenario).ok());
 
@@ -336,7 +345,8 @@ TEST(FaultCrossValidation, AllreduceLargerWorldKillBeforeContribution) {
   auto ctx = make_ctx(p, std::move(plan));
   pmpi::run_on(ctx, [&](Communicator& comm) {
     std::vector<double> data(9, 1.0);
-    comm.allreduce_sum_ft(std::span<double>(data), 0);
+    std::vector<int> missing;
+    comm.allreduce(std::span<double>(data), pmpi::Op::Sum, &missing);
     if (comm.rank() != victim) {
       EXPECT_EQ(data[0], static_cast<double>(p - 1)) << "rank " << comm.rank();
     }
@@ -352,7 +362,7 @@ TEST(FaultCrossValidation, TsqrDirectKillBeforeRFactorPost) {
   const int victim = 2;
   const std::vector<std::int64_t> rows{5, 6, 7, 8};
   const FaultSchedule model =
-      verify::script_ft_tsqr_direct(rows, k, {victim, 0});
+      verify::script_tsqr_direct(rows, k, {victim, 0});
   ASSERT_TRUE(model.deterministic);
   ASSERT_TRUE(check_fault_schedule(model.schedule, model.scenario).ok());
 
@@ -362,9 +372,11 @@ TEST(FaultCrossValidation, TsqrDirectKillBeforeRFactorPost) {
   pmpi::run_on(ctx, [&](Communicator& comm) {
     const auto r = static_cast<std::size_t>(comm.rank());
     const Matrix a = testing::random_matrix(rows[r], k, 900 + r);
-    const TsqrResult out = tsqr(comm, a, /*fault_tolerant=*/true);
+    const TsqrResult out = tsqr(comm, a);
     if (comm.rank() != victim) {
-      EXPECT_EQ(out.excluded_ranks, std::vector<int>{victim})
+      // The exclusion list is root-side only.
+      EXPECT_EQ(out.excluded_ranks,
+                comm.is_root() ? std::vector<int>{victim} : std::vector<int>{})
           << "rank " << comm.rank();
       EXPECT_EQ(out.r.rows(), k);
       EXPECT_EQ(out.r.cols(), k);
@@ -380,8 +392,8 @@ TEST(FaultCrossValidation, ApmosKillBeforeGatherPostPinsReport) {
   const int victim = 1;
   const std::int64_t n_cols = 6;
   const std::vector<std::int64_t> rows{4, 5, 6, 7};
-  const FaultSchedule model =
-      verify::script_ft_apmos(rows, n_cols, /*r1=*/3, /*r2=*/2, {victim, 0});
+  const FaultSchedule model = verify::script_apmos(
+      rows, n_cols, /*r1=*/3, /*r2=*/2, /*fault_tolerant=*/true, {victim, 0});
   ASSERT_TRUE(model.deterministic);
   ASSERT_TRUE(check_fault_schedule(model.schedule, model.scenario).ok());
   ASSERT_FALSE(model.report_flat.empty());
@@ -426,6 +438,7 @@ void cross_validate_streaming(int p, std::vector<std::int64_t> rows,
   shape.num_modes = K;
   shape.batch_cols = B;
   shape.rounds = rounds;
+  shape.fault_tolerant = true;
   shape.init_energy.resize(static_cast<std::size_t>(p));
   shape.round_energy.assign(static_cast<std::size_t>(rounds),
                             std::vector<double>(static_cast<std::size_t>(p)));
@@ -444,7 +457,7 @@ void cross_validate_streaming(int p, std::vector<std::int64_t> rows,
   }
 
   const FaultSchedule model =
-      verify::script_ft_streaming_updates(shape, {victim, kill_step});
+      verify::script_streaming_updates(shape, {victim, kill_step});
   ASSERT_TRUE(model.deterministic);
   ASSERT_TRUE(check_fault_schedule(model.schedule, model.scenario).ok());
 
@@ -501,11 +514,11 @@ void cross_validate_streaming(int p, std::vector<std::int64_t> rows,
 }
 
 TEST(FaultCrossValidation, StreamingKillAtSecondRoundEnergyPost) {
-  // Victim dies at its round-2 energy post (model step 9): round 1 is
+  // Victim dies at its round-2 energy post (model step 8): round 1 is
   // fully healthy, round 2 runs degraded with the death observed at
   // the energy gather.
   cross_validate_streaming(/*p=*/4, {4, 5, 6, 7}, /*cols0=*/4, /*victim=*/1,
-                           /*rounds=*/2, /*kill_step=*/9);
+                           /*rounds=*/2, /*kill_step=*/8);
 }
 
 TEST(FaultCrossValidation, StreamingKillAtModesPostShrinksRoundTwo) {
@@ -513,10 +526,10 @@ TEST(FaultCrossValidation, StreamingKillAtModesPostShrinksRoundTwo) {
   // round-2 degraded sizes genuinely diverge from the healthy ones
   // (qcols drops from 3 to 2) — the totals only match if the model
   // tracks the degraded size evolution exactly. The kill lands at the
-  // victim's round-1 modes post (model step 7), after it already
+  // victim's round-1 modes post (model step 6), after it already
   // consumed the round-1 result broadcasts.
   cross_validate_streaming(/*p=*/3, {1, 1, 1}, /*cols0=*/4, /*victim=*/2,
-                           /*rounds=*/2, /*kill_step=*/7);
+                           /*rounds=*/2, /*kill_step=*/6);
 }
 
 }  // namespace

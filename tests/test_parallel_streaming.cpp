@@ -131,15 +131,16 @@ TEST(ParallelStreaming, RankCountInvariance) {
 }
 
 TEST(ParallelStreaming, FaultTolerantPathMatchesHealthy) {
-  // The healthy and fault-tolerant TSQR paths agree when nobody dies.
+  // Both fault policies run the same collectives, so when nobody dies
+  // the results are bit-identical.
   const Matrix a = burgers_data(256, 60);
   StreamingOptions opts;
   opts.num_modes = 4;
   const ParallelRun healthy = run_parallel_streaming(a, 4, 15, opts);
   opts.fault_tolerant = true;
   const ParallelRun ft = run_parallel_streaming(a, 4, 15, opts);
-  testing::expect_vector_near(healthy.s, ft.s, 1e-9);
-  testing::expect_matrix_near(healthy.modes, ft.modes, 1e-8);
+  testing::expect_vector_near(healthy.s, ft.s, 0.0);
+  testing::expect_matrix_near(healthy.modes, ft.modes, 0.0);
 }
 
 TEST(ParallelStreaming, GatheredModesOrthonormal) {

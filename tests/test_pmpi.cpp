@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <numeric>
+#include <optional>
 
 #include "pmpi/comm.hpp"
 #include "test_utils.hpp"
@@ -163,11 +164,12 @@ TEST(Pmpi, BcastScalarHelpers) {
 TEST(Pmpi, GatherMatricesInRankOrder) {
   pmpi::run(4, [](Communicator& comm) {
     Matrix local(2, 1, static_cast<double>(comm.rank()));
-    const std::vector<Matrix> all = comm.gather_matrices(local, 0);
+    const std::vector<std::optional<Matrix>> all =
+        comm.gather_matrices(local, 0);
     if (comm.is_root()) {
       ASSERT_EQ(all.size(), 4u);
       for (int r = 0; r < 4; ++r) {
-        EXPECT_DOUBLE_EQ(all[static_cast<std::size_t>(r)](0, 0),
+        EXPECT_DOUBLE_EQ(all[static_cast<std::size_t>(r)].value()(0, 0),
                          static_cast<double>(r));
       }
     } else {

@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <optional>
 #include <thread>
 
 #include "pmpi/comm.hpp"
@@ -121,10 +122,11 @@ TEST(PmpiStress, LargePayloadsSurvive) {
   pmpi::run(3, [](Communicator& comm) {
     const Matrix local = testing::random_matrix(
         1024, 256, 2000 + static_cast<std::uint64_t>(comm.rank()));
-    const std::vector<Matrix> all = comm.gather_matrices(local, 0);
+    const std::vector<std::optional<Matrix>> all =
+        comm.gather_matrices(local, 0);
     Matrix back;
     if (comm.is_root()) {
-      back = all[2];
+      back = all[2].value();
     }
     comm.bcast_matrix(back, 0);
     const Matrix expected = testing::random_matrix(1024, 256, 2002);

@@ -136,7 +136,7 @@ INSTANTIATE_TEST_SUITE_P(
     Configs, ParallelStreamingSweep,
     ::testing::Combine(::testing::Values(1, 2, 3, 5, 8),  // ranks
                        ::testing::Values(2, 6),           // K
-                       ::testing::Values(0, 1)));         // healthy, FT
+                       ::testing::Values(0, 1)));         // strict, fault-tolerant policy
 
 }  // namespace
 }  // namespace parsvd

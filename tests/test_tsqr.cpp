@@ -1,13 +1,16 @@
-// Distributed TSQR tests: the healthy and fault-tolerant paths against
-// the serial QR, rank-count invariance, uneven row splits, orthogonality
-// of the assembled Q.
+// Distributed TSQR tests: the direct TSQR against the serial QR, on a
+// clean context and under a recoverable-fault plan (drops, duplicates,
+// truncations the envelope recovers), rank-count invariance, uneven row
+// splits, orthogonality of the assembled Q.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <tuple>
 
 #include "core/tsqr.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/qr.hpp"
+#include "pmpi/fault.hpp"
 #include "test_utils.hpp"
 #include "workloads/batch_source.hpp"
 
@@ -22,15 +25,22 @@ using testing::random_matrix;
 using workloads::partition_rows;
 
 /// Run TSQR over `p` ranks on row-blocks of `a`; reassemble the global Q
-/// and return (Q, R).
-QrResult run_tsqr(const Matrix& a, int p, bool fault_tolerant = false) {
+/// and return (Q, R). With `faulty` the context carries a recoverable
+/// chaos plan, so every wait of the death-aware collectives runs armed
+/// and some messages are recovered from the retransmit log.
+QrResult run_tsqr(const Matrix& a, int p, bool faulty = false) {
   std::vector<Matrix> q_blocks(static_cast<std::size_t>(p));
   Matrix r;
   std::mutex mu;
-  pmpi::run(p, [&](Communicator& comm) {
+  auto ctx = std::make_shared<pmpi::Context>(p);
+  if (faulty) {
+    ctx->set_fault_plan(pmpi::FaultPlan::chaos(
+        static_cast<std::uint64_t>(a.rows() * 31 + p), 0.1, 0.0, 0.1, 0.1));
+  }
+  pmpi::run_on(ctx, [&](Communicator& comm) {
     const auto part = partition_rows(a.rows(), p, comm.rank());
     const Matrix local = a.block(part.offset, 0, part.count, a.cols());
-    TsqrResult res = tsqr(comm, local, fault_tolerant);
+    TsqrResult res = tsqr(comm, local);
     std::lock_guard<std::mutex> lock(mu);
     q_blocks[static_cast<std::size_t>(comm.rank())] = std::move(res.q_local);
     if (comm.is_root()) r = std::move(res.r);
@@ -40,13 +50,13 @@ QrResult run_tsqr(const Matrix& a, int p, bool fault_tolerant = false) {
 
 class TsqrSweep
     : public ::testing::TestWithParam<std::tuple<int, int, int, int>> {};
-// params: ranks, rows, cols, fault_tolerant
+// params: ranks, rows, cols, recoverable-fault plan
 
 TEST_P(TsqrSweep, MatchesSerialQr) {
-  const auto [p, m, n, fault_tolerant] = GetParam();
+  const auto [p, m, n, faulty] = GetParam();
   if (m < p * n) GTEST_SKIP() << "blocks must be taller than wide for TSQR";
   const Matrix a = random_matrix(m, n, 77);
-  const QrResult dist = run_tsqr(a, p, fault_tolerant != 0);
+  const QrResult dist = run_tsqr(a, p, faulty != 0);
   const QrResult serial = qr_thin(a);
 
   // Same deterministic sign convention → exact same factors (up to fp).
@@ -59,12 +69,12 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(1, 2, 3, 4, 7),
                        ::testing::Values(64, 150),
                        ::testing::Values(1, 5, 12),
-                       ::testing::Values(0, 1)));  // healthy, FT path
+                       ::testing::Values(0, 1)));  // clean, faulty
 
 TEST(Tsqr, ReconstructsInput) {
   const Matrix a = random_matrix(120, 8, 78);
-  for (const bool fault_tolerant : {false, true}) {
-    const QrResult qr = run_tsqr(a, 4, fault_tolerant);
+  for (const bool faulty : {false, true}) {
+    const QrResult qr = run_tsqr(a, 4, faulty);
     expect_matrix_near(naive_matmul(qr.q, qr.r), a, 1e-11);
     EXPECT_LT(ortho_defect(qr.q), 1e-12);
   }
@@ -94,13 +104,14 @@ TEST(Tsqr, RFactorIdenticalOnAllRanks) {
 }
 
 TEST(Tsqr, VariantsAgreeWithEachOther) {
-  // With nobody dying, the fault-tolerant path stacks the same R factors
-  // in the same order, so it must reproduce the healthy path exactly.
+  // Recovered drops, duplicates and truncations deliver the same R
+  // factors in the same order, so the run under a recoverable-fault
+  // plan must reproduce the clean run exactly.
   const Matrix a = random_matrix(96, 7, 81);
-  const QrResult healthy = run_tsqr(a, 6);
-  const QrResult ft = run_tsqr(a, 6, /*fault_tolerant=*/true);
-  expect_matrix_near(healthy.q, ft.q, 0.0);
-  expect_matrix_near(healthy.r, ft.r, 0.0);
+  const QrResult clean = run_tsqr(a, 6);
+  const QrResult faulty = run_tsqr(a, 6, /*faulty=*/true);
+  expect_matrix_near(clean.q, faulty.q, 0.0);
+  expect_matrix_near(clean.r, faulty.r, 0.0);
 }
 
 TEST(Tsqr, SingleRankEqualsSerial) {
@@ -124,8 +135,7 @@ TEST(Tsqr, EmptyLocalBlockThrows) {
 }
 
 TEST(Tsqr, NonPowerOfTwoTreeRanks) {
-  // Non-power-of-two rank counts: the final-R broadcast's binomial tree
-  // has unpaired ranks at 5 and 6.
+  // Non-power-of-two rank counts: ragged row blocks at 5 and 6 ranks.
   for (int p : {5, 6}) {
     const Matrix a = random_matrix(90, 4, 84);
     const QrResult dist = run_tsqr(a, p);

@@ -17,9 +17,12 @@
 #include <vector>
 
 #include "core/apmos.hpp"
+#include "core/parallel_streaming.hpp"
 #include "core/tsqr.hpp"
 #include "pmpi/comm.hpp"
+#include "test_utils.hpp"
 #include "verify/checker.hpp"
+#include "verify/fault_schedules.hpp"
 #include "verify/schedules.hpp"
 #include "verify/selftest.hpp"
 
@@ -55,22 +58,23 @@ TEST(VerifyNegative, ReportRendersCounterexample) {
 
 TEST(VerifyNegative, TagRegistry) {
   EXPECT_TRUE(tag_registered(pmpi::tags::kBcast));
-  EXPECT_TRUE(tag_registered(pmpi::tags::kFtBcast));
+  EXPECT_TRUE(tag_registered(pmpi::tags::kReduce));
   EXPECT_TRUE(tag_registered(pmpi::tags::tsqr_down(0)));
   EXPECT_TRUE(tag_registered(pmpi::tags::tsqr_down(30)));
-  EXPECT_TRUE(tag_registered(pmpi::tags::apmos_w()));
   EXPECT_TRUE(tag_registered(pmpi::tags::kUserBase));
   EXPECT_TRUE(tag_registered(pmpi::tags::kUserBase + 12345));
   EXPECT_FALSE(tag_registered(0));
   EXPECT_FALSE(tag_registered(7));
   EXPECT_FALSE(tag_registered(-1));
-  // Vacant tag slots stay unregistered.
-  EXPECT_FALSE(tag_registered(pmpi::tags::kFtBcast - 1));
+  // Vacant tag slots stay unregistered, including the retired
+  // fault-tolerant twins' -6/-7 and the retired APMOS band.
+  EXPECT_FALSE(tag_registered(pmpi::tags::kReduce - 1));
+  EXPECT_FALSE(tag_registered(-7));
   EXPECT_FALSE(tag_registered(pmpi::tags::kTsqrDownBase - 1));
   // kBarrier is wire traffic only inside a group's scoped band; the
   // world barrier is the context's central rendezvous.
   EXPECT_FALSE(tag_registered(pmpi::tags::kBarrier));
-  EXPECT_FALSE(tag_registered(pmpi::tags::kApmosGatherBase +
+  EXPECT_FALSE(tag_registered(pmpi::tags::kTsqrDownBase +
                               pmpi::tags::kRangeWidth));
 }
 
@@ -80,7 +84,7 @@ TEST(VerifyNegative, TagRegistryGroupScoped) {
   EXPECT_TRUE(tag_registered(tags::group_scope(1, tags::kBcast)));
   EXPECT_TRUE(tag_registered(tags::group_scope(1, tags::kBarrier)));
   EXPECT_TRUE(tag_registered(tags::group_scope(3, tags::tsqr_down(12))));
-  EXPECT_TRUE(tag_registered(tags::group_scope(3, tags::apmos_w())));
+
   EXPECT_TRUE(tag_registered(tags::group_scope(7, tags::kUserBase)));
   EXPECT_TRUE(tag_registered(
       tags::group_scope(tags::kMaxGroups, tags::kGroupUserLimit - 1)));
@@ -89,7 +93,7 @@ TEST(VerifyNegative, TagRegistryGroupScoped) {
   EXPECT_FALSE(tag_registered(tags::group_scope(1, 0)));
   EXPECT_FALSE(tag_registered(tags::group_scope(2, 7)));
   EXPECT_FALSE(tag_registered(
-      tags::group_scope(1, tags::kApmosGatherBase + tags::kRangeWidth)));
+      tags::group_scope(1, tags::kTsqrDownBase + tags::kRangeWidth)));
   EXPECT_FALSE(tag_registered(
       tags::group_scope(tags::kMaxGroups + 1, tags::kBcast)));
 }
@@ -97,7 +101,7 @@ TEST(VerifyNegative, TagRegistryGroupScoped) {
 // ------------------------------------------------------ group schedules
 
 TEST(VerifyGroups, EmbedTranslatesPeersAndScopesTags) {
-  const Schedule local = script_bcast(2, 0, 48);
+  const Schedule local = script_bcast(2, 0, 48).schedule;
   Schedule world = make_schedule("embed test", 4);
   const GroupSpec g{2, {3, 1}};  // group rank 0 -> world 3, 1 -> world 1
   embed_group_schedule(world, local, g);
@@ -208,7 +212,7 @@ const int kRankCounts[] = {1, 2, 3, 5, 8, 16};
 TEST(VerifyCrossValidation, Bcast) {
   for (const int p : kRankCounts) {
     for (const int root : {0, p - 1}) {
-      const Schedule s = script_bcast(p, root, 7 * sizeof(double));
+      const Schedule s = script_bcast(p, root, 7 * sizeof(double)).schedule;
       expect_matches_reality(s, p, [root](pmpi::Communicator& comm) {
         std::vector<double> v(7, comm.rank() == root ? 1.5 : 0.0);
         comm.bcast(v, root);
@@ -224,7 +228,7 @@ TEST(VerifyCrossValidation, Gatherv) {
       per_rank[static_cast<std::size_t>(r)] =
           sizeof(double) * static_cast<std::uint64_t>(3 + r);
     }
-    const Schedule s = script_gather(p, 0, per_rank);
+    const Schedule s = script_gather(p, 0, per_rank).schedule;
     expect_matches_reality(s, p, [](pmpi::Communicator& comm) {
       std::vector<double> local(static_cast<std::size_t>(3 + comm.rank()),
                                 2.0);
@@ -235,7 +239,7 @@ TEST(VerifyCrossValidation, Gatherv) {
 
 TEST(VerifyCrossValidation, Allgather) {
   for (const int p : kRankCounts) {
-    const Schedule s = script_allgather(p, sizeof(double));
+    const Schedule s = script_allgather(p, sizeof(double)).schedule;
     expect_matches_reality(s, p, [](pmpi::Communicator& comm) {
       comm.allgather_double(static_cast<double>(comm.rank()));
     });
@@ -246,12 +250,12 @@ TEST(VerifyCrossValidation, ReduceAndAllreduce) {
   for (const int p : kRankCounts) {
     // Small and large payloads share one topology; both are pinned.
     for (const std::size_t n : {std::size_t{16}, std::size_t{4096}}) {
-      const Schedule sr = script_reduce(p, 0, n * sizeof(double));
+      const Schedule sr = script_reduce(p, 0, n * sizeof(double)).schedule;
       expect_matches_reality(sr, p, [n](pmpi::Communicator& comm) {
         std::vector<double> v(n, static_cast<double>(comm.rank()));
         comm.reduce(v, pmpi::Op::Sum, 0);
       });
-      const Schedule sa = script_allreduce(p, n * sizeof(double));
+      const Schedule sa = script_allreduce(p, n * sizeof(double)).schedule;
       expect_matches_reality(sa, p, [n](pmpi::Communicator& comm) {
         std::vector<double> v(n, 1.0);
         comm.allreduce(v, pmpi::Op::Sum);
@@ -297,7 +301,7 @@ TEST(VerifyCrossValidation, TsqrDirect) {
       ragged[static_cast<std::size_t>(r)] = 2 + r % 5;
     }
     for (const auto& rows : {uniform, ragged}) {
-      const Schedule s = script_tsqr_direct(rows, k);
+      const Schedule s = script_tsqr_direct(rows, k).schedule;
       expect_matches_reality(s, p, [&rows](pmpi::Communicator& comm) {
         tsqr(comm, tsqr_panel(rows[static_cast<std::size_t>(comm.rank())], k,
                               comm.rank()));
@@ -311,19 +315,19 @@ TEST(VerifyCrossValidation, TsqrDirect) {
 // The accessors consumed above (total_messages / total_bytes) are thin
 // views over the per-context obs::Registry. Pin the registry series
 // themselves — dotted names, per-sender split, payload histogram —
-// against the schedule prediction for a binomial bcast (interior ranks
-// forward, so several ranks send), so a metric rename or a half-done
-// migration cannot silently detach the Context accessors from the
-// registry while both tests keep passing.
+// against the schedule prediction for an allreduce (every rank sends in
+// the reduce leg, the root fans the total out), so a metric rename or a
+// half-done migration cannot silently detach the Context accessors from
+// the registry while both tests keep passing.
 TEST(VerifyCrossValidation, MetricsRegistryTotals) {
   constexpr int p = 8;
   constexpr std::size_t n = 48;  // doubles
-  const Schedule s = script_bcast(p, 0, n * sizeof(double));
+  const Schedule s = script_allreduce(p, n * sizeof(double)).schedule;
   ASSERT_TRUE(check_schedule(s).ok());
   auto ctx = std::make_shared<pmpi::Context>(p);
   pmpi::run_on(ctx, [](pmpi::Communicator& comm) {
-    std::vector<double> v(n, comm.rank() == 0 ? 3.0 : 0.0);
-    comm.bcast(v, 0);
+    std::vector<double> v(n, static_cast<double>(comm.rank()));
+    comm.allreduce(v, pmpi::Op::Sum);
   });
   obs::Registry& reg = ctx->metrics();
   const Totals t = schedule_totals(s);
@@ -369,10 +373,11 @@ TEST(VerifyCrossValidation, GroupRegistryTotals) {
   // Model: group 1 (evens) runs a direct TSQR, group 2 (odds) an
   // allreduce followed by a group barrier.
   Schedule s = make_schedule("two subgroup jobs", p);
-  embed_group_schedule(s, script_tsqr_direct(rows, k),
+  embed_group_schedule(s, script_tsqr_direct(rows, k).schedule,
                        GroupSpec{1, {evens.begin(), evens.end()}});
   const GroupSpec odd_spec{2, {odds.begin(), odds.end()}};
-  embed_group_schedule(s, script_allreduce(4, n * sizeof(double)), odd_spec);
+  embed_group_schedule(s, script_allreduce(4, n * sizeof(double)).schedule,
+                       odd_spec);
   embed_group_schedule(s, script_group_barrier(4), odd_spec);
   const CheckReport report = check_schedule(s);
   ASSERT_TRUE(report.ok()) << report.to_string();
@@ -450,24 +455,80 @@ TEST(VerifyCrossValidation, GroupBarrierTotals) {
 
 TEST(VerifyCrossValidation, Apmos) {
   for (const int p : kRankCounts) {
-    // a_local: 8 x 5 per rank, r1 = 3, r2 = 2. W^i is 5 x 3; the
-    // broadcast X is 5 x 2 and Lambda has 2 entries.
-    const std::uint64_t mat_hdr = 2 * sizeof(std::int64_t);
-    const Schedule s = script_apmos(p, /*w=*/mat_hdr + sizeof(double) * 5 * 3,
-                                    /*x=*/mat_hdr + sizeof(double) * 5 * 2,
-                                    /*lambda=*/sizeof(double) * 2);
-    expect_matches_reality(s, p, [](pmpi::Communicator& comm) {
-      Matrix a(8, 5);
-      for (Index i = 0; i < a.size(); ++i) {
-        a.data()[i] =
-            1.0 + 0.01 * static_cast<double>((i * 11 + comm.rank()) % 17);
-      }
-      ApmosOptions opts;
-      opts.r1 = 3;
-      opts.r2 = 2;
-      apmos_svd(comm, a, opts);
-    });
+    // a_local: 8 x 5 per rank, r1 = 3, r2 = 2, under both fault
+    // policies (the fault-tolerant one adds the FaultReport bcast).
+    const std::vector<std::int64_t> rows(static_cast<std::size_t>(p), 8);
+    for (const bool fault_tolerant : {false, true}) {
+      const Schedule s = script_apmos(rows, 5, 3, 2, fault_tolerant).schedule;
+      expect_matches_reality(s, p, [fault_tolerant](pmpi::Communicator& comm) {
+        Matrix a(8, 5);
+        for (Index i = 0; i < a.size(); ++i) {
+          a.data()[i] =
+              1.0 + 0.01 * static_cast<double>((i * 11 + comm.rank()) % 17);
+        }
+        ApmosOptions opts;
+        opts.r1 = 3;
+        opts.r2 = 2;
+        opts.fault_tolerant = fault_tolerant;
+        apmos_svd(comm, a, opts);
+      });
+    }
   }
+}
+
+// The streaming update loop at the burgers_stream shape (P=4, K=10,
+// B=10, 4096 rows per rank): the registry's messages and bytes over the
+// updates must equal the emitter's kill-free prediction under both
+// fault policies. A healthy initialize-only probe supplies the setup
+// baseline the update section is measured against.
+void cross_validate_streaming_updates(bool fault_tolerant,
+                                      std::uint64_t messages_per_update) {
+  constexpr int p = 4;
+  constexpr Index rows = 4096;
+  constexpr Index K = 10;
+  constexpr Index B = 10;
+  constexpr int updates = 3;
+  StreamingShape shape;
+  shape.rows_by_rank.assign(p, rows);
+  shape.num_modes = K;
+  shape.batch_cols = B;
+  shape.rounds = updates;
+  shape.fault_tolerant = fault_tolerant;
+  const FaultSchedule model = script_streaming_updates(shape);
+  ASSERT_TRUE(check_schedule(model.schedule).ok());
+  EXPECT_EQ(model.messages, messages_per_update * updates);
+
+  const auto job = [&](pmpi::Communicator& comm, int rounds) {
+    const auto r = static_cast<std::uint64_t>(comm.rank());
+    StreamingOptions opts;
+    opts.num_modes = K;
+    opts.fault_tolerant = fault_tolerant;
+    ParallelStreamingSVD svd(comm, opts);
+    svd.initialize(testing::random_matrix(rows, K, 300 + r));
+    for (int t = 0; t < rounds; ++t) {
+      svd.incorporate_data(testing::random_matrix(
+          rows, B, 400 + 10 * static_cast<std::uint64_t>(t) + r));
+    }
+  };
+  auto probe = std::make_shared<pmpi::Context>(p);
+  pmpi::run_on(probe, [&](pmpi::Communicator& comm) { job(comm, 0); });
+  auto ctx = std::make_shared<pmpi::Context>(p);
+  pmpi::run_on(ctx, [&](pmpi::Communicator& comm) { job(comm, updates); });
+  EXPECT_EQ(ctx->total_messages() - probe->total_messages(), model.messages)
+      << model.schedule.name;
+  EXPECT_EQ(ctx->total_bytes() - probe->total_bytes(), model.bytes)
+      << model.schedule.name;
+}
+
+TEST(VerifyCrossValidation, StreamingUpdatesDefaultPolicy) {
+  // TSQR gather + Q slices + R bcast, U and sigma bcasts, mode gather:
+  // six legs of P-1 = 3 messages.
+  cross_validate_streaming_updates(/*fault_tolerant=*/false, 18);
+}
+
+TEST(VerifyCrossValidation, StreamingUpdatesFaultTolerantPolicy) {
+  // Plus the energy-ledger gather and the FaultReport bcast.
+  cross_validate_streaming_updates(/*fault_tolerant=*/true, 24);
 }
 
 }  // namespace

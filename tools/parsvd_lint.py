@@ -50,18 +50,22 @@ Rules
                  examples/.
 
   ft-wait        A naked wait (wait/wait_any/wait_scoped/recv_matrix/
-                 recv_bytes) inside a fault-tolerant collective (any
-                 function whose name ends in `_ft`) that is not
-                 death-bounded. The peer may be dead, so every wait on
-                 it must sit inside a try block with a
-                 `catch (RankDeadError)` handler — the watchdog-armed
-                 idiom the recovery paths use — or the survivor hangs
-                 forever on a rank that will never post (the
-                 orphaned-wait class schedule_check --faults proves
+                 recv_bytes) in a death-aware protocol that is not
+                 death-bounded. The protocols are the collective engines
+                 (the bodies of Communicator::gather_bytes, bcast_bytes
+                 and reduce, defined in src/pmpi/comm.cpp) and the
+                 distributed solvers (src/core/tsqr.cpp, apmos.cpp and
+                 parallel_streaming.cpp, whole files). The peer may be
+                 dead, so every wait on it must sit inside a try block
+                 with a `catch (RankDeadError)` handler — the
+                 watchdog-armed idiom the recovery paths use — or the
+                 survivor hangs forever on a rank that will never post
+                 (the orphaned-wait class schedule_check --faults proves
                  absent). A line whose raw text (or the line above it)
                  carries `parsvd-lint: allow-ft-wait` is exempt —
                  reserved for waits on rank 0 under the documented
-                 root-must-survive contract. Scope: src/.
+                 root-must-survive contract (the non-root bcast receive,
+                 the TSQR slice receive). Scope: src/.
 
   wall-clock     Wall-clock APIs (std::time, gmtime, localtime,
                  strftime, system_clock) in library or bench sources.
@@ -186,11 +190,10 @@ def rule_raw_tag(path: pathlib.Path, text: str, findings: list) -> None:
 # ---------------------------------------------------------- rule: pipelined
 
 BLOCKING_CALLS = re.compile(
-    r"\b(recv_matrix|recv_bytes|gather_matrices|gatherv|gather_bytes_ft|"
-    r"gather_matrices_ft|scatter_rows|reduce|allreduce|allreduce_scalar|"
-    r"allreduce_sum_ft|bcast|bcast_matrix|bcast_double|bcast_index|"
-    r"bcast_bytes_ft|bcast_matrix_ft|bcast_doubles_ft|barrier|wait|"
-    r"wait_all|wait_any|allgather_double|allgather_index)\s*\(")
+    r"\b(recv_matrix|recv_bytes|gather_matrices|gatherv|gather_bytes|"
+    r"scatter_rows|reduce|allreduce|allreduce_scalar|bcast|bcast_bytes|"
+    r"bcast_matrix|bcast_double|bcast_index|barrier|wait|wait_all|"
+    r"wait_any|allgather_double|allgather_index)\s*\(")
 
 PIPELINE_BEGIN = re.compile(r"parsvd-pipelined\s+begin")
 PIPELINE_END = re.compile(r"parsvd-pipelined\s+end")
@@ -345,7 +348,12 @@ def rule_blocking(path: pathlib.Path, text: str, findings: list,
 
 # ------------------------------------------------------------ rule: ft-wait
 
-FT_FUNC_DEF = re.compile(r"\b(\w+_ft)\s*\(")
+# The death-aware collective engines (defined in src/pmpi/comm.cpp) and
+# the solver files whose every wait is checked.
+FT_ENGINE_DEF = re.compile(
+    r"\bCommunicator::(gather_bytes|bcast_bytes|reduce)\s*\(")
+FT_SOLVER_FILES = {"src/core/tsqr.cpp", "src/core/apmos.cpp",
+                   "src/core/parallel_streaming.cpp"}
 FT_WAIT_CALL = re.compile(
     r"\b(wait_scoped|wait_any|wait|recv_matrix|recv_bytes)\s*\(")
 FT_CATCH = re.compile(r"\s*catch\s*\(([^)]*)\)")
@@ -365,10 +373,10 @@ def match_brace(text: str, open_idx: int) -> int:
     return -1
 
 
-def ft_function_bodies(clean: str):
-    """(start, end) spans of the bodies of `*_ft` function DEFINITIONS
+def ft_engine_bodies(clean: str):
+    """(start, end) spans of the bodies of collective-engine DEFINITIONS
     (a parameter list followed by `{`; calls/declarations end in `;`)."""
-    for m in FT_FUNC_DEF.finditer(clean):
+    for m in FT_ENGINE_DEF.finditer(clean):
         parsed = split_args(clean, clean.index("(", m.end() - 1))
         if parsed is None:
             continue
@@ -413,10 +421,19 @@ def death_bounded_spans(clean: str, start: int, end: int):
             yield start + ob, start + cb
 
 
-def rule_ft_wait(path: pathlib.Path, text: str, findings: list) -> None:
+def rule_ft_wait(path: pathlib.Path, text: str, findings: list,
+                 root: pathlib.Path | None = None) -> None:
     clean = strip_comments(text)
     raw_lines = text.splitlines()
-    for start, end in ft_function_bodies(clean):
+    spans = list(ft_engine_bodies(clean))
+    if root is not None:
+        try:
+            rel = path.resolve().relative_to(root).as_posix()
+        except ValueError:
+            rel = ""
+        if rel in FT_SOLVER_FILES:
+            spans = [(0, len(clean))]
+    for start, end in spans:
         bounded = list(death_bounded_spans(clean, start, end))
         for m in FT_WAIT_CALL.finditer(clean, start, end):
             if any(lo <= m.start() <= hi for lo, hi in bounded):
@@ -428,7 +445,7 @@ def rule_ft_wait(path: pathlib.Path, text: str, findings: list) -> None:
                 continue
             findings.append(
                 (path, lineno, "ft-wait",
-                 f"naked {m.group(1)}() in a fault-tolerant collective; "
+                 f"naked {m.group(1)}() in a death-aware protocol; "
                  "the peer may be dead — wrap the wait in try/catch "
                  "(RankDeadError) so it dead-resolves, or mark the "
                  "root-must-survive contract with "
@@ -517,7 +534,7 @@ def main(argv) -> int:
         for path in src:
             text = path.read_text(encoding="utf-8", errors="replace")
             rule_pipelined(path, text, findings)
-            rule_ft_wait(path, text, findings)
+            rule_ft_wait(path, text, findings, root)
         for path in src + bench:
             rule_wall_clock(
                 path, path.read_text(encoding="utf-8", errors="replace"),
