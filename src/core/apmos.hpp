@@ -48,6 +48,6 @@ ApmosResult apmos_svd(pmpi::Communicator& comm, const Matrix& a_local,
 /// Mirrors PyParSVD's generate_right_vectors.
 std::pair<Matrix, Vector> generate_right_vectors(
     const Matrix& a, Index r1, SvdMethod method,
-    EighMethod eigh_method = EighMethod::Jacobi);
+    EighMethod eigh_method = EighMethod::Tridiagonal);
 
 }  // namespace parsvd

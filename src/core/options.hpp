@@ -1,8 +1,10 @@
 // User-facing configuration for the parsvd core algorithms.
 //
 // Defaults mirror the paper: forget factor ff = 0.95 (§3.1), APMOS
-// truncation r1 = 50, r2 = 5 (§3.2), and Gaussian sketching for the
-// randomized path (§3.3).
+// truncation r1 = 50, r2 = 5 (§3.2), Gaussian sketching for the
+// randomized path (§3.3), and LAPACK-style dense kernels — Golub–Kahan
+// SVD and tridiagonal-QL eigh, the routes np.linalg takes. Jacobi stays
+// selectable as the high-relative-accuracy reference.
 #pragma once
 
 #include <cstdint>
@@ -73,7 +75,7 @@ struct RandomizedOptions {
   /// Seed for the test matrix (deterministic per seed).
   std::uint64_t seed = 0x5eed;
   /// Backend used for the small inner SVD.
-  SvdMethod inner_method = SvdMethod::Jacobi;
+  SvdMethod inner_method = SvdMethod::GolubKahan;
   /// Test-matrix family for the range finder. DenseGaussian (the paper's
   /// operator) unless overridden here or via PARSVD_SKETCH_KIND; Auto
   /// picks the cheapest kind from the per-shape apply-cost model.
@@ -97,8 +99,9 @@ struct StreamingOptions {
   /// Route the inner dense SVDs through the randomized path.
   bool low_rank = false;
   RandomizedOptions randomized{};
-  /// Deterministic backend for non-randomized inner SVDs.
-  SvdMethod method = SvdMethod::Jacobi;
+  /// Deterministic backend for non-randomized inner SVDs (the root SVD
+  /// of every streaming update).
+  SvdMethod method = SvdMethod::GolubKahan;
   /// Optional positive row weights w defining the inner product
   /// ⟨u, v⟩ = uᵀ diag(w) v — e.g. cell-area (cos-latitude) weights for
   /// lat-lon grids, the standard EOF convention in weather/climate work.
@@ -128,10 +131,11 @@ struct ApmosOptions {
   /// Randomize the root SVD of W.
   bool low_rank = false;
   RandomizedOptions randomized{};
-  SvdMethod method = SvdMethod::Jacobi;
+  /// Backend for the local (stage 1-2) and root (stage 4-5) SVDs.
+  SvdMethod method = SvdMethod::GolubKahan;
   /// Eigensolver for the MethodOfSnapshots local stage (the paper's
-  /// suggested path when M_i >> N; Tridiagonal is the fast choice).
-  EighMethod eigh_method = EighMethod::Jacobi;
+  /// suggested path when M_i >> N; Tridiagonal is the fast default).
+  EighMethod eigh_method = EighMethod::Tridiagonal;
   /// Fault policy (see StreamingOptions::fault_tolerant); set, it costs
   /// one FaultReport broadcast per call.
   bool fault_tolerant = false;

@@ -140,8 +140,9 @@ void ParallelStreamingSVD::incorporate_data(const Matrix& batch) {
   Vector s;
   root_svd_and_broadcast(qr.r, u_small, s);
 
-  // Steps 4-5: rotate the local Q slice onto the leading modes.
-  u_local_ = matmul(qr.q_local, u_small);
+  // Steps 4-5: rotate the local Q slice onto the leading modes, applying
+  // the stored reflectors to the K columns (the local Q is never formed).
+  u_local_ = qr.q_times(u_small);
   singular_values_ = std::move(s);
   gather_modes();
   if (opts_.fault_tolerant) update_fault_report();

@@ -4,7 +4,6 @@
 #include <optional>
 
 #include "linalg/blas.hpp"
-#include "linalg/qr.hpp"
 #include "obs/trace.hpp"
 #include "pmpi/tags.hpp"
 
@@ -19,22 +18,26 @@ TsqrResult tsqr(pmpi::Communicator& comm, const Matrix& a_local) {
   PARSVD_TRACE_SCOPE("tsqr.direct");
   const int p = comm.size();
 
-  // Stage 1: local thin QR with the deterministic sign convention.
-  QrResult local = [&] {
+  // Stage 1: local Householder QR with the deterministic sign convention;
+  // the local Q stays in factored form.
+  TsqrResult out;
+  Matrix local_r;
+  {
     PARSVD_TRACE_SCOPE("tsqr.factor_panel");
-    return qr_thin(a_local);
-  }();
+    out.local_.emplace(a_local);
+    local_r = out.local_->r();
+    out.signs_ = fix_r_signs(local_r);
+  }
   if (p == 1) {
-    return {std::move(local.q), std::move(local.r), {}};
+    out.r = std::move(local_r);
+    return out;
   }
 
   // Stage 2: gather R factors at root and factor the stack of the ones
   // that arrived.
   std::vector<std::optional<Matrix>> r_blocks =
-      comm.gather_matrices(local.r, 0);
+      comm.gather_matrices(local_r, 0);
 
-  TsqrResult out;
-  Matrix my_slice;
   if (comm.is_root()) {
     std::vector<Index> block_rows(static_cast<std::size_t>(p), 0);
     std::vector<Matrix> stack;
@@ -61,7 +64,7 @@ TsqrResult tsqr(pmpi::Communicator& comm, const Matrix& a_local) {
       Matrix slice = root.q.block(offset, 0, nrows, root.q.cols());
       offset += nrows;
       if (dst == 0) {
-        my_slice = std::move(slice);
+        out.slice_ = std::move(slice);
       } else {
         comm.send_matrix(slice, dst, tsqr_down(0));
       }
@@ -70,11 +73,27 @@ TsqrResult tsqr(pmpi::Communicator& comm, const Matrix& a_local) {
     // Root-must-survive contract: rank 0 owns the stacked factorization
     // and always sends the slice to a rank it saw deliver its R block.
     // parsvd-lint: allow-ft-wait
-    my_slice = comm.recv_matrix(0, tsqr_down(0));
+    out.slice_ = comm.recv_matrix(0, tsqr_down(0));
   }
   comm.bcast_matrix(out.r, 0);
-  out.q_local = matmul(local.q, my_slice);
   return out;
 }
+
+Matrix TsqrResult::q_times(const Matrix& y) const {
+  PARSVD_REQUIRE(local_.has_value(), "q_times on a TsqrResult tsqr() did not fill");
+  PARSVD_REQUIRE(y.rows() == r.rows(), "q_times: Y must have one row per column of Q");
+  // [D·slice·Y; 0], then the reflectors: Qᵢ·slice·Y without forming Qᵢ.
+  const Matrix top = slice_.empty() ? y : matmul(slice_, y);
+  Matrix b(local_->rows(), y.cols());
+  for (Index j = 0; j < y.cols(); ++j) {
+    for (Index i = 0; i < top.rows(); ++i) {
+      b(i, j) = signs_[static_cast<std::size_t>(i)] * top(i, j);
+    }
+  }
+  local_->apply_q(b);
+  return b;
+}
+
+Matrix TsqrResult::q_local() const { return q_times(Matrix::identity(r.rows())); }
 
 }  // namespace parsvd

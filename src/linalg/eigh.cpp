@@ -4,6 +4,8 @@
 #include <cmath>
 #include <numeric>
 
+#include "obs/trace.hpp"
+
 namespace parsvd {
 namespace {
 
@@ -19,6 +21,7 @@ double off_diagonal_norm(const Matrix& a) {
 }  // namespace
 
 EighResult eigh(const Matrix& input, const EighOptions& opts) {
+  PARSVD_TRACE_SCOPE("linalg.eigh");
   if (opts.method == EighMethod::Tridiagonal) {
     return eigh_tridiagonal(input, opts);
   }
@@ -26,9 +29,22 @@ EighResult eigh(const Matrix& input, const EighOptions& opts) {
   const Index n = input.rows();
   if (n == 0) return {Vector{}, Matrix{}};
 
+  // The convergence test below sums squared entries, which underflow to
+  // zero far below unit scale (the sweep loop then exits at once with
+  // wrong eigenvalues) and overflow far above it. Run at an exact
+  // power-of-two rescaling instead and scale the eigenvalues back.
+  const double amax = input.norm_max();
+  if (const int e = safe_scale_exponent(amax); e != 0) {
+    EighResult out = eigh(scale_by_pow2(input, -e), opts);
+    for (Index j = 0; j < out.values.size(); ++j) {
+      out.values[j] = std::ldexp(out.values[j], e);
+    }
+    return out;
+  }
+
   // Validate symmetry, then work on the symmetrized copy so tiny
   // round-off asymmetries from the Gram computation can't bias rotations.
-  const double scale = std::max(input.norm_max(), 1.0);
+  const double scale = std::max(amax, 1.0);
   Matrix a(n, n);
   for (Index j = 0; j < n; ++j) {
     for (Index i = 0; i <= j; ++i) {

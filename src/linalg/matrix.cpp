@@ -345,4 +345,20 @@ double max_abs_diff(const Vector& a, const Vector& b) {
   return m;
 }
 
+int safe_scale_exponent(double amax) {
+  if (!std::isfinite(amax) || amax == 0.0) return 0;
+  if (amax >= 0x1p-200 && amax <= 0x1p200) return 0;
+  int e = 0;
+  std::frexp(amax, &e);  // amax = f·2^e with f in [0.5, 1)
+  return e;
+}
+
+Matrix scale_by_pow2(const Matrix& a, int e) {
+  Matrix out(a.rows(), a.cols());
+  const double* src = a.data();
+  double* dst = out.data();
+  for (Index i = 0; i < a.size(); ++i) dst[i] = std::ldexp(src[i], e);
+  return out;
+}
+
 }  // namespace parsvd

@@ -118,13 +118,12 @@ void HouseholderQr::factor_blocked() {
   for (Index j0 = 0; j0 < k; j0 += block_) {
     const Index jb = std::min(block_, k - j0);
     factor_panel(j0, jb, j0 + jb);
+    t_.push_back(build_t(j0, jb));
     const Index next = j0 + jb;
     if (next < n) {
       // Level-3 trailing update: A(j0:m, next:n) := Q_panelᵀ A(j0:m, next:n).
-      const Matrix v = panel_v(j0, jb);
-      const Matrix t = build_t(j0, jb);
-      apply_wy(v, t, /*transpose=*/true, qr_.col_data(next) + j0, qr_.rows(),
-               n - next);
+      apply_wy(panel_v(j0, jb), t_.back(), /*transpose=*/true,
+               qr_.col_data(next) + j0, qr_.rows(), n - next);
     }
   }
 }
@@ -207,7 +206,8 @@ Matrix HouseholderQr::r() const {
 Matrix HouseholderQr::thin_q() const {
   const Index m = qr_.rows();
   const Index k = rank_bound();
-  // Start from the leading k columns of I and apply Q = H_0 ... H_{k-1}.
+  // Start from the leading k columns of I and apply Q = H_0 ... H_{k-1}
+  // (the apply carries the linalg.qr.apply span).
   Matrix q(m, k);
   for (Index j = 0; j < k; ++j) q(j, j) = 1.0;
   apply_q(q);
@@ -223,15 +223,15 @@ void HouseholderQr::apply_blocked(Matrix& b, bool transpose) const {
     const Index blk = transpose ? bi : nblocks - 1 - bi;
     const Index j0 = blk * block_;
     const Index jb = std::min(block_, k - j0);
-    const Matrix v = panel_v(j0, jb);
-    const Matrix t = build_t(j0, jb);
-    apply_wy(v, t, transpose, b.data() + j0, b.rows(), nc);
+    apply_wy(panel_v(j0, jb), t_[static_cast<std::size_t>(blk)], transpose,
+             b.data() + j0, b.rows(), nc);
   }
 }
 
 void HouseholderQr::apply_qt(Matrix& b) const {
   const Index m = qr_.rows();
   PARSVD_REQUIRE(b.rows() == m, "apply_qt: row mismatch");
+  PARSVD_TRACE_SCOPE("linalg.qr.apply");
   if (block_ > 1) {
     apply_blocked(b, /*transpose=*/true);
     return;
@@ -256,6 +256,7 @@ void HouseholderQr::apply_qt(Matrix& b) const {
 void HouseholderQr::apply_q(Matrix& b) const {
   const Index m = qr_.rows();
   PARSVD_REQUIRE(b.rows() == m, "apply_q: row mismatch");
+  PARSVD_TRACE_SCOPE("linalg.qr.apply");
   if (block_ > 1) {
     apply_blocked(b, /*transpose=*/false);
     return;
@@ -304,16 +305,24 @@ QrResult qr_thin_raw(const Matrix& a) {
   return {f.thin_q(), f.r()};
 }
 
+std::vector<double> fix_r_signs(Matrix& r) {
+  const Index k = std::min(r.rows(), r.cols());
+  std::vector<double> signs(static_cast<std::size_t>(k), 1.0);
+  for (Index i = 0; i < k; ++i) {
+    if (r(i, i) < 0.0) {
+      signs[static_cast<std::size_t>(i)] = -1.0;
+      for (Index j = 0; j < r.cols(); ++j) r(i, j) = -r(i, j);
+    }
+  }
+  return signs;
+}
+
 QrResult qr_thin(const Matrix& a) {
   QrResult qr = qr_thin_raw(a);
   // Deterministic sign convention: flip so every diagonal of R is >= 0.
-  const Index k = std::min(qr.r.rows(), qr.r.cols());
-  for (Index i = 0; i < k; ++i) {
-    if (qr.r(i, i) < 0.0) {
-      for (Index j = 0; j < qr.r.cols(); ++j) qr.r(i, j) = -qr.r(i, j);
-      double* qc = qr.q.col_data(i);
-      for (Index r = 0; r < qr.q.rows(); ++r) qc[r] = -qc[r];
-    }
+  const std::vector<double> signs = fix_r_signs(qr.r);
+  for (Index i = 0; i < static_cast<Index>(signs.size()); ++i) {
+    if (signs[static_cast<std::size_t>(i)] < 0.0) scal(-1.0, qr.q.col_span(i));
   }
   return qr;
 }

@@ -7,8 +7,11 @@
 // Q = I − V T Vᵀ (LAPACK larft convention, T upper triangular), and the
 // trailing matrix is updated with two level-3 GEMMs through the packed
 // kernel engine — so the factorization, thin_q(), and both apply paths all
-// run at GEMM speed.  We keep the factored representation so Qᵀb products
-// don't need an explicit Q, and expose a thin-QR convenience with a
+// run at GEMM speed.  Each panel's T is built once, during the
+// factorization, and reused by every later apply.  We keep the factored
+// representation so Q·B and Qᵀ·B products don't need an explicit Q (the
+// distributed TSQR applies it to a K-column block instead of forming the
+// m x n local Q), and expose a thin-QR convenience with a
 // deterministic sign convention: diag(R) >= 0.  The PyParSVD code obtains
 // cross-rank consistency by negating NumPy's Q and R ("trick for
 // consistency"); fixing the sign inside the factorization achieves the
@@ -53,8 +56,7 @@ class HouseholderQr {
   /// R factor, min(m,n) x n, upper triangular/trapezoidal.
   Matrix r() const;
 
-  /// Thin Q, m x min(m,n), orthonormal columns (built via the blocked
-  /// apply path).
+  /// Thin Q, m x min(m,n), orthonormal columns (apply_q on [I; 0]).
   Matrix thin_q() const;
 
   /// In-place B := Qᵀ B (B has m rows).
@@ -86,7 +88,16 @@ class HouseholderQr {
   Matrix qr_;                 // reflectors below diagonal, R on/above
   std::vector<double> tau_;   // reflector scaling coefficients
   Index block_ = 1;           // panel width used by blocked paths
+  // One T per panel, built as the panel is factored: a panel's reflector
+  // columns are final once it is factored (trailing updates only touch
+  // later columns), so the applies reuse them bit-identically.
+  std::vector<Matrix> t_;
 };
+
+/// Deterministic sign convention on an R factor: negate every row whose
+/// diagonal entry is negative. Returns the applied signs (±1 per
+/// diagonal entry), so Q·diag(signs) is the Q that pairs with the fixed R.
+std::vector<double> fix_r_signs(Matrix& r);
 
 /// Thin QR with the deterministic sign convention diag(R) >= 0.
 QrResult qr_thin(const Matrix& a);

@@ -7,6 +7,7 @@
 #include "linalg/blas.hpp"
 #include "linalg/eigh.hpp"
 #include "linalg/qr.hpp"
+#include "obs/trace.hpp"
 
 namespace parsvd {
 
@@ -174,6 +175,20 @@ SvdResult svd_method_of_snapshots(const Matrix& a, const SvdOptions& opts) {
 
   // Gram matrix AᵀA = V Σ² Vᵀ; eigh gives descending eigenvalues.
   const Matrix g = gram(a);
+  // The Gram squares the entries. When its largest diagonal (the largest
+  // squared column norm) leaves [2^-400, 2^400] it may have over- or
+  // underflowed: redo the solve on an exact power-of-two rescaling of A
+  // and scale σ back. Checking the Gram's diagonal, not A, keeps the
+  // common path free of an extra pass over A.
+  double gmax = 0.0;
+  for (Index j = 0; j < n; ++j) gmax = std::max(gmax, g(j, j));
+  if (!(gmax >= 0x1p-400 && gmax <= 0x1p400)) {
+    if (const int e = safe_scale_exponent(a.norm_max()); e != 0) {
+      SvdResult out = svd_method_of_snapshots(scale_by_pow2(a, -e), opts);
+      for (Index j = 0; j < out.s.size(); ++j) out.s[j] = std::ldexp(out.s[j], e);
+      return out;
+    }
+  }
   EighOptions eopts;
   eopts.method = opts.eigh_method;
   EighResult eig = eigh(g, eopts);
@@ -204,6 +219,7 @@ SvdResult svd_method_of_snapshots(const Matrix& a, const SvdOptions& opts) {
 }
 
 SvdResult svd(const Matrix& a, const SvdOptions& opts) {
+  PARSVD_TRACE_SCOPE("linalg.svd");
   switch (opts.method) {
     case SvdMethod::Jacobi:
       return svd_jacobi(a, opts);

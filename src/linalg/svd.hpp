@@ -1,17 +1,24 @@
 // Singular value decomposition front-end and backends.
 //
-// Two independently-implemented deterministic backends are provided:
-//   * Jacobi            — QR-preconditioned one-sided Jacobi. The accurate
-//                         default; computes small singular values to high
-//                         relative accuracy.
+// Three independently-implemented deterministic backends are provided:
+//   * GolubKahan        — Householder bidiagonalization + implicit-shift
+//                         QR on the bidiagonal: the LAPACK route that the
+//                         paper's np.linalg.svd takes, and the default.
+//   * Jacobi            — QR-preconditioned one-sided Jacobi. The
+//                         reference backend: computes small singular
+//                         values to high relative accuracy; request it
+//                         explicitly where that matters. singular_values()
+//                         and pinv() use it.
 //   * MethodOfSnapshots — eigendecomposition of the n x n Gram matrix AᵀA.
 //                         O(m n^2) with a tiny constant; the classical POD
 //                         route and the one the APMOS paper assumes when
 //                         m >> n. Loses half the digits for σ near
 //                         sqrt(eps)·σ_max, which tests document.
-// Having two backends lets the test suite cross-validate them against each
-// other on random matrices — the strongest correctness check available
-// without a reference LAPACK.
+// Having independent backends lets the test suite cross-validate them
+// against each other on random matrices — the strongest correctness check
+// available without a reference LAPACK. Golub–Kahan and the method of
+// snapshots rescale inputs far from unit scale by an exact power of two
+// (safe_scale_exponent), so every backend handles entries near 1e±300.
 //
 // The convention throughout: thin SVD A = U diag(s) Vᵀ with U (m x r),
 // s descending and non-negative, V (n x r), r = min(m, n) (or the
@@ -39,18 +46,19 @@ enum class SvdMethod {
 };
 
 struct SvdOptions {
-  SvdMethod method = SvdMethod::Jacobi;
+  SvdMethod method = SvdMethod::GolubKahan;
   /// Keep only the leading `rank` triplets; 0 = full thin SVD.
   Index rank = 0;
   /// Jacobi sweep convergence threshold on normalized column coherence.
   double tol = 1e-13;
   int max_sweeps = 64;
   /// Eigensolver used by the MethodOfSnapshots backend for the Gram
-  /// matrix (Tridiagonal is the faster choice for many snapshots).
-  EighMethod eigh_method = EighMethod::Jacobi;
+  /// matrix (Tridiagonal is the fast default; Jacobi the reference).
+  EighMethod eigh_method = EighMethod::Tridiagonal;
 };
 
-/// Thin SVD of a general dense matrix.
+/// Thin SVD of a general dense matrix (Golub–Kahan unless opts.method
+/// says otherwise).
 SvdResult svd(const Matrix& a, const SvdOptions& opts = {});
 
 /// Direct entry points for the individual backends (used by tests and
@@ -59,7 +67,7 @@ SvdResult svd_jacobi(const Matrix& a, const SvdOptions& opts = {});
 SvdResult svd_method_of_snapshots(const Matrix& a, const SvdOptions& opts = {});
 SvdResult svd_golub_kahan(const Matrix& a, const SvdOptions& opts = {});
 
-/// Singular values only (cheapest path; currently Jacobi-backed).
+/// Singular values only, to high relative accuracy (Jacobi-backed).
 Vector singular_values(const Matrix& a);
 
 /// Moore-Penrose pseudoinverse via the SVD; singular values below

@@ -1,8 +1,9 @@
 // Golub-Kahan-Reinsch SVD: Householder bidiagonalization followed by
 // implicit-shift QR iteration on the bidiagonal with bulge chasing
-// (Golub & Van Loan, Algorithm 8.6.2).  Provided as an independent
-// backend so tests can cross-validate it against the one-sided Jacobi
-// implementation — the two share no code beyond the Matrix container.
+// (Golub & Van Loan, Algorithm 8.6.2) — the LAPACK route NumPy's
+// np.linalg.svd takes, and the default backend. One-sided Jacobi is the
+// independent reference the tests cross-validate it against; the two
+// share no code beyond the Matrix container.
 #include <algorithm>
 #include <cmath>
 #include <numeric>
@@ -54,6 +55,7 @@ Bidiagonalization bidiagonalize(const Matrix& input) {
   const Index n = a.cols();
   std::vector<double> tau_l(static_cast<std::size_t>(n), 0.0);
   std::vector<double> tau_r(static_cast<std::size_t>(n), 0.0);
+  std::vector<double> rw(static_cast<std::size_t>(m));  // right-reflector work
 
   for (Index j = 0; j < n; ++j) {
     // --- left reflector: zero column j below the diagonal ---
@@ -96,13 +98,22 @@ Bidiagonalization bidiagonalize(const Matrix& input) {
         for (Index c = j + 2; c < n; ++c) a(j, c) *= inv;
         tau_r[static_cast<std::size_t>(j)] = tau;
         a(j, j + 1) = beta;
-        // Apply to rows j+1..m-1 from the right.
+        // Apply to rows j+1..m-1 from the right, sweeping columns so
+        // every access is unit-stride: rw = A(:, j+1:n) v, A -= tau rw vᵀ.
+        for (Index i = j + 1; i < m; ++i) rw[static_cast<std::size_t>(i)] = a(i, j + 1);
+        for (Index c = j + 2; c < n; ++c) {
+          const double vc = a(j, c);
+          const double* col = a.col_data(c);
+          for (Index i = j + 1; i < m; ++i) rw[static_cast<std::size_t>(i)] += vc * col[i];
+        }
         for (Index i = j + 1; i < m; ++i) {
-          double w = a(i, j + 1);
-          for (Index c = j + 2; c < n; ++c) w += a(j, c) * a(i, c);
-          w *= tau;
-          a(i, j + 1) -= w;
-          for (Index c = j + 2; c < n; ++c) a(i, c) -= w * a(j, c);
+          rw[static_cast<std::size_t>(i)] *= tau;
+          a(i, j + 1) -= rw[static_cast<std::size_t>(i)];
+        }
+        for (Index c = j + 2; c < n; ++c) {
+          const double vc = a(j, c);
+          double* col = a.col_data(c);
+          for (Index i = j + 1; i < m; ++i) col[i] -= rw[static_cast<std::size_t>(i)] * vc;
         }
       }
     }
@@ -115,13 +126,14 @@ Bidiagonalization bidiagonalize(const Matrix& input) {
   for (Index j = 0; j + 1 < n; ++j) out.e[static_cast<std::size_t>(j)] = a(j, j + 1);
 
   // Form thin U = H_0 ... H_{n-1} I(:, 0..n-1), reflectors applied in
-  // reverse order.
+  // reverse order. Columns c < j are still e_c when H_j is applied, and
+  // H_j (rows j..m-1) leaves them alone, so the sweeps start at c = j.
   out.u = Matrix(m, n);
   for (Index j = 0; j < n; ++j) out.u(j, j) = 1.0;
   for (Index j = n - 1; j >= 0; --j) {
     const double tau = tau_l[static_cast<std::size_t>(j)];
     if (tau == 0.0) continue;
-    for (Index c = 0; c < n; ++c) {
+    for (Index c = j; c < n; ++c) {
       double* colc = out.u.col_data(c);
       double w = colc[j];
       for (Index i = j + 1; i < m; ++i) w += a(i, j) * colc[i];
@@ -133,17 +145,21 @@ Bidiagonalization bidiagonalize(const Matrix& input) {
 
   // Form V = G_0 ... G_{n-3} applied to I, reflectors living in rows.
   out.v = Matrix::identity(n);
+  std::vector<double> refl(static_cast<std::size_t>(n));
   for (Index j = n - 3; j >= 0; --j) {
     const double tau = tau_r[static_cast<std::size_t>(j)];
     if (tau == 0.0) continue;
-    // Reflector vector: v[j+1] = 1, v[c] = a(j, c) for c in j+2..n-1.
-    for (Index col = 0; col < n; ++col) {
+    // Reflector vector: v[j+1] = 1, v[c] = a(j, c) for c in j+2..n-1,
+    // copied out of A's row j once so the sweeps below are unit-stride.
+    // As for U, columns col <= j are still e_col and stay untouched.
+    for (Index c = j + 2; c < n; ++c) refl[static_cast<std::size_t>(c)] = a(j, c);
+    for (Index col = j + 1; col < n; ++col) {
       double* vc = out.v.col_data(col);
-      double w = vc[j + 1];
-      for (Index c = j + 2; c < n; ++c) w += a(j, c) * vc[c];
-      w *= tau;
-      vc[j + 1] -= w;
-      for (Index c = j + 2; c < n; ++c) vc[c] -= w * a(j, c);
+      double wc = vc[j + 1];
+      for (Index c = j + 2; c < n; ++c) wc += refl[static_cast<std::size_t>(c)] * vc[c];
+      wc *= tau;
+      vc[j + 1] -= wc;
+      for (Index c = j + 2; c < n; ++c) vc[c] -= wc * refl[static_cast<std::size_t>(c)];
     }
   }
   return out;
@@ -228,6 +244,14 @@ void zero_row(std::vector<double>& d, std::vector<double>& e, Index k,
 
 SvdResult svd_golub_kahan(const Matrix& a, const SvdOptions& opts) {
   PARSVD_REQUIRE(!a.empty(), "svd of an empty matrix");
+  // The Wilkinson shift squares d·e (~σ⁴): far from unit scale it over-
+  // or underflows and the iteration never converges. Run at an exact
+  // power-of-two rescaling instead and scale σ back.
+  if (const int e = safe_scale_exponent(a.norm_max()); e != 0) {
+    SvdResult out = svd_golub_kahan(scale_by_pow2(a, -e), opts);
+    for (Index j = 0; j < out.s.size(); ++j) out.s[j] = std::ldexp(out.s[j], e);
+    return out;
+  }
   const Index m = a.rows();
   const Index n = a.cols();
 
@@ -248,6 +272,17 @@ SvdResult svd_golub_kahan(const Matrix& a, const SvdOptions& opts) {
   std::vector<double>& d = bd.d;
   std::vector<double>& e = bd.e;
   constexpr double kEps = 2.220446049250313e-16;
+  // Absolute floor for a "numerically zero" diagonal: eps·‖B‖, the
+  // backward error the bidiagonalization already commits. The block-
+  // relative test alone never fires on a block of noise-level or
+  // subnormal entries, which an exactly rank-deficient input leaves
+  // behind, and the shifted QR step then iterates on the noise forever.
+  const double zero_floor = [&] {
+    double bmax = 0.0;
+    for (double x : d) bmax = std::max(bmax, std::fabs(x));
+    for (double x : e) bmax = std::max(bmax, std::fabs(x));
+    return kEps * bmax;
+  }();
 
   const int max_iter = 100 * static_cast<int>(std::max<Index>(n, 1));
   int iter = 0;
@@ -273,7 +308,8 @@ SvdResult svd_golub_kahan(const Matrix& a, const SvdOptions& opts) {
     }
 
     // Zero diagonal inside the block needs the row-annihilation special
-    // case; otherwise run a shifted QR step.
+    // case; otherwise run a shifted QR step (which also deflates a zero
+    // at the block's bottom).
     bool handled_zero = false;
     const double dmax = [&] {
       double mval = 0.0;
@@ -282,8 +318,9 @@ SvdResult svd_golub_kahan(const Matrix& a, const SvdOptions& opts) {
       }
       return mval;
     }();
+    const double dzero = std::max(zero_floor, kEps * dmax);
     for (Index i = lo; i < hi; ++i) {
-      if (std::fabs(d[static_cast<std::size_t>(i)]) <= kEps * dmax) {
+      if (std::fabs(d[static_cast<std::size_t>(i)]) <= dzero) {
         d[static_cast<std::size_t>(i)] = 0.0;
         zero_row(d, e, i, hi, bd.u);
         handled_zero = true;

@@ -25,6 +25,12 @@ EighOptions tri() {
   return opts;
 }
 
+EighOptions jac() {
+  EighOptions opts;
+  opts.method = EighMethod::Jacobi;
+  return opts;
+}
+
 TEST(EighTridiagonal, DiagonalMatrix) {
   const EighResult e = eigh(Matrix::diag(Vector{3, 1, 2}), tri());
   EXPECT_DOUBLE_EQ(e.values[0], 3.0);
@@ -80,7 +86,7 @@ TEST(EighTridiagonal, Reconstruction) {
 TEST(EighTridiagonal, AgreesWithJacobiOnSpectra) {
   for (std::uint64_t seed = 0; seed < 6; ++seed) {
     const Matrix a = random_symmetric(20, 900 + seed);
-    const EighResult ej = eigh(a);  // Jacobi default
+    const EighResult ej = eigh(a, jac());
     const EighResult et = eigh(a, tri());
     expect_vector_near(et.values, ej.values, 1e-11, "spectra");
   }
@@ -88,7 +94,7 @@ TEST(EighTridiagonal, AgreesWithJacobiOnSpectra) {
 
 TEST(EighTridiagonal, AgreesWithJacobiOnSubspaces) {
   const Matrix a = random_symmetric(15, 83);
-  const EighResult ej = eigh(a);
+  const EighResult ej = eigh(a, jac());
   const EighResult et = eigh(a, tri());
   // Eigenvectors agree up to sign for simple spectra.
   for (Index j = 0; j < 15; ++j) {
@@ -127,7 +133,7 @@ class EighTridiagonalSweep
 TEST_P(EighTridiagonalSweep, CrossValidatesJacobi) {
   const auto [n, seed] = GetParam();
   const Matrix a = random_symmetric(n, 1000 + seed);
-  const EighResult ej = eigh(a);
+  const EighResult ej = eigh(a, jac());
   const EighResult et = eigh(a, tri());
   expect_vector_near(et.values, ej.values,
                      1e-10 * std::max(1.0, a.norm_fro()));

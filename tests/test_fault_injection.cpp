@@ -438,11 +438,11 @@ TEST(FaultDegraded, TsqrExcludesDeadRankAndStaysAFactorization) {
     ASSERT_TRUE(res.has_value()) << "rank " << r;
     // Still an exact factorization of the surviving rows.
     testing::expect_matrix_near(
-        testing::naive_matmul(res->q_local, res->r),
+        testing::naive_matmul(res->q_local(), res->r),
         blocks[static_cast<std::size_t>(r)], 1e-10, "q_local * r");
   }
   // Survivor Q slices stack to an orthonormal basis.
-  const Matrix stacked = vcat(results[0]->q_local, results[2]->q_local);
+  const Matrix stacked = vcat(results[0]->q_local(), results[2]->q_local());
   EXPECT_LT(testing::ortho_defect(stacked), 1e-10);
 }
 

@@ -285,7 +285,7 @@ TEST(Groups, ConcurrentTsqrBitIdenticalToSolo) {
     ASSERT_TRUE(want.has_value());
     ASSERT_TRUE(got[static_cast<std::size_t>(r)].has_value());
     expect_bits_equal(got[static_cast<std::size_t>(r)]->r, want->r, "R");
-    expect_bits_equal(got[static_cast<std::size_t>(r)]->q_local, want->q_local,
+    expect_bits_equal(got[static_cast<std::size_t>(r)]->q_local(), want->q_local(),
                       "q_local");
   }
 }

@@ -11,6 +11,7 @@
 #include "test_utils.hpp"
 #include "workloads/batch_source.hpp"
 #include "workloads/burgers.hpp"
+#include "workloads/era5_synthetic.hpp"
 #include "workloads/lowrank.hpp"
 
 namespace parsvd {
@@ -67,6 +68,49 @@ void run_serial_reference(const Matrix& a, Index batch, StreamingOptions opts,
   }
   modes = serial.modes();
   s = serial.singular_values();
+}
+
+/// The default root SVD (Golub–Kahan) against an explicit Jacobi run of
+/// the same P-rank stream: σ within 1e-12 of Jacobi's (relative, per
+/// value) and every mode at |cos| >= 1 - 1e-10.
+void expect_default_matches_jacobi(const Matrix& a, int p, Index k, Index batch) {
+  StreamingOptions fast;
+  fast.num_modes = k;
+  fast.forget_factor = 1.0;
+  StreamingOptions ref = fast;
+  ref.method = SvdMethod::Jacobi;
+  ASSERT_EQ(fast.method, SvdMethod::GolubKahan);
+  const ParallelRun got = run_parallel_streaming(a, p, batch, fast);
+  const ParallelRun want = run_parallel_streaming(a, p, batch, ref);
+  ASSERT_EQ(got.s.size(), k);
+  ASSERT_EQ(want.s.size(), k);
+  for (Index i = 0; i < k; ++i) {
+    EXPECT_NEAR(got.s[i], want.s[i], 1e-12 * want.s[i]) << "sigma " << i;
+    EXPECT_GE(post::mode_cosine(got.modes, i, want.modes, i), 1.0 - 1e-10)
+        << "mode " << i;
+  }
+}
+
+TEST(ParallelStreaming, DefaultMatchesJacobiOnBurgersStreamShape) {
+  // The burgers_stream benchmark shape: P = 4, K = 10, B = 10, over the
+  // paper's 16384 x 800 Burgers matrix with 1e-3 RMS white noise.
+  Matrix a = burgers_data(16384, 800);
+  Rng rng(11);
+  double* d = a.data();
+  for (Index i = 0; i < a.size(); ++i) d[i] += 1e-3 * rng.gaussian();
+  expect_default_matches_jacobi(a, 4, 10, 10);
+}
+
+TEST(ParallelStreaming, DefaultMatchesJacobiOnEra5Synthetic) {
+  // The era5_stream benchmark shape: P = 4, K = 4, B = 200 on the
+  // 144 x 72 grid (mean removed), over 1000 snapshots: four updates whose
+  // root SVD factors a 204 x 204 R.
+  workloads::Era5Config cfg;
+  cfg.snapshots = 1000;
+  const workloads::Era5Synthetic era(cfg);
+  const Matrix a = era.snapshot_block(0, era.grid_size(), 0, cfg.snapshots,
+                                      /*subtract_mean=*/true);
+  expect_default_matches_jacobi(a, 4, 4, 200);
 }
 
 TEST(ParallelStreaming, MatchesSerialOnBurgers) {

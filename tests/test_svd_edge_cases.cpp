@@ -98,23 +98,81 @@ TEST(SvdEdge, BidiagonalInput) {
   testing::expect_matrix_near(gk.reconstruct(), a, 1e-12);
 }
 
-TEST(SvdEdge, ExtremeScaleLarge) {
-  Rng rng(4);
-  Matrix a = Matrix::gaussian(12, 8, rng);
-  a *= 1e150;
-  const SvdResult f = svd(a);
-  EXPECT_TRUE(std::isfinite(f.s[0]));
-  EXPECT_GT(f.s[0], 1e149);
-  testing::expect_matrix_near(f.reconstruct(), a, 1e138);
+// Every backend on a 12 x 8 Gaussian at the given scales: σ must be the
+// scaled σ of the unit-scale matrix and the factors must reconstruct the
+// input. Unguarded, Golub–Kahan's Wilkinson shift (~σ⁴) over- or
+// underflows from 1e±78 on and the iteration never converges, and the
+// method of snapshots' Gram (~σ²) overflows or flushes to zero.
+void expect_all_backends_at_scales(std::uint64_t seed,
+                                   std::initializer_list<double> scales) {
+  Rng rng(seed);
+  const Matrix unit = Matrix::gaussian(12, 8, rng);
+  const SvdResult ref = svd_jacobi(unit);
+  for (const auto method :
+       {SvdMethod::Jacobi, SvdMethod::GolubKahan, SvdMethod::MethodOfSnapshots}) {
+    for (const double scale : scales) {
+      Matrix a = unit;
+      a *= scale;
+      SvdOptions opts;
+      opts.method = method;
+      const SvdResult f = svd(a, opts);
+      ASSERT_TRUE(std::isfinite(f.s[0]));
+      for (Index i = 0; i < 8; ++i) {
+        EXPECT_NEAR(f.s[i] / (ref.s[0] * scale), ref.s[i] / ref.s[0], 1e-12)
+            << "method " << static_cast<int>(method) << " scale " << scale
+            << " sigma " << i;
+      }
+      testing::expect_matrix_near(f.reconstruct(), a, 1e-12 * scale);
+    }
+  }
 }
 
-TEST(SvdEdge, ExtremeScaleTiny) {
-  Rng rng(5);
-  Matrix a = Matrix::gaussian(12, 8, rng);
-  a *= 1e-150;
-  const SvdResult f = svd(a);
-  EXPECT_GT(f.s[0], 0.0);
-  testing::expect_matrix_near(f.reconstruct(), a, 1e-162);
+TEST(SvdEdge, ExtremeScaleLarge) { expect_all_backends_at_scales(4, {1e150, 1e300}); }
+
+TEST(SvdEdge, ExtremeScaleTiny) { expect_all_backends_at_scales(5, {1e-150, 1e-300}); }
+
+TEST(SvdEdge, GolubKahanSubnormalDiagonalDeflates) {
+  // An upper-bidiagonal input passes the bidiagonalization unchanged, so
+  // the QR iteration starts on a block with a subnormal diagonal over a
+  // noise-level superdiagonal: the state an exactly rank-one input (a
+  // Burgers profile near the origin is one) reached. The block-relative
+  // zero test never fires on it; the eps·‖B‖ floor must.
+  Matrix a(3, 3, 0.0);
+  a(0, 0) = 3.9;
+  a(1, 1) = 4.35e-310;
+  a(1, 2) = -4.8e-16;
+  const SvdResult f = svd_golub_kahan(a);
+  EXPECT_EQ(f.s[0], 3.9);
+  EXPECT_LT(f.s[1], 1e-15);
+  EXPECT_LT(ortho_defect(f.u), 1e-15);
+  EXPECT_LT(ortho_defect(f.v), 1e-15);
+  testing::expect_matrix_near(f.reconstruct(), a, 1e-15);
+}
+
+TEST(SvdEdge, GolubKahanExactlyRankOne) {
+  // Columns that are scaled copies of one vector leave a noise-level
+  // block, with subnormal or zero diagonals, after the bidiagonalization;
+  // how it looks depends on rounding (FMA contraction among others).
+  for (std::uint64_t seed = 0; seed < 40; ++seed) {
+    Rng rng(seed);
+    const Index m = 6 + static_cast<Index>(seed % 90);
+    const Index n = 2 + static_cast<Index>(seed % 29);
+    const Matrix c = Matrix::gaussian(m, 1, rng);
+    Matrix a(m, n);
+    for (Index j = 0; j < n; ++j) {
+      a.set_col(j, c.col(0));
+      scal(1.0 + 0.1 * static_cast<double>(j), a.col_span(j));
+    }
+    const SvdResult f = svd_golub_kahan(a);
+    const SvdResult ref = svd_jacobi(a);
+    EXPECT_NEAR(f.s[0], ref.s[0], 1e-13 * ref.s[0]) << "seed " << seed;
+    for (Index i = 1; i < f.s.size(); ++i) {
+      EXPECT_LT(f.s[i], 1e-14 * ref.s[0]) << "seed " << seed << " sigma " << i;
+    }
+    EXPECT_LT(ortho_defect(f.u), 1e-13) << "seed " << seed;
+    EXPECT_LT(ortho_defect(f.v), 1e-13) << "seed " << seed;
+    testing::expect_matrix_near(f.reconstruct(), a, 1e-13 * a.norm_max());
+  }
 }
 
 TEST(SvdEdge, SingleRowAndColumn) {

@@ -1,11 +1,15 @@
 // Distributed TSQR tests: the direct TSQR against the serial QR, on a
 // clean context and under a recoverable-fault plan (drops, duplicates,
 // truncations the envelope recovers), rank-count invariance, uneven row
-// splits, orthogonality of the assembled Q.
+// splits, orthogonality of the assembled Q, and the implicit Q·Y product
+// (q_times) against the explicit local Q.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <mutex>
 #include <tuple>
+#include <vector>
 
 #include "core/tsqr.hpp"
 #include "linalg/blas.hpp"
@@ -42,7 +46,7 @@ QrResult run_tsqr(const Matrix& a, int p, bool faulty = false) {
     const Matrix local = a.block(part.offset, 0, part.count, a.cols());
     TsqrResult res = tsqr(comm, local);
     std::lock_guard<std::mutex> lock(mu);
-    q_blocks[static_cast<std::size_t>(comm.rank())] = std::move(res.q_local);
+    q_blocks[static_cast<std::size_t>(comm.rank())] = res.q_local();
     if (comm.is_root()) r = std::move(res.r);
   });
   return {vcat(q_blocks), std::move(r)};
@@ -62,6 +66,77 @@ TEST_P(TsqrSweep, MatchesSerialQr) {
   // Same deterministic sign convention → exact same factors (up to fp).
   expect_matrix_near(dist.r, serial.r, 1e-10, "R");
   expect_matrix_near(dist.q, serial.q, 1e-10, "Q");
+}
+
+/// Largest |q_times(Y) - q_local()·Y| over the ranks that return, for
+/// row blocks of the given heights, n columns and a Y of `c` columns
+/// (the same seeded Y on every rank). `ctx` may carry a fault plan.
+double q_times_defect(const std::vector<Index>& rows, Index n, Index c,
+                      const std::shared_ptr<pmpi::Context>& ctx) {
+  double worst = 0.0;
+  int returned = 0;
+  std::mutex mu;
+  pmpi::run_on(ctx, [&](Communicator& comm) {
+    const auto r = static_cast<std::size_t>(comm.rank());
+    const Matrix local = random_matrix(rows[r], n, 300 + r);
+    const TsqrResult res = tsqr(comm, local);
+    const Matrix y = random_matrix(res.r.rows(), c, 299);
+    const Matrix implicit = res.q_times(y);
+    const Matrix explicit_q = res.q_local();
+    EXPECT_EQ(implicit.rows(), rows[r]);
+    EXPECT_EQ(explicit_q.rows(), rows[r]);
+    EXPECT_EQ(explicit_q.cols(), res.r.rows());
+    const double d = max_abs_diff(implicit, naive_matmul(explicit_q, y));
+    std::lock_guard<std::mutex> lock(mu);
+    worst = std::max(worst, d);
+    ++returned;
+  });
+  EXPECT_GT(returned, 0);
+  return worst;
+}
+
+TEST_P(TsqrSweep, QTimesMatchesExplicitQ) {
+  // No taller-than-wide skip here: at P = 7, 64 x 12 gives 9- and
+  // 10-row blocks, the mᵢ < n case.
+  const auto [p, m, n, faulty] = GetParam();
+  std::vector<Index> rows;
+  for (int r = 0; r < p; ++r) rows.push_back(partition_rows(m, p, r).count);
+  auto ctx = std::make_shared<pmpi::Context>(p);
+  if (faulty != 0) {
+    ctx->set_fault_plan(pmpi::FaultPlan::chaos(
+        static_cast<std::uint64_t>(m * 31 + p), 0.1, 0.0, 0.1, 0.1));
+  }
+  for (const Index c : {Index{1}, Index{4}}) {
+    EXPECT_LT(q_times_defect(rows, n, c, ctx), 1e-13) << "Y columns " << c;
+  }
+}
+
+TEST(Tsqr, QTimesBlockShapes) {
+  // Square blocks (mᵢ = n), short blocks (mᵢ < n, ragged), one rank, and
+  // P from 2 to 6, each with a 1-, 4- and n-column Y.
+  const std::vector<std::vector<Index>> layouts = {
+      {12},          {8},          {12, 12},     {5, 12, 9},
+      {3, 3, 3, 3},  {12, 12, 12, 12, 12},    {2, 7, 12, 4, 30, 1},
+  };
+  for (const auto& rows : layouts) {
+    const int p = static_cast<int>(rows.size());
+    for (const Index c : {Index{1}, Index{4}, Index{12}}) {
+      EXPECT_LT(q_times_defect(rows, 12, c, std::make_shared<pmpi::Context>(p)),
+                1e-13)
+          << "P " << p << ", Y columns " << c;
+    }
+  }
+}
+
+TEST(Tsqr, QTimesOnSurvivorsWithAnExcludedRank) {
+  // Rank 1 dies on its first op (the R gather post): the survivors'
+  // q_times must still match their explicit Q rows.
+  pmpi::FaultPlan plan;
+  plan.kill_rank(1, 0);
+  auto ctx = std::make_shared<pmpi::Context>(4);
+  ctx->set_fault_plan(std::move(plan));
+  EXPECT_LT(q_times_defect({20, 20, 20, 20}, 6, 4, ctx), 1e-13);
+  EXPECT_EQ(ctx->dead_ranks(), std::vector<int>{1});
 }
 
 INSTANTIATE_TEST_SUITE_P(
