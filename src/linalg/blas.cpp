@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "linalg/gemm_engine.hpp"
@@ -60,12 +61,6 @@ Matrix to_double(const MatrixF& a) {
 
 namespace {
 
-double dot_naive(std::span<const double> x, std::span<const double> y) {
-  double s = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i) s += x[i] * y[i];
-  return s;
-}
-
 // Ogita–Rump–Oishi Dot2 core: error-free two-prod (FMA) and two-sum with
 // a single running compensation term — the result is as accurate as if
 // the sum were formed in roughly twice the working precision.
@@ -86,10 +81,33 @@ double dot2(const double* x, const double* y, std::size_t n) {
 
 }  // namespace
 
+namespace detail {
+
+double dot_kernel(const double* x, const double* y, std::size_t n) {
+  // A single running sum is one serial FMA chain, bound by add latency
+  // (~2 GF/s). kLanes independent partial sums let the compiler keep
+  // several vector accumulators in flight; the lanes are combined in a
+  // fixed pairwise order, so the result is deterministic.
+  constexpr std::size_t kLanes = 16;
+  double acc[kLanes] = {};
+  std::size_t i = 0;
+  for (; i + kLanes <= n; i += kLanes) {
+    for (std::size_t l = 0; l < kLanes; ++l) acc[l] += x[i + l] * y[i + l];
+  }
+  double rest = 0.0;
+  for (; i < n; ++i) rest += x[i] * y[i];
+  for (std::size_t half = kLanes / 2; half > 0; half /= 2) {
+    for (std::size_t l = 0; l < half; ++l) acc[l] += acc[l + half];
+  }
+  return acc[0] + rest;
+}
+
+}  // namespace detail
+
 double dot(std::span<const double> x, std::span<const double> y) {
   PARSVD_REQUIRE(x.size() == y.size(), "dot: length mismatch");
   if (compensated_enabled()) return dot_compensated(x, y);
-  return dot_naive(x, y);
+  return detail::dot_kernel(x.data(), y.data(), x.size());
 }
 
 double dot_compensated(std::span<const double> x, std::span<const double> y) {
@@ -115,6 +133,16 @@ void scal(double alpha, std::span<double> x) {
 }
 
 double nrm2(std::span<const double> x) {
+  // Unscaled sum of squares first: one vectorized pass with no divides.
+  // Accept it unless it overflowed (or is NaN) or fell below
+  // safmin/eps = 2^-970, where underflowed squares could matter (the
+  // range check LAPACK's dnrm2 makes); then redo it with the scaled loop.
+  const double sum_sq = detail::dot_kernel(x.data(), x.data(), x.size());
+  if (sum_sq >= std::numeric_limits<double>::min() /
+                    std::numeric_limits<double>::epsilon() &&
+      sum_sq <= std::numeric_limits<double>::max()) {
+    return std::sqrt(sum_sq);
+  }
   double scale = 0.0, ssq = 1.0;
   for (double v : x) {
     if (v == 0.0) continue;

@@ -72,7 +72,8 @@ void axpy(double alpha, std::span<const double> x, std::span<double> y);
 /// x *= alpha
 void scal(double alpha, std::span<double> x);
 
-/// Euclidean norm with overflow-safe scaling.
+/// Euclidean norm: an unscaled sum of squares, redone with overflow-safe
+/// scaling when that sum over- or underflows.
 double nrm2(std::span<const double> x);
 
 // ------------------------------------------------------------- level 2
@@ -135,6 +136,11 @@ inline constexpr Index kGemmParallelThreshold = 64 * 64 * 64;
 inline constexpr Index kGemvParallelThreshold = 128 * 1024;
 
 namespace detail {
+
+/// Plain xᵀy over n elements with independent partial sums (vectorizes;
+/// deterministic lane order). dot() uses it unless PARSVD_COMPENSATED is
+/// on; the Householder QR calls it directly, so it never compensates.
+double dot_kernel(const double* x, const double* y, std::size_t n);
 
 /// Core packed-kernel entry on raw column-major views:
 ///   C(m x n, leading dim ldc) += alpha * op(A)(m x k) * op(B)(k x n)

@@ -20,17 +20,63 @@ struct Reflector {
 };
 
 Reflector make_reflector(double alpha, std::span<double> tail) {
-  const double xnorm = nrm2(tail);
+  double xnorm = nrm2(tail);
   if (xnorm == 0.0) {
     // Nothing below the diagonal: identity reflector.
     return {0.0, alpha};
   }
   double beta = std::hypot(alpha, xnorm);
   if (alpha >= 0.0) beta = -beta;  // choose sign to avoid cancellation
+  // LAPACK dlarfg's guard: once |beta| is tiny, 1/(alpha - beta) can
+  // overflow (it does when alpha - beta is subnormal). Scale x by an exact
+  // power of two into range, build the reflector there (tau and v are
+  // scale-free), and scale only beta back.
+  const int e = safe_scale_exponent(std::fabs(beta));
+  if (e < 0) {
+    alpha = std::ldexp(alpha, -e);
+    for (double& x : tail) x = std::ldexp(x, -e);
+    xnorm = nrm2(tail);
+    beta = std::hypot(alpha, xnorm);
+    if (alpha >= 0.0) beta = -beta;
+  }
   const double tau = (beta - alpha) / beta;
-  const double inv = 1.0 / (alpha - beta);
-  scal(inv, tail);
-  return {tau, beta};
+  scal(1.0 / (alpha - beta), tail);
+  return {tau, (e < 0) ? std::ldexp(beta, e) : beta};
+}
+
+// Apply H = I - tau v vᵀ to the column segment c[j:m), where v = (1;
+// v_tail) has its implicit unit entry at row j: one vectorized dot and
+// one axpy over the m - j - 1 rows below it.
+void apply_reflector(double tau, const double* v_tail, double* c, Index j,
+                     Index m) {
+  const auto len = static_cast<std::size_t>(m - j - 1);
+  const double w = tau * (c[j] + detail::dot_kernel(v_tail, c + j + 1, len));
+  c[j] -= w;
+  axpy(-w, std::span<const double>(v_tail, len), std::span<double>(c + j + 1, len));
+}
+
+// The reflectors of one panel, V = [V1; V2] ((m - j0) x jb, unit lower
+// trapezoidal). Only the jb x jb unit lower triangle V1 is copied out
+// (its unit diagonal and the zeros above it are implicit in the factored
+// storage); the dense rows V2 below it are read in place, so no panel
+// ever materializes its m x jb V.
+struct PanelV {
+  Matrix top;           // V1, jb x jb
+  const double* dense;  // V2(0, 0), leading dimension ld
+  Index dense_rows;
+  Index ld;
+};
+
+// The panel of reflectors [j0, j0 + jb) of the factored storage `qr`.
+PanelV panel_v(const Matrix& qr, Index j0, Index jb) {
+  const Index m = qr.rows();
+  Matrix top(jb, jb);
+  for (Index jj = 0; jj < jb; ++jj) {
+    top(jj, jj) = 1.0;
+    const double* col = qr.col_data(j0 + jj) + j0;
+    for (Index r = jj + 1; r < jb; ++r) top(r, jj) = col[r];
+  }
+  return {std::move(top), qr.col_data(j0) + j0 + jb, m - j0 - jb, m};
 }
 
 Index default_qr_block() {
@@ -39,20 +85,22 @@ Index default_qr_block() {
   return autotune::active_profile().qr_block;
 }
 
-// In-place C(mrow x nc, leading dim ldc) := (I - V op(T) Vᵀ) C — the
+// In-place C((m - j0) x nc, leading dim ldc) := (I - V op(T) Vᵀ) C — the
 // compact-WY block reflector, i.e. Qᵀ C for op(T) = Tᵀ (transpose=true)
-// and Q C for op(T) = T.  Both rank-jb products run through the packed
-// GEMM engine; the small jb x jb triangular product stays serial.
-void apply_wy(const Matrix& v, const Matrix& t, bool transpose, double* c,
+// and Q C for op(T) = T.  The rank-jb products with V1 and V2 run
+// through the packed GEMM engine; the small jb x jb triangular product
+// with T stays serial.
+void apply_wy(const PanelV& v, const Matrix& t, bool transpose, double* c,
               Index ldc, Index nc) {
-  const Index mrow = v.rows();
-  const Index jb = v.cols();
+  const Index jb = v.top.rows();
   if (nc == 0) return;
 
-  // W = Vᵀ C  (jb x nc)
+  // W = Vᵀ C = V1ᵀ C1 + V2ᵀ C2  (jb x nc), with C1 the top jb rows of C.
   Matrix w(jb, nc);
-  detail::gemm_accumulate(Trans::Yes, Trans::No, jb, nc, mrow, 1.0, v.data(),
-                          mrow, c, ldc, w.data(), jb);
+  detail::gemm_accumulate(Trans::Yes, Trans::No, jb, nc, jb, 1.0,
+                          v.top.data(), jb, c, ldc, w.data(), jb);
+  detail::gemm_accumulate(Trans::Yes, Trans::No, jb, nc, v.dense_rows, 1.0,
+                          v.dense, v.ld, c + jb, ldc, w.data(), jb);
   // W := op(T) W — T is jb x jb upper triangular.
   if (transpose) {
     // (Tᵀ W)_i = Σ_{l<=i} T(l,i) W_l; descending i keeps inputs intact.
@@ -75,9 +123,39 @@ void apply_wy(const Matrix& v, const Matrix& t, bool transpose, double* c,
       }
     }
   }
-  // C -= V W
-  detail::gemm_accumulate(Trans::No, Trans::No, mrow, nc, jb, -1.0, v.data(),
-                          mrow, w.data(), jb, c, ldc);
+  // C -= V W, i.e. C1 -= V1 W and C2 -= V2 W.
+  detail::gemm_accumulate(Trans::No, Trans::No, jb, nc, jb, -1.0,
+                          v.top.data(), jb, w.data(), jb, c, ldc);
+  detail::gemm_accumulate(Trans::No, Trans::No, v.dense_rows, nc, jb, -1.0,
+                          v.dense, v.ld, w.data(), jb, c + jb, ldc);
+}
+
+// Compact-WY T factor (jb x jb upper triangular) of the panel `v`, whose
+// reflectors have the coefficients `tau` (jb of them).
+Matrix build_t(const PanelV& v, std::span<const double> tau) {
+  // LAPACK larft, forward columnwise: growing T so that
+  // H_0 ... H_{i} = I - V(:,0:i+1) T(0:i+1,0:i+1) V(:,0:i+1)ᵀ with
+  // T(0:i, i) = -tau_i T(0:i,0:i) (V(:,0:i)ᵀ v_i), T(i,i) = tau_i.
+  // Every V(:,0:i)ᵀ v_i is a column of VᵀV's strict upper triangle, so
+  // all of them come from one VᵀV = V1ᵀV1 + V2ᵀV2 through the packed engine.
+  const Index jb = v.top.rows();
+  Matrix vtv(jb, jb);
+  detail::gemm_accumulate(Trans::Yes, Trans::No, jb, jb, jb, 1.0,
+                          v.top.data(), jb, v.top.data(), jb, vtv.data(), jb);
+  detail::gemm_accumulate(Trans::Yes, Trans::No, jb, jb, v.dense_rows, 1.0,
+                          v.dense, v.ld, v.dense, v.ld, vtv.data(), jb);
+  Matrix t(jb, jb);
+  for (Index i = 0; i < jb; ++i) {
+    const double taui = tau[static_cast<std::size_t>(i)];
+    if (taui == 0.0) continue;  // identity reflector: column stays zero
+    t(i, i) = taui;
+    for (Index l = 0; l < i; ++l) {
+      double s = 0.0;
+      for (Index p = l; p < i; ++p) s += t(l, p) * vtv(p, i);
+      t(l, i) = -taui * s;
+    }
+  }
+  return t;
 }
 
 }  // namespace
@@ -118,12 +196,15 @@ void HouseholderQr::factor_blocked() {
   for (Index j0 = 0; j0 < k; j0 += block_) {
     const Index jb = std::min(block_, k - j0);
     factor_panel(j0, jb, j0 + jb);
-    t_.push_back(build_t(j0, jb));
+    const PanelV v = panel_v(qr_, j0, jb);
+    t_.push_back(build_t(v, std::span<const double>(tau_).subspan(
+                                static_cast<std::size_t>(j0),
+                                static_cast<std::size_t>(jb))));
     const Index next = j0 + jb;
     if (next < n) {
       // Level-3 trailing update: A(j0:m, next:n) := Q_panelᵀ A(j0:m, next:n).
-      apply_wy(panel_v(j0, jb), t_.back(), /*transpose=*/true,
-               qr_.col_data(next) + j0, qr_.rows(), n - next);
+      apply_wy(v, t_.back(), /*transpose=*/true, qr_.col_data(next) + j0,
+               qr_.rows(), n - next);
     }
   }
 }
@@ -138,57 +219,11 @@ void HouseholderQr::factor_panel(Index j0, Index jb, Index update_to) {
     tau_[static_cast<std::size_t>(j)] = h.tau;
     colj[j] = h.beta;
     if (h.tau == 0.0) continue;
-
     // Apply (I - tau v vᵀ) to the remaining panel columns.
-    // v = (1, qr_(j+1..m-1, j)).
     for (Index c = j + 1; c < update_to; ++c) {
-      double* colc = qr_.col_data(c);
-      double w = colc[j];
-      for (Index i = j + 1; i < m; ++i) w += colj[i] * colc[i];
-      w *= h.tau;
-      colc[j] -= w;
-      for (Index i = j + 1; i < m; ++i) colc[i] -= w * colj[i];
+      apply_reflector(h.tau, colj + j + 1, qr_.col_data(c), j, m);
     }
   }
-}
-
-Matrix HouseholderQr::panel_v(Index j0, Index jb) const {
-  const Index m = qr_.rows();
-  Matrix v(m - j0, jb);
-  for (Index jj = 0; jj < jb; ++jj) {
-    v(jj, jj) = 1.0;
-    const double* col = qr_.col_data(j0 + jj);
-    for (Index r = jj + 1; r < m - j0; ++r) v(r, jj) = col[j0 + r];
-  }
-  return v;
-}
-
-Matrix HouseholderQr::build_t(Index j0, Index jb) const {
-  // LAPACK larft, forward columnwise: growing T so that
-  // H_0 ... H_{i} = I - V(:,0:i+1) T(0:i+1,0:i+1) V(:,0:i+1)ᵀ with
-  // T(0:i, i) = -tau_i T(0:i,0:i) (V(:,0:i)ᵀ v_i), T(i,i) = tau_i.
-  const Index m = qr_.rows();
-  Matrix t(jb, jb);
-  std::vector<double> w(static_cast<std::size_t>(jb));
-  for (Index i = 0; i < jb; ++i) {
-    const double taui = tau_[static_cast<std::size_t>(j0 + i)];
-    if (taui == 0.0) continue;  // identity reflector: column stays zero
-    t(i, i) = taui;
-    const Index row0 = j0 + i;  // row of v_i's implicit unit entry
-    const double* vi = qr_.col_data(j0 + i);
-    for (Index l = 0; l < i; ++l) {
-      const double* vl = qr_.col_data(j0 + l);
-      double s = vl[row0];  // v_l against v_i's implicit 1
-      for (Index r = row0 + 1; r < m; ++r) s += vl[r] * vi[r];
-      w[static_cast<std::size_t>(l)] = s;
-    }
-    for (Index l = 0; l < i; ++l) {
-      double s = 0.0;
-      for (Index p = l; p < i; ++p) s += t(l, p) * w[static_cast<std::size_t>(p)];
-      t(l, i) = -taui * s;
-    }
-  }
-  return t;
 }
 
 Matrix HouseholderQr::r() const {
@@ -223,7 +258,7 @@ void HouseholderQr::apply_blocked(Matrix& b, bool transpose) const {
     const Index blk = transpose ? bi : nblocks - 1 - bi;
     const Index j0 = blk * block_;
     const Index jb = std::min(block_, k - j0);
-    apply_wy(panel_v(j0, jb), t_[static_cast<std::size_t>(blk)], transpose,
+    apply_wy(panel_v(qr_, j0, jb), t_[static_cast<std::size_t>(blk)], transpose,
              b.data() + j0, b.rows(), nc);
   }
 }
@@ -241,14 +276,9 @@ void HouseholderQr::apply_qt(Matrix& b) const {
   for (Index j = 0; j < k; ++j) {
     const double tau = tau_[static_cast<std::size_t>(j)];
     if (tau == 0.0) continue;
-    const double* v = qr_.col_data(j);
+    const double* v_tail = qr_.col_data(j) + j + 1;
     for (Index c = 0; c < b.cols(); ++c) {
-      double* colc = b.col_data(c);
-      double w = colc[j];
-      for (Index i = j + 1; i < m; ++i) w += v[i] * colc[i];
-      w *= tau;
-      colc[j] -= w;
-      for (Index i = j + 1; i < m; ++i) colc[i] -= w * v[i];
+      apply_reflector(tau, v_tail, b.col_data(c), j, m);
     }
   }
 }
@@ -266,14 +296,9 @@ void HouseholderQr::apply_q(Matrix& b) const {
   for (Index j = k - 1; j >= 0; --j) {
     const double tau = tau_[static_cast<std::size_t>(j)];
     if (tau == 0.0) continue;
-    const double* v = qr_.col_data(j);
+    const double* v_tail = qr_.col_data(j) + j + 1;
     for (Index c = 0; c < b.cols(); ++c) {
-      double* colc = b.col_data(c);
-      double w = colc[j];
-      for (Index i = j + 1; i < m; ++i) w += v[i] * colc[i];
-      w *= tau;
-      colc[j] -= w;
-      for (Index i = j + 1; i < m; ++i) colc[i] -= w * v[i];
+      apply_reflector(tau, v_tail, b.col_data(c), j, m);
     }
   }
 }

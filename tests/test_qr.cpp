@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "linalg/blas.hpp"
 #include "linalg/qr.hpp"
@@ -13,6 +16,7 @@ namespace parsvd {
 namespace {
 
 using testing::expect_matrix_near;
+using testing::frob_norm;
 using testing::naive_matmul;
 using testing::ortho_defect;
 using testing::random_matrix;
@@ -169,16 +173,6 @@ TEST(HouseholderQr, LeastSquaresRejectsWide) {
 
 // ------------------------------------------------- blocked compact-WY path
 
-namespace {
-double frob_norm(const Matrix& a) {
-  double s = 0.0;
-  for (Index j = 0; j < a.cols(); ++j) {
-    for (Index i = 0; i < a.rows(); ++i) s += a(i, j) * a(i, j);
-  }
-  return std::sqrt(s);
-}
-}  // namespace
-
 TEST(BlockedQr, MatchesUnblockedReference) {
   // Same matrix through the level-2 reference sweep (block 1) and the
   // compact-WY path (block 8): identical reflectors, so R must agree to
@@ -290,6 +284,75 @@ TEST(Mgs2, IllConditionedStaysOrthogonal) {
 TEST(OrthogonalityError, ZeroForExactQ) {
   EXPECT_DOUBLE_EQ(orthogonality_error(Matrix::identity(4)), 0.0);
 }
+
+// --------------------------------------------- extreme and subnormal scale
+
+TEST(Qr, SubnormalScaleStaysFinite) {
+  // At these scales |alpha - beta| of the first reflector is subnormal,
+  // and 1/(alpha - beta) used to overflow to inf and poison Q and R.
+  // make_reflector rescales by a power of two (LAPACK dlarfg's guard).
+  for (const double scale : {1e-310, 1e-315}) {
+    SCOPED_TRACE(::testing::Message() << "scale " << scale);
+    const Matrix a = testing::subnormal_matrix(scale);
+    const QrResult qr = qr_thin(a);
+    testing::expect_subnormal_qr(a, qr.q, qr.r);
+    const HouseholderQr unblocked(a, 1);
+    testing::expect_subnormal_qr(a, unblocked.thin_q(), unblocked.r());
+  }
+}
+
+// ------------------------------------- panel kernel at the pipeline shapes
+
+// The local panels of the benchmark pipelines (burgers 4096 x 20, era5
+// 2592 x 204 and 816 x 204, the TSQR root's 80 x 20) and two ragged
+// m < n shapes, whose final panel is partial. Each runs through the
+// blocked default, the unblocked reference and qr_thin, and is checked
+// against oracles that run no QR code (testing::expect_qr_matches_oracle).
+using PanelParam = std::tuple<std::pair<int, int>, testing::PanelCase>;
+
+class QrPanelShapes : public ::testing::TestWithParam<PanelParam> {};
+
+std::string panel_param_name(const ::testing::TestParamInfo<PanelParam>& p) {
+  const std::pair<int, int> shape = std::get<0>(p.param);
+  return std::to_string(shape.first) + "x" + std::to_string(shape.second) +
+         "_" + testing::to_string(std::get<1>(p.param));
+}
+
+TEST_P(QrPanelShapes, MatchesOracles) {
+  const auto [shape, c] = GetParam();
+  const auto [m, n] = shape;
+  const testing::PanelInput in =
+      testing::panel_input(m, n, c, static_cast<std::uint64_t>(900 + m + n));
+  for (const Index block : {Index{0}, Index{1}}) {
+    SCOPED_TRACE(::testing::Message() << "block " << block);
+    const HouseholderQr f(in.a, block);
+    Matrix q = f.thin_q();
+    Matrix r = f.r();
+    const std::vector<double> signs = fix_r_signs(r);
+    for (Index j = 0; j < q.cols(); ++j) {
+      if (signs[static_cast<std::size_t>(j)] < 0.0) scal(-1.0, q.col_span(j));
+    }
+    testing::expect_qr_matches_oracle(in, q, r, 1e-12);
+    if (c == testing::PanelCase::ZeroSubcolumn) {
+      // tau_j = 0: the identity reflector leaves R(j, j) at exactly 3.
+      const Index j = std::min(m, n) / 2;
+      EXPECT_EQ(f.r()(j, j), 3.0);
+    }
+  }
+  const QrResult qr = qr_thin(in.a);
+  testing::expect_qr_matches_oracle(in, qr.q, qr.r, 1e-12);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PipelineShapes, QrPanelShapes,
+    ::testing::Combine(
+        ::testing::Values(std::pair{4096, 20}, std::pair{2592, 204},
+                          std::pair{816, 204}, std::pair{80, 20},
+                          std::pair{20, 80}, std::pair{150, 204}),
+        ::testing::Values(testing::PanelCase::Gaussian,
+                          testing::PanelCase::ZeroSubcolumn,
+                          testing::PanelCase::ExtremeScales)),
+    panel_param_name);
 
 // ----------------------------------------------------------- shape sweep
 

@@ -8,7 +8,9 @@
 #include <algorithm>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/tsqr.hpp"
@@ -145,6 +147,68 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(64, 150),
                        ::testing::Values(1, 5, 12),
                        ::testing::Values(0, 1)));  // clean, faulty
+
+// Local panels at the pipeline shapes (burgers 4096 x 20, era5 2592 x 204
+// and 816 x 204, the root's 80 x 20) plus a ragged mᵢ < n block, at P = 4.
+// The assembled Q and R are checked against oracles that run no QR code
+// (testing::expect_qr_matches_oracle), and every rank's q_times(Y)
+// against its rows of that Q times Y.
+using PanelParam = std::tuple<std::pair<int, int>, testing::PanelCase>;
+
+class TsqrPanelShapes : public ::testing::TestWithParam<PanelParam> {};
+
+std::string panel_param_name(const ::testing::TestParamInfo<PanelParam>& p) {
+  const std::pair<int, int> shape = std::get<0>(p.param);
+  return std::to_string(shape.first) + "x" + std::to_string(shape.second) +
+         "_" + testing::to_string(std::get<1>(p.param));
+}
+
+TEST_P(TsqrPanelShapes, QTimesMatchesOracles) {
+  const auto [shape, c] = GetParam();
+  const auto [rows_per_rank, n] = shape;
+  constexpr int kRanks = 4;
+  const testing::PanelInput in = testing::panel_input(
+      kRanks * rows_per_rank, n, c, static_cast<std::uint64_t>(700 + n));
+  std::vector<Matrix> q_blocks(kRanks);
+  Matrix r;
+  double q_times_defect = 0.0;
+  std::mutex mu;
+  pmpi::run(kRanks, [&](Communicator& comm) {
+    const auto part = partition_rows(in.a.rows(), kRanks, comm.rank());
+    const TsqrResult res = tsqr(comm, in.a.block(part.offset, 0, part.count, n));
+    const Matrix q_block = res.q_local();
+    const Matrix y = random_matrix(res.r.rows(), 10, 701);
+    const double d = max_abs_diff(res.q_times(y), naive_matmul(q_block, y));
+    std::lock_guard<std::mutex> lock(mu);
+    q_times_defect = std::max(q_times_defect, d);
+    q_blocks[static_cast<std::size_t>(comm.rank())] = q_block;
+    if (comm.is_root()) r = res.r;
+  });
+  EXPECT_LT(q_times_defect, 1e-12);
+  testing::expect_qr_matches_oracle(in, vcat(q_blocks), r, 1e-12);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PipelineShapes, TsqrPanelShapes,
+    ::testing::Combine(
+        ::testing::Values(std::pair{4096, 20}, std::pair{2592, 204},
+                          std::pair{816, 204}, std::pair{80, 20},
+                          std::pair{15, 20}),
+        ::testing::Values(testing::PanelCase::Gaussian,
+                          testing::PanelCase::ZeroSubcolumn,
+                          testing::PanelCase::ExtremeScales)),
+    panel_param_name);
+
+TEST(Tsqr, SubnormalScaleStaysFinite) {
+  // The local and root reflectors of a 1e-310 / 1e-315 matrix have a
+  // subnormal alpha - beta (see Qr.SubnormalScaleStaysFinite).
+  for (const double scale : {1e-310, 1e-315}) {
+    SCOPED_TRACE(::testing::Message() << "scale " << scale);
+    const Matrix a = testing::subnormal_matrix(scale);
+    const QrResult qr = run_tsqr(a, 4);
+    testing::expect_subnormal_qr(a, qr.q, qr.r);
+  }
+}
 
 TEST(Tsqr, ReconstructsInput) {
   const Matrix a = random_matrix(120, 8, 78);
