@@ -1,7 +1,8 @@
 // Ablation: deterministic SVD backend choice (one-sided Jacobi vs
 // Golub-Kahan vs method of snapshots) across the matrix shapes the
-// library actually sees — square R factors from the streaming update and
-// tall-skinny snapshot blocks from APMOS stage 1.
+// library actually sees — square R factors from the streaming update (in
+// full and at its kept rank) and tall-skinny snapshot blocks from APMOS
+// stage 1.
 #include <benchmark/benchmark.h>
 
 #include "linalg/svd.hpp"
@@ -16,31 +17,37 @@ Matrix make_input(Index m, Index n, std::uint64_t seed) {
   return Matrix::gaussian(m, n, rng);
 }
 
-void BM_SvdJacobi(benchmark::State& state) {
+void run_svd(benchmark::State& state, SvdMethod method, Index rank) {
   const Matrix a = make_input(state.range(0), state.range(1), 17);
   SvdOptions opts;
-  opts.method = SvdMethod::Jacobi;
+  opts.method = method;
+  opts.rank = rank;
   for (auto _ : state) {
     benchmark::DoNotOptimize(svd(a, opts));
   }
 }
 
+void BM_SvdJacobi(benchmark::State& state) { run_svd(state, SvdMethod::Jacobi, 0); }
+
 void BM_SvdGolubKahan(benchmark::State& state) {
-  const Matrix a = make_input(state.range(0), state.range(1), 17);
-  SvdOptions opts;
-  opts.method = SvdMethod::GolubKahan;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(svd(a, opts));
-  }
+  run_svd(state, SvdMethod::GolubKahan, 0);
 }
 
 void BM_SvdMethodOfSnapshots(benchmark::State& state) {
-  const Matrix a = make_input(state.range(0), state.range(1), 17);
-  SvdOptions opts;
-  opts.method = SvdMethod::MethodOfSnapshots;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(svd(a, opts));
-  }
+  run_svd(state, SvdMethod::MethodOfSnapshots, 0);
+}
+
+// Kept-rank rows, args (m, n, rank): only `rank` triplets are kept.
+void BM_SvdJacobiKept(benchmark::State& state) {
+  run_svd(state, SvdMethod::Jacobi, state.range(2));
+}
+
+void BM_SvdGolubKahanKept(benchmark::State& state) {
+  run_svd(state, SvdMethod::GolubKahan, state.range(2));
+}
+
+void BM_SvdMethodOfSnapshotsKept(benchmark::State& state) {
+  run_svd(state, SvdMethod::MethodOfSnapshots, state.range(2));
 }
 
 // Square R-factor shapes (streaming update inner SVD).
@@ -57,6 +64,12 @@ BENCHMARK(BM_SvdJacobi)->Args({4096, 64})->Args({8192, 64})
 BENCHMARK(BM_SvdGolubKahan)->Args({4096, 64})->Args({8192, 64})
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SvdMethodOfSnapshots)->Args({4096, 64})->Args({8192, 64})
+    ->Unit(benchmark::kMillisecond);
+
+// The era5_stream root SVD: 204 x 204 R, K = 4 modes kept.
+BENCHMARK(BM_SvdJacobiKept)->Args({204, 204, 4})->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SvdGolubKahanKept)->Args({204, 204, 4})->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SvdMethodOfSnapshotsKept)->Args({204, 204, 4})
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

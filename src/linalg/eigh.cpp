@@ -34,6 +34,7 @@ EighResult eigh(const Matrix& input, const EighOptions& opts) {
   // wrong eigenvalues) and overflow far above it. Run at an exact
   // power-of-two rescaling instead and scale the eigenvalues back.
   const double amax = input.norm_max();
+  if (!std::isfinite(amax)) throw NonFiniteError("eigh input has a non-finite entry");
   if (const int e = safe_scale_exponent(amax); e != 0) {
     EighResult out = eigh(scale_by_pow2(input, -e), opts);
     for (Index j = 0; j < out.values.size(); ++j) {
@@ -109,10 +110,11 @@ EighResult eigh(const Matrix& input, const EighOptions& opts) {
   std::stable_sort(order.begin(), order.end(),
                    [&a](Index i, Index j) { return a(i, i) > a(j, j); });
 
+  const Index r = (opts.rank > 0 && opts.rank < n) ? opts.rank : n;
   EighResult out;
-  out.values = Vector(n);
-  out.vectors = Matrix(n, n);
-  for (Index k = 0; k < n; ++k) {
+  out.values = Vector(r);
+  out.vectors = Matrix(n, r);
+  for (Index k = 0; k < r; ++k) {
     const Index src = order[static_cast<std::size_t>(k)];
     out.values[k] = a(src, src);
     out.vectors.set_col(k, v.col(src));

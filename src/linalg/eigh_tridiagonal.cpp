@@ -1,96 +1,93 @@
 // Symmetric eigendecomposition via Householder tridiagonalization and
-// implicit-shift QL iteration — the classic tred2/tql2 pair (Bowdler,
-// Martin, Reinsch & Wilkinson 1968; EISPACK lineage), written against
-// Golub & Van Loan §8.3. Independent of the Jacobi backend in eigh.cpp
-// so the two can cross-validate each other in the test suite.
+// implicit-shift QL iteration, written against Golub & Van Loan §8.3.
+// The reduction is LAPACK's dsytd2 (lower), column by column; the QL
+// sweep is EISPACK's tql2 with its rotations logged instead of applied,
+// so only the kept eigenvectors are ever formed (see RotationLog).
+// Independent of the Jacobi backend in eigh.cpp so the two can
+// cross-validate each other in the test suite.
 #include <algorithm>
 #include <cmath>
 #include <numeric>
 
+#include "linalg/blas.hpp"
 #include "linalg/eigh.hpp"
+#include "linalg/householder.hpp"
 
 namespace parsvd {
 namespace {
 
-/// Householder reduction of the symmetric matrix stored in z to
-/// tridiagonal form: on return d holds the diagonal, e the subdiagonal
-/// (e[0] = 0), and z the accumulated orthogonal transform Q with
-/// A = Q T Qᵀ.
-void tred2(Matrix& z, std::vector<double>& d, std::vector<double>& e) {
-  const Index n = z.rows();
+using detail::RotationLog;
 
-  for (Index i = n - 1; i >= 1; --i) {
-    const Index l = i - 1;
-    double h = 0.0;
-    if (l > 0) {
-      double scale = 0.0;
-      for (Index k = 0; k <= l; ++k) scale += std::fabs(z(i, k));
-      if (scale == 0.0) {
-        e[static_cast<std::size_t>(i)] = z(i, l);
-      } else {
-        for (Index k = 0; k <= l; ++k) {
-          z(i, k) /= scale;
-          h += z(i, k) * z(i, k);
-        }
-        double f = z(i, l);
-        double g = (f >= 0.0) ? -std::sqrt(h) : std::sqrt(h);
-        e[static_cast<std::size_t>(i)] = scale * g;
-        h -= f * g;
-        z(i, l) = f - g;
-        f = 0.0;
-        for (Index j = 0; j <= l; ++j) {
-          z(j, i) = z(i, j) / h;  // store u/H for the transform pass
-          g = 0.0;
-          for (Index k = 0; k <= j; ++k) g += z(j, k) * z(i, k);
-          for (Index k = j + 1; k <= l; ++k) g += z(k, j) * z(i, k);
-          e[static_cast<std::size_t>(j)] = g / h;
-          f += e[static_cast<std::size_t>(j)] * z(i, j);
-        }
-        const double hh = f / (h + h);
-        for (Index j = 0; j <= l; ++j) {
-          f = z(i, j);
-          g = e[static_cast<std::size_t>(j)] - hh * f;
-          e[static_cast<std::size_t>(j)] = g;
-          for (Index k = 0; k <= j; ++k) {
-            z(j, k) -= f * e[static_cast<std::size_t>(k)] + g * z(i, k);
-          }
-        }
-      }
-    } else {
-      e[static_cast<std::size_t>(i)] = z(i, l);
-    }
-    d[static_cast<std::size_t>(i)] = h;
-  }
+/// A = Q T Qᵀ with T symmetric tridiagonal. Q = H_0 ⋯ H_{n-2} stays in
+/// factored form: reflector i acts on rows i+1..n-1 and its tail lives in
+/// a(i+2.., i).
+struct Tridiagonalization {
+  Matrix a;
+  std::vector<double> tau;  // length n
+  std::vector<double> d;    // diagonal, length n
+  std::vector<double> e;    // subdiagonal e[i] = T(i+1, i); e[n-1] = 0
+};
 
-  // Accumulate the orthogonal transform.
-  d[0] = 0.0;
-  e[0] = 0.0;
-  for (Index i = 0; i < n; ++i) {
-    const Index l = i - 1;
-    if (d[static_cast<std::size_t>(i)] != 0.0) {
-      for (Index j = 0; j <= l; ++j) {
-        double g = 0.0;
-        for (Index k = 0; k <= l; ++k) g += z(i, k) * z(k, j);
-        for (Index k = 0; k <= l; ++k) z(k, j) -= g * z(k, i);
-      }
+/// Lower-triangle reduction of the symmetric matrix `a` (dsytd2): every
+/// step is a reflector, a symv and a rank-2 update, each done as sweeps
+/// down the columns of the trailing block, so all access is unit-stride.
+Tridiagonalization tridiagonalize(Matrix a) {
+  const Index n = a.rows();
+  std::vector<double> tau(static_cast<std::size_t>(n), 0.0);
+  std::vector<double> d(static_cast<std::size_t>(n), 0.0);
+  std::vector<double> e(static_cast<std::size_t>(n), 0.0);
+  std::vector<double> v(static_cast<std::size_t>(n));
+  std::vector<double> w(static_cast<std::size_t>(n));
+
+  for (Index i = 0; i + 1 < n; ++i) {
+    double* coli = a.col_data(i);
+    const detail::Reflector h = detail::make_reflector(
+        coli[i + 1], std::span<double>(coli + i + 2, static_cast<std::size_t>(n - i - 2)));
+    e[static_cast<std::size_t>(i)] = h.beta;
+    tau[static_cast<std::size_t>(i)] = h.tau;
+    d[static_cast<std::size_t>(i)] = coli[i];
+    if (h.tau == 0.0) continue;
+
+    // Trailing block S = A(i+1:n, i+1:n) (lower triangle), v = (1; tail).
+    const Index p = n - i - 1;
+    const Index off = i + 1;
+    v[0] = 1.0;
+    std::copy(coli + i + 2, coli + n, v.begin() + 1);
+    // w = tau S v: column c adds S(c.., c) v_c below the diagonal and
+    // takes S(c+1.., c)ᵀ v(c+1..) into w_c.
+    std::fill(w.begin(), w.begin() + p, 0.0);
+    for (Index c = 0; c < p; ++c) {
+      const double* s = a.col_data(off + c) + off;
+      const auto len = static_cast<std::size_t>(p - c - 1);
+      const double vc = h.tau * v[static_cast<std::size_t>(c)];
+      w[static_cast<std::size_t>(c)] +=
+          s[c] * vc + h.tau * detail::dot_kernel(s + c + 1, v.data() + c + 1, len);
+      axpy(vc, std::span<const double>(s + c + 1, len),
+           std::span<double>(w.data() + c + 1, len));
     }
-    d[static_cast<std::size_t>(i)] = z(i, i);
-    z(i, i) = 1.0;
-    for (Index j = 0; j <= l; ++j) {
-      z(j, i) = 0.0;
-      z(i, j) = 0.0;
+    // w -= (tau/2)(wᵀv) v, then S -= v wᵀ + w vᵀ on the lower triangle.
+    const double alpha = -0.5 * h.tau *
+                         detail::dot_kernel(w.data(), v.data(), static_cast<std::size_t>(p));
+    axpy(alpha, std::span<const double>(v.data(), static_cast<std::size_t>(p)),
+         std::span<double>(w.data(), static_cast<std::size_t>(p)));
+    for (Index c = 0; c < p; ++c) {
+      double* s = a.col_data(off + c) + off;
+      const auto len = static_cast<std::size_t>(p - c);
+      axpy(-w[static_cast<std::size_t>(c)], std::span<const double>(v.data() + c, len),
+           std::span<double>(s + c, len));
+      axpy(-v[static_cast<std::size_t>(c)], std::span<const double>(w.data() + c, len),
+           std::span<double>(s + c, len));
     }
   }
+  if (n > 0) d[static_cast<std::size_t>(n - 1)] = a(n - 1, n - 1);
+  return {std::move(a), std::move(tau), std::move(d), std::move(e)};
 }
 
-/// Implicit-shift QL iteration on the tridiagonal (d, e) with
-/// eigenvector accumulation into z. e[0] is ignored on entry.
-void tql2(Matrix& z, std::vector<double>& d, std::vector<double>& e) {
-  const Index n = z.rows();
+/// Implicit-shift QL iteration on the tridiagonal (d, e); the rotations
+/// it would apply to the eigenvector matrix go to `log` instead.
+void tql2(std::vector<double>& d, std::vector<double>& e, RotationLog& log) {
+  const auto n = static_cast<Index>(d.size());
   if (n == 1) return;
-
-  for (Index i = 1; i < n; ++i) e[static_cast<std::size_t>(i - 1)] = e[static_cast<std::size_t>(i)];
-  e[static_cast<std::size_t>(n - 1)] = 0.0;
 
   constexpr double kEps = 2.220446049250313e-16;
   // Absolute deflation floor: rank-deficient inputs (e.g. Gram matrices
@@ -128,15 +125,16 @@ void tql2(Matrix& z, std::vector<double>& d, std::vector<double>& e) {
         double g = (d[static_cast<std::size_t>(l + 1)] -
                     d[static_cast<std::size_t>(l)]) /
                    (2.0 * e[static_cast<std::size_t>(l)]);
-        double r = std::hypot(g, 1.0);
+        double r = detail::make_givens(g, 1.0).r;  // hypot(g, 1)
         g = d[static_cast<std::size_t>(m)] - d[static_cast<std::size_t>(l)] +
             e[static_cast<std::size_t>(l)] / (g + std::copysign(r, g));
         double s = 1.0, c = 1.0, p = 0.0;
         Index i = m - 1;
         for (; i >= l; --i) {
-          double f = s * e[static_cast<std::size_t>(i)];
+          const double f = s * e[static_cast<std::size_t>(i)];
           const double b = c * e[static_cast<std::size_t>(i)];
-          r = std::hypot(f, g);
+          const detail::Givens rot = detail::make_givens(g, f);  // c = g/r, s = f/r
+          r = rot.r;
           e[static_cast<std::size_t>(i + 1)] = r;
           if (r == 0.0) {
             // Deflate without finishing the sweep.
@@ -144,19 +142,15 @@ void tql2(Matrix& z, std::vector<double>& d, std::vector<double>& e) {
             e[static_cast<std::size_t>(m)] = 0.0;
             break;
           }
-          s = f / r;
-          c = g / r;
+          s = rot.s;
+          c = rot.c;
           g = d[static_cast<std::size_t>(i + 1)] - p;
           r = (d[static_cast<std::size_t>(i)] - g) * s + 2.0 * c * b;
           p = s * r;
           d[static_cast<std::size_t>(i + 1)] = g + p;
           g = c * r - b;
-          // Accumulate the rotation into the eigenvector matrix.
-          for (Index k = 0; k < n; ++k) {
-            f = z(k, i + 1);
-            z(k, i + 1) = s * z(k, i) + c * f;
-            z(k, i) = c * z(k, i) - s * f;
-          }
+          // Z(:, i) := c Z(:, i) - s Z(:, i+1), Z(:, i+1) := s Z(:, i) + c Z(:, i+1).
+          log.record(i, i + 1, c, -s);
         }
         if (r == 0.0 && i >= l) continue;
         d[static_cast<std::size_t>(l)] -= p;
@@ -175,38 +169,43 @@ EighResult eigh_tridiagonal(const Matrix& input, const EighOptions& opts) {
   const Index n = input.rows();
   if (n == 0) return {Vector{}, Matrix{}};
 
-  const double scale = std::max(input.norm_max(), 1.0);
-  Matrix z(n, n);
+  const double amax = input.norm_max();
+  if (!std::isfinite(amax)) throw NonFiniteError("eigh input has a non-finite entry");
+  const double scale = std::max(amax, 1.0);
+  Matrix a(n, n);
   for (Index j = 0; j < n; ++j) {
     for (Index i = 0; i <= j; ++i) {
       PARSVD_REQUIRE(std::fabs(input(i, j) - input(j, i)) <= 1e-8 * scale,
                      "eigh input is not symmetric");
-      const double v = 0.5 * (input(i, j) + input(j, i));
-      z(i, j) = v;
-      z(j, i) = v;
+      a(j, i) = 0.5 * (input(i, j) + input(j, i));
     }
   }
 
-  std::vector<double> d(static_cast<std::size_t>(n), 0.0);
-  std::vector<double> e(static_cast<std::size_t>(n), 0.0);
-  tred2(z, d, e);
-  tql2(z, d, e);
+  Tridiagonalization t = tridiagonalize(std::move(a));
+  std::vector<double>& d = t.d;
+  RotationLog log(2 * n * n);  // a sweep takes about n² rotations
+  tql2(d, t.e, log);
 
+  // Sort descending; keep the leading r (ties at the cut go to the lower
+  // index, as the sort is stable).
   std::vector<Index> order(static_cast<std::size_t>(n));
   std::iota(order.begin(), order.end(), Index{0});
-  std::stable_sort(order.begin(), order.end(), [&d](Index a, Index b) {
-    return d[static_cast<std::size_t>(a)] > d[static_cast<std::size_t>(b)];
+  std::stable_sort(order.begin(), order.end(), [&d](Index x, Index y) {
+    return d[static_cast<std::size_t>(x)] > d[static_cast<std::size_t>(y)];
   });
+  const Index r = (opts.rank > 0 && opts.rank < n) ? opts.rank : n;
 
   EighResult out;
-  out.values = Vector(n);
-  out.vectors = Matrix(n, n);
-  for (Index k = 0; k < n; ++k) {
-    const Index src = order[static_cast<std::size_t>(k)];
-    out.values[k] = d[static_cast<std::size_t>(src)];
-    out.vectors.set_col(k, z.col(src));
+  out.values = Vector(r);
+  Matrix y(r, n);
+  for (Index q = 0; q < r; ++q) {
+    const Index src = order[static_cast<std::size_t>(q)];
+    out.values[q] = d[static_cast<std::size_t>(src)];
+    y(q, src) = 1.0;
   }
-  (void)opts;
+  log.unwind(y);
+  out.vectors = y.transposed();
+  detail::apply_reflectors_backward(t.a, t.tau, 1, out.vectors);
   return out;
 }
 

@@ -51,7 +51,10 @@ double Vector::norm2() const {
 
 double Vector::norm_inf() const {
   double m = 0.0;
-  for (double x : data_) m = std::max(m, std::fabs(x));
+  for (double x : data_) {
+    if (std::isnan(x)) return x;  // std::max would drop it
+    m = std::max(m, std::fabs(x));
+  }
   return m;
 }
 
@@ -216,8 +219,13 @@ double Matrix::norm_inf() const {
 }
 
 double Matrix::norm_max() const {
+  // std::max(m, NaN) returns m, so a NaN is returned explicitly: the
+  // solvers' scale and finiteness guards are built on this value.
   double m = 0.0;
-  for (double x : data_) m = std::max(m, std::fabs(x));
+  for (double x : data_) {
+    if (std::isnan(x)) return x;
+    m = std::max(m, std::fabs(x));
+  }
   return m;
 }
 

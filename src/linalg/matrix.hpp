@@ -75,7 +75,7 @@ class Vector {
   Vector segment(Index lo, Index n) const;
 
   double norm2() const;        ///< Euclidean norm.
-  double norm_inf() const;     ///< max |x_i|
+  double norm_inf() const;     ///< max |x_i|; NaN if any x_i is NaN
   double sum() const;
 
   Vector& operator*=(double s);
@@ -173,7 +173,7 @@ class Matrix {
 
   double norm_fro() const;     ///< Frobenius norm.
   double norm_inf() const;     ///< max row-sum norm.
-  double norm_max() const;     ///< max |a_ij|
+  double norm_max() const;     ///< max |a_ij|; NaN if any a_ij is NaN
 
   Matrix& operator*=(double s);
   Matrix& operator+=(const Matrix& other);

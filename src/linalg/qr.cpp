@@ -5,55 +5,12 @@
 
 #include "linalg/autotune.hpp"
 #include "linalg/blas.hpp"
+#include "linalg/householder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace parsvd {
 namespace {
-
-// Generate a Householder reflector for x = (alpha; tail) such that
-// (I - tau v vᵀ) x = (beta; 0), with v = (1; tail/ (alpha - beta)).
-// Returns {tau, beta}; v's tail is written over x's tail.
-struct Reflector {
-  double tau;
-  double beta;
-};
-
-Reflector make_reflector(double alpha, std::span<double> tail) {
-  double xnorm = nrm2(tail);
-  if (xnorm == 0.0) {
-    // Nothing below the diagonal: identity reflector.
-    return {0.0, alpha};
-  }
-  double beta = std::hypot(alpha, xnorm);
-  if (alpha >= 0.0) beta = -beta;  // choose sign to avoid cancellation
-  // LAPACK dlarfg's guard: once |beta| is tiny, 1/(alpha - beta) can
-  // overflow (it does when alpha - beta is subnormal). Scale x by an exact
-  // power of two into range, build the reflector there (tau and v are
-  // scale-free), and scale only beta back.
-  const int e = safe_scale_exponent(std::fabs(beta));
-  if (e < 0) {
-    alpha = std::ldexp(alpha, -e);
-    for (double& x : tail) x = std::ldexp(x, -e);
-    xnorm = nrm2(tail);
-    beta = std::hypot(alpha, xnorm);
-    if (alpha >= 0.0) beta = -beta;
-  }
-  const double tau = (beta - alpha) / beta;
-  scal(1.0 / (alpha - beta), tail);
-  return {tau, (e < 0) ? std::ldexp(beta, e) : beta};
-}
-
-// Apply H = I - tau v vᵀ to the column segment c[j:m), where v = (1;
-// v_tail) has its implicit unit entry at row j: one vectorized dot and
-// one axpy over the m - j - 1 rows below it.
-void apply_reflector(double tau, const double* v_tail, double* c, Index j,
-                     Index m) {
-  const auto len = static_cast<std::size_t>(m - j - 1);
-  const double w = tau * (c[j] + detail::dot_kernel(v_tail, c + j + 1, len));
-  c[j] -= w;
-  axpy(-w, std::span<const double>(v_tail, len), std::span<double>(c + j + 1, len));
-}
 
 // The reflectors of one panel, V = [V1; V2] ((m - j0) x jb, unit lower
 // trapezoidal). Only the jb x jb unit lower triangle V1 is copied out
@@ -215,13 +172,13 @@ void HouseholderQr::factor_panel(Index j0, Index jb, Index update_to) {
     const Index j = j0 + jj;
     double* colj = qr_.col_data(j);
     std::span<double> tail(colj + j + 1, static_cast<std::size_t>(m - j - 1));
-    const Reflector h = make_reflector(colj[j], tail);
+    const detail::Reflector h = detail::make_reflector(colj[j], tail);
     tau_[static_cast<std::size_t>(j)] = h.tau;
     colj[j] = h.beta;
     if (h.tau == 0.0) continue;
     // Apply (I - tau v vᵀ) to the remaining panel columns.
     for (Index c = j + 1; c < update_to; ++c) {
-      apply_reflector(h.tau, colj + j + 1, qr_.col_data(c), j, m);
+      detail::apply_reflector(h.tau, colj + j + 1, qr_.col_data(c), j, m);
     }
   }
 }
@@ -278,7 +235,7 @@ void HouseholderQr::apply_qt(Matrix& b) const {
     if (tau == 0.0) continue;
     const double* v_tail = qr_.col_data(j) + j + 1;
     for (Index c = 0; c < b.cols(); ++c) {
-      apply_reflector(tau, v_tail, b.col_data(c), j, m);
+      detail::apply_reflector(tau, v_tail, b.col_data(c), j, m);
     }
   }
 }
@@ -298,7 +255,7 @@ void HouseholderQr::apply_q(Matrix& b) const {
     if (tau == 0.0) continue;
     const double* v_tail = qr_.col_data(j) + j + 1;
     for (Index c = 0; c < b.cols(); ++c) {
-      apply_reflector(tau, v_tail, b.col_data(c), j, m);
+      detail::apply_reflector(tau, v_tail, b.col_data(c), j, m);
     }
   }
 }

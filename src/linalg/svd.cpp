@@ -143,6 +143,9 @@ SvdResult one_sided_jacobi(Matrix w, double tol, int max_sweeps) {
 
 SvdResult svd_jacobi(const Matrix& a, const SvdOptions& opts) {
   PARSVD_REQUIRE(!a.empty(), "svd of an empty matrix");
+  if (!std::isfinite(a.norm_max())) {
+    throw NonFiniteError("svd input has a non-finite entry");
+  }
   const Index m = a.rows();
   const Index n = a.cols();
 
@@ -175,15 +178,19 @@ SvdResult svd_method_of_snapshots(const Matrix& a, const SvdOptions& opts) {
 
   // Gram matrix AᵀA = V Σ² Vᵀ; eigh gives descending eigenvalues.
   const Matrix g = gram(a);
-  // The Gram squares the entries. When its largest diagonal (the largest
-  // squared column norm) leaves [2^-400, 2^400] it may have over- or
-  // underflowed: redo the solve on an exact power-of-two rescaling of A
-  // and scale σ back. Checking the Gram's diagonal, not A, keeps the
-  // common path free of an extra pass over A.
-  double gmax = 0.0;
-  for (Index j = 0; j < n; ++j) gmax = std::max(gmax, g(j, j));
-  if (!(gmax >= 0x1p-400 && gmax <= 0x1p400)) {
-    if (const int e = safe_scale_exponent(a.norm_max()); e != 0) {
+  // The Gram squares the entries. When its trace ‖A‖_F² (within a factor
+  // n of the largest squared column norm) leaves [2^-400, 2^400] it may
+  // have over- or underflowed: redo the solve on an exact power-of-two
+  // rescaling of A and scale σ back. A NaN or infinite entry of A makes
+  // the trace non-finite, so the finiteness check lives on the same
+  // branch. Checking the Gram, not A, keeps the common path free of an
+  // extra pass over A.
+  double trace = 0.0;
+  for (Index j = 0; j < n; ++j) trace += g(j, j);
+  if (!(trace >= 0x1p-400 && trace <= 0x1p400)) {
+    const double amax = a.norm_max();
+    if (!std::isfinite(amax)) throw NonFiniteError("svd input has a non-finite entry");
+    if (const int e = safe_scale_exponent(amax); e != 0) {
       SvdResult out = svd_method_of_snapshots(scale_by_pow2(a, -e), opts);
       for (Index j = 0; j < out.s.size(); ++j) out.s[j] = std::ldexp(out.s[j], e);
       return out;
@@ -191,21 +198,24 @@ SvdResult svd_method_of_snapshots(const Matrix& a, const SvdOptions& opts) {
   }
   EighOptions eopts;
   eopts.method = opts.eigh_method;
+  eopts.rank = opts.rank;
   EighResult eig = eigh(g, eopts);
+  const Index k = eig.values.size();
 
   SvdResult out;
-  out.s = Vector(n);
+  out.s = Vector(k);
   out.v = std::move(eig.vectors);
   // Eigenvalues of a Gram matrix are >= 0 in exact arithmetic; clamp
   // round-off negatives.
-  for (Index j = 0; j < n; ++j) {
+  for (Index j = 0; j < k; ++j) {
     out.s[j] = std::sqrt(std::max(eig.values[j], 0.0));
   }
 
-  // U = A V Σ⁻¹, computed only for numerically nonzero singular values.
-  const double cutoff = (n > 0 ? out.s[0] : 0.0) * 1e-14;
+  // U = A V Σ⁻¹ over the k kept columns, computed only for numerically
+  // nonzero singular values.
+  const double cutoff = (k > 0 ? out.s[0] : 0.0) * 1e-14;
   out.u = matmul(a, out.v);
-  for (Index j = 0; j < n; ++j) {
+  for (Index j = 0; j < k; ++j) {
     if (out.s[j] > cutoff && out.s[j] > 0.0) {
       scal(1.0 / out.s[j], out.u.col_span(j));
     } else {
@@ -214,7 +224,6 @@ SvdResult svd_method_of_snapshots(const Matrix& a, const SvdOptions& opts) {
       out.s[j] = (out.s[j] > 0.0) ? out.s[j] : 0.0;
     }
   }
-  truncate(out, opts.rank);
   return out;
 }
 

@@ -19,6 +19,7 @@
 // available without a reference LAPACK. Golub–Kahan and the method of
 // snapshots rescale inputs far from unit scale by an exact power of two
 // (safe_scale_exponent), so every backend handles entries near 1e±300.
+// Every backend throws NonFiniteError on a NaN or infinite entry.
 //
 // The convention throughout: thin SVD A = U diag(s) Vᵀ with U (m x r),
 // s descending and non-negative, V (n x r), r = min(m, n) (or the
@@ -47,7 +48,10 @@ enum class SvdMethod {
 
 struct SvdOptions {
   SvdMethod method = SvdMethod::GolubKahan;
-  /// Keep only the leading `rank` triplets; 0 = full thin SVD.
+  /// Keep only the leading `rank` triplets; 0 = full thin SVD. Golub–Kahan
+  /// and the method of snapshots form only the kept vectors, so their
+  /// vector cost is O(rank), not O(min(m, n)); Jacobi truncates its full
+  /// result.
   Index rank = 0;
   /// Jacobi sweep convergence threshold on normalized column coherence.
   double tol = 1e-13;

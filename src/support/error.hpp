@@ -31,6 +31,14 @@ class ConvergenceError : public Error {
   explicit ConvergenceError(const std::string& what) : Error(what) {}
 };
 
+/// A dense solver was handed a NaN or infinite entry. Raised at entry,
+/// before any iteration, instead of a late ConvergenceError or silently
+/// non-finite factors.
+class NonFiniteError : public Error {
+ public:
+  explicit NonFiniteError(const std::string& what) : Error(what) {}
+};
+
 /// Filesystem / serialization failures.
 class IoError : public Error {
  public:

@@ -5,7 +5,10 @@
 // test at the end runs both backends.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <tuple>
 
 #include "linalg/blas.hpp"
 #include "linalg/eigh.hpp"
@@ -141,6 +144,46 @@ INSTANTIATE_TEST_SUITE_P(
     Sizes, EighSweep,
     ::testing::Combine(::testing::Values(2, 3, 7, 16, 33),
                        ::testing::Values(0u, 1u, 2u, 3u)));
+
+// Both backends reject a NaN or infinite entry with the typed error, not
+// with "eigh input is not symmetric" (NaN fails every comparison).
+class EighNonFinite : public ::testing::TestWithParam<std::tuple<int, double>> {};
+
+TEST_P(EighNonFinite, ThrowsNonFiniteError) {
+  const auto [method_idx, bad] = GetParam();
+  const auto method = static_cast<EighMethod>(method_idx);
+  Matrix a = random_symmetric(40, 12);
+  a(7, 3) = bad;
+  a(3, 7) = bad;
+  EighOptions opts;
+  opts.method = method;
+  EXPECT_THROW(eigh(a, opts), NonFiniteError);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, EighNonFinite,
+    ::testing::Combine(::testing::Values(0, 1),  // Jacobi, Tridiagonal
+                       ::testing::Values(std::numeric_limits<double>::quiet_NaN(),
+                                         std::numeric_limits<double>::infinity(),
+                                         -std::numeric_limits<double>::infinity())));
+
+TEST(Eigh, RankKeepsLeadingPairsJacobi) {
+  // EighOptions::rank on the Jacobi backend truncates its full result.
+  const Matrix a = random_symmetric(20, 13);
+  const EighResult full = eigh(a, jac());
+  for (const Index rank : {Index{1}, Index{7}, Index{20}, Index{25}}) {
+    EighOptions opts = jac();
+    opts.rank = rank;
+    const EighResult e = eigh(a, opts);
+    const Index k = std::min<Index>(rank, 20);
+    ASSERT_EQ(e.values.size(), k);
+    ASSERT_EQ(e.vectors.cols(), k);
+    for (Index j = 0; j < k; ++j) {
+      EXPECT_EQ(e.values[j], full.values[j]) << "rank " << rank;
+      for (Index i = 0; i < 20; ++i) EXPECT_EQ(e.vectors(i, j), full.vectors(i, j));
+    }
+  }
+}
 
 TEST(Eigh, ExtremeScaleBothBackends) {
   // A 10 x 10 SPD matrix scaled by 1e±200 and 1e±300. Unguarded, cyclic

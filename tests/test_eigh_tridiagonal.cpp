@@ -1,13 +1,16 @@
-// Tridiagonal (tred2/tql2) eigensolver tests: invariants, known cases,
+// Tridiagonal (dsytd2/tql2) eigensolver tests: invariants, known cases,
 // and cross-validation against the independently-implemented Jacobi
 // backend — two unrelated algorithms agreeing on random inputs is the
 // strongest correctness evidence available without a reference LAPACK.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <ostream>
 
 #include "linalg/blas.hpp"
 #include "linalg/eigh.hpp"
+#include "linalg/qr.hpp"
 #include "test_utils.hpp"
 
 namespace parsvd {
@@ -126,6 +129,77 @@ TEST(EighTridiagonal, RejectsNonSquareAndAsymmetric) {
   EXPECT_THROW(eigh(Matrix(3, 4), tri()), Error);
   EXPECT_THROW(eigh(Matrix{{1, 2}, {5, 1}}, tri()), Error);
 }
+
+// Q diag(spectrum) Qᵀ with a random orthonormal Q (n x k).
+Matrix with_spectrum(Index n, const Vector& spectrum, std::uint64_t seed) {
+  const Matrix q = qr_thin(testing::random_matrix(n, spectrum.size(), seed)).q;
+  return naive_matmul(naive_matmul(q, Matrix::diag(spectrum)), q.transposed());
+}
+
+struct KeptRankCase {
+  const char* name;
+  Index rank;
+  Matrix (*make)();
+};
+
+// Names the case in test listings (and so in the ctest names).
+void PrintTo(const KeptRankCase& c, std::ostream* os) { *os << c.name; }
+
+const KeptRankCase kKeptRankCases[] = {
+    // The APMOS local Gram (1024 x 256 block), cut at r1 = 50.
+    {"ApmosGram", 50, [] { return gram(testing::random_matrix(1024, 256, 41)); }},
+    // The Gram of the era5_stream root R, cut at K = 4.
+    {"Era5Gram", 4, [] { return gram(qr_thin(testing::random_matrix(408, 204, 42)).r); }},
+    // Gram of a wide 20 x 80 block: rank 20 of 80, noise-level tail.
+    {"WideGram", 5, [] { return gram(testing::random_matrix(20, 80, 43)); }},
+    {"RankOne", 1, [] { return with_spectrum(12, Vector{7.0}, 44); }},
+    {"RankOneCut3", 3, [] { return with_spectrum(12, Vector{7.0}, 44); }},
+    // λ = 2 three times across the cut at 3.
+    {"RepeatedAtCut", 3, [] { return with_spectrum(6, Vector{5, 3, 2, 2, 2, 1}, 45); }},
+    {"N1", 1, [] { return Matrix{{-2.5}}; }},
+    {"N2", 1, [] { return random_symmetric(2, 46); }},
+    {"N3", 2, [] { return random_symmetric(3, 47); }},
+    {"RankEqualsN", 9, [] { return random_symmetric(9, 48); }},
+    {"RankAboveN", 12, [] { return random_symmetric(9, 48); }},
+};
+
+class EighTridiagonalKeptRank : public ::testing::TestWithParam<KeptRankCase> {};
+
+TEST_P(EighTridiagonalKeptRank, LeadingPairsOfFullSolve) {
+  const KeptRankCase& c = GetParam();
+  const Matrix a = c.make();
+  const Index n = a.rows();
+  const EighResult full = eigh(a, tri());
+  EighOptions opts = tri();
+  opts.rank = c.rank;
+  const EighResult e = eigh(a, opts);
+  const Index k = std::min(c.rank, n);
+  ASSERT_EQ(e.values.size(), k);
+  ASSERT_EQ(e.vectors.cols(), k);
+
+  // The rank-r result is the leading r pairs of the rank-0 one.
+  const double lmax = full.values.norm_inf();
+  for (Index j = 0; j < k; ++j) {
+    EXPECT_NEAR(e.values[j], full.values[j], 1e-14 * lmax) << "lambda " << j;
+  }
+  testing::expect_leading_columns(e.vectors, full.vectors, 1e-12, "vectors");
+
+  // Against the Jacobi reference: λ, orthogonality and A z_j = λ_j z_j.
+  const EighResult ref = eigh(a, jac());
+  for (Index j = 0; j < k; ++j) {
+    EXPECT_NEAR(e.values[j], ref.values[j], 1e-12 * lmax) << "lambda " << j;
+  }
+  EXPECT_LT(ortho_defect(e.vectors), 1e-12);
+  const Matrix az = naive_matmul(a, e.vectors);
+  for (Index j = 0; j < k; ++j) {
+    for (Index i = 0; i < n; ++i) {
+      EXPECT_NEAR(az(i, j), e.values[j] * e.vectors(i, j), 1e-12 * lmax);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cases, EighTridiagonalKeptRank, ::testing::ValuesIn(kKeptRankCases));
 
 class EighTridiagonalSweep
     : public ::testing::TestWithParam<std::tuple<int, std::uint64_t>> {};

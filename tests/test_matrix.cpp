@@ -1,6 +1,9 @@
 // Unit tests for the Matrix/Vector containers.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "linalg/matrix.hpp"
 #include "support/rng.hpp"
 #include "test_utils.hpp"
@@ -176,6 +179,19 @@ TEST(Matrix, Norms) {
   EXPECT_DOUBLE_EQ(m.norm_fro(), 5.0);
   EXPECT_DOUBLE_EQ(m.norm_max(), 4.0);
   EXPECT_DOUBLE_EQ(m.norm_inf(), 4.0);  // max row abs-sum
+}
+
+TEST(Matrix, NormMaxPropagatesNonFinite) {
+  // std::max(m, NaN) returns m; norm_max must not, or every scale and
+  // finiteness guard built on it is blind to NaN.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_TRUE(std::isnan((Matrix{{1.0, nan}}).norm_max()));
+  EXPECT_TRUE(std::isnan((Matrix{{nan, 5.0}}).norm_max()));
+  EXPECT_EQ((Matrix{{1.0, inf}}).norm_max(), inf);
+  EXPECT_EQ((Matrix{{-inf, 1.0}}).norm_max(), inf);
+  EXPECT_TRUE(std::isnan((Vector{1.0, nan}).norm_inf()));
+  EXPECT_EQ((Vector{1.0, -inf}).norm_inf(), inf);
 }
 
 TEST(Matrix, Arithmetic) {

@@ -2,10 +2,13 @@
 // cross-backend agreement, truncation, pseudoinverse axioms, sign fixing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <ostream>
 #include <tuple>
 
 #include "linalg/blas.hpp"
+#include "linalg/qr.hpp"
 #include "linalg/svd.hpp"
 #include "test_utils.hpp"
 #include "workloads/lowrank.hpp"
@@ -232,6 +235,90 @@ TEST(FixModeSigns, Idempotent) {
   fix_mode_signs(again);
   expect_matrix_near(again, u, 0.0);
 }
+
+// ------------------------------------------- kept-rank Golub–Kahan (TEST_P)
+
+// Q diag(spectrum) Pᵀ with random orthonormal Q (m x k) and P (n x k).
+Matrix with_spectrum(Index m, Index n, const Vector& spectrum, std::uint64_t seed) {
+  const Index k = spectrum.size();
+  const Matrix q = qr_thin(random_matrix(m, k, seed)).q;
+  const Matrix p = qr_thin(random_matrix(n, k, seed + 1)).q;
+  return naive_matmul(naive_matmul(q, Matrix::diag(spectrum)), p.transposed());
+}
+
+struct KeptRankCase {
+  const char* name;
+  Index rank;
+  Matrix (*make)();
+};
+
+// Names the case in test listings (and so in the ctest names).
+void PrintTo(const KeptRankCase& c, std::ostream* os) { *os << c.name; }
+
+const KeptRankCase kKeptRankCases[] = {
+    // The era5_stream root SVD: the R of the stacked 204-column panel.
+    {"Era5R", 4, [] { return qr_thin(random_matrix(408, 204, 31)).r; }},
+    // An APMOS local snapshot block, cut at r1 = 50.
+    {"ApmosBlock", 50, [] { return random_matrix(1024, 256, 32); }},
+    {"Wide", 5, [] { return random_matrix(20, 80, 33); }},
+    // Exactly rank one: the zero-diagonal (zero_row) path.
+    {"RankOne", 1, [] { return with_spectrum(30, 12, Vector{7.0}, 34); }},
+    {"RankOneCut3", 3, [] { return with_spectrum(30, 12, Vector{7.0}, 34); }},
+    // σ = 2 three times across the cut at 3.
+    {"RepeatedSigmaAtCut", 3,
+     [] { return with_spectrum(12, 6, Vector{5, 3, 2, 2, 2, 1}, 35); }},
+    {"N1", 1, [] { return random_matrix(5, 1, 36); }},
+    {"N2", 1, [] { return random_matrix(2, 2, 37); }},
+    {"N3", 2, [] { return random_matrix(3, 3, 38); }},
+    {"RankEqualsN", 6, [] { return random_matrix(12, 6, 39); }},
+    {"RankAboveN", 9, [] { return random_matrix(12, 6, 39); }},
+};
+
+class GolubKahanKeptRank : public ::testing::TestWithParam<KeptRankCase> {};
+
+TEST_P(GolubKahanKeptRank, LeadingTripletsOfFullSolve) {
+  const KeptRankCase& c = GetParam();
+  const Matrix a = c.make();
+  SvdOptions opts;
+  opts.method = SvdMethod::GolubKahan;
+  const SvdResult full = svd(a, opts);
+  opts.rank = c.rank;
+  const SvdResult f = svd(a, opts);
+  const Index k = std::min(c.rank, std::min(a.rows(), a.cols()));
+  ASSERT_EQ(f.s.size(), k);
+  ASSERT_EQ(f.u.cols(), k);
+  ASSERT_EQ(f.v.cols(), k);
+
+  // The rank-r result is the leading r triplets of the rank-0 one.
+  for (Index j = 0; j < k; ++j) {
+    EXPECT_NEAR(f.s[j], full.s[j], 1e-14 * full.s[0]) << "sigma " << j;
+  }
+  testing::expect_leading_columns(f.u, full.u, 1e-12, "u");
+  testing::expect_leading_columns(f.v, full.v, 1e-12, "v");
+
+  // Against the Jacobi reference: σ, orthogonality and both residuals
+  // A v_j = σ_j u_j and Aᵀ u_j = σ_j v_j.
+  const SvdResult ref = svd_jacobi(a);
+  const double smax = ref.s[0];
+  for (Index j = 0; j < k; ++j) {
+    EXPECT_NEAR(f.s[j], ref.s[j], 1e-12 * smax) << "sigma " << j;
+  }
+  EXPECT_LT(ortho_defect(f.u), 1e-12);
+  EXPECT_LT(ortho_defect(f.v), 1e-12);
+  const Matrix av = naive_matmul(a, f.v);
+  const Matrix atu = naive_matmul(a.transposed(), f.u);
+  for (Index j = 0; j < k; ++j) {
+    for (Index i = 0; i < a.rows(); ++i) {
+      EXPECT_NEAR(av(i, j), f.s[j] * f.u(i, j), 1e-12 * smax);
+    }
+    for (Index i = 0; i < a.cols(); ++i) {
+      EXPECT_NEAR(atu(i, j), f.s[j] * f.v(i, j), 1e-12 * smax);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cases, GolubKahanKeptRank, ::testing::ValuesIn(kKeptRankCases));
 
 // ----------------------------------------------- invariant sweep (TEST_P)
 

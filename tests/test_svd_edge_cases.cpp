@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <tuple>
 
 #include "linalg/blas.hpp"
 #include "linalg/svd.hpp"
@@ -174,6 +176,32 @@ TEST(SvdEdge, GolubKahanExactlyRankOne) {
     testing::expect_matrix_near(f.reconstruct(), a, 1e-13 * a.norm_max());
   }
 }
+
+// Every backend rejects a NaN or infinite entry at entry with the typed
+// error. A 60 x 40 input with one bad entry used to run Golub–Kahan's
+// whole iteration budget into a ConvergenceError, and to give Jacobi a
+// NaN σ₀ with no error.
+class SvdNonFinite : public ::testing::TestWithParam<std::tuple<int, double>> {};
+
+TEST_P(SvdNonFinite, ThrowsNonFiniteError) {
+  const auto [method_idx, bad] = GetParam();
+  const auto method = static_cast<SvdMethod>(method_idx);
+  for (const bool wide : {false, true}) {
+    Matrix a = testing::random_matrix(60, 40, 11);
+    a(17, 23) = bad;
+    if (wide) a = a.transposed();
+    SvdOptions opts;
+    opts.method = method;
+    EXPECT_THROW(svd(a, opts), NonFiniteError) << "wide " << wide;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, SvdNonFinite,
+    ::testing::Combine(::testing::Values(0, 1, 2),  // Jacobi, MOS, GK
+                       ::testing::Values(std::numeric_limits<double>::quiet_NaN(),
+                                         std::numeric_limits<double>::infinity(),
+                                         -std::numeric_limits<double>::infinity())));
 
 TEST(SvdEdge, SingleRowAndColumn) {
   const Matrix row{{3.0, 4.0}};

@@ -73,6 +73,22 @@ inline double ortho_defect(const Matrix& q) {
   return worst;
 }
 
+/// The leading got.cols() columns of `full`, each matched up to sign:
+/// max |got(:, j) ∓ full(:, j)| <= tol for every j.
+inline void expect_leading_columns(const Matrix& got, const Matrix& full,
+                                   double tol, const char* what = "") {
+  ASSERT_EQ(got.rows(), full.rows()) << what;
+  ASSERT_LE(got.cols(), full.cols()) << what;
+  for (Index j = 0; j < got.cols(); ++j) {
+    double same = 0.0, flipped = 0.0;
+    for (Index i = 0; i < got.rows(); ++i) {
+      same = std::max(same, std::fabs(got(i, j) - full(i, j)));
+      flipped = std::max(flipped, std::fabs(got(i, j) + full(i, j)));
+    }
+    EXPECT_LE(std::min(same, flipped), tol) << what << " column " << j;
+  }
+}
+
 /// Frobenius norm accumulated with hypot, so subnormal entries don't
 /// underflow their squares to zero.
 inline double frob_norm(const Matrix& a) {
