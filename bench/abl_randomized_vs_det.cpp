@@ -5,10 +5,7 @@
 // the shape of the matrices whose SVD the library randomizes — and
 // attaches the rank-K reconstruction error as a counter so the
 // speed/accuracy trade is visible in one table. Sweeps power iterations
-// 0-2 to show where the extra passes pay off, and the structured sketch
-// operators (dense Gaussian / sparse-sign / SRHT) at fixed q = 1 to show
-// what the range-finder's test matrix costs relative to the rest of the
-// pipeline.
+// 0-2 to show where the extra passes pay off.
 #include <benchmark/benchmark.h>
 
 #include "core/randomized.hpp"
@@ -50,18 +47,12 @@ void BM_Deterministic(benchmark::State& state) {
   state.counters["rel_err"] = rank_k_error(a, last);
 }
 
-constexpr sketch::SketchKind kKinds[] = {sketch::SketchKind::DenseGaussian,
-                                         sketch::SketchKind::SparseSign,
-                                         sketch::SketchKind::Srht};
-
 void BM_Randomized(benchmark::State& state) {
   const Matrix a = make_decaying(state.range(0), state.range(1), 31);
   RandomizedOptions opts;
   opts.rank = kRank;
   opts.oversampling = 8;
   opts.power_iterations = static_cast<int>(state.range(2));
-  opts.sketch_kind = kKinds[static_cast<std::size_t>(state.range(3))];
-  state.SetLabel(sketch::to_string(opts.sketch_kind));
   Rng rng(99);
   SvdResult last;
   for (auto _ : state) {
@@ -78,20 +69,11 @@ BENCHMARK(BM_Deterministic)
     ->Unit(benchmark::kMillisecond);
 
 BENCHMARK(BM_Randomized)
-    // Power-iteration sweep at the paper's dense Gaussian operator.
-    ->Args({2048, 256, 0, 0})
-    ->Args({2048, 256, 1, 0})
-    ->Args({2048, 256, 2, 0})
-    ->Args({4096, 256, 1, 0})
-    ->Args({8192, 512, 1, 0})
-    // Sketch-kind sweep at fixed q = 1: dense GEMM vs the structured
-    // operators (sparse-sign scatter, SRHT trim + FWHT + sample).
-    ->Args({2048, 256, 1, 1})
-    ->Args({2048, 256, 1, 2})
-    ->Args({4096, 256, 1, 1})
-    ->Args({4096, 256, 1, 2})
-    ->Args({8192, 512, 1, 1})
-    ->Args({8192, 512, 1, 2})
+    ->Args({2048, 256, 0})
+    ->Args({2048, 256, 1})
+    ->Args({2048, 256, 2})
+    ->Args({4096, 256, 1})
+    ->Args({8192, 512, 1})
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -397,7 +397,6 @@ void bench_mixed_rsvd(Harness& h) {
     opts.oversampling = 8;
     opts.power_iterations = 2;
     opts.seed = 0xbe7c;
-    opts.sketch_kind = parsvd::sketch::SketchKind::DenseGaussian;
 
     Rng rng(0x5eedf00d);
     // POD-like spiked spectrum: gentle geometric decay across the modes

@@ -14,7 +14,6 @@
 #include "linalg/blas.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/svd.hpp"
-#include "sketch/sketch.hpp"
 
 namespace parsvd {
 
@@ -76,10 +75,6 @@ struct RandomizedOptions {
   std::uint64_t seed = 0x5eed;
   /// Backend used for the small inner SVD.
   SvdMethod inner_method = SvdMethod::GolubKahan;
-  /// Test-matrix family for the range finder. DenseGaussian (the paper's
-  /// operator) unless overridden here or via PARSVD_SKETCH_KIND; Auto
-  /// picks the cheapest kind from the per-shape apply-cost model.
-  sketch::SketchKind sketch_kind = sketch::default_kind();
   /// Arithmetic regime for the range finder (DESIGN §12). Double is the
   /// reference; Mixed runs the sketch apply and power-iteration GEMMs in
   /// fp32 and refines the basis back to fp64 (one fp64 re-orthogonalization

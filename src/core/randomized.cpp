@@ -26,10 +26,8 @@ struct RangeF32 {
 RangeF32 range_finder_f32(const Matrix& a, const RandomizedOptions& opts,
                           Rng& rng) {
   const Index sk = sketch_width(a, opts);
-  const sketch::SketchKind kind =
-      sketch::resolve_auto(opts.sketch_kind, a.rows(), a.cols(), sk);
-  const auto op = sketch::make_sketch(
-      kind, a.cols(), sk, sketch::derive_operator_seed(rng.next_u64(), kind, 0));
+  const sketch::GaussianSketch op(
+      a.cols(), sk, sketch::derive_operator_seed(rng.next_u64(), 0));
 
   // Orthonormalizations here are CholeskyQR2, not MGS2: at range-finder
   // shapes (tall, sketch-width columns) MGS2's dot/axpy sweeps are
@@ -38,7 +36,7 @@ RangeF32 range_finder_f32(const Matrix& a, const RandomizedOptions& opts,
   // is all level-3 and falls back to MGS2 on breakdown (qr.hpp).
   RangeF32 r;
   r.af = to_single(a);
-  op->apply_right_f32(r.af, r.q);
+  op.apply_right_f32(r.af, r.q);
   orthonormalize_cholqr2_f32(r.q);
 
   if (opts.power_iterations > 0) {
@@ -92,7 +90,6 @@ Matrix randomized_range_finder(const Matrix& a, const RandomizedOptions& opts,
     return y;
   }
 
-  const Index m = a.rows();
   const Index n = a.cols();
   const Index sk = sketch_width(a, opts);
 
@@ -100,12 +97,10 @@ Matrix randomized_range_finder(const Matrix& a, const RandomizedOptions& opts,
   // documented split — the stream still advances per draw (fresh Ω per
   // call), and the operator's own randomness is per-global-row so the
   // same seed realizes the same Ω on every rank.
-  const sketch::SketchKind kind =
-      sketch::resolve_auto(opts.sketch_kind, m, n, sk);
-  const auto op = sketch::make_sketch(
-      kind, n, sk, sketch::derive_operator_seed(rng.next_u64(), kind, 0));
+  const sketch::GaussianSketch op(
+      n, sk, sketch::derive_operator_seed(rng.next_u64(), 0));
   Matrix y;
-  op->apply_right(a, y);
+  op.apply_right(a, y);
   orthonormalize_mgs2(y);
 
   // Y ← orth(A (Aᵀ Y)); the inner orthonormalization keeps the power

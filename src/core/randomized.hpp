@@ -1,8 +1,7 @@
 // Randomized SVD (paper §3.3, Halko-Martinsson-Tropp scheme).
 //
-//   1. Draw a test matrix Ω (n x (r + p)) — dense Gaussian by default, or
-//      a structured sparse-sign / SRHT operator via
-//      RandomizedOptions::sketch_kind (src/sketch/, DESIGN §10).
+//   1. Draw a dense Gaussian test matrix Ω (n x (r + p)) —
+//      sketch::GaussianSketch (src/sketch/, DESIGN §10).
 //   2. Sample the range: Y = A Ω, optionally refined by power iterations
 //      Y ← A (Aᵀ Y) with re-orthonormalization between products.
 //   3. Orthonormalize Q = qr(Y).

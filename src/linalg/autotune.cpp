@@ -20,6 +20,8 @@ namespace parsvd::autotune {
 namespace {
 
 constexpr int kProfileVersion = 1;
+// Widest QR panel a profile or PARSVD_QR_BLOCK may ask for.
+constexpr Index kMaxQrBlock = 1024;
 
 Index round_to(Index v, Index to) { return (v + to - 1) / to * to; }
 
@@ -221,7 +223,8 @@ bool load_profile(const std::string& path, Profile& out) {
   p.version = static_cast<int>(version);
   if (!scan_blocking(text, "f64", p.f64) ||
       !scan_blocking(text, "f32", p.f32) ||
-      !scan_int(text, "qr_block", p.qr_block)) {
+      !scan_int(text, "qr_block", p.qr_block) || p.qr_block < 1 ||
+      p.qr_block > kMaxQrBlock) {
     return false;
   }
   if (!scan_bool(text, "tuned", p.tuned)) p.tuned = false;
@@ -271,8 +274,7 @@ const Profile& active_profile() {
     p.f32.mc = env::get_int("PARSVD_GEMM_MC", p.f32.mc);
     p.f32.kc = env::get_int("PARSVD_GEMM_KC", p.f32.kc);
     p.f32.nc = env::get_int("PARSVD_GEMM_NC", p.f32.nc);
-    p.qr_block =
-        std::clamp<Index>(env::get_int("PARSVD_QR_BLOCK", p.qr_block), 1, 1024);
+    p.qr_block = env::get_int("PARSVD_QR_BLOCK", p.qr_block, 1, kMaxQrBlock);
     const Profile defaults = default_profile();
     p.f64 = sanitize(p.f64, defaults.f64);
     p.f32 = sanitize(p.f32, defaults.f32);

@@ -32,11 +32,13 @@ Context::Context(int size)
   faults_injected_ = &metrics_.counter("comm.faults_injected");
   timeouts_ = &metrics_.counter("comm.timeouts");
   timeout_retries_ = &metrics_.counter("comm.timeout_retries");
+  // Timeout up to a day; payload cap up to 1 TiB, 0 keeping the default.
   wait_timeout_ = std::chrono::milliseconds(
-      std::max<std::int64_t>(0, env::get_int("PARSVD_FAULT_TIMEOUT_MS", 0)));
-  max_retries_ = static_cast<int>(
-      std::max<std::int64_t>(0, env::get_int("PARSVD_FAULT_RETRIES", 3)));
-  const std::int64_t max_mb = env::get_int("PARSVD_MAX_PAYLOAD_MB", 0);
+      env::get_int("PARSVD_FAULT_TIMEOUT_MS", 0, 0, 86'400'000));
+  max_retries_ =
+      static_cast<int>(env::get_int("PARSVD_FAULT_RETRIES", 3, 0, 1000));
+  const std::int64_t max_mb =
+      env::get_int("PARSVD_MAX_PAYLOAD_MB", 0, 0, std::int64_t{1} << 20);
   if (max_mb > 0) max_payload_ = static_cast<std::uint64_t>(max_mb) << 20;
   FaultPlan env_plan = FaultPlan::from_env();
   if (!env_plan.empty()) set_fault_plan(std::move(env_plan));

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 
 #include "support/env.hpp"
 
@@ -66,12 +67,13 @@ FaultPlan FaultPlan::from_env() {
                          env::get_double("PARSVD_FAULT_TRUNC", 0.0),
                          env::get_double("PARSVD_FAULT_KILL", 0.0));
   plan.delay_ms = static_cast<std::uint32_t>(
-      std::max<std::int64_t>(0, env::get_int("PARSVD_FAULT_DELAY_MS", 2)));
+      env::get_int("PARSVD_FAULT_DELAY_MS", 2, 0, 60'000));
   const std::int64_t kill_rank = env::get_int("PARSVD_FAULT_KILL_RANK", -1);
   if (kill_rank >= 0) {
     plan.kill_rank(static_cast<int>(kill_rank),
-                   static_cast<std::uint64_t>(
-                       std::max<std::int64_t>(0, env::get_int("PARSVD_FAULT_KILL_AT", 0))));
+                   static_cast<std::uint64_t>(env::get_int(
+                       "PARSVD_FAULT_KILL_AT", 0, 0,
+                       std::numeric_limits<std::int64_t>::max())));
   }
   if (env::get_bool("PARSVD_FAULT_PROTECT_ROOT", true)) plan.protect_rank(0);
   return plan;

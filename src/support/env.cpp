@@ -36,6 +36,17 @@ std::int64_t get_int(const std::string& name, std::int64_t fallback) {
   return static_cast<std::int64_t>(parsed);
 }
 
+std::int64_t get_int(const std::string& name, std::int64_t fallback,
+                     std::int64_t lo, std::int64_t hi) {
+  if (!get(name)) return fallback;
+  const std::int64_t v = get_int(name, fallback);
+  if (v < lo || v > hi) {
+    throw ConfigError(name + "=" + std::to_string(v) + " is outside [" +
+                      std::to_string(lo) + ", " + std::to_string(hi) + "]");
+  }
+  return v;
+}
+
 double get_double(const std::string& name, double fallback) {
   const auto v = get(name);
   if (!v) return fallback;

@@ -18,6 +18,12 @@ std::optional<std::string> get(const std::string& name);
 /// Parse as int64 (base 10, no trailing characters).
 std::int64_t get_int(const std::string& name, std::int64_t fallback);
 
+/// As above, and a set value outside [lo, hi] throws ConfigError naming
+/// the variable, the value and the range — never a silent clamp. The
+/// fallback is returned as given.
+std::int64_t get_int(const std::string& name, std::int64_t fallback,
+                     std::int64_t lo, std::int64_t hi);
+
 /// Parse as double (no trailing characters).
 double get_double(const std::string& name, double fallback);
 

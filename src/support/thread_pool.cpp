@@ -155,8 +155,9 @@ void ThreadPool::parallel_for(
 namespace {
 
 std::size_t env_thread_count() {
-  const std::int64_t v = env::get_int("PARSVD_NUM_THREADS", 0);
-  return v > 0 ? static_cast<std::size_t>(v) : 0;
+  // 0 (the default) sizes the pool from the hardware concurrency.
+  return static_cast<std::size_t>(
+      env::get_int("PARSVD_NUM_THREADS", 0, 0, 1024));
 }
 
 std::unique_ptr<ThreadPool>& global_pool_slot() {

@@ -134,6 +134,13 @@ TEST(FaultPlanTest, MalformedEnvValueThrows) {
   ::setenv("PARSVD_FAULT_TIMEOUT_MS", "5s", 1);
   EXPECT_THROW(Context(2), ConfigError);
   ::unsetenv("PARSVD_FAULT_TIMEOUT_MS");
+  // Out of range is an error too, not a silent clamp to zero retries.
+  ::setenv("PARSVD_FAULT_RETRIES", "-1", 1);
+  EXPECT_THROW(Context(2), ConfigError);
+  ::unsetenv("PARSVD_FAULT_RETRIES");
+  ::setenv("PARSVD_FAULT_DELAY_MS", "-5", 1);
+  EXPECT_THROW(FaultPlan::from_env(), ConfigError);
+  ::unsetenv("PARSVD_FAULT_DELAY_MS");
   ::setenv("PARSVD_FAULT_DROP", "two percent", 1);
   EXPECT_THROW(FaultPlan::from_env(), ConfigError);
   ::unsetenv("PARSVD_FAULT_DROP");

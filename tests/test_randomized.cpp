@@ -140,6 +140,28 @@ TEST(RandomizedSvd, DifferentSeedsStillAccurate) {
   }
 }
 
+TEST(RandomizedSvd, SingularValuesPinnedAcrossCommits) {
+  // σ of one fixed call at the default seed, recorded as literals. The
+  // Gaussian Ω is pinned bit-exactly in test_sketch.cpp; here a change of
+  // Ω moves σ far beyond the 1e-12 relative tolerance, which only leaves
+  // room for the kernels' rounding on other hosts (FMA, vector width).
+  Rng rng(17);
+  const Matrix a = synthetic_low_rank(
+      60, 40, workloads::algebraic_spectrum(20, 1.0, 1.0), rng);
+  RandomizedOptions opts;
+  opts.rank = 5;
+  opts.oversampling = 5;
+  opts.power_iterations = 1;
+  const SvdResult f = randomized_svd(a, opts);
+  const double want[] = {0x1.fffff4e95df01p-1, 0x1.fffec498f4803p-2,
+                         0x1.55385aec55c11p-2, 0x1.fefe37d8b75b8p-3,
+                         0x1.997c9697234ffp-3};
+  ASSERT_EQ(f.s.size(), 5);
+  for (Index i = 0; i < 5; ++i) {
+    EXPECT_NEAR(f.s[i], want[i], 1e-12 * want[i]) << "sigma " << i;
+  }
+}
+
 TEST(RandomizedSvd, CallerOwnedRngAdvances) {
   // Two calls with the same generator must consume the stream (fresh
   // sketch per call, as the paper prescribes). On an exactly rank-3

@@ -1,7 +1,7 @@
-// Accuracy sweep for the sketched randomized SVD: the Halko-style
-// spectral-error bound on synthetic decaying spectra for all three sketch
-// kinds, an adversarial spiked spectrum, structured-vs-dense error
-// ratios, and a cross-backend check against the deterministic SVD.
+// Accuracy sweep for the Gaussian-sketched randomized SVD: the
+// Halko-style spectral-error bound on synthetic decaying spectra, an
+// adversarial spiked spectrum, exact low-rank recovery, and a
+// cross-backend check against the deterministic SVD.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -14,11 +14,7 @@
 namespace parsvd {
 namespace {
 
-using sketch::SketchKind;
 using workloads::synthetic_low_rank;
-
-const SketchKind kAllKinds[] = {SketchKind::DenseGaussian,
-                                SketchKind::SparseSign, SketchKind::Srht};
 
 // sqrt(Σ_{i >= k} σ_i²) — the Frobenius error of the optimal rank-k
 // approximation, the yardstick of the Halko bound.
@@ -33,13 +29,12 @@ double projection_residual(const Matrix& a, const Matrix& q) {
   return (a - proj).norm_fro();
 }
 
-// Range-finder residual for one kind at the given oversampling.
-double residual_for(const Matrix& a, SketchKind kind, Index rank,
-                    Index oversampling, std::uint64_t seed) {
+// Range-finder residual at the given oversampling.
+double residual_for(const Matrix& a, Index rank, Index oversampling,
+                    std::uint64_t seed) {
   RandomizedOptions opts;
   opts.rank = rank;
   opts.oversampling = oversampling;
-  opts.sketch_kind = kind;
   Rng rng(seed);
   const Matrix q = randomized_range_finder(a, opts, rng);
   return projection_residual(a, q);
@@ -54,10 +49,7 @@ TEST(SketchAccuracy, HalkoBoundOnAlgebraicSpectrum) {
   const Matrix a = synthetic_low_rank(120, 80, spectrum, rng);
   const Index rank = 10;
   const double optimal = tail_fro(spectrum, rank);
-  for (SketchKind kind : kAllKinds) {
-    const double err = residual_for(a, kind, rank, 10, 0x5eedULL);
-    EXPECT_LE(err, 3.0 * optimal) << sketch::to_string(kind);
-  }
+  EXPECT_LE(residual_for(a, rank, 10, 0x5eedULL), 3.0 * optimal);
 }
 
 TEST(SketchAccuracy, HalkoBoundOnGeometricSpectrum) {
@@ -66,10 +58,7 @@ TEST(SketchAccuracy, HalkoBoundOnGeometricSpectrum) {
   const Matrix a = synthetic_low_rank(100, 60, spectrum, rng);
   const Index rank = 8;
   const double optimal = tail_fro(spectrum, rank);
-  for (SketchKind kind : kAllKinds) {
-    const double err = residual_for(a, kind, rank, 10, 0x5eedULL);
-    EXPECT_LE(err, 3.0 * optimal) << sketch::to_string(kind);
-  }
+  EXPECT_LE(residual_for(a, rank, 10, 0x5eedULL), 3.0 * optimal);
 }
 
 TEST(SketchAccuracy, AdversarialSpikedSpectrum) {
@@ -81,47 +70,26 @@ TEST(SketchAccuracy, AdversarialSpikedSpectrum) {
   spectrum[1] = 50.0;
   for (Index i = 2; i < spectrum.size(); ++i) spectrum[i] = 0.01;
   const Matrix a = synthetic_low_rank(96, 64, spectrum, rng);
-  for (SketchKind kind : kAllKinds) {
-    RandomizedOptions opts;
-    opts.rank = 2;
-    opts.oversampling = 10;
-    opts.sketch_kind = kind;
-    const SvdResult f = randomized_svd(a, opts);
-    ASSERT_EQ(f.s.size(), 2);
-    EXPECT_NEAR(f.s[0], 100.0, 1.0) << sketch::to_string(kind);
-    EXPECT_NEAR(f.s[1], 50.0, 1.0) << sketch::to_string(kind);
-  }
+  RandomizedOptions opts;
+  opts.rank = 2;
+  opts.oversampling = 10;
+  const SvdResult f = randomized_svd(a, opts);
+  ASSERT_EQ(f.s.size(), 2);
+  EXPECT_NEAR(f.s[0], 100.0, 1.0);
+  EXPECT_NEAR(f.s[1], 50.0, 1.0);
 }
 
-TEST(SketchAccuracy, StructuredWithinTwiceDenseError) {
-  // The acceptance bar: at oversampling >= 10 the structured operators'
-  // residuals stay within 2x the dense-Gaussian residual.
-  Rng rng(104);
-  const Vector spectrum = workloads::algebraic_spectrum(40, 1.0, 1.0);
-  const Matrix a = synthetic_low_rank(120, 80, spectrum, rng);
-  const double dense =
-      residual_for(a, SketchKind::DenseGaussian, 10, 10, 0x5eedULL);
-  for (SketchKind kind : {SketchKind::SparseSign, SketchKind::Srht}) {
-    const double err = residual_for(a, kind, 10, 10, 0x5eedULL);
-    EXPECT_LE(err, 2.0 * dense) << sketch::to_string(kind);
-  }
-}
-
-TEST(SketchAccuracy, ExactLowRankRecoveredByAllKinds) {
+TEST(SketchAccuracy, ExactLowRankRecovered) {
   Rng rng(105);
   const Vector spectrum = workloads::geometric_spectrum(5, 4.0, 0.5);
   const Matrix a = synthetic_low_rank(80, 48, spectrum, rng);
-  for (SketchKind kind : kAllKinds) {
-    RandomizedOptions opts;
-    opts.rank = 5;
-    opts.oversampling = 10;
-    opts.sketch_kind = kind;
-    const SvdResult f = randomized_svd(a, opts);
-    ASSERT_EQ(f.s.size(), 5);
-    for (Index i = 0; i < 5; ++i) {
-      EXPECT_NEAR(f.s[i], spectrum[i], 1e-8 * spectrum[0])
-          << sketch::to_string(kind) << " sigma " << i;
-    }
+  RandomizedOptions opts;
+  opts.rank = 5;
+  opts.oversampling = 10;
+  const SvdResult f = randomized_svd(a, opts);
+  ASSERT_EQ(f.s.size(), 5);
+  for (Index i = 0; i < 5; ++i) {
+    EXPECT_NEAR(f.s[i], spectrum[i], 1e-8 * spectrum[0]) << "sigma " << i;
   }
 }
 
@@ -134,27 +102,12 @@ TEST(SketchAccuracy, CrossBackendAgreesWithDeterministicSvd) {
   SvdOptions dopts;
   dopts.rank = 10;
   const double err_det = (a - svd(a, dopts).reconstruct()).norm_fro();
-  for (SketchKind kind : kAllKinds) {
-    RandomizedOptions opts;
-    opts.rank = 10;
-    opts.oversampling = 10;
-    opts.power_iterations = 2;
-    opts.sketch_kind = kind;
-    const double err = (a - randomized_svd(a, opts).reconstruct()).norm_fro();
-    EXPECT_LE(err, 1.5 * err_det + 1e-12) << sketch::to_string(kind);
-  }
-}
-
-TEST(SketchAccuracy, AutoKindIsAccurate) {
-  Rng rng(107);
-  const Vector spectrum = workloads::geometric_spectrum(4, 2.0, 0.5);
-  const Matrix a = synthetic_low_rank(60, 40, spectrum, rng);
   RandomizedOptions opts;
-  opts.rank = 4;
-  opts.oversampling = 8;
-  opts.sketch_kind = SketchKind::Auto;
-  const SvdResult f = randomized_svd(a, opts);
-  EXPECT_NEAR(f.s[0], spectrum[0], 1e-8);
+  opts.rank = 10;
+  opts.oversampling = 10;
+  opts.power_iterations = 2;
+  const double err = (a - randomized_svd(a, opts).reconstruct()).norm_fro();
+  EXPECT_LE(err, 1.5 * err_det + 1e-12);
 }
 
 }  // namespace

@@ -306,6 +306,34 @@ TEST(Env, MalformedValuesThrow) {
   }
 }
 
+TEST(Env, BoundedIntRejectsOutOfRange) {
+  unsetenv("PARSVD_TEST_ENV_I");
+  // Unset: the fallback, as given.
+  EXPECT_EQ(env::get_int("PARSVD_TEST_ENV_I", 7, 1, 4), 7);
+  setenv("PARSVD_TEST_ENV_I", "4", 1);
+  EXPECT_EQ(env::get_int("PARSVD_TEST_ENV_I", 0, 1, 4), 4);
+  setenv("PARSVD_TEST_ENV_I", "1", 1);
+  EXPECT_EQ(env::get_int("PARSVD_TEST_ENV_I", 0, 1, 4), 1);
+  // Below and above: the error names the variable, the value and the
+  // range.
+  for (const char* bad : {"0", "-3", "5"}) {
+    setenv("PARSVD_TEST_ENV_I", bad, 1);
+    try {
+      env::get_int("PARSVD_TEST_ENV_I", 2, 1, 4);
+      ADD_FAILURE() << bad << " was accepted";
+    } catch (const ConfigError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("PARSVD_TEST_ENV_I"), std::string::npos) << what;
+      EXPECT_NE(what.find(std::string("=") + bad), std::string::npos) << what;
+      EXPECT_NE(what.find("[1, 4]"), std::string::npos) << what;
+    }
+  }
+  // A malformed value is still a parse error, whatever the range.
+  expect_rejects("PARSVD_TEST_ENV_I", "3x",
+                 [] { return env::get_int("PARSVD_TEST_ENV_I", 2, 1, 4); });
+  unsetenv("PARSVD_TEST_ENV_I");
+}
+
 TEST(Env, ParsesDouble) {
   setenv("PARSVD_TEST_ENV_D", "0.95", 1);
   EXPECT_DOUBLE_EQ(env::get_double("PARSVD_TEST_ENV_D", 0.0), 0.95);
