@@ -28,7 +28,6 @@ Context::Context(int size)
         &metrics_.counter("comm.rank" + std::to_string(r) + ".bytes"));
   }
   payload_hist_ = &metrics_.histogram("comm.payload_bytes");
-  retransmits_ = &metrics_.counter("comm.retransmits");
   faults_injected_ = &metrics_.counter("comm.faults_injected");
   timeouts_ = &metrics_.counter("comm.timeouts");
   timeout_retries_ = &metrics_.counter("comm.timeout_retries");
@@ -88,13 +87,10 @@ void Context::set_fault_plan(FaultPlan plan) {
   plan_ = std::move(plan);
   plan_active_ = !plan_.empty();
   plan_can_kill_ = plan_active_ && plan_.can_kill();
-  if (plan_active_) {
-    // Faulted messages need the envelope to be detectable, and a silent
-    // drop must become a typed timeout rather than a hang.
-    set_reliability(true);
-    if (wait_timeout_.count() == 0) {
-      wait_timeout_ = std::chrono::milliseconds(2000);
-    }
+  // Under a fault plan, a wait that can no longer complete must end in a
+  // typed error rather than a hang.
+  if (plan_active_ && wait_timeout_.count() == 0) {
+    wait_timeout_ = std::chrono::milliseconds(2000);
   }
 }
 
@@ -170,60 +166,23 @@ void Context::post(int src, int dest, int tag, std::vector<std::byte> payload) {
   bytes_total_->add(payload.size());
   bytes_by_rank_[static_cast<std::size_t>(src)]->add(payload.size());
   payload_hist_->record(payload.size());
-  const bool rel = reliability();
-  const bool inject = plan_active_ && rel;
-  const std::uint64_t checksum =
-      rel ? payload_checksum(payload.data(), payload.size()) : 0;
-  std::optional<FaultDecision> fault;
-  if (inject) fault = plan_.on_message(src, op);
+  std::optional<std::uint32_t> delay;
+  if (plan_active_) delay = plan_.message_delay(src, op);
 
   Mailbox& box = *boxes_[static_cast<std::size_t>(dest)];
   {
     std::lock_guard<std::mutex> lock(box.mu);
-    const ChannelKey key{src, tag};
-    const std::uint64_t seq = rel ? box.send_seq[key]++ : 0;
-    PendingMessage msg{src,      tag, seq, checksum, Clock::time_point{},
-                       std::move(payload)};
+    PendingMessage msg{src, tag, Clock::time_point{}, std::move(payload)};
     log::trace("pmpi: post src=", src, " dest=", dest, " tag=", tag,
-               " seq=", seq, " bytes=", msg.payload.size());
-    if (fault) {
+               " bytes=", msg.payload.size());
+    if (delay) {
       faults_injected_->add(1);
       PARSVD_TRACE_INSTANT("fault.inject");
-      log::debug("pmpi: inject ", to_string(fault->kind), " src=", src,
-                 " dest=", dest, " tag=", tag, " seq=", seq);
-      switch (fault->kind) {
-        case FaultKind::Drop:
-          // Lost on the wire; the original stays in the retransmit log
-          // until the receiver recovers (NACK-equivalent) or acks past it.
-          box.log[key][seq] = std::move(msg.payload);
-          break;
-        case FaultKind::Truncate: {
-          box.log[key][seq] = msg.payload;
-          const std::size_t cut =
-              std::min<std::size_t>(msg.payload.size(), fault->param);
-          msg.payload.resize(msg.payload.size() - cut);
-          box.queue.push_back(std::move(msg));
-          break;
-        }
-        case FaultKind::Duplicate: {
-          PendingMessage copy = msg;
-          box.queue.push_back(std::move(copy));
-          box.queue.push_back(std::move(msg));
-          break;
-        }
-        case FaultKind::Delay:
-          msg.deliver_after =
-              Clock::now() + std::chrono::milliseconds(fault->param);
-          box.queue.push_back(std::move(msg));
-          break;
-        case FaultKind::Kill:
-          // Kills are evaluated in account_op, never as a message fault.
-          box.queue.push_back(std::move(msg));
-          break;
-      }
-    } else {
-      box.queue.push_back(std::move(msg));
+      log::debug("pmpi: inject delay of ", *delay, " ms src=", src,
+                 " dest=", dest, " tag=", tag);
+      msg.deliver_after = Clock::now() + std::chrono::milliseconds(*delay);
     }
+    box.queue.push_back(std::move(msg));
   }
   box.cv.notify_all();
 }
@@ -231,118 +190,26 @@ void Context::post(int src, int dest, int tag, std::vector<std::byte> payload) {
 bool Context::scan_channel_locked(Mailbox& box, int dest, int src, int tag,
                                   std::vector<std::byte>* out,
                                   Clock::time_point* next_deliverable) {
-  const ChannelKey key{src, tag};
-  const bool rel = reliability();
-  // Only this rank's thread consumes from this mailbox, so the expected
-  // sequence number is stable for the duration of the scan.
-  const std::uint64_t expected = rel ? box.recv_seq[key] : 0;
-
-  // Consume `payload` as the channel's next message: advance the
-  // expected sequence number and drop acknowledged retransmit copies.
-  const auto consume = [&](std::vector<std::byte> payload) {
-    log::trace("pmpi: consume dest=", dest, " src=", src, " tag=", tag,
-               " seq=", expected, " bytes=", payload.size());
-    if (rel) {
-      box.recv_seq[key] = expected + 1;
-      auto chan = box.log.find(key);
-      if (chan != box.log.end()) {
-        chan->second.erase(chan->second.begin(),
-                           chan->second.upper_bound(expected));
-        if (chan->second.empty()) box.log.erase(chan);
-      }
-    }
-    *out = std::move(payload);
-  };
-
-  // Fetched lazily: only delayed-fault messages carry a non-epoch
-  // deliver_after, so the scan normally needs no clock read at all.
-  Clock::time_point now{};
-  // NOTE: the stale-duplicate erase below invalidates deque end()
-  // iterators, so the candidate must be tracked with a flag rather
-  // than compared against a sentinel captured before the scan.
-  auto it = box.queue.end();
-  bool found = false;
-  for (auto cur = box.queue.begin(); cur != box.queue.end();) {
-    if (cur->src != src || cur->tag != tag) {
-      ++cur;
-      continue;
-    }
-    if (rel && cur->seq < expected) {
-      // Stale duplicate of an already-consumed message.
-      log::trace("pmpi: dropping duplicate seq=", cur->seq, " src=", src,
-                 " dest=", dest, " tag=", tag);
-      cur = box.queue.erase(cur);
-      continue;
-    }
-    if (rel && cur->seq > expected) {
-      // A successor arrived before the expected message; the gap is
-      // recovered from the retransmit log below.
-      ++cur;
-      continue;
-    }
-    if (cur->deliver_after != Clock::time_point{}) {
-      if (now == Clock::time_point{}) now = Clock::now();
-      if (cur->deliver_after > now) {
-        *next_deliverable = std::min(*next_deliverable, cur->deliver_after);
-        ++cur;
-        continue;
-      }
-    }
-    it = cur;
-    found = true;
-    break;
+  // Only the channel's first queued message is a candidate: the queue
+  // holds arrival order, so delivering it first is MPI's non-overtaking
+  // rule, and a delayed head holds back its successors.
+  const auto it = std::find_if(box.queue.begin(), box.queue.end(),
+                               [src, tag](const PendingMessage& m) {
+                                 return m.src == src && m.tag == tag;
+                               });
+  if (it == box.queue.end()) return false;
+  // Only delayed messages carry a non-epoch deliver_after, so the scan
+  // normally needs no clock read at all.
+  if (it->deliver_after != Clock::time_point{} &&
+      it->deliver_after > Clock::now()) {
+    *next_deliverable = std::min(*next_deliverable, it->deliver_after);
+    return false;
   }
-  if (found) {
-    if (rel &&
-        payload_checksum(it->payload.data(), it->payload.size()) !=
-            it->checksum) {
-      // Corrupted on the wire: retransmit from the sender's copy.
-      bool recovered = false;
-      auto chan = box.log.find(key);
-      if (chan != box.log.end()) {
-        auto entry = chan->second.find(it->seq);
-        if (entry != chan->second.end()) {
-          retransmits_->add(1);
-          PARSVD_TRACE_INSTANT("comm.retransmit");
-          log::debug("pmpi: checksum mismatch, retransmitting seq=", it->seq,
-                     " src=", src, " dest=", dest, " tag=", tag);
-          it->payload = entry->second;
-          recovered = true;
-        }
-      }
-      if (!recovered) {
-        throw CommError(
-            "pmpi: checksum mismatch with no retransmit copy (src " +
-            std::to_string(src) + " -> dest " + std::to_string(dest) +
-            ", tag " + std::to_string(tag) + ", seq " +
-            std::to_string(it->seq) + ", " +
-            std::to_string(it->payload.size()) + " bytes)");
-      }
-    }
-    std::vector<std::byte> payload = std::move(it->payload);
-    box.queue.erase(it);
-    consume(std::move(payload));
-    return true;
-  }
-  if (rel) {
-    // Nothing deliverable in the queue; if the sender already posted
-    // the expected message and the fault layer swallowed it, recover
-    // it straight from the retransmit log.
-    auto chan = box.log.find(key);
-    if (chan != box.log.end()) {
-      auto entry = chan->second.find(expected);
-      if (entry != chan->second.end()) {
-        retransmits_->add(1);
-        PARSVD_TRACE_INSTANT("comm.retransmit");
-        log::debug("pmpi: recovering dropped seq=", expected, " src=", src,
-                   " dest=", dest, " tag=", tag);
-        std::vector<std::byte> payload = std::move(entry->second);
-        consume(std::move(payload));
-        return true;
-      }
-    }
-  }
-  return false;
+  log::trace("pmpi: consume dest=", dest, " src=", src, " tag=", tag,
+             " bytes=", it->payload.size());
+  *out = std::move(it->payload);
+  box.queue.erase(it);
+  return true;
 }
 
 std::vector<std::byte> Context::wait(int dest, int src, int tag) {
@@ -380,7 +247,7 @@ std::optional<std::vector<std::byte>> Context::try_wait(int dest, int src,
   if (aborted()) {
     throw JobAbortedError("communicator aborted while polling for a message");
   }
-  // A delayed-fault message still scheduled for delivery counts as "in
+  // A delayed message still scheduled for delivery counts as "in
   // flight", so a dead source with one pending is not yet an error.
   if (is_dead(src) && next_deliverable == Clock::time_point::max()) {
     throw RankDeadError("pmpi: rank " + std::to_string(dest) +
@@ -465,7 +332,7 @@ std::pair<std::size_t, std::vector<std::byte>> Context::wait_any_impl(
     }
     // Messages already posted by a now-dead rank are still consumable
     // (the scans above), so the wait only fails once EVERY queried
-    // source is dead with nothing recoverable in flight.
+    // source is dead with nothing in flight.
     bool any_alive = false;
     for (const Channel& c : channels) {
       if (!is_dead(c.src)) {

@@ -108,8 +108,8 @@ class Group {
   obs::Counter* bytes_ = nullptr;
 };
 
-/// Shared state of one communicator "job": mailboxes, barrier, counters,
-/// reliability envelope and fault-injection hooks.
+/// Shared state of one communicator "job": mailboxes, barrier, counters
+/// and fault-injection hooks.
 /// Owned jointly by every Communicator handle of the job.
 class Context {
  public:
@@ -120,19 +120,19 @@ class Context {
 
   int size() const { return size_; }
 
-  /// Deliver a message into `dest`'s mailbox. With the reliability layer
-  /// on, the payload travels in an envelope (per-channel sequence number
-  /// + checksum); the installed FaultPlan may drop/delay/duplicate/
-  /// truncate the delivered copy or kill `src` (RankKilledError).
+  /// Deliver a message into `dest`'s mailbox. The transport is lossless:
+  /// the payload is moved in whole and delivered exactly once. The
+  /// installed FaultPlan may delay its delivery or kill `src`
+  /// (RankKilledError).
   void post(int src, int dest, int tag, std::vector<std::byte> payload);
 
   /// Block until a message with exactly (src, tag) is available for
-  /// `dest` and return its payload. Matching is FIFO per (src, tag).
-  /// The envelope layer discards duplicates, recovers dropped/corrupted
-  /// messages from the retransmit log, and converts unrecoverable losses
-  /// into typed errors: CommTimeout once the wait timeout (plus bounded
-  /// backoff retries) expires, RankDeadError when `src` is dead with no
-  /// recoverable message in flight.
+  /// `dest` and return its payload. Matching is FIFO per (src, tag)
+  /// (MPI's non-overtaking rule): a delayed message holds back every
+  /// later message on its channel, and no other channel. A wait that
+  /// cannot complete becomes a typed error: CommTimeout once the wait
+  /// timeout (plus bounded backoff retries) expires, RankDeadError when
+  /// `src` is dead with no message queued or delayed in flight.
   std::vector<std::byte> wait(int dest, int src, int tag);
 
   /// One point-to-point channel, as named by the multi-channel waits.
@@ -143,7 +143,8 @@ class Context {
 
   /// Non-blocking counterpart of wait(): consume and return the next
   /// deliverable (src, tag) message if there is one, nullopt otherwise.
-  /// Runs the same envelope recovery as wait() and throws the same
+  /// Same channel order as wait(): nullopt while the channel's head is
+  /// still delayed, even if its successors are queued. Throws the same
   /// RankDeadError / JobAbortedError once the message can no longer
   /// arrive. Does NOT advance the fault-plan op counter — non-blocking
   /// receives account their operation once, at post time, so polling
@@ -154,7 +155,7 @@ class Context {
   /// returns (channel index, payload). Scans channels in order each
   /// round, so an already-queued earlier channel wins ties. Throws
   /// RankDeadError only when every queried source is dead with nothing
-  /// recoverable — while one source lives, messages already posted by
+  /// in flight — while one source lives, messages already posted by
   /// dead ones are still consumed. Like try_wait, never accounts an op.
   std::pair<std::size_t, std::vector<std::byte>> wait_any(
       int dest, std::span<const Channel> channels);
@@ -197,9 +198,9 @@ class Context {
 
   // --------------------------------------------- fault injection / faults
 
-  /// Install a fault schedule (before ranks start communicating). Arms
-  /// the retransmit log; if no wait timeout is configured yet, a default
-  /// of 2000 ms is set so injected losses can never hang a rank.
+  /// Install a fault schedule (before ranks start communicating). If no
+  /// wait timeout is configured yet, a default of 2000 ms is set so an
+  /// injected death can never hang a rank.
   void set_fault_plan(FaultPlan plan);
   const FaultPlan& fault_plan() const { return plan_; }
 
@@ -210,16 +211,6 @@ class Context {
   /// Deadline extensions (with exponential backoff) granted after the
   /// first timeout before CommTimeout is thrown. Default 3.
   void set_max_retries(int retries);
-
-  /// Toggle the checksum/sequence envelope. On by default; the fault
-  /// overhead bench toggles it off to measure the zero-fault cost.
-  /// Must not change while ranks are communicating.
-  void set_reliability(bool enabled) {
-    reliability_.store(enabled, std::memory_order_relaxed);
-  }
-  bool reliability() const {
-    return reliability_.load(std::memory_order_relaxed);
-  }
 
   /// Reject any single payload larger than this (typed CommError).
   void set_max_payload_bytes(std::uint64_t bytes) { max_payload_ = bytes; }
@@ -254,15 +245,17 @@ class Context {
   /// Total number of messages posted.
   std::uint64_t total_messages() const;
 
-  /// Messages recovered from the retransmit log (drops + corruptions).
-  std::uint64_t retransmits() const { return retransmits_->value(); }
+  /// Always 0: the transport is lossless, so nothing is ever resent.
+  /// Kept because the end-to-end benchmark reports it as
+  /// pmpi.retransmits.
+  std::uint64_t retransmits() const { return 0; }
 
   /// Faults the installed plan actually injected.
   std::uint64_t faults_injected() const { return faults_injected_->value(); }
 
   /// The per-context metrics registry backing every statistic above —
   /// the single source of truth ("comm.messages", "comm.bytes",
-  /// "comm.rank<r>.bytes", "comm.retransmits", "comm.faults_injected",
+  /// "comm.rank<r>.bytes", "comm.faults_injected",
   /// "comm.timeouts", "comm.timeout_retries", "comm.payload_bytes"
   /// histogram). The accessors above are views into it.
   obs::Registry& metrics() { return metrics_; }
@@ -270,39 +263,23 @@ class Context {
 
  private:
   using Clock = std::chrono::steady_clock;
-  /// One point-to-point channel as the envelope layer sees it: messages
-  /// of one sender arriving at this mailbox under one tag.
-  using ChannelKey = std::pair<int, int>;  // (src, tag)
 
   struct PendingMessage {
     int src;
     int tag;
-    std::uint64_t seq;       // per-channel sequence number (envelope)
-    std::uint64_t checksum;  // checksum of the ORIGINAL payload
     Clock::time_point deliver_after;  // epoch = deliverable immediately
     std::vector<std::byte> payload;
   };
   struct Mailbox {
     std::mutex mu;
     std::condition_variable cv;
-    std::deque<PendingMessage> queue;
-    // Envelope bookkeeping, all under `mu`: next sequence number to
-    // assign per channel (sender side), next expected per channel
-    // (receiver side), and the retransmit log holding the original
-    // payloads of lossy-faulted messages until their seq is consumed.
-    std::map<ChannelKey, std::uint64_t> send_seq;
-    std::map<ChannelKey, std::uint64_t> recv_seq;
-    std::map<ChannelKey, std::map<std::uint64_t, std::vector<std::byte>>> log;
+    std::deque<PendingMessage> queue;  // arrival order, all channels
   };
 
-  /// One pass over dest's queue for the next deliverable (src, tag)
-  /// message: drops stale duplicates, skips out-of-order successors,
-  /// honours delayed delivery (folding the earliest wake-up into
-  /// *next_deliverable), recovers corrupted payloads from the
-  /// retransmit log, and falls back to the log for swallowed drops. On
-  /// success the message is consumed (sequence advanced, acked log
-  /// entries pruned) and its payload moved into *out. Caller holds
-  /// box.mu.
+  /// Consume the first queued (src, tag) message of dest's queue into
+  /// *out. If that message is still delayed, nothing on the channel is
+  /// deliverable yet (non-overtaking): its release time is folded into
+  /// *next_deliverable and the scan returns false. Caller holds box.mu.
   bool scan_channel_locked(Mailbox& box, int dest, int src, int tag,
                            std::vector<std::byte>* out,
                            Clock::time_point* next_deliverable);
@@ -340,8 +317,7 @@ class Context {
   bool plan_active_ = false;
   bool plan_can_kill_ = false;  // cached plan_.can_kill(): skips the
                                 // per-operation kill lookup for plans
-                                // that only fault messages
-  std::atomic<bool> reliability_{true};
+                                // that only delay messages
   std::chrono::milliseconds wait_timeout_{0};
   int max_retries_ = 3;
   std::uint64_t max_payload_ = std::uint64_t{1} << 33;  // 8 GiB
@@ -358,7 +334,6 @@ class Context {
   std::atomic<std::uint64_t> watchdog_ticks_{0};
   std::mutex watchdog_mu_;
   std::condition_variable watchdog_cv_;
-  obs::Counter* retransmits_ = nullptr;
   obs::Counter* faults_injected_ = nullptr;
   obs::Counter* timeouts_ = nullptr;
   obs::Counter* timeout_retries_ = nullptr;
@@ -384,8 +359,8 @@ class Context {
 /// produced by split()/subgroup(): ranks are the group's dense
 /// [0, size()) numbering, and every post/wait internally translates
 /// (rank, tag) to (world rank, tags::group_scope(id, tag)) — so the full
-/// API, the collectives, the reliability envelope, fault injection and
-/// the Request layer work unchanged on subgroups, and sibling groups can
+/// API, the collectives, fault injection and the Request layer work
+/// unchanged on subgroups, and sibling groups can
 /// run concurrently on one Context without tag collisions.
 class Communicator {
  public:
@@ -670,12 +645,12 @@ std::vector<T> Communicator::gatherv(std::span<const T> local, int root,
 void run(int size, const std::function<void(Communicator&)>& fn);
 
 /// As `run`, but also returns the context for post-mortem statistics
-/// (communication volume, message counts, retransmits, dead ranks).
+/// (communication volume, message counts, dead ranks).
 std::shared_ptr<Context> run_with_stats(
     int size, const std::function<void(Communicator&)>& fn);
 
 /// Run ranks on a caller-configured context (fault plan, timeouts,
-/// reliability toggle). The context must be freshly constructed with the
+/// payload cap). The context must be freshly constructed with the
 /// desired size. Returns `ctx` for post-mortem inspection.
 std::shared_ptr<Context> run_on(std::shared_ptr<Context> ctx,
                                 const std::function<void(Communicator&)>& fn);

@@ -1,30 +1,27 @@
 // Deterministic fault injection for the pmpi runtime.
 //
-// A FaultPlan is an immutable, seeded schedule of communication faults
-// evaluated against per-rank operation counters: every post()/wait()/
-// barrier() a rank performs advances its counter, and the plan decides —
-// as a pure function of (seed, rank, op) — whether that operation is
-// faulted.  Because each rank's operation sequence is deterministic, the
-// same plan reproduces the same faults run after run, regardless of
-// thread interleaving.  Two layers compose:
+// A FaultPlan is an immutable, seeded schedule of faults evaluated
+// against per-rank operation counters: every post()/wait()/barrier() a
+// rank performs advances its counter, and the plan decides — as a pure
+// function of (seed, rank, op) — whether that operation is faulted.
+// Because each rank's operation sequence is deterministic, the same plan
+// reproduces the same faults run after run, regardless of thread
+// interleaving.  Two layers compose:
 //
 //   * explicit events: exact (rank, op) -> fault, for regression tests
 //     that must hit one specific message;
 //   * probabilistic rates: a seeded hash draw per operation, for chaos
 //     sweeps (FaultPlan::chaos) across hundreds of seeds.
 //
-// Message faults (evaluated at the sending rank's post()):
-//   Drop      — the payload never reaches the destination mailbox; the
-//               original is kept in the retransmit log for recovery.
-//   Delay     — delivery is deferred by `param` milliseconds.
-//   Duplicate — the payload is enqueued twice (same sequence number);
-//               the receiver's envelope layer discards the duplicate.
-//   Truncate  — `param` bytes are chopped off the delivered copy; the
-//               checksum mismatch triggers a retransmit.
-// Rank faults (evaluated at any operation):
-//   Kill      — the rank is marked dead and RankKilledError is thrown
-//               out of its rank function; peers observe the death as
-//               typed RankDeadError (or exclude it in degraded mode).
+// The transport itself is lossless, as MPI's is: a message is never lost,
+// duplicated or corrupted. Two fault kinds remain:
+//   Delay — evaluated at the sending rank's post(): delivery is deferred
+//           by a number of milliseconds. Later messages on the same
+//           (src, tag) channel wait behind it (non-overtaking).
+//   Kill  — evaluated at any operation: the rank is marked dead and
+//           RankKilledError is thrown out of its rank function; peers
+//           observe the death as typed RankDeadError (or exclude it in
+//           degraded mode).
 //
 // Plans can also be loaded from the environment (PARSVD_FAULT_* — see
 // from_env), so any binary can be run under chaos without recompiling.
@@ -36,41 +33,27 @@
 
 namespace parsvd::pmpi {
 
-enum class FaultKind { Drop, Delay, Duplicate, Truncate, Kill };
-
-const char* to_string(FaultKind kind);
-
-/// One injected fault: what to do and its parameter (Delay: milliseconds,
-/// Truncate: bytes removed from the delivered copy).
-struct FaultDecision {
-  FaultKind kind;
-  std::uint32_t param = 0;
-};
-
 class FaultPlan {
  public:
   /// Empty plan: never faults anything.
   FaultPlan() = default;
 
-  /// Probabilistic chaos plan: every operation draws once from a seeded
-  /// hash; the rates partition the unit interval. Kill draws use an
-  /// independent stream so enabling kills does not reshuffle the message
-  /// faults of the same seed.
-  static FaultPlan chaos(std::uint64_t seed, double drop_rate,
-                         double delay_rate, double duplicate_rate,
-                         double truncate_rate, double kill_rate = 0.0);
+  /// Probabilistic chaos plan: every post draws once from a seeded hash
+  /// for a delay, every operation once for a kill. Kill draws use an
+  /// independent stream so enabling kills does not reshuffle the delays
+  /// of the same seed. Both rates must lie in [0, 1].
+  static FaultPlan chaos(std::uint64_t seed, double delay_rate,
+                         double kill_rate = 0.0);
 
   /// Build a plan from PARSVD_FAULT_* environment variables:
   ///   PARSVD_FAULT_SEED       hash seed (default 0)
-  ///   PARSVD_FAULT_DROP       drop rate in [0,1]        (default 0)
-  ///   PARSVD_FAULT_DELAY     delay rate in [0,1]        (default 0)
-  ///   PARSVD_FAULT_DUP        duplicate rate in [0,1]   (default 0)
-  ///   PARSVD_FAULT_TRUNC      truncate rate in [0,1]    (default 0)
-  ///   PARSVD_FAULT_KILL       kill rate in [0,1]        (default 0)
-  ///   PARSVD_FAULT_DELAY_MS   delay parameter           (default 2)
+  ///   PARSVD_FAULT_DELAY      delay rate in [0,1]        (default 0)
+  ///   PARSVD_FAULT_KILL       kill rate in [0,1]         (default 0)
+  ///   PARSVD_FAULT_DELAY_MS   delay parameter            (default 2)
   ///   PARSVD_FAULT_KILL_RANK + PARSVD_FAULT_KILL_AT  explicit kill
-  ///   PARSVD_FAULT_PROTECT_ROOT  never kill rank 0     (default true)
-  /// Returns an empty plan when no variable is set.
+  ///   PARSVD_FAULT_PROTECT_ROOT  never kill rank 0      (default true)
+  /// A rate outside [0,1] (or NaN) throws ConfigError. Returns an empty
+  /// plan when no variable is set.
   static FaultPlan from_env();
 
   // ------------------------------------------------------------- builders
@@ -78,9 +61,9 @@ class FaultPlan {
   /// Kill `rank` when its operation counter reaches `at_op`.
   FaultPlan& kill_rank(int rank, std::uint64_t at_op);
 
-  /// Inject one explicit message fault on `rank`'s `at_op`-th operation.
-  FaultPlan& inject(int rank, std::uint64_t at_op, FaultKind kind,
-                    std::uint32_t param = 0);
+  /// Delay the message `rank` posts as its `at_op`-th operation by `ms`
+  /// milliseconds.
+  FaultPlan& delay(int rank, std::uint64_t at_op, std::uint32_t ms);
 
   /// Exempt `rank` from kills (probabilistic and explicit). Degraded-mode
   /// tests protect the root: its death is unrecoverable by design.
@@ -95,10 +78,10 @@ class FaultPlan {
   /// True if any schedule (explicit or probabilistic) can kill a rank.
   bool can_kill() const;
 
-  /// Message fault for the operation `op` performed by sender `src_rank`,
-  /// if any.
-  std::optional<FaultDecision> on_message(int src_rank,
-                                          std::uint64_t op) const;
+  /// Delivery delay in milliseconds for the message sender `src_rank`
+  /// posts as operation `op`, or nullopt when it is not delayed.
+  std::optional<std::uint32_t> message_delay(int src_rank,
+                                             std::uint64_t op) const;
 
   /// Should `rank` die at operation `op`?
   bool kills(int rank, std::uint64_t op) const;
@@ -112,19 +95,17 @@ class FaultPlan {
   struct Event {
     int rank;
     std::uint64_t op;
-    FaultKind kind;
-    std::uint32_t param;
   };
-  std::vector<Event> events_;
+  struct DelayEvent {
+    int rank;
+    std::uint64_t op;
+    std::uint32_t ms;
+  };
+  std::vector<Event> kills_;
+  std::vector<DelayEvent> delays_;
   std::vector<int> protected_ranks_;
   std::uint64_t seed_ = 0;
-  double drop_ = 0.0, delay_ = 0.0, dup_ = 0.0, trunc_ = 0.0, kill_ = 0.0;
-  bool probabilistic_ = false;
+  double delay_ = 0.0, kill_ = 0.0;
 };
-
-/// Fast 64-bit payload checksum used by the reliability envelope: four
-/// independent multiply-xor lanes so the hot loop pipelines at close to
-/// memory bandwidth (the <3% zero-fault overhead budget in BENCH_fault).
-std::uint64_t payload_checksum(const void* data, std::size_t size);
 
 }  // namespace parsvd::pmpi

@@ -4,17 +4,17 @@
 // Lifecycle:
 //   * isend posts the message immediately (buffered send, like
 //     MPI_Ibsend with an unbounded buffer): the returned request is
-//     already complete. Fault injection, payload caps and kill faults
+//     already complete. Delay faults, payload caps and kill faults
 //     fire at post time, exactly as for a blocking send.
 //   * irecv registers interest in a (src, tag) channel and advances the
 //     owner's fault-plan operation counter ONCE, at post time — so a
 //     fault schedule aimed at op N stays deterministic no matter how
 //     often the request is polled afterwards.
 //   * test() is a non-blocking probe: it consumes the message if one is
-//     deliverable (running the same duplicate-discard / checksum /
-//     retransmit-recovery envelope as a blocking receive) and surfaces
+//     deliverable (in the same per-channel order as a blocking receive,
+//     so a delayed head holds back its successors) and surfaces
 //     dead-source and aborted-job conditions as the same typed errors.
-//   * wait() blocks with the full envelope, watchdog-timeout and
+//   * wait() blocks with the channel-order, watchdog-timeout and
 //     backoff-retry semantics of Communicator::recv.
 //   * a pending receive that is destroyed (or cancel()ed) is abandoned:
 //     a message that later arrives simply stays queued for a future

@@ -4,6 +4,7 @@
 #include <cctype>
 #include <cerrno>
 #include <cstdlib>
+#include <sstream>
 
 #include "support/error.hpp"
 
@@ -54,6 +55,21 @@ double get_double(const std::string& name, double fallback) {
   const double parsed = std::strtod(v->c_str(), &end);
   if (end == v->c_str() || *end != '\0') reject(name, *v, "a number");
   return parsed;
+}
+
+double get_double(const std::string& name, double fallback, double lo,
+                  double hi) {
+  const auto v = get(name);
+  if (!v) return fallback;
+  const double d = get_double(name, fallback);
+  // Written as "not inside" so NaN, which fails every comparison, is
+  // rejected too.
+  if (!(d >= lo && d <= hi)) {
+    std::ostringstream range;
+    range << '[' << lo << ", " << hi << ']';
+    throw ConfigError(name + "='" + *v + "' is outside " + range.str());
+  }
+  return d;
 }
 
 bool get_bool(const std::string& name, bool fallback) {

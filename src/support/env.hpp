@@ -27,6 +27,12 @@ std::int64_t get_int(const std::string& name, std::int64_t fallback,
 /// Parse as double (no trailing characters).
 double get_double(const std::string& name, double fallback);
 
+/// As above, and a set value outside [lo, hi] — NaN included — throws
+/// ConfigError naming the variable, the value and the range. The
+/// fallback is returned as given.
+double get_double(const std::string& name, double fallback, double lo,
+                  double hi);
+
 /// "1/true/yes/on" → true, "0/false/no/off" → false (case-insensitive).
 bool get_bool(const std::string& name, bool fallback);
 

@@ -334,6 +334,35 @@ TEST(Env, BoundedIntRejectsOutOfRange) {
   unsetenv("PARSVD_TEST_ENV_I");
 }
 
+TEST(Env, BoundedDoubleRejectsOutOfRangeAndNan) {
+  unsetenv("PARSVD_TEST_ENV_D");
+  // Unset: the fallback, as given.
+  EXPECT_DOUBLE_EQ(env::get_double("PARSVD_TEST_ENV_D", 2.5, 0.0, 1.0), 2.5);
+  for (const char* ok : {"0", "1", "0.25"}) {
+    setenv("PARSVD_TEST_ENV_D", ok, 1);
+    EXPECT_DOUBLE_EQ(env::get_double("PARSVD_TEST_ENV_D", 0.5, 0.0, 1.0),
+                     std::strtod(ok, nullptr));
+  }
+  // Outside the range — NaN included, which fails every comparison — the
+  // error names the variable, the value and the range.
+  for (const char* bad : {"5", "-0.1", "1.0000001", "nan", "inf"}) {
+    setenv("PARSVD_TEST_ENV_D", bad, 1);
+    try {
+      env::get_double("PARSVD_TEST_ENV_D", 0.5, 0.0, 1.0);
+      ADD_FAILURE() << bad << " was accepted";
+    } catch (const ConfigError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("PARSVD_TEST_ENV_D"), std::string::npos) << what;
+      EXPECT_NE(what.find(bad), std::string::npos) << what;
+      EXPECT_NE(what.find("[0, 1]"), std::string::npos) << what;
+    }
+  }
+  expect_rejects("PARSVD_TEST_ENV_D", "0.5x", [] {
+    return env::get_double("PARSVD_TEST_ENV_D", 0.5, 0.0, 1.0);
+  });
+  unsetenv("PARSVD_TEST_ENV_D");
+}
+
 TEST(Env, ParsesDouble) {
   setenv("PARSVD_TEST_ENV_D", "0.95", 1);
   EXPECT_DOUBLE_EQ(env::get_double("PARSVD_TEST_ENV_D", 0.0), 0.95);
