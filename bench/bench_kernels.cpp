@@ -1,7 +1,6 @@
 // Dense-kernel microbenchmark — the repo's machine-readable perf
-// trajectory for the level-3 kernel engine (gemm fp64/fp32 / blocked QR /
-// gram / gemv) and the mixed-precision randomized-SVD path. Times each
-// kernel across sizes and thread counts, compares the packed GEMM against
+// trajectory for the level-3 kernel engine (gemm / blocked QR / gram /
+// gemv). Times each kernel across sizes and thread counts, compares the packed GEMM against
 // a faithful copy of the pre-engine ("seed") kernel, and persists
 // everything to BENCH_kernels.json so later perf PRs are measured against
 // a recorded baseline.
@@ -22,21 +21,17 @@
 //
 // JSON schema (schema_version 2):
 //   { bench, schema_version, smoke, hardware_concurrency,
-//     blocking: {f64: {mc..nr}, f32: {mc..nr}, qr_block, tuned},
+//     blocking: {f64: {mc..nr}, qr_block, tuned},
 //     results: [ {kernel, m, n, k, threads, seconds, gflops, flops} ... ],
-//     autotune: null | {probe_size, f64: {...}, f32: {...}, qr: {...}},
+//     autotune: null | {probe_size, f64: {...}, qr: {...}},
 //     gemm_512_seed_seconds, gemm_512_packed_seconds,
-//     gemm_512_speedup_vs_seed, gemm_f32_512_seconds,
-//     gemm_f32_512_speedup_vs_f64, mixed_rsvd_double_seconds,
-//     mixed_rsvd_mixed_seconds, mixed_rsvd_speedup,
-//     mixed_rsvd_sigma_rel_err, single_rsvd_sigma_rel_err, failures }
+//     gemm_512_speedup_vs_seed, failures }
 // Claim fields are numbers in a full run and null in smoke runs (the
 // smoke sizes cannot support the claims). `seconds` is the best of the
 // timed repetitions; `flops` is the deterministic per-shape flop model
 // the CI checker compares exactly across runs.
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <optional>
@@ -44,7 +39,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/randomized.hpp"
 #include "linalg/autotune.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/qr.hpp"
@@ -52,16 +46,12 @@
 #include "support/rng.hpp"
 #include "support/thread_pool.hpp"
 #include "support/timer.hpp"
-#include "workloads/lowrank.hpp"
 
 namespace {
 
 using parsvd::HouseholderQr;
 using parsvd::Index;
 using parsvd::Matrix;
-using parsvd::MatrixF;
-using parsvd::Precision;
-using parsvd::RandomizedOptions;
 using parsvd::Rng;
 using parsvd::Trans;
 using parsvd::Vector;
@@ -192,11 +182,6 @@ class Harness {
   // Full-size claim measurements; unset (emitted as null) in smoke runs.
   std::optional<double> seed_512_seconds;
   std::optional<double> packed_512_seconds;
-  std::optional<double> f32_512_seconds;
-  std::optional<double> rsvd_double_seconds;
-  std::optional<double> rsvd_mixed_seconds;
-  std::optional<double> rsvd_sigma_rel_err;
-  std::optional<double> rsvd_single_sigma_rel_err;
 
   std::optional<parsvd::autotune::SweepResult> tune;
 
@@ -271,21 +256,6 @@ void bench_gemm(Harness& h) {
     });
     record_gemm(h, "gemm_seed", cs, sec_seed, 1);
     if (cs == 512) h.seed_512_seconds = sec_seed;
-  }
-}
-
-void bench_gemm_f32(Harness& h) {
-  const std::vector<Index> sizes =
-      h.smoke() ? std::vector<Index>{64} : std::vector<Index>{64, 256, 512};
-  for (const Index s : sizes) {
-    const MatrixF a = parsvd::to_single(random_matrix(s, s, 11));
-    const MatrixF b = parsvd::to_single(random_matrix(s, s, 12));
-    MatrixF c(s, s);
-    const double sec = time_best([&] {
-      parsvd::gemm_f32(Trans::No, Trans::No, 1.0f, a, b, 0.0f, c);
-    });
-    record_gemm(h, "gemm_f32", s, sec, 1);
-    if (s == 512) h.f32_512_seconds = sec;
   }
 }
 
@@ -366,105 +336,6 @@ void bench_gemv(Harness& h) {
   }
 }
 
-// Flop model of one randomized SVD: sketch apply + power iterations +
-// projection + lift, all through the range width sk = rank + oversampling.
-double rsvd_flops(Index m, Index n, Index rank, Index oversampling,
-                  int power) {
-  const double mm = static_cast<double>(m);
-  const double nn = static_cast<double>(n);
-  const double sk =
-      static_cast<double>(std::min(rank + oversampling, std::min(m, n)));
-  return 2.0 * mm * nn * sk * (2.0 + 2.0 * power) +
-         2.0 * mm * sk * static_cast<double>(rank);
-}
-
-// End-to-end mixed-precision randomized SVD: the acceptance case is
-// 4096x2048 at rank 64 (fp64 vs mixed wall time, plus the refined
-// singular-value agreement). Smoke shrinks the problem and only checks
-// agreement — the claim fields stay null.
-void bench_mixed_rsvd(Harness& h) {
-  struct Case {
-    Index m, n, rank, spectrum_len;
-    bool claim;  // the acceptance shape whose numbers feed the claims
-  };
-  const std::vector<Case> cases =
-      h.smoke() ? std::vector<Case>{{192, 96, 8, 24, false}}
-                : std::vector<Case>{{192, 96, 8, 24, false},
-                                    {4096, 2048, 64, 128, true}};
-  for (const Case c : cases) {
-    RandomizedOptions opts;
-    opts.rank = c.rank;
-    opts.oversampling = 8;
-    opts.power_iterations = 2;
-    opts.seed = 0xbe7c;
-
-    Rng rng(0x5eedf00d);
-    // POD-like spiked spectrum: gentle geometric decay across the modes
-    // the sketch captures, then a 1e-3 energy drop past the sketch width
-    // (snapshot matrices of dissipative PDEs decay this way — compare the
-    // Burgers spectra in tests/test_precision.cpp). The boundary gap is
-    // what makes a fixed power-iteration count converge at all, and it is
-    // what the Mixed refinement's final fp64 iteration contracts the fp32
-    // subspace noise against; a gapless tail would measure the spectrum's
-    // unresolvability, not the precision regimes.
-    const Index sk = c.rank + opts.oversampling;
-    Vector spectrum(c.spectrum_len);
-    for (Index i = 0; i < c.spectrum_len; ++i) {
-      spectrum[i] = i < sk ? std::pow(0.97, static_cast<double>(i))
-                           : 1e-3 * std::pow(0.97, static_cast<double>(sk)) *
-                                 std::pow(0.9, static_cast<double>(i - sk));
-    }
-    const Matrix a =
-        parsvd::workloads::synthetic_low_rank(c.m, c.n, spectrum, rng);
-    const double flops =
-        rsvd_flops(c.m, c.n, opts.rank, opts.oversampling,
-                   opts.power_iterations);
-
-    RandomizedOptions od = opts;
-    od.precision = Precision::Double;
-    RandomizedOptions om = opts;
-    om.precision = Precision::Mixed;
-    RandomizedOptions os = opts;
-    os.precision = Precision::Single;
-
-    // Accuracy first (one run each, identical seeds → identical sketches).
-    const parsvd::SvdResult fd = parsvd::randomized_svd(a, od);
-    const parsvd::SvdResult fm = parsvd::randomized_svd(a, om);
-    const parsvd::SvdResult fs = parsvd::randomized_svd(a, os);
-    double mixed_err = 0.0, single_err = 0.0;
-    for (Index i = 0; i < fd.s.size(); ++i) {
-      mixed_err = std::max(mixed_err, std::abs(fm.s[i] - fd.s[i]) / fd.s[i]);
-      single_err = std::max(single_err, std::abs(fs.s[i] - fd.s[i]) / fd.s[i]);
-    }
-    std::printf("rsvd %tdx%td sigma rel err: mixed %.3e  single %.3e\n", c.m,
-                c.n, mixed_err, single_err);
-    // The refinement contract holds at every size — gate it in smoke too.
-    h.check(mixed_err < 1e-10,
-            "mixed-path singular values drifted beyond 1e-10 of fp64");
-
-    const double sec_d = time_best([&] {
-      parsvd::SvdResult r = parsvd::randomized_svd(a, od);
-    });
-    h.record("rsvd_double", c.m, c.n, opts.rank, 1, sec_d, flops);
-    const double sec_m = time_best([&] {
-      parsvd::SvdResult r = parsvd::randomized_svd(a, om);
-    });
-    h.record("rsvd_mixed", c.m, c.n, opts.rank, 1, sec_m, flops);
-    const double sec_s = time_best([&] {
-      parsvd::SvdResult r = parsvd::randomized_svd(a, os);
-    });
-    h.record("rsvd_single", c.m, c.n, opts.rank, 1, sec_s, flops);
-
-    if (c.claim) {
-      h.rsvd_double_seconds = sec_d;
-      h.rsvd_mixed_seconds = sec_m;
-      h.rsvd_sigma_rel_err = mixed_err;
-      h.rsvd_single_sigma_rel_err = single_err;
-      std::printf("rsvd mixed speedup vs double: %.2fx\n", sec_d / sec_m);
-    }
-  }
-}
-
 // ------------------------------------------------------- smoke validation
 
 void smoke_checks(Harness& h) {
@@ -484,12 +355,6 @@ void smoke_checks(Harness& h) {
                        (tb == Trans::No) ? b : b.transposed());
       h.check(parsvd::max_abs_diff(got, want) < 1e-10,
               "gemm combo " + std::to_string(combo) + " disagrees with reference");
-      // fp32 engine on the same operands: same structure, fp32 tolerance.
-      const MatrixF got32 = parsvd::matmul_f32(parsvd::to_single(a),
-                                               parsvd::to_single(b), ta, tb);
-      h.check(parsvd::max_abs_diff(parsvd::to_double(got32), want) < 1e-3,
-              "gemm_f32 combo " + std::to_string(combo) +
-                  " disagrees with reference");
     }
   }
   // Packed GEMM vs the seed kernel on a size that engages packing.
@@ -500,12 +365,6 @@ void smoke_checks(Harness& h) {
     parsvd::gemm(Trans::No, Trans::No, 1.0, a, b, 0.0, c1);
     gemm_seed(Trans::No, Trans::No, 1.0, a, b, 0.0, c2);
     h.check(parsvd::max_abs_diff(c1, c2) < 1e-10, "packed gemm vs seed gemm");
-
-    MatrixF c3(70, 60);
-    parsvd::gemm_f32(Trans::No, Trans::No, 1.0f, parsvd::to_single(a),
-                     parsvd::to_single(b), 0.0f, c3);
-    h.check(parsvd::max_abs_diff(parsvd::to_double(c3), c2) < 1e-3,
-            "packed gemm_f32 vs seed gemm");
   }
   // Compensated dot recovers a catastrophically cancelled sum exactly.
   {
@@ -580,14 +439,11 @@ void run_tune(Harness& h, const std::string& profile_out) {
         e.candidates);
   };
   report("f64", sweep.f64);
-  report("f32", sweep.f32);
   std::printf("tune qr   best block=%td  %.4f ms vs default %.4f ms\n",
               sweep.profile.qr_block, sweep.qr_best_seconds * 1e3,
               sweep.qr_default_seconds * 1e3);
   h.check(sweep.f64.best_seconds <= sweep.f64.default_seconds,
           "autotune f64 winner slower than the default blocking");
-  h.check(sweep.f32.best_seconds <= sweep.f32.default_seconds,
-          "autotune f32 winner slower than the default blocking");
   h.tune = std::move(sweep);
 }
 
@@ -629,8 +485,6 @@ bool write_json(const Harness& h, const std::string& path) {
   const parsvd::autotune::Profile& prof = parsvd::autotune::active_profile();
   std::fprintf(f, "  \"blocking\": {\"f64\": ");
   print_blocking(f, prof.f64);
-  std::fprintf(f, ", \"f32\": ");
-  print_blocking(f, prof.f32);
   std::fprintf(f, ", \"qr_block\": %lld, \"tuned\": %s},\n",
                static_cast<long long>(prof.qr_block),
                prof.tuned ? "true" : "false");
@@ -666,7 +520,6 @@ bool write_json(const Harness& h, const std::string& path) {
     std::fprintf(f, "    \"probe_size\": %lld,\n",
                  static_cast<long long>(t.probe_size));
     entry("f64", t.f64, ",");
-    entry("f32", t.f32, ",");
     std::fprintf(f,
                  "    \"qr\": {\"block\": %lld, \"rows\": %lld, \"cols\": %lld, "
                  "\"default_seconds\": %.6e, \"best_seconds\": %.6e, "
@@ -689,22 +542,6 @@ bool write_json(const Harness& h, const std::string& path) {
     speedup_vs_seed = *h.seed_512_seconds / *h.packed_512_seconds;
   }
   print_opt(f, "gemm_512_speedup_vs_seed", speedup_vs_seed, ",");
-  print_opt(f, "gemm_f32_512_seconds", h.f32_512_seconds, ",");
-  std::optional<double> f32_speedup;
-  if (h.packed_512_seconds && h.f32_512_seconds && *h.f32_512_seconds > 0.0) {
-    f32_speedup = *h.packed_512_seconds / *h.f32_512_seconds;
-  }
-  print_opt(f, "gemm_f32_512_speedup_vs_f64", f32_speedup, ",");
-  print_opt(f, "mixed_rsvd_double_seconds", h.rsvd_double_seconds, ",");
-  print_opt(f, "mixed_rsvd_mixed_seconds", h.rsvd_mixed_seconds, ",");
-  std::optional<double> rsvd_speedup;
-  if (h.rsvd_double_seconds && h.rsvd_mixed_seconds &&
-      *h.rsvd_mixed_seconds > 0.0) {
-    rsvd_speedup = *h.rsvd_double_seconds / *h.rsvd_mixed_seconds;
-  }
-  print_opt(f, "mixed_rsvd_speedup", rsvd_speedup, ",");
-  print_opt(f, "mixed_rsvd_sigma_rel_err", h.rsvd_sigma_rel_err, ",");
-  print_opt(f, "single_rsvd_sigma_rel_err", h.rsvd_single_sigma_rel_err, ",");
   std::fprintf(f, "  \"failures\": %d\n", h.failures());
   std::fprintf(f, "}\n");
   std::fclose(f);
@@ -742,19 +579,13 @@ int main(int argc, char** argv) {
   parsvd::ThreadPool::set_global_threads(1);
   if (tune) run_tune(h, tune_out);
   bench_gemm(h);
-  bench_gemm_f32(h);
   bench_qr(h);
   bench_gram(h);
   bench_gemv(h);
-  bench_mixed_rsvd(h);
 
   if (!smoke && h.packed_512_seconds && h.seed_512_seconds) {
     std::printf("gemm 512^3 single-thread speedup vs seed kernel: %.2fx\n",
                 *h.seed_512_seconds / *h.packed_512_seconds);
-  }
-  if (!smoke && h.packed_512_seconds && h.f32_512_seconds) {
-    std::printf("gemm_f32 512^3 speedup vs fp64: %.2fx\n",
-                *h.packed_512_seconds / *h.f32_512_seconds);
   }
   const bool wrote = write_json(h, out);
   return (h.failures() == 0 && wrote) ? 0 : 1;

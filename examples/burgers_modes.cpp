@@ -17,10 +17,11 @@
 #include "post/export.hpp"
 #include "post/metrics.hpp"
 #include "support/env.hpp"
+#include "support/error.hpp"
 #include "workloads/batch_source.hpp"
 #include "workloads/burgers.hpp"
 
-int main() {
+int main() try {
   using namespace parsvd;
   namespace wl = workloads;
 
@@ -94,4 +95,7 @@ int main() {
   std::printf(
       "\nwrote burgers_serial_modes.csv / burgers_parallel_modes.csv\n");
   return 0;
+} catch (const parsvd::Error& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 1;
 }

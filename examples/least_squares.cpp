@@ -13,9 +13,10 @@
 #include "linalg/qr.hpp"
 #include "linalg/svd.hpp"
 #include "support/env.hpp"
+#include "support/error.hpp"
 #include "support/rng.hpp"
 
-int main() {
+int main() try {
   using namespace parsvd;
 
   const Index samples = env::get_int("PARSVD_SAMPLES", 200);
@@ -89,4 +90,7 @@ int main() {
               "larger residual for bounded coefficients on ill-conditioned\n"
               "systems — the classic SVD regularization from paper §2.)\n");
   return 0;
+} catch (const parsvd::Error& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 1;
 }

@@ -14,9 +14,10 @@
 #include "core/streaming.hpp"
 #include "post/metrics.hpp"
 #include "support/env.hpp"
+#include "support/error.hpp"
 #include "workloads/lowrank.hpp"
 
-int main() {
+int main() try {
   using namespace parsvd;
 
   const Index m = env::get_int("PARSVD_GRID", 600);
@@ -76,4 +77,7 @@ int main() {
       "stays dominated by whichever regime holds the larger cumulative\n"
       "energy — the trade-off the forget factor controls (paper §3.1).\n");
   return 0;
+} catch (const parsvd::Error& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 1;
 }

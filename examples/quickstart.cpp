@@ -10,10 +10,11 @@
 #include <cstdio>
 
 #include "core/factory.hpp"
+#include "support/error.hpp"
 #include "workloads/batch_source.hpp"
 #include "workloads/lowrank.hpp"
 
-int main() {
+int main() try {
   using namespace parsvd;
 
   // A 2000 x 200 data matrix with a known 8-mode spectrum.
@@ -48,4 +49,7 @@ int main() {
               static_cast<long long>(svd->modes().rows()),
               static_cast<long long>(svd->modes().cols()));
   return 0;
+} catch (const parsvd::Error& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 1;
 }

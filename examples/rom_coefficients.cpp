@@ -12,9 +12,10 @@
 #include "io/matrix_io.hpp"
 #include "post/metrics.hpp"
 #include "support/env.hpp"
+#include "support/error.hpp"
 #include "workloads/burgers.hpp"
 
-int main() {
+int main() try {
   using namespace parsvd;
   namespace wl = workloads;
 
@@ -107,4 +108,7 @@ int main() {
               updated_worst, test_worst);
   std::printf("wrote rom_coefficients.csv\n");
   return 0;
+} catch (const parsvd::Error& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 1;
 }

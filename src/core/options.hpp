@@ -11,7 +11,6 @@
 #include <span>
 #include <vector>
 
-#include "linalg/blas.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/svd.hpp"
 
@@ -75,14 +74,6 @@ struct RandomizedOptions {
   std::uint64_t seed = 0x5eed;
   /// Backend used for the small inner SVD.
   SvdMethod inner_method = SvdMethod::GolubKahan;
-  /// Arithmetic regime for the range finder (DESIGN §12). Double is the
-  /// reference; Mixed runs the sketch apply and power-iteration GEMMs in
-  /// fp32 and refines the basis back to fp64 (one fp64 re-orthogonalization
-  /// before the fp64 projection) — near-fp64 singular values at fp32
-  /// inner-loop cost; Single stays fp32 through the projection (coarse).
-  /// Default from PARSVD_PRECISION; also reached through the nested
-  /// `randomized` options of StreamingOptions / ApmosOptions.
-  Precision precision = default_precision();
 };
 
 /// Streaming (Levy-Lindenbaum) configuration, serial and parallel.

@@ -110,20 +110,6 @@ double time_probe_f64(Index n, const Matrix& a, const Matrix& b, Matrix& c,
   return best;
 }
 
-double time_probe_f32(Index n, const MatrixF& a, const MatrixF& b, MatrixF& c,
-                      const Blocking& blk, int reps) {
-  detail::gemm_probe_f32(n, n, n, a.data(), b.data(), c.data(), blk);  // warm
-  double best = std::numeric_limits<double>::infinity();
-  Stopwatch sw;
-  for (int r = 0; r < reps; ++r) {
-    sw.reset();
-    sw.start();
-    detail::gemm_probe_f32(n, n, n, a.data(), b.data(), c.data(), blk);
-    best = std::min(best, sw.stop());
-  }
-  return best;
-}
-
 double time_qr(const Matrix& a, Index block, int reps) {
   { HouseholderQr warm(a, block); }  // warm (allocations, icache)
   double best = std::numeric_limits<double>::infinity();
@@ -154,12 +140,12 @@ GridSpec grid_spec(bool smoke) {
           {{4, 6}, {8, 4}, {8, 6}, {8, 8}, {16, 4}, {16, 6}, {16, 8}}};
 }
 
-template <typename TimeFn>
-SweepEntry sweep_precision(const GridSpec& grid, const Blocking& fallback,
-                           TimeFn&& time_at) {
+// Time the default blocking, then every grid candidate, on one n^3 probe.
+SweepEntry sweep_gemm(const GridSpec& grid, const Blocking& fallback, Index n,
+                      const Matrix& a, const Matrix& b, Matrix& c, int reps) {
   SweepEntry entry;
   entry.best = sanitize(fallback, fallback);
-  entry.default_seconds = time_at(entry.best);
+  entry.default_seconds = time_probe_f64(n, a, b, c, entry.best, reps);
   entry.best_seconds = entry.default_seconds;
   for (const auto& [mr, nr] : grid.micro) {
     for (Index mc : grid.mc) {
@@ -167,7 +153,7 @@ SweepEntry sweep_precision(const GridSpec& grid, const Blocking& fallback,
         for (Index nc : grid.nc) {
           const Blocking cand = sanitize({mc, kc, nc, mr, nr}, fallback);
           ++entry.candidates;
-          const double secs = time_at(cand);
+          const double secs = time_probe_f64(n, a, b, c, cand, reps);
           if (secs < entry.best_seconds) {
             entry.best_seconds = secs;
             entry.best = cand;
@@ -185,10 +171,6 @@ Profile default_profile() {
   Profile p;
   p.version = kProfileVersion;
   p.f64 = {96, 256, 4032, 8, 6};
-  // fp32 elements are half the bytes: doubling KC keeps the packed panel
-  // footprint equal to the fp64 path, and MR=16 fills the same vector
-  // width (16 floats = 8 doubles per SIMD row).
-  p.f32 = {96, 512, 4032, 16, 6};
   p.qr_block = 32;
   p.tuned = false;
   return p;
@@ -196,8 +178,6 @@ Profile default_profile() {
 
 Blocking sanitize(const Blocking& requested, const Blocking& fallback) {
   Blocking b = requested;
-  // Both precisions instantiate the same (mr, nr) candidate set, so the
-  // fp64 table answers feasibility for either.
   if (!detail::has_kernel_f64(b.mr, b.nr)) {
     b.mr = fallback.mr;
     b.nr = fallback.nr;
@@ -222,7 +202,6 @@ bool load_profile(const std::string& path, Profile& out) {
   Profile p;
   p.version = static_cast<int>(version);
   if (!scan_blocking(text, "f64", p.f64) ||
-      !scan_blocking(text, "f32", p.f32) ||
       !scan_int(text, "qr_block", p.qr_block) || p.qr_block < 1 ||
       p.qr_block > kMaxQrBlock) {
     return false;
@@ -246,7 +225,6 @@ void save_profile(const Profile& profile, const std::string& path) {
       << "  \"schema_version\": " << profile.version << ",\n"
       << "  \"tuned\": " << (profile.tuned ? "true" : "false") << ",\n"
       << "  \"f64\": " << blocking_json(profile.f64) << ",\n"
-      << "  \"f32\": " << blocking_json(profile.f32) << ",\n"
       << "  \"qr_block\": " << profile.qr_block << "\n"
       << "}\n";
   PARSVD_REQUIRE(static_cast<bool>(out),
@@ -266,18 +244,15 @@ const Profile& active_profile() {
                   "'");
       }
     }
-    // Env overrides sit on top of whichever base won, applied to both
-    // precisions (they are one-off experiment knobs, not the profile).
-    p.f64.mc = env::get_int("PARSVD_GEMM_MC", p.f64.mc);
-    p.f64.kc = env::get_int("PARSVD_GEMM_KC", p.f64.kc);
-    p.f64.nc = env::get_int("PARSVD_GEMM_NC", p.f64.nc);
-    p.f32.mc = env::get_int("PARSVD_GEMM_MC", p.f32.mc);
-    p.f32.kc = env::get_int("PARSVD_GEMM_KC", p.f32.kc);
-    p.f32.nc = env::get_int("PARSVD_GEMM_NC", p.f32.nc);
+    // Env overrides sit on top of whichever base won (they are one-off
+    // experiment knobs, not the profile). Their ranges hold every legal
+    // blocking of every instantiated tile (MR <= 16, NR <= 8), so the
+    // sanitize below only rounds MC/NC up to a tile multiple.
+    p.f64.mc = env::get_int("PARSVD_GEMM_MC", p.f64.mc, 16, 4096);
+    p.f64.kc = env::get_int("PARSVD_GEMM_KC", p.f64.kc, 8, 8192);
+    p.f64.nc = env::get_int("PARSVD_GEMM_NC", p.f64.nc, 8, 1 << 16);
     p.qr_block = env::get_int("PARSVD_QR_BLOCK", p.qr_block, 1, kMaxQrBlock);
-    const Profile defaults = default_profile();
-    p.f64 = sanitize(p.f64, defaults.f64);
-    p.f32 = sanitize(p.f32, defaults.f32);
+    p.f64 = sanitize(p.f64, default_profile().f64);
     return p;
   }();
   return resolved;
@@ -298,16 +273,7 @@ SweepResult sweep(bool smoke) {
   const Matrix a64 = Matrix::gaussian(n, n, rng);
   const Matrix b64 = Matrix::gaussian(n, n, rng);
   Matrix c64(n, n);
-  const MatrixF a32 = to_single(a64);
-  const MatrixF b32 = to_single(b64);
-  MatrixF c32(n, n);
-
-  result.f64 = sweep_precision(grid, defaults.f64, [&](const Blocking& blk) {
-    return time_probe_f64(n, a64, b64, c64, blk, reps);
-  });
-  result.f32 = sweep_precision(grid, defaults.f32, [&](const Blocking& blk) {
-    return time_probe_f32(n, a32, b32, c32, blk, reps);
-  });
+  result.f64 = sweep_gemm(grid, defaults.f64, n, a64, b64, c64, reps);
 
   // QR panel width, probed on the era5_stream local panel (2592 x 204;
   // a quarter of each side under smoke). The burgers_stream panel
@@ -331,7 +297,6 @@ SweepResult sweep(bool smoke) {
 
   result.profile.version = kProfileVersion;
   result.profile.f64 = result.f64.best;
-  result.profile.f32 = result.f32.best;
   result.profile.qr_block = best_block;
   result.profile.tuned = true;
   return result;

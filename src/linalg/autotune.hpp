@@ -14,10 +14,10 @@
 //      one-off experiments still work without editing the profile.
 //
 // sweep() is the search itself: it times the packed engine across a grid
-// of cache blocks x instantiated micro tiles per precision, and the
-// blocked QR across panel widths, and returns the winner plus the
-// tuned-vs-default deltas so callers (bench_kernels --tune) can persist
-// the profile and record the improvement in BENCH_kernels.json.
+// of cache blocks x instantiated micro tiles, and the blocked QR across
+// panel widths, and returns the winner plus the tuned-vs-default deltas
+// so callers (bench_kernels --tune) can persist the profile and record
+// the improvement in BENCH_kernels.json.
 #pragma once
 
 #include <string>
@@ -26,7 +26,7 @@
 
 namespace parsvd::autotune {
 
-/// Full blocking description of one precision's packed GEMM path.
+/// Full blocking description of the packed GEMM path.
 struct Blocking {
   Index mc = 0;  ///< rows of the packed A block (L2 resident)
   Index kc = 0;  ///< panel depth (L1/L2 resident)
@@ -37,11 +37,10 @@ struct Blocking {
   bool operator==(const Blocking&) const = default;
 };
 
-/// Versioned tuning profile covering both precisions and the QR panel.
+/// Versioned tuning profile covering the fp64 GEMM and the QR panel.
 struct Profile {
   int version = 1;
   Blocking f64;
-  Blocking f32;
   Index qr_block = 0;
   /// True when the values came from a measured sweep (persisted profiles
   /// record it; defaults are not "tuned").
@@ -50,9 +49,8 @@ struct Profile {
   bool operator==(const Profile&) const = default;
 };
 
-/// The hand-set seed values the engine shipped with (fp64: 96/256/4032 at
-/// 8x6; fp32 doubles KC — same packed bytes — and widens the micro row to
-/// 16 so one packed row fills the same vector width as 8 doubles).
+/// The hand-set seed values the engine shipped with (96/256/4032 at 8x6,
+/// QR panel 32).
 Profile default_profile();
 
 /// The resolved process-wide profile (defaults -> PARSVD_TUNE_PROFILE
@@ -61,6 +59,7 @@ const Profile& active_profile();
 
 /// Parse a profile written by save_profile(). Returns false (and leaves
 /// `out` untouched) on read failure, malformed JSON, or version mismatch.
+/// Keys are found by name, so sections it does not read are ignored.
 bool load_profile(const std::string& path, Profile& out);
 
 /// Persist a profile as deterministic JSON (no timestamps — committable).
@@ -72,7 +71,7 @@ void save_profile(const Profile& profile, const std::string& path);
 /// instantiated kernel.
 Blocking sanitize(const Blocking& requested, const Blocking& fallback);
 
-/// One precision's tuned-vs-default measurement from sweep().
+/// The GEMM's tuned-vs-default measurement from sweep().
 struct SweepEntry {
   Blocking best;
   double default_seconds = 0.0;  ///< probe time at default_profile() blocking
@@ -84,7 +83,6 @@ struct SweepEntry {
 struct SweepResult {
   Profile profile;      ///< winner (tuned = true), ready to persist
   SweepEntry f64;
-  SweepEntry f32;
   Index probe_size = 0;      ///< GEMM probe dimension (probe_size^3)
   Index qr_rows = 0;         ///< QR probe shape
   Index qr_cols = 0;

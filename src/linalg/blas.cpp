@@ -13,50 +13,9 @@
 
 namespace parsvd {
 
-const char* to_string(Precision p) {
-  switch (p) {
-    case Precision::Double: return "double";
-    case Precision::Single: return "single";
-    case Precision::Mixed: return "mixed";
-  }
-  return "double";
-}
-
-Precision precision_from_string(std::string_view s) {
-  if (s == "double") return Precision::Double;
-  if (s == "single") return Precision::Single;
-  if (s == "mixed") return Precision::Mixed;
-  throw Error("unknown precision '" + std::string(s) +
-              "' (expected double | single | mixed)");
-}
-
-Precision default_precision() {
-  static const Precision p =
-      precision_from_string(env::get_string("PARSVD_PRECISION", "double"));
-  return p;
-}
-
 bool compensated_enabled() {
   static const bool on = env::get_bool("PARSVD_COMPENSATED", false);
   return on;
-}
-
-MatrixF to_single(const Matrix& a) {
-  MatrixF f(a.rows(), a.cols());
-  const double* src = a.data();
-  float* dst = f.data();
-  const Index n = a.size();
-  for (Index i = 0; i < n; ++i) dst[i] = static_cast<float>(src[i]);
-  return f;
-}
-
-Matrix to_double(const MatrixF& a) {
-  Matrix d(a.rows(), a.cols());
-  const float* src = a.data();
-  double* dst = d.data();
-  const Index n = a.size();
-  for (Index i = 0; i < n; ++i) dst[i] = static_cast<double>(src[i]);
-  return d;
 }
 
 namespace {
@@ -243,10 +202,9 @@ void ger(double alpha, std::span<const double> x, std::span<const double> y,
 
 // ===================================================== packed GEMM engine
 //
-// The engine itself lives in linalg/gemm_engine.hpp (precision-templated
-// packing + micro-kernels). This file instantiates the candidate micro
-// tiles per precision and dispatches through a table keyed on the active
-// autotune profile, which is how the autotuner sweeps the compile-time
+// The engine itself lives in linalg/gemm_engine.hpp (packing +
+// micro-kernels). This file instantiates the candidate fp64 micro tiles
+// and dispatches through a table keyed on the active autotune profile, which is how the autotuner sweeps the compile-time
 // micro shape without recompiling.
 
 namespace {
@@ -263,7 +221,7 @@ struct KernelEntry {
   PackedFn<T> fn;
 };
 
-// One candidate set per precision; kept in sync with the MicroRowOf
+// The candidate set, kept in sync with the MicroRowOf
 // specializations in gemm_engine.hpp (MR in {4, 8, 16}, NR <= 8).
 template <typename T>
 constexpr KernelEntry<T> kKernels[] = {
@@ -284,7 +242,7 @@ PackedFn<T> find_kernel(Index mr, Index nr) {
   return nullptr;
 }
 
-// Resolved per-precision engine configuration: the dispatched micro-kernel
+// Resolved engine configuration: the dispatched micro-kernel
 // plus its cache blocks, from the autotune profile (already sanitized by
 // autotune::active_profile(), but the kernel lookup re-checks and falls
 // back to the default micro tile so a hand-edited profile can't crash us).
@@ -312,12 +270,6 @@ ActiveConfig<T> resolve_config(const autotune::Blocking& tuned,
 const ActiveConfig<double>& active_f64() {
   static const ActiveConfig<double> cfg = resolve_config<double>(
       autotune::active_profile().f64, autotune::default_profile().f64);
-  return cfg;
-}
-
-const ActiveConfig<float>& active_f32() {
-  static const ActiveConfig<float> cfg = resolve_config<float>(
-      autotune::active_profile().f32, autotune::default_profile().f32);
   return cfg;
 }
 
@@ -371,23 +323,8 @@ void gemm_accumulate(Trans trans_a, Trans trans_b, Index m, Index n, Index k,
                             allow_parallel);
 }
 
-void gemm_accumulate_f32(Trans trans_a, Trans trans_b, Index m, Index n,
-                         Index k, float alpha, const float* a, Index lda,
-                         const float* b, Index ldb, float* c, Index ldc,
-                         bool allow_parallel) {
-  if (alpha == 0.0f || m == 0 || n == 0 || k == 0) return;
-  const OpViewT<float> va = make_op_view(a, lda, trans_a == Trans::Yes);
-  const OpViewT<float> vb = make_op_view(b, ldb, trans_b == Trans::Yes);
-  accumulate_engine<float>(active_f32(), va, vb, m, n, k, alpha, c, ldc,
-                           allow_parallel);
-}
-
 bool has_kernel_f64(Index mr, Index nr) {
   return find_kernel<double>(mr, nr) != nullptr;
-}
-
-bool has_kernel_f32(Index mr, Index nr) {
-  return find_kernel<float>(mr, nr) != nullptr;
 }
 
 void gemm_probe_f64(Index m, Index n, Index k, const double* a,
@@ -396,14 +333,6 @@ void gemm_probe_f64(Index m, Index n, Index k, const double* a,
   PackedFn<double> fn = find_kernel<double>(blk.mr, blk.nr);
   PARSVD_REQUIRE(fn != nullptr, "gemm_probe_f64: no such micro-kernel");
   fn(make_op_view(a, m, false), make_op_view(b, k, false), m, n, k, 1.0, c, m,
-     {blk.mc, blk.kc, blk.nc});
-}
-
-void gemm_probe_f32(Index m, Index n, Index k, const float* a, const float* b,
-                    float* c, const autotune::Blocking& blk) {
-  PackedFn<float> fn = find_kernel<float>(blk.mr, blk.nr);
-  PARSVD_REQUIRE(fn != nullptr, "gemm_probe_f32: no such micro-kernel");
-  fn(make_op_view(a, m, false), make_op_view(b, k, false), m, n, k, 1.0f, c, m,
      {blk.mc, blk.kc, blk.nc});
 }
 
@@ -440,56 +369,11 @@ void gemm(Trans trans_a, Trans trans_b, double alpha, const Matrix& a,
                           a.rows(), b.data(), b.rows(), c.data(), c.rows());
 }
 
-void gemm_f32(Trans trans_a, Trans trans_b, float alpha, const MatrixF& a,
-              const MatrixF& b, float beta, MatrixF& c) {
-  const Index m = (trans_a == Trans::No) ? a.rows() : a.cols();
-  const Index k = (trans_a == Trans::No) ? a.cols() : a.rows();
-  const Index kb = (trans_b == Trans::No) ? b.rows() : b.cols();
-  const Index n = (trans_b == Trans::No) ? b.cols() : b.rows();
-  PARSVD_REQUIRE(k == kb, "gemm_f32: inner dimension mismatch");
-  PARSVD_REQUIRE(c.rows() == m && c.cols() == n, "gemm_f32: C has wrong shape");
-  PARSVD_REQUIRE(!c.aliases(a) && !c.aliases(b),
-                 "gemm_f32: C must not alias A or B");
-
-  PARSVD_TRACE_SCOPE("linalg.gemm_f32");
-  static obs::Counter& calls =
-      obs::Registry::global().counter("linalg.gemm_f32.calls");
-  static obs::Counter& flops =
-      obs::Registry::global().counter("linalg.gemm_f32.flops");
-  calls.add(1);
-  flops.add(2ull * static_cast<std::uint64_t>(m) * static_cast<std::uint64_t>(n) *
-            static_cast<std::uint64_t>(k));
-
-  if (beta != 1.0f) {
-    if (beta == 0.0f) {
-      c.fill(0.0f);
-    } else {
-      const Index total = c.size();
-      float* cd = c.data();
-      for (Index i = 0; i < total; ++i) cd[i] *= beta;
-    }
-  }
-  if (alpha == 0.0f || m == 0 || n == 0 || k == 0) return;
-
-  detail::gemm_accumulate_f32(trans_a, trans_b, m, n, k, alpha, a.data(),
-                              a.rows(), b.data(), b.rows(), c.data(),
-                              c.rows());
-}
-
 Matrix matmul(const Matrix& a, const Matrix& b, Trans trans_a, Trans trans_b) {
   const Index m = (trans_a == Trans::No) ? a.rows() : a.cols();
   const Index n = (trans_b == Trans::No) ? b.cols() : b.rows();
   Matrix c(m, n);
   gemm(trans_a, trans_b, 1.0, a, b, 0.0, c);
-  return c;
-}
-
-MatrixF matmul_f32(const MatrixF& a, const MatrixF& b, Trans trans_a,
-                   Trans trans_b) {
-  const Index m = (trans_a == Trans::No) ? a.rows() : a.cols();
-  const Index n = (trans_b == Trans::No) ? b.cols() : b.rows();
-  MatrixF c(m, n);
-  gemm_f32(trans_a, trans_b, 1.0f, a, b, 0.0f, c);
   return c;
 }
 

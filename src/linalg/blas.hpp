@@ -2,26 +2,21 @@
 //
 // The substrate the paper gets for free from NumPy/LAPACK. Level-3 matmul
 // runs through a packed, register-tiled kernel engine (BLIS-style
-// MC/KC/NC cache blocking around an MR x NR micro-kernel, shared between
-// the fp64 and fp32 paths — see linalg/gemm_engine.hpp) and fans out to
-// the shared-memory thread pool above a size threshold; gram() and gemv()
-// reuse the same engine / partitioning. The library's cost profile is
-// dominated by GEMM and the factorizations built on it.
+// MC/KC/NC cache blocking around an MR x NR micro-kernel — see
+// linalg/gemm_engine.hpp) and fans out to the shared-memory thread pool
+// above a size threshold; gram() and gemv() reuse the same engine /
+// partitioning. The library's cost profile is dominated by GEMM and the
+// factorizations built on it.
 //
-// Three precision regimes (DESIGN.md §12):
-//   * fp64 — the default and the library's currency;
-//   * fp32 — gemm_f32/matmul_f32 on MatrixF buffers, ~2x vector
-//     throughput, used by the mixed randomized-SVD path which refines
-//     the fp32 subspace back to fp64 (core/randomized.cpp);
-//   * compensated — double-double (two-sum/two-prod) accumulation for
-//     Gram matrices and long-stream dots behind PARSVD_COMPENSATED, for
-//     the ill-conditioned spots where naive fp64 summation loses digits.
+// All arithmetic is fp64, as in the paper's NumPy pipelines. The one
+// variant is compensated (double-double two-sum/two-prod) accumulation for
+// Gram matrices and long-stream dots behind PARSVD_COMPENSATED, for the
+// ill-conditioned spots where naive fp64 summation loses digits
+// (DESIGN.md §12).
 //
 // Blocking parameters come from the autotune profile (linalg/autotune.hpp):
 // defaults -> PARSVD_TUNE_PROFILE file -> PARSVD_GEMM_MC/KC/NC overrides.
 #pragma once
-
-#include <string_view>
 
 #include "linalg/autotune.hpp"
 #include "linalg/matrix.hpp"
@@ -30,30 +25,6 @@ namespace parsvd {
 
 /// Transposition selector for matmul operands.
 enum class Trans { No, Yes };
-
-/// Arithmetic regime for the flop-heavy inner loops of the randomized /
-/// streaming paths. Double is the reference; Single runs the range finder
-/// entirely in fp32 (coarse — bench/ablation use); Mixed runs sketch
-/// applies and power-iteration GEMMs in fp32 then re-orthogonalizes and
-/// projects in fp64, recovering fp64-grade singular values (DESIGN §12).
-enum class Precision { Double, Single, Mixed };
-
-const char* to_string(Precision p);
-
-/// Parse "double" / "single" / "mixed" (case-sensitive, matching the env
-/// registry); throws parsvd::Error on anything else.
-Precision precision_from_string(std::string_view s);
-
-/// Process-wide default from PARSVD_PRECISION (cached; "double" if unset).
-Precision default_precision();
-
-// ----------------------------------------------------- precision casts
-
-/// Elementwise narrowing copy (rounds to nearest float).
-MatrixF to_single(const Matrix& a);
-
-/// Elementwise widening copy.
-Matrix to_double(const MatrixF& a);
 
 // ------------------------------------------------------------- level 1
 
@@ -99,19 +70,9 @@ void ger(double alpha, std::span<const double> x, std::span<const double> y,
 void gemm(Trans trans_a, Trans trans_b, double alpha, const Matrix& a,
           const Matrix& b, double beta, Matrix& c);
 
-/// fp32 C = alpha * op(A) op(B) + beta * C through the same packed engine
-/// (float micro-kernels, fp32-tuned blocking). Same shape/alias contract
-/// as gemm().
-void gemm_f32(Trans trans_a, Trans trans_b, float alpha, const MatrixF& a,
-              const MatrixF& b, float beta, MatrixF& c);
-
 /// Convenience: returns op(A) op(B) as a fresh matrix.
 Matrix matmul(const Matrix& a, const Matrix& b,
               Trans trans_a = Trans::No, Trans trans_b = Trans::No);
-
-/// fp32 convenience counterpart of matmul().
-MatrixF matmul_f32(const MatrixF& a, const MatrixF& b,
-                   Trans trans_a = Trans::No, Trans trans_b = Trans::No);
 
 /// C = AᵀA (n x n Gram matrix). Only the upper triangle is computed (per
 /// column block, through the packed kernel) and mirrored; column blocks are
@@ -154,25 +115,16 @@ void gemm_accumulate(Trans trans_a, Trans trans_b, Index m, Index n, Index k,
                      const double* b, Index ldb, double* c, Index ldc,
                      bool allow_parallel = true);
 
-/// fp32 counterpart (same contract).
-void gemm_accumulate_f32(Trans trans_a, Trans trans_b, Index m, Index n,
-                         Index k, float alpha, const float* a, Index lda,
-                         const float* b, Index ldb, float* c, Index ldc,
-                         bool allow_parallel = true);
-
-/// True when an (mr, nr) micro-kernel is instantiated for the precision —
-/// the autotuner's feasibility check for sweep candidates.
+/// True when an (mr, nr) micro-kernel is instantiated — the autotuner's
+/// feasibility check for sweep candidates.
 bool has_kernel_f64(Index mr, Index nr);
-bool has_kernel_f32(Index mr, Index nr);
 
-/// Timed-probe entries for the autotuner: run the serial packed engine on
+/// Timed-probe entry for the autotuner: run the serial packed engine on
 /// untransposed column-major operands with an *explicit* blocking (cache
 /// blocks and micro tile), bypassing the cached active profile. C += A*B.
 /// Throws parsvd::Error when (blk.mr, blk.nr) has no instantiated kernel.
 void gemm_probe_f64(Index m, Index n, Index k, const double* a,
                     const double* b, double* c, const autotune::Blocking& blk);
-void gemm_probe_f32(Index m, Index n, Index k, const float* a, const float* b,
-                    float* c, const autotune::Blocking& blk);
 
 }  // namespace detail
 

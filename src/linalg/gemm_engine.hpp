@@ -1,17 +1,15 @@
-// Precision-templated packed GEMM engine.
+// Packed GEMM engine.
 //
-// The BLIS-style structure that used to live (double-only) inside
-// blas.cpp, lifted into templates so the fp32 fast path and the fp64
-// reference path share one packing/blocking machinery: op(A) macro-panels
-// (MC x KC) and op(B) macro-panels (KC x NC) are packed into contiguous,
-// transpose-resolved, zero-padded buffers, and an MR x NR register-tiled
-// micro-kernel accumulates C tiles over the full KC depth before touching
-// memory.
+// BLIS-style packing/blocking machinery, templated on the element type
+// (only fp64 is instantiated): op(A) macro-panels (MC x KC) and op(B)
+// macro-panels (KC x NC) are packed into contiguous, transpose-resolved,
+// zero-padded buffers, and an MR x NR register-tiled micro-kernel
+// accumulates C tiles over the full KC depth before touching memory.
 //
 // The micro tile (MR, NR) is a compile-time template parameter so the
 // accumulators live in registers; the cache blocks (MC, KC, NC) are
 // runtime values supplied by the autotune profile (src/linalg/autotune.*).
-// blas.cpp instantiates a small candidate set of (T, MR, NR) kernels and
+// blas.cpp instantiates a small candidate set of (MR, NR) kernels and
 // dispatches through a table keyed on the active profile, which is how
 // the autotuner gets to sweep the micro shape without recompiling.
 #pragma once
@@ -45,7 +43,7 @@ OpViewT<T> make_op_view(const T* data, Index ld, bool transposed) {
 
 inline Index engine_round_up(Index v, Index to) { return (v + to - 1) / to * to; }
 
-/// Runtime cache-blocking parameters (one per precision, autotuned).
+/// Runtime cache-blocking parameters (autotuned).
 struct EngineBlocking {
   Index mc;
   Index kc;
@@ -112,16 +110,10 @@ struct MicroRowOf;  // only the specialized (T, MR) pairs have kernels
 typedef double VecD4 __attribute__((vector_size(32), aligned(8)));
 typedef double VecD8 __attribute__((vector_size(64), aligned(8)));
 typedef double VecD16 __attribute__((vector_size(128), aligned(8)));
-typedef float VecF4 __attribute__((vector_size(16), aligned(4)));
-typedef float VecF8 __attribute__((vector_size(32), aligned(4)));
-typedef float VecF16 __attribute__((vector_size(64), aligned(4)));
 
 template <> struct MicroRowOf<double, 4> { using type = VecD4; };
 template <> struct MicroRowOf<double, 8> { using type = VecD8; };
 template <> struct MicroRowOf<double, 16> { using type = VecD16; };
-template <> struct MicroRowOf<float, 4> { using type = VecF4; };
-template <> struct MicroRowOf<float, 8> { using type = VecF8; };
-template <> struct MicroRowOf<float, 16> { using type = VecF16; };
 
 // Accumulators are eight explicitly named locals (NR <= 8) rather than an
 // array: gcc 12 will not promote an indexed accumulator array out of

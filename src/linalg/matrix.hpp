@@ -5,11 +5,8 @@
 //   * column-major storage (like LAPACK) so matrix columns are contiguous —
 //     the SVD library is dominated by tall-skinny matrices whose columns
 //     are snapshots, and column access is the hot path;
-//   * double precision is the library's currency (the paper's workloads
-//     are real-valued); MatrixF below is the deliberately minimal float
-//     buffer the fp32 kernel fast path converts into at the precision
-//     boundary (linalg/blas.hpp, DESIGN §12) — it never leaks into the
-//     user-facing factorization results;
+//   * double precision is the library's only arithmetic (the paper's
+//     workloads are real-valued and run in NumPy float64);
 //   * element access is assert-checked in debug builds and unchecked in
 //     release; all shape-changing entry points validate with exceptions.
 #pragma once
@@ -186,77 +183,6 @@ class Matrix {
   Index rows_ = 0;
   Index cols_ = 0;
   std::vector<double> data_;
-};
-
-/// Dense column-major matrix of floats — the working storage of the fp32
-/// kernel fast path. Minimal on purpose: fp32 buffers exist only between
-/// the to_single()/to_double() conversions in linalg/blas.hpp, so this
-/// carries exactly what the packed engine and the fp32 orthonormalization
-/// need (contiguous columns, aliasing guard) and nothing else.
-class MatrixF {
- public:
-  MatrixF() = default;
-  MatrixF(Index rows, Index cols, float value = 0.0f)
-      : rows_(rows),
-        cols_(cols),
-        data_(static_cast<std::size_t>(rows * cols), value) {
-    PARSVD_REQUIRE(rows >= 0 && cols >= 0, "negative matrix dimension");
-  }
-
-  Index rows() const { return rows_; }
-  Index cols() const { return cols_; }
-  Index size() const { return rows_ * cols_; }
-  bool empty() const { return rows_ == 0 || cols_ == 0; }
-
-  float& operator()(Index i, Index j) {
-    assert(i >= 0 && i < rows_ && j >= 0 && j < cols_);
-    return data_[static_cast<std::size_t>(j * rows_ + i)];
-  }
-  float operator()(Index i, Index j) const {
-    assert(i >= 0 && i < rows_ && j >= 0 && j < cols_);
-    return data_[static_cast<std::size_t>(j * rows_ + i)];
-  }
-
-  float* data() { return data_.data(); }
-  const float* data() const { return data_.data(); }
-
-  float* col_data(Index j) {
-    return data_.data() + static_cast<std::size_t>(j * rows_);
-  }
-  const float* col_data(Index j) const {
-    return data_.data() + static_cast<std::size_t>(j * rows_);
-  }
-
-  std::span<float> col_span(Index j) {
-    assert(j >= 0 && j < cols_);
-    return {data_.data() + static_cast<std::size_t>(j * rows_),
-            static_cast<std::size_t>(rows_)};
-  }
-  std::span<const float> col_span(Index j) const {
-    assert(j >= 0 && j < cols_);
-    return {data_.data() + static_cast<std::size_t>(j * rows_),
-            static_cast<std::size_t>(rows_)};
-  }
-
-  void fill(float value) {
-    std::fill(data_.begin(), data_.end(), value);
-  }
-
-  /// Same O(1) storage-overlap guard as Matrix::aliases.
-  bool aliases(const MatrixF& other) const {
-    if (data_.empty() || other.data_.empty()) return false;
-    const float* lo = data_.data();
-    const float* hi = lo + data_.size();
-    const float* olo = other.data_.data();
-    const float* ohi = olo + other.data_.size();
-    const std::less<const float*> lt;
-    return lt(lo, ohi) && lt(olo, hi);
-  }
-
- private:
-  Index rows_ = 0;
-  Index cols_ = 0;
-  std::vector<float> data_;
 };
 
 /// Elementwise arithmetic (shape-checked).

@@ -309,56 +309,6 @@ QrResult qr_thin(const Matrix& a) {
   return qr;
 }
 
-namespace {
-
-// fp32 column helpers with double accumulation (a float dot over 10^4+
-// rows loses ~3 digits if accumulated in float; the widening is free on
-// scalar units and irrelevant next to the fp32 GEMM savings).
-double dot_f32(std::span<const float> x, std::span<const float> y) {
-  double s = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    s += static_cast<double>(x[i]) * static_cast<double>(y[i]);
-  }
-  return s;
-}
-
-void axpy_f32(float alpha, std::span<const float> x, std::span<float> y) {
-  for (std::size_t i = 0; i < x.size(); ++i) y[i] += alpha * x[i];
-}
-
-}  // namespace
-
-Index orthonormalize_mgs2_f32(MatrixF& a, float tol) {
-  const Index n = a.cols();
-  Index dropped = 0;
-  std::vector<double> initial(static_cast<std::size_t>(n));
-  for (Index j = 0; j < n; ++j) {
-    initial[static_cast<std::size_t>(j)] =
-        std::sqrt(dot_f32(a.col_span(j), a.col_span(j)));
-  }
-
-  for (Index j = 0; j < n; ++j) {
-    auto colj = a.col_span(j);
-    for (int pass = 0; pass < 2; ++pass) {
-      for (Index i = 0; i < j; ++i) {
-        const double proj = dot_f32(a.col_span(i), colj);
-        axpy_f32(static_cast<float>(-proj), a.col_span(i), colj);
-      }
-    }
-    const double norm = std::sqrt(dot_f32(colj, colj));
-    const double floor_norm = static_cast<double>(tol) *
-                              std::max(initial[static_cast<std::size_t>(j)], 1.0);
-    if (norm <= floor_norm) {
-      std::fill(colj.begin(), colj.end(), 0.0f);
-      ++dropped;
-    } else {
-      const float inv = static_cast<float>(1.0 / norm);
-      for (float& v : colj) v *= inv;
-    }
-  }
-  return dropped;
-}
-
 Index orthonormalize_mgs2(Matrix& a, double tol) {
   const Index n = a.cols();
   Index dropped = 0;
@@ -385,115 +335,6 @@ Index orthonormalize_mgs2(Matrix& a, double tol) {
     }
   }
   return dropped;
-}
-
-namespace {
-
-// Cholesky S = RᵀR of a symmetric matrix (full storage), R left in the
-// upper triangle, strict lower zeroed. Fails (false) on a pivot at or
-// below `pivot_floor` — the caller sets the floor to the Gram noise level
-// of the precision that computed S, so "breakdown" means the
-// factorization would be resolving noise, not data. The `!(d > ...)`
-// form also catches NaN from an overflowed Gram.
-bool cholesky_upper(Matrix& s, double pivot_floor) {
-  const Index n = s.rows();
-  for (Index j = 0; j < n; ++j) {
-    double d = s(j, j);
-    for (Index k = 0; k < j; ++k) d -= s(k, j) * s(k, j);
-    if (!(d > pivot_floor)) return false;
-    const double r = std::sqrt(d);
-    s(j, j) = r;
-    for (Index i = j + 1; i < n; ++i) {
-      double v = s(j, i);
-      for (Index k = 0; k < j; ++k) v -= s(k, j) * s(k, i);
-      s(j, i) = v / r;
-    }
-  }
-  for (Index j = 0; j < n; ++j) {
-    for (Index i = j + 1; i < n; ++i) s(i, j) = 0.0;
-  }
-  return true;
-}
-
-// Inverse of an upper-triangular R by back substitution, column by
-// column. n is the sketch width (tens), so the O(n^3) scalar loops are
-// noise next to the m x n GEMMs around them.
-Matrix upper_inverse(const Matrix& r) {
-  const Index n = r.rows();
-  Matrix inv(n, n);
-  for (Index j = 0; j < n; ++j) {
-    inv(j, j) = 1.0 / r(j, j);
-    for (Index i = j - 1; i >= 0; --i) {
-      double s = 0.0;
-      for (Index k = i + 1; k <= j; ++k) s += r(i, k) * inv(k, j);
-      inv(i, j) = -s / r(i, i);
-    }
-  }
-  return inv;
-}
-
-// One fp64 CholeskyQR pass. `pivot_rel` scales the breakdown floor by the
-// largest Gram diagonal.
-bool cholqr_pass(Matrix& a, double pivot_rel) {
-  Matrix s = gram(a);
-  double max_diag = 0.0;
-  for (Index j = 0; j < s.cols(); ++j) max_diag = std::max(max_diag, s(j, j));
-  if (!(max_diag > 0.0)) return false;
-  if (!cholesky_upper(s, pivot_rel * max_diag)) return false;
-  const Matrix rinv = upper_inverse(s);
-  Matrix out(a.rows(), a.cols());
-  gemm(Trans::No, Trans::No, 1.0, a, rinv, 0.0, out);
-  a = std::move(out);
-  return true;
-}
-
-// fp32 pass: Gram and the basis update through the packed fp32 engine,
-// the small factorization in double (free, and it keeps one Cholesky).
-bool cholqr_pass_f32(MatrixF& a, double pivot_rel) {
-  MatrixF sf(a.cols(), a.cols());
-  gemm_f32(Trans::Yes, Trans::No, 1.0f, a, a, 0.0f, sf);
-  Matrix s(a.cols(), a.cols());
-  double max_diag = 0.0;
-  for (Index j = 0; j < sf.cols(); ++j) {
-    for (Index i = 0; i < sf.rows(); ++i) s(i, j) = static_cast<double>(sf(i, j));
-    max_diag = std::max(max_diag, s(j, j));
-  }
-  if (!(max_diag > 0.0)) return false;
-  if (!cholesky_upper(s, pivot_rel * max_diag)) return false;
-  const Matrix rinv = upper_inverse(s);
-  MatrixF rinvf(rinv.rows(), rinv.cols());
-  for (Index j = 0; j < rinv.cols(); ++j) {
-    for (Index i = 0; i < rinv.rows(); ++i) {
-      rinvf(i, j) = static_cast<float>(rinv(i, j));
-    }
-  }
-  MatrixF out(a.rows(), a.cols());
-  gemm_f32(Trans::No, Trans::No, 1.0f, a, rinvf, 0.0f, out);
-  a = std::move(out);
-  return true;
-}
-
-}  // namespace
-
-Index orthonormalize_cholqr2(Matrix& a, double tol) {
-  if (a.cols() == 0) return 0;
-  // Pivot floor at the fp64 Gram noise level: kappa(A)^2 beyond ~1e13
-  // means the first Gram is numerically singular and MGS2 (which never
-  // squares the condition number) is the right tool.
-  Matrix backup = a;
-  if (cholqr_pass(a, 1e-13) && cholqr_pass(a, 1e-13)) return 0;
-  a = std::move(backup);
-  return orthonormalize_mgs2(a, tol);
-}
-
-Index orthonormalize_cholqr2_f32(MatrixF& a, float tol) {
-  if (a.cols() == 0) return 0;
-  // fp32 Gram noise sits near 1e-7 relative, so breakdown fires around
-  // kappa(A) ~ 3e3 — exactly where fp32 CholeskyQR stops being safe.
-  MatrixF backup = a;
-  if (cholqr_pass_f32(a, 1e-6) && cholqr_pass_f32(a, 1e-6)) return 0;
-  a = std::move(backup);
-  return orthonormalize_mgs2_f32(a, tol);
 }
 
 double orthogonality_error(const Matrix& q) {

@@ -112,29 +112,6 @@ QrResult qr_thin_raw(const Matrix& a);
 /// count is returned (rank deficiency indicator).
 Index orthonormalize_mgs2(Matrix& a, double tol = 1e-12);
 
-/// fp32 counterpart used by the Single/Mixed range-finder paths (DESIGN
-/// §12): the same two-pass MGS, with the projection dots accumulated in
-/// double so the coefficients stay honest over long columns. The default
-/// drop tolerance is scaled to fp32 epsilon.
-Index orthonormalize_mgs2_f32(MatrixF& a, float tol = 1e-5f);
-
-/// CholeskyQR2 orthonormalization of the columns of `a` in place: two
-/// rounds of S = AᵀA (Cholesky S = RᵀR, A ← A R⁻¹), everything level-3
-/// through the packed engine, so it runs at GEMM speed where MGS2 is a
-/// memory-bound dot/axpy sweep — ~10x at range-finder shapes (4096 x 72).
-/// One round needs kappa(A)^2 below the working precision; the second
-/// round polishes orthogonality to machine level. On Cholesky breakdown
-/// (rank deficiency or extreme conditioning) it falls back to
-/// orthonormalize_mgs2 on the untouched input, so the return value is the
-/// dropped-column count with the same semantics. Used by the fp32/Mixed
-/// range-finder paths (DESIGN §12); the fp64 reference pipeline keeps
-/// MGS2 so its results stay bit-identical across releases.
-Index orthonormalize_cholqr2(Matrix& a, double tol = 1e-12);
-
-/// fp32 counterpart: Gram and the A R⁻¹ update run through the packed
-/// fp32 engine; the small Cholesky/triangular-inverse runs in double.
-Index orthonormalize_cholqr2_f32(MatrixF& a, float tol = 1e-5f);
-
 /// || QᵀQ - I ||_max — orthogonality defect used widely in tests.
 double orthogonality_error(const Matrix& q);
 

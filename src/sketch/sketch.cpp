@@ -50,43 +50,24 @@ GaussianSketch::GaussianSketch(Index dim, Index sketch_dim,
   flops_ = &reg.counter("sketch.dense_gaussian.flops");
 }
 
-void GaussianSketch::check_input(Index cols) const {
-  PARSVD_REQUIRE(cols == dim_,
-                 "sketch apply: input has " + std::to_string(cols) +
-                     " cols, operator dim is " + std::to_string(dim_));
-}
-
-void GaussianSketch::count_apply(Index m) const {
-  applies_->add(1);
-  flops_->add(static_cast<std::uint64_t>(apply_flops(m)));
-}
-
 void GaussianSketch::apply_right(const Matrix& a, Matrix& y) const {
   PARSVD_REQUIRE(!a.empty(), "sketch apply of an empty matrix");
-  check_input(a.cols());
+  PARSVD_REQUIRE(a.cols() == dim_,
+                 "sketch apply: input has " + std::to_string(a.cols()) +
+                     " cols, operator dim is " + std::to_string(dim_));
   PARSVD_REQUIRE(!a.aliases(y), "sketch apply: output aliases input");
   y.resize(a.rows(), sketch_dim_);
   obs::TraceScope span(kApplySpan);
   const Matrix omega = realize_rows(0, dim_);
   gemm(Trans::No, Trans::No, 1.0, a, omega, 0.0, y);
-  count_apply(a.rows());
+  applies_->add(1);
+  flops_->add(static_cast<std::uint64_t>(apply_flops(a.rows())));
 }
 
 Matrix GaussianSketch::apply_right(const Matrix& a) const {
   Matrix y;
   apply_right(a, y);
   return y;
-}
-
-void GaussianSketch::apply_right_f32(const MatrixF& a, MatrixF& y) const {
-  PARSVD_REQUIRE(!a.empty(), "sketch apply of an empty matrix");
-  check_input(a.cols());
-  PARSVD_REQUIRE(!a.aliases(y), "sketch apply: output aliases input");
-  obs::TraceScope span(kApplySpan);
-  const MatrixF omega = to_single(realize_rows(0, dim_));
-  y = MatrixF(a.rows(), sketch_dim_);
-  gemm_f32(Trans::No, Trans::No, 1.0f, a, omega, 0.0f, y);
-  count_apply(a.rows());
 }
 
 Matrix GaussianSketch::realize_rows(Index row0, Index nrows) const {

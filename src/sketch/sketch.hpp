@@ -45,11 +45,6 @@ class GaussianSketch {
   void apply_right(const Matrix& a, Matrix& y) const;
   Matrix apply_right(const Matrix& a) const;
 
-  /// fp32 working-precision sketch: Y = A Ω on float buffers (the Mixed /
-  /// Single range-finder paths, DESIGN §12). Ω is realized in fp64,
-  /// narrowed, and run through the fp32 packed GEMM.
-  void apply_right_f32(const MatrixF& a, MatrixF& y) const;
-
   /// Dense realization of rows [row0, row0 + nrows) of Ω — bit-exact for
   /// any blocking of the row range.
   Matrix realize_rows(Index row0, Index nrows) const;
@@ -59,9 +54,6 @@ class GaussianSketch {
   double apply_flops(Index m) const;
 
  private:
-  void check_input(Index cols) const;
-  void count_apply(Index m) const;
-
   Index dim_;
   Index sketch_dim_;
   std::uint64_t seed_;

@@ -63,11 +63,6 @@ TEST(Sketch, ApplyRightMatchesRealizedOperator) {
   const Matrix want = testing::naive_matmul(a, omega);
   expect_matrix_near(op.apply_right(a), want, 1e-12 * static_cast<double>(d),
                      "fp64");
-
-  MatrixF yf;
-  op.apply_right_f32(to_single(a), yf);
-  expect_matrix_near(to_double(yf), want, 1e-5 * static_cast<double>(d),
-                     "fp32");
 }
 
 TEST(Sketch, RealizeRowsPartitionInvariant) {
