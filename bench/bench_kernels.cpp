@@ -43,6 +43,7 @@
 #include "linalg/blas.hpp"
 #include "linalg/qr.hpp"
 #include "support/env.hpp"
+#include "support/error.hpp"
 #include "support/rng.hpp"
 #include "support/thread_pool.hpp"
 #include "support/timer.hpp"
@@ -551,7 +552,7 @@ bool write_json(const Harness& h, const std::string& path) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   bool smoke = false;
   bool tune = false;
   std::string out = parsvd::env::get_string("PARSVD_BENCH_OUT",
@@ -589,4 +590,7 @@ int main(int argc, char** argv) {
   }
   const bool wrote = write_json(h, out);
   return (h.failures() == 0 && wrote) ? 0 : 1;
+} catch (const parsvd::Error& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 1;
 }

@@ -19,13 +19,14 @@
 #include "post/export.hpp"
 #include "post/metrics.hpp"
 #include "support/env.hpp"
+#include "support/error.hpp"
 #include "support/timer.hpp"
 #include "workloads/batch_source.hpp"
 #include "workloads/burgers.hpp"
 
 namespace parsvd::bench {
 
-inline int run_fig1(Index mode, const std::string& csv_name) {
+inline int run_fig1(Index mode, const std::string& csv_name) try {
   namespace wl = workloads;
   const bool full = env::get_bool("PARSVD_FULL", false);
 
@@ -135,6 +136,9 @@ inline int run_fig1(Index mode, const std::string& csv_name) {
   io::write_csv(csv_name, csv, {"serial", "parallel", "abs_error"});
   std::printf("wrote %s\n\n", csv_name.c_str());
   return 0;
+} catch (const parsvd::Error& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 1;
 }
 
 }  // namespace parsvd::bench

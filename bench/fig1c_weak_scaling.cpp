@@ -30,11 +30,12 @@
 #include "core/apmos.hpp"
 #include "io/matrix_io.hpp"
 #include "support/env.hpp"
+#include "support/error.hpp"
 #include "support/timer.hpp"
 #include "workloads/batch_source.hpp"
 #include "workloads/burgers.hpp"
 
-int main() {
+int main() try {
   using namespace parsvd;
   namespace wl = workloads;
 
@@ -120,4 +121,7 @@ int main() {
               "eventually bend the curve, as on Theta.\n");
   std::printf("wrote fig1c_weak_scaling.csv\n\n");
   return 0;
+} catch (const parsvd::Error& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 1;
 }

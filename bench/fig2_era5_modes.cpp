@@ -16,11 +16,12 @@
 #include "post/export.hpp"
 #include "post/metrics.hpp"
 #include "support/env.hpp"
+#include "support/error.hpp"
 #include "support/timer.hpp"
 #include "workloads/batch_source.hpp"
 #include "workloads/era5_synthetic.hpp"
 
-int main() {
+int main() try {
   using namespace parsvd;
   namespace wl = workloads;
 
@@ -110,4 +111,7 @@ int main() {
   std::printf("\n");
   std::remove(store.c_str());
   return 0;
+} catch (const parsvd::Error& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 1;
 }

@@ -63,31 +63,24 @@ void ParallelStreamingSVD::initialize(const Matrix& batch) {
   gather_modes();
 }
 
-void ParallelStreamingSVD::root_svd_and_broadcast(const Matrix& r,
-                                                  Matrix& u_small, Vector& s) {
+void ParallelStreamingSVD::root_svd(const Matrix& r, Matrix& u_small,
+                                    Vector& s) {
   PARSVD_TRACE_SCOPE("pssvd.root_svd");
   const Index keep = std::min(opts_.num_modes, std::min(r.rows(), r.cols()));
-  if (comm_.is_root()) {
-    SvdResult f;
-    if (opts_.low_rank) {
-      RandomizedOptions ropts = opts_.randomized;
-      ropts.rank = keep;
-      f = randomized_svd(r, ropts, rng_);
-    } else {
-      SvdOptions sopts;
-      sopts.method = opts_.method;
-      sopts.rank = keep;
-      f = svd(r, sopts);
-    }
-    fix_svd_signs(f.u, f.v);
-    u_small = std::move(f.u);
-    s = std::move(f.s);
+  SvdResult f;
+  if (opts_.low_rank) {
+    RandomizedOptions ropts = opts_.randomized;
+    ropts.rank = keep;
+    f = randomized_svd(r, ropts, rng_);
+  } else {
+    SvdOptions sopts;
+    sopts.method = opts_.method;
+    sopts.rank = keep;
+    f = svd(r, sopts);
   }
-  std::vector<double> sv(s.begin(), s.end());
-  comm_.bcast_matrix(u_small, 0);
-  comm_.bcast(sv, 0);
-  s = Vector(static_cast<Index>(sv.size()));
-  std::copy(sv.begin(), sv.end(), s.begin());
+  fix_svd_signs(f.u, f.v);
+  u_small = std::move(f.u);
+  s = std::move(f.s);
 }
 
 void ParallelStreamingSVD::incorporate_data(const Matrix& batch) {
@@ -129,7 +122,7 @@ void ParallelStreamingSVD::incorporate_data(const Matrix& batch) {
     scal(opts_.forget_factor * singular_values_[j], ll.col_span(j));
   }
   ll = hcat(ll, weighted);
-  TsqrResult qr = tsqr(comm_, ll);
+  TsqrResult qr = tsqr(comm_, std::move(ll));
   accept_or_throw(opts_.fault_tolerant, qr.excluded_ranks, "tsqr R gather");
 
   // Step 2 (small, at root): SVD of the global R, truncated to K.
@@ -138,12 +131,18 @@ void ParallelStreamingSVD::incorporate_data(const Matrix& batch) {
   // paths, matching Algorithm 1 steps 3-5 (see DESIGN.md).
   Matrix u_small;
   Vector s;
-  root_svd_and_broadcast(qr.r, u_small, s);
+  if (comm_.is_root()) root_svd(qr.r, u_small, s);
 
-  // Steps 4-5: rotate the local Q slice onto the leading modes, applying
-  // the stored reflectors to the K columns (the local Q is never formed).
-  u_local_ = qr.q_times(u_small);
-  singular_values_ = std::move(s);
+  // Steps 4-5: rotate the local Q onto the leading modes. Root applies
+  // the stack's reflectors to [Ũ; 0] and scatters the K-column row
+  // blocks; each rank applies its own reflectors (no Q is ever formed).
+  u_local_ = qr.q_times(comm_, u_small);
+
+  // Every rank needs Σ̃ for the next discount.
+  std::vector<double> sv(s.begin(), s.end());
+  comm_.bcast(sv, 0);
+  singular_values_ = Vector(static_cast<Index>(sv.size()));
+  std::copy(sv.begin(), sv.end(), singular_values_.begin());
   gather_modes();
   if (opts_.fault_tolerant) update_fault_report();
 }

@@ -56,9 +56,10 @@ class ParallelStreamingSVD final : public SvdBase {
   const FaultReport& fault_report() const { return report_; }
 
  private:
-  /// Root SVD of the TSQR R factor + broadcast of (Ũ, Σ̃) — the "small
-  /// operation" of Levy-Lindenbaum step 2 in the distributed setting.
-  void root_svd_and_broadcast(const Matrix& r, Matrix& u_small, Vector& s);
+  /// Root only: SVD of the TSQR R factor truncated to K, (Ũ, Σ̃) — the
+  /// "small operation" of Levy-Lindenbaum step 2 in the distributed
+  /// setting. Ũ goes out as Q·Ũ row blocks, Σ̃ by broadcast.
+  void root_svd(const Matrix& r, Matrix& u_small, Vector& s);
 
   /// Re-gather the global modes at root into SvdBase::modes_.
   void gather_modes();

@@ -1,19 +1,34 @@
 #include "core/tsqr.hpp"
 
-#include <algorithm>
 #include <optional>
+#include <utility>
 
-#include "linalg/blas.hpp"
 #include "obs/trace.hpp"
 #include "pmpi/tags.hpp"
 
 namespace parsvd {
 
-// Wire tag from the pmpi registry: the Q-slice scatter owns the
+// Wire tag from the pmpi registry: the Q·Y block scatter owns the
 // kTsqrDownBase band.
 using pmpi::tags::tsqr_down;
 
-TsqrResult tsqr(pmpi::Communicator& comm, const Matrix& a_local) {
+namespace {
+
+// [D·top; 0] with `rows` rows: the input the reflectors of a factor with
+// diag(R) signs D turn into that factor's thin Q times `top`.
+Matrix lift(const Matrix& top, const std::vector<double>& signs, Index rows) {
+  Matrix b(rows, top.cols());
+  for (Index j = 0; j < top.cols(); ++j) {
+    for (Index i = 0; i < top.rows(); ++i) {
+      b(i, j) = signs[static_cast<std::size_t>(i)] * top(i, j);
+    }
+  }
+  return b;
+}
+
+}  // namespace
+
+TsqrResult tsqr(pmpi::Communicator& comm, Matrix a_local) {
   PARSVD_REQUIRE(!a_local.empty(), "tsqr of an empty local block");
   PARSVD_TRACE_SCOPE("tsqr.direct");
   const int p = comm.size();
@@ -24,7 +39,7 @@ TsqrResult tsqr(pmpi::Communicator& comm, const Matrix& a_local) {
   Matrix local_r;
   {
     PARSVD_TRACE_SCOPE("tsqr.factor_panel");
-    out.local_.emplace(a_local);
+    out.local_.emplace(std::move(a_local));
     local_r = out.local_->r();
     out.signs_ = fix_r_signs(local_r);
   }
@@ -34,66 +49,65 @@ TsqrResult tsqr(pmpi::Communicator& comm, const Matrix& a_local) {
   }
 
   // Stage 2: gather R factors at root and factor the stack of the ones
-  // that arrived.
+  // that arrived, keeping its Q in factored form for q_times().
   std::vector<std::optional<Matrix>> r_blocks =
       comm.gather_matrices(local_r, 0);
+  if (!comm.is_root()) return out;
 
-  if (comm.is_root()) {
-    std::vector<Index> block_rows(static_cast<std::size_t>(p), 0);
-    std::vector<Matrix> stack;
-    stack.reserve(r_blocks.size());
-    for (int src = 0; src < p; ++src) {
-      auto& block = r_blocks[static_cast<std::size_t>(src)];
-      if (!block) {
-        out.excluded_ranks.push_back(src);
-        continue;
-      }
-      block_rows[static_cast<std::size_t>(src)] = block->rows();
-      stack.push_back(std::move(*block));
+  out.block_rows_.assign(static_cast<std::size_t>(p), 0);
+  std::vector<Matrix> stack;
+  stack.reserve(r_blocks.size());
+  for (int src = 0; src < p; ++src) {
+    auto& block = r_blocks[static_cast<std::size_t>(src)];
+    if (!block) {
+      out.excluded_ranks.push_back(src);
+      continue;
     }
-    QrResult root = qr_thin(vcat(stack));
-    out.r = std::move(root.r);
-
-    // Stage 3: scatter row-slices of the stack's Q in rank order to the
-    // contributors. A rank dying after its gather contribution just
-    // leaves the posted slice unconsumed in its mailbox.
-    Index offset = 0;
-    for (int dst = 0; dst < p; ++dst) {
-      const Index nrows = block_rows[static_cast<std::size_t>(dst)];
-      if (nrows == 0) continue;  // excluded: no R factor, no slice
-      Matrix slice = root.q.block(offset, 0, nrows, root.q.cols());
-      offset += nrows;
-      if (dst == 0) {
-        out.slice_ = std::move(slice);
-      } else {
-        comm.send_matrix(slice, dst, tsqr_down(0));
-      }
-    }
-  } else {
-    // Root-must-survive contract: rank 0 owns the stacked factorization
-    // and always sends the slice to a rank it saw deliver its R block.
-    // parsvd-lint: allow-ft-wait
-    out.slice_ = comm.recv_matrix(0, tsqr_down(0));
+    out.block_rows_[static_cast<std::size_t>(src)] = block->rows();
+    stack.push_back(std::move(*block));
   }
-  comm.bcast_matrix(out.r, 0);
+  out.stack_.emplace(vcat(stack));
+  out.r = out.stack_->r();
+  out.stack_signs_ = fix_r_signs(out.r);
   return out;
 }
 
-Matrix TsqrResult::q_times(const Matrix& y) const {
+Matrix TsqrResult::q_times(pmpi::Communicator& comm, const Matrix& y) const {
   PARSVD_REQUIRE(local_.has_value(), "q_times on a TsqrResult tsqr() did not fill");
-  PARSVD_REQUIRE(y.rows() == r.rows(), "q_times: Y must have one row per column of Q");
-  // [D·slice·Y; 0], then the reflectors: Qᵢ·slice·Y without forming Qᵢ.
-  const Matrix top = slice_.empty() ? y : matmul(slice_, y);
-  Matrix b(local_->rows(), y.cols());
-  for (Index j = 0; j < y.cols(); ++j) {
-    for (Index i = 0; i < top.rows(); ++i) {
-      b(i, j) = signs_[static_cast<std::size_t>(i)] * top(i, j);
+  PARSVD_TRACE_SCOPE("tsqr.q_times");
+  Matrix top;  // this rank's kᵢ rows of Q_stack·Y
+  if (!comm.is_root()) {
+    // Root-must-survive contract: rank 0 owns the stacked factorization
+    // and always sends the block to a rank it saw deliver its R factor.
+    // parsvd-lint: allow-ft-wait
+    top = comm.recv_matrix(0, tsqr_down(0));
+  } else {
+    PARSVD_REQUIRE(y.rows() == r.rows(), "q_times: Y must have one row per column of Q");
+    if (!stack_) {
+      top = y;  // P = 1: the stack is this rank's R alone
+    } else {
+      Matrix qy = lift(y, stack_signs_, stack_->rows());
+      stack_->apply_q(qy);
+      // Scatter the row blocks in rank order to the contributors.
+      Index offset = 0;
+      for (int dst = 0; dst < comm.size(); ++dst) {
+        const Index nrows = block_rows_[static_cast<std::size_t>(dst)];
+        if (nrows == 0) continue;  // excluded: no R factor, no block
+        Matrix block = qy.block(offset, 0, nrows, qy.cols());
+        offset += nrows;
+        if (dst == 0) {
+          top = std::move(block);
+        } else {
+          comm.send_matrix(block, dst, tsqr_down(0));
+        }
+      }
     }
   }
+  PARSVD_REQUIRE(top.rows() == local_->rank_bound(),
+                 "q_times: block rows differ from the local R factor");
+  Matrix b = lift(top, signs_, local_->rows());
   local_->apply_q(b);
   return b;
 }
-
-Matrix TsqrResult::q_local() const { return q_times(Matrix::identity(r.rows())); }
 
 }  // namespace parsvd

@@ -4,14 +4,16 @@
 // matrix whose rows are partitioned across ranks. This is the direct
 // TSQR (Benson, Gleich & Demmel 2013; the one PyParSVD implements in
 // Listing 4): every rank computes a local thin QR, the R factors are
-// gathered and stacked at rank 0, one QR of the (Σkᵢ x n) stack yields
-// the global R, and rank 0 scatters the matching row-slices of the
-// stack's Q back, so rank i's rows of the global Q are Qᵢ · sliceᵢ. Only
-// the small R factors and Q slices travel, as in Li–Kluger–Tygert.
+// gathered and stacked at rank 0, and one QR of the (Σkᵢ x n) stack
+// yields the global R. The global Q is Q_local · Q_stack, and no rank
+// ever forms either factor: both stay in Householder form.
 //
-// Rank i keeps Qᵢ in Householder form and never forms it: the streaming
-// update only needs Q·u_small (K columns), which q_times() computes by
-// applying the stored reflectors to a K-column block.
+// The streaming update only needs Q·Ũ for the K kept left vectors Ũ of
+// the root SVD, so q_times() is the second half of the protocol: the
+// root applies the stack's reflectors to [Ũ; 0] and scatters the kᵢ x K
+// row blocks, and every rank applies its local reflectors to its block.
+// Only the small R factors and the K-column blocks travel, as in
+// Li–Kluger–Tygert; the n x n stack Q is never formed, sliced or sent.
 //
 // It uses the deterministic positive-diagonal sign convention from
 // qr_thin, which replaces the sign-negation "trick for consistency" in
@@ -29,41 +31,45 @@ namespace parsvd {
 
 class TsqrResult {
  public:
-  /// Global R factor, identical on every surviving rank.
+  /// Root-side only: the global R factor. Empty on the other ranks.
   Matrix r;
   /// Root-side only: ranks that died before posting their R factor, so
   /// their rows are absent from R. Always empty on the other ranks and
   /// in a run where nobody dies.
   std::vector<int> excluded_ranks;
 
-  /// This rank's rows of Q·Y, for the global thin Q and Y with r.rows()
-  /// rows: the local reflectors applied to [D·sliceᵢ·Y; 0], D the local
-  /// diag(R) signs. Costs O(mᵢ·kᵢ·Y.cols()) instead of the O(mᵢ·kᵢ·n) of
-  /// forming Qᵢ·sliceᵢ.
-  Matrix q_times(const Matrix& y) const;
-
-  /// This rank's rows of the global Q: q_times(I). Rows match a_local,
-  /// columns = r.rows() = min(Σ min(Mᵢ, n), n) over the contributing
-  /// ranks.
-  Matrix q_local() const;
+  /// Collective: this rank's rows of Q·Y, for the global thin Q and a Y
+  /// of r.rows() rows that only the root reads (the other ranks may pass
+  /// an empty matrix). The root applies the stack's reflectors to
+  /// [D·Y; 0] (D its diag(R) signs) and sends each contributor its
+  /// kᵢ x Y.cols() block on tsqr_down(0); an excluded rank gets nothing,
+  /// and a rank that died after posting its R leaves its block
+  /// unconsumed. Every rank then applies its local reflectors to
+  /// [D·blockᵢ; 0]. Costs O(Σkᵢ·n·c) at root and O(mᵢ·kᵢ·c) per rank.
+  Matrix q_times(pmpi::Communicator& comm, const Matrix& y) const;
 
  private:
-  friend TsqrResult tsqr(pmpi::Communicator& comm, const Matrix& a_local);
+  friend TsqrResult tsqr(pmpi::Communicator& comm, Matrix a_local);
 
   std::optional<HouseholderQr> local_;  // this rank's panel, factored form
   std::vector<double> signs_;           // diag(R_local) sign fix, ±1
-  Matrix slice_;  // this rank's rows of the stack's Q; empty = identity (P = 1)
+  // Root only, P > 1: the factored stack of R factors, its diag(R)
+  // signs, and every rank's kᵢ (0 = excluded) in stack order.
+  std::optional<HouseholderQr> stack_;
+  std::vector<double> stack_signs_;
+  std::vector<Index> block_rows_;
 };
 
 /// Distributed thin QR of the implicitly row-stacked matrix
 /// A = [a_local⁰; a_local¹; ...]. Collective: every rank must call with
-/// the same column count.
+/// the same column count. `a_local` is factored in place; a caller done
+/// with it moves it in.
 ///
 /// Death-aware: a rank that dies before posting its R factor is left
 /// out and the factorization completes on the survivors' rows; rank 0
 /// lists it in excluded_ranks, and the caller's fault policy decides
 /// whether to accept that result (see accept_or_throw). Rank 0's death
 /// remains unrecoverable (it owns the stacked factorization).
-TsqrResult tsqr(pmpi::Communicator& comm, const Matrix& a_local);
+TsqrResult tsqr(pmpi::Communicator& comm, Matrix a_local);
 
 }  // namespace parsvd

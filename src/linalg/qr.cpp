@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "linalg/autotune.hpp"
 #include "linalg/blas.hpp"
@@ -117,9 +118,9 @@ Matrix build_t(const PanelV& v, std::span<const double> tau) {
 
 }  // namespace
 
-HouseholderQr::HouseholderQr(const Matrix& a) : HouseholderQr(a, 0) {}
+HouseholderQr::HouseholderQr(Matrix a) : HouseholderQr(std::move(a), 0) {}
 
-HouseholderQr::HouseholderQr(const Matrix& a, Index block) : qr_(a) {
+HouseholderQr::HouseholderQr(Matrix a, Index block) : qr_(std::move(a)) {
   const Index m = qr_.rows();
   const Index n = qr_.cols();
   PARSVD_REQUIRE(m > 0 && n > 0, "QR of an empty matrix");

@@ -45,13 +45,14 @@ struct QrResult {
 class HouseholderQr {
  public:
   /// Factor A (any shape; m >= 1, n >= 1) with the default panel width
-  /// (PARSVD_QR_BLOCK, default 32).
-  explicit HouseholderQr(const Matrix& a);
+  /// (PARSVD_QR_BLOCK, default 32). A is taken by value and factored in
+  /// place: a caller done with its matrix moves it in and saves the copy.
+  explicit HouseholderQr(Matrix a);
 
   /// Factor with an explicit panel width. `block == 1` forces the
   /// unblocked column-at-a-time sweep (the reference path tests compare
   /// against); `block <= 0` selects the default.
-  HouseholderQr(const Matrix& a, Index block);
+  HouseholderQr(Matrix a, Index block);
 
   Index rows() const { return qr_.rows(); }
   Index cols() const { return qr_.cols(); }

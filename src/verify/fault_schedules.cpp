@@ -213,6 +213,29 @@ std::string p_root(int p, int root) {
   return "(p=" + std::to_string(p) + ", root=" + std::to_string(root);
 }
 
+/// Mirror of TsqrResult::q_times: the root sends every contributor its
+/// block of Q_stack·Y (`bytes[dst]`) on tags::tsqr_down(0), then each
+/// non-root blocks on a plain receive (root must survive). The skip is
+/// decided from the R gather's `delivered` — deterministic, not an
+/// is_dead race; a contributor dying after its R post just leaves its
+/// block unconsumed in the dead mailbox. `healthy` holds the fault-free
+/// blocks; only the victim's receive expects its healthy one.
+void scatter_q_blocks(FaultBuilder& b, int p, const std::vector<bool>& delivered,
+                      std::span<const std::uint64_t> bytes,
+                      std::span<const std::uint64_t> healthy, int victim,
+                      const std::string& what) {
+  for (int dst = 1; dst < p; ++dst) {
+    if (!delivered[static_cast<std::size_t>(dst)]) continue;
+    b.send(0, dst, tags::tsqr_down(0), bytes[static_cast<std::size_t>(dst)],
+           what);
+  }
+  for (int dst = 1; dst < p; ++dst) {
+    b.recv(dst, 0, tags::tsqr_down(0),
+           (dst == victim ? healthy : bytes)[static_cast<std::size_t>(dst)],
+           what + " (plain; root must survive)");
+  }
+}
+
 }  // namespace
 
 FaultSchedule script_gather(int p, int root,
@@ -290,19 +313,22 @@ FaultSchedule script_allgather(int p, std::uint64_t per_rank_bytes,
 }
 
 FaultSchedule script_tsqr_direct(std::span<const std::int64_t> rows_by_rank,
-                                 std::int64_t k, const FaultScenario& f) {
+                                 std::int64_t k, std::int64_t y_cols,
+                                 const FaultScenario& f) {
   const int p = static_cast<int>(rows_by_rank.size());
-  PARSVD_REQUIRE(p >= 1 && k >= 1, "tsqr_direct: need p >= 1 and k >= 1");
+  PARSVD_REQUIRE(p >= 1 && k >= 1 && y_cols >= 1,
+                 "tsqr_direct: need p >= 1, k >= 1 and y_cols >= 1");
   check_victim(p, f, /*root_must_survive=*/true);
   FaultSchedule out = start("tsqr_direct(p=" + std::to_string(p) +
-                                ", k=" + std::to_string(k) + ", rows=" +
+                                ", k=" + std::to_string(k) +
+                                ", c=" + std::to_string(y_cols) + ", rows=" +
                                 rows_suffix(rows_by_rank) + ")",
                             p, f);
   if (p == 1) return out;
   FaultBuilder b(out.schedule, f);
   Schedule& s = out.schedule;
 
-  // qr_thin of an m x k block yields a min(m, k) x k R factor.
+  // The local QR of an m x k block yields a min(m, k) x k R factor.
   const auto rloc = [&](int r) {
     return std::min<std::int64_t>(rows_by_rank[static_cast<std::size_t>(r)], k);
   };
@@ -313,35 +339,13 @@ FaultSchedule script_tsqr_direct(std::span<const std::int64_t> rows_by_rank,
   const std::vector<bool> delivered =
       root_loop(b, s, 0, tags::kGather, rbytes, "local R factor");
 
-  // Stacked-QR extent over the contributors (root included), degraded
-  // and healthy: the stacked QR's Q has min(Σ min(mᵢ, k), k) columns.
-  // A delivered victim means nothing was excluded, so the two agree
-  // whenever the victim's later receives execute.
-  std::int64_t stack = 0;
-  std::int64_t stack_h = 0;
+  // q_times: the contributors' rloc(r) x y_cols blocks of Q_stack·Y.
+  std::vector<std::uint64_t> qbytes(static_cast<std::size_t>(p));
   for (int r = 0; r < p; ++r) {
-    stack_h += rloc(r);
-    if (delivered[static_cast<std::size_t>(r)]) stack += rloc(r);
+    qbytes[static_cast<std::size_t>(r)] = matrix_bytes(rloc(r), y_cols);
   }
-  const std::int64_t qcols = std::min(stack, k);
-  const std::int64_t qcols_h = std::min(stack_h, k);
-
-  // Q row-slices back to the contributing survivors only. The skip is
-  // decided from the gather results — deterministic, not an is_dead
-  // race; a contributor dying afterwards just leaves its posted slice
-  // unconsumed in the dead mailbox.
-  for (int dst = 1; dst < p; ++dst) {
-    if (!delivered[static_cast<std::size_t>(dst)]) continue;
-    b.send(0, dst, tags::tsqr_down(0), matrix_bytes(rloc(dst), qcols),
-           "Q row-slice");
-  }
-  for (int dst = 1; dst < p; ++dst) {
-    b.recv(dst, 0, tags::tsqr_down(0),
-           matrix_bytes(rloc(dst), dst == f.victim ? qcols_h : qcols),
-           "Q row-slice (plain; root must survive)");
-  }
-  bcast(b, s, 0, matrix_bytes(qcols_h, k), matrix_bytes(qcols, k), "final R",
-        f.victim);
+  // The blocks keep their shape whoever is excluded.
+  scatter_q_blocks(b, p, delivered, qbytes, qbytes, f.victim, "Q·Y block");
   finish(out, b);
   return out;
 }
@@ -481,11 +485,13 @@ FaultSchedule script_streaming_updates(const StreamingShape& shape,
       }
     }
 
-    // tsqr on [discounted modes | batch]: k = ucols + B.
+    // tsqr on [discounted modes | batch]: k = ucols + B. Its R gather,
+    // then the root SVD of the global R (qcols x k), truncated to K.
     const std::int64_t k = ucols + B;
     const std::int64_t k_h = ucols_h + B;
-    std::int64_t qcols = k;
-    std::int64_t qcols_h = k_h;
+    std::int64_t qcols = std::min(rows(0), k);  // P = 1: rank 0's own R
+    std::int64_t qcols_h = qcols;
+    std::vector<bool> delivered_t(static_cast<std::size_t>(p), true);
     if (p > 1) {
       std::vector<std::uint64_t> rbytes(static_cast<std::size_t>(p));
       for (int r = 0; r < p; ++r) {
@@ -493,7 +499,7 @@ FaultSchedule script_streaming_updates(const StreamingShape& shape,
         rbytes[static_cast<std::size_t>(r)] =
             matrix_bytes(std::min(rows(r), kk), kk);
       }
-      const std::vector<bool> delivered_t =
+      delivered_t =
           root_loop(b, s, 0, tags::kGather, rbytes, round + ": local R factor");
       std::int64_t stack = 0;
       std::int64_t stack_h = 0;
@@ -505,31 +511,22 @@ FaultSchedule script_streaming_updates(const StreamingShape& shape,
       }
       qcols = std::min(stack, k);
       qcols_h = std::min(stack_h, k_h);
-      for (int dst = 1; dst < p; ++dst) {
-        if (!delivered_t[static_cast<std::size_t>(dst)]) continue;
-        b.send(0, dst, tags::tsqr_down(0),
-               matrix_bytes(std::min(rows(dst), k), qcols),
-               round + ": Q row-slice");
-      }
-      for (int dst = 1; dst < p; ++dst) {
-        const std::int64_t kk = dst == f.victim ? k_h : k;
-        b.recv(dst, 0, tags::tsqr_down(0),
-               matrix_bytes(std::min(rows(dst), kk),
-                            dst == f.victim ? qcols_h : qcols),
-               round + ": Q row-slice (plain; root must survive)");
-      }
-      bcast(b, s, 0, matrix_bytes(qcols_h, k_h), matrix_bytes(qcols, k),
-            round + ": final R", f.victim);
-    } else {
-      qcols = std::min(rows(0), k);
-      qcols_h = qcols;
     }
-
-    // Root SVD of the global R, truncated to K, then the result bcasts.
     const std::int64_t keep = std::min(K, qcols);
     const std::int64_t keep_h = std::min(K, qcols_h);
-    bcast(b, s, 0, matrix_bytes(qcols_h, keep_h), matrix_bytes(qcols, keep),
-          round + ": rotation U", f.victim);
+
+    // q_times scatter of the min(rows, k) x keep blocks of Q_stack·Ũ,
+    // then the singular value bcast.
+    std::vector<std::uint64_t> qbytes(static_cast<std::size_t>(p));
+    std::vector<std::uint64_t> qbytes_h(static_cast<std::size_t>(p));
+    for (int r = 0; r < p; ++r) {
+      qbytes[static_cast<std::size_t>(r)] =
+          matrix_bytes(std::min(rows(r), k), keep);
+      qbytes_h[static_cast<std::size_t>(r)] =
+          matrix_bytes(std::min(rows(r), k_h), keep_h);
+    }
+    scatter_q_blocks(b, p, delivered_t, qbytes, qbytes_h, f.victim,
+                     round + ": Q·U block");
     bcast(b, s, 0, static_cast<std::uint64_t>(keep_h) * sizeof(double),
           static_cast<std::uint64_t>(keep) * sizeof(double),
           round + ": singular values", f.victim);

@@ -16,7 +16,7 @@
 //
 // A degraded schedule is a function of the scenario: which
 // contributions the root collects decides the stacked-QR extent, the
-// slice sizes and the FaultReport. The emitters replay that dataflow
+// Q·Y block sizes and the FaultReport. The emitters replay that dataflow
 // and additionally predict the observable side effects the
 // cross-validation tests pin to the real runtime:
 //   - effective registry totals (messages / bytes actually posted),
@@ -84,13 +84,14 @@ FaultSchedule script_allreduce(int p, std::uint64_t bytes,
 FaultSchedule script_allgather(int p, std::uint64_t per_rank_bytes,
                                const FaultScenario& f = kKillFree);
 
-/// core tsqr (root = rank 0): gather of the local R factors
-/// (min(rows, k) x k each), stacked QR over the contributors, Q
-/// row-slices on tags::tsqr_down(0) back to the contributors only, then
-/// the bcast of the final R. `rows_by_rank` may be ragged, including
-/// ranks with fewer rows than k. A victim must be a non-root rank.
+/// core tsqr followed by TsqrResult::q_times (root = rank 0): gather of
+/// the local R factors (min(rows, k) x k each), stacked QR over the
+/// contributors, then the min(rows, k) x y_cols blocks of Q_stack·Y on
+/// tags::tsqr_down(0) back to the contributors only. `rows_by_rank` may
+/// be ragged, including ranks with fewer rows than k. A victim must be
+/// a non-root rank.
 FaultSchedule script_tsqr_direct(std::span<const std::int64_t> rows_by_rank,
-                                 std::int64_t k,
+                                 std::int64_t k, std::int64_t y_cols,
                                  const FaultScenario& f = kKillFree);
 
 /// core apmos_svd (root = rank 0): gather of the [rows] header + W
@@ -124,9 +125,10 @@ struct StreamingShape {
 };
 
 /// core parallel_streaming.cpp update loop (root = rank 0), `rounds`
-/// updates after a healthy initialize. Per round: [energy gather], tsqr
-/// on [discounted modes | batch], u_small / singular value bcasts, mode
-/// gather, [FaultReport bcast] — bracketed legs under the fault-tolerant
+/// updates after a healthy initialize. Per round: [energy gather], the
+/// tsqr R gather on [discounted modes | batch], the root SVD, the
+/// q_times scatter of Q·[Ũ; 0], the singular value bcast, mode gather,
+/// [FaultReport bcast] — bracketed legs under the fault-tolerant
 /// policy only. A victim must be a non-root rank; report_flat is the
 /// LAST round's report payload.
 FaultSchedule script_streaming_updates(const StreamingShape& shape,

@@ -98,8 +98,9 @@ void sweep_p(int p, SweepStats* stats) {
     for (int r = 0; r < p; ++r) {
       ragged[static_cast<std::size_t>(r)] = 2 + (r % 5);
     }
-    run_check(script_tsqr_direct(uniform, k).schedule, stats);
-    run_check(script_tsqr_direct(ragged, k).schedule, stats);
+    // q_times with a 2-column Y, as the streaming update's K = 2 below.
+    run_check(script_tsqr_direct(uniform, k, 2).schedule, stats);
+    run_check(script_tsqr_direct(ragged, k, 2).schedule, stats);
   }
   std::vector<std::int64_t> rows(static_cast<std::size_t>(p));
   for (int r = 0; r < p; ++r) {
@@ -306,7 +307,7 @@ bool run_fault_sweep(bool smoke, const std::string& proto) {
           for (int v = 1; v < p; ++v) {
             sweep_kill_points(
                 [&](FaultScenario f) {
-                  return script_tsqr_direct(rows, k, f);
+                  return script_tsqr_direct(rows, k, 2, f);
                 },
                 v, &stats, &racy);
           }

@@ -159,7 +159,7 @@ Schedule group_protocol_schedule(GroupProtocol proto, int p,
     case GroupProtocol::Barrier:
       return script_group_barrier(p);
     case GroupProtocol::Tsqr:
-      return script_tsqr_direct(rows, 3).schedule;
+      return script_tsqr_direct(rows, 3, 2).schedule;
     case GroupProtocol::Apmos:
       return script_apmos(rows, 6, 3, 2, /*fault_tolerant=*/false).schedule;
   }

@@ -439,25 +439,33 @@ TEST(FaultDegraded, TsqrExcludesDeadRankAndStaysAFactorization) {
   FaultPlan plan;
   plan.kill_rank(1, 0);  // dies on its first op: the R gather post
   auto ctx = make_ctx(p, std::move(plan));
-  std::array<std::optional<TsqrResult>, 3> results;
+  struct Out {
+    std::vector<int> excluded;
+    Matrix q;  // this rank's rows of the global Q
+    Matrix r;  // the global R, broadcast from the root
+  };
+  std::array<std::optional<Out>, 3> results;
   pmpi::run_on(ctx, [&](Communicator& comm) {
-    results[static_cast<std::size_t>(comm.rank())] =
+    const TsqrResult res =
         tsqr(comm, blocks[static_cast<std::size_t>(comm.rank())]);
+    Out out{res.excluded_ranks, testing::q_local(comm, res), res.r};
+    comm.bcast_matrix(out.r, 0);
+    results[static_cast<std::size_t>(comm.rank())] = std::move(out);
   });
   EXPECT_FALSE(results[1].has_value());
   // The exclusion list is root-side only.
-  EXPECT_EQ(results[0]->excluded_ranks, std::vector<int>{1});
-  EXPECT_TRUE(results[2]->excluded_ranks.empty());
+  EXPECT_EQ(results[0]->excluded, std::vector<int>{1});
+  EXPECT_TRUE(results[2]->excluded.empty());
   for (int r : {0, 2}) {
     const auto& res = results[static_cast<std::size_t>(r)];
     ASSERT_TRUE(res.has_value()) << "rank " << r;
     // Still an exact factorization of the surviving rows.
-    testing::expect_matrix_near(
-        testing::naive_matmul(res->q_local(), res->r),
-        blocks[static_cast<std::size_t>(r)], 1e-10, "q_local * r");
+    testing::expect_matrix_near(testing::naive_matmul(res->q, res->r),
+                                blocks[static_cast<std::size_t>(r)], 1e-10,
+                                "q_local * r");
   }
-  // Survivor Q slices stack to an orthonormal basis.
-  const Matrix stacked = vcat(results[0]->q_local(), results[2]->q_local());
+  // Survivor Q rows stack to an orthonormal basis.
+  const Matrix stacked = vcat(results[0]->q, results[2]->q);
   EXPECT_LT(testing::ortho_defect(stacked), 1e-10);
 }
 

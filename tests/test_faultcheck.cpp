@@ -205,7 +205,7 @@ TEST(FaultSweepRegression, AllKillPointsQuiesceOnShippedProtocols) {
         return verify::script_allreduce(p, 5 * sizeof(double), f);
       }, v);
       sweep([&](FaultScenario f) {
-        return verify::script_tsqr_direct(rows, 3, f);
+        return verify::script_tsqr_direct(rows, 3, 2, f);
       }, v);
       sweep([&](FaultScenario f) {
         return verify::script_apmos(rows, 4, 3, 2, /*fault_tolerant=*/true,
@@ -359,10 +359,11 @@ TEST(FaultCrossValidation, AllreduceLargerWorldKillBeforeContribution) {
 TEST(FaultCrossValidation, TsqrDirectKillBeforeRFactorPost) {
   const int p = 4;
   const std::int64_t k = 3;
+  const std::int64_t c = 2;
   const int victim = 2;
   const std::vector<std::int64_t> rows{5, 6, 7, 8};
   const FaultSchedule model =
-      verify::script_tsqr_direct(rows, k, {victim, 0});
+      verify::script_tsqr_direct(rows, k, c, {victim, 0});
   ASSERT_TRUE(model.deterministic);
   ASSERT_TRUE(check_fault_schedule(model.schedule, model.scenario).ok());
 
@@ -374,13 +375,18 @@ TEST(FaultCrossValidation, TsqrDirectKillBeforeRFactorPost) {
     const Matrix a = testing::random_matrix(rows[r], k, 900 + r);
     const TsqrResult out = tsqr(comm, a);
     if (comm.rank() != victim) {
-      // The exclusion list is root-side only.
+      // The exclusion list and R are root-side only.
       EXPECT_EQ(out.excluded_ranks,
                 comm.is_root() ? std::vector<int>{victim} : std::vector<int>{})
           << "rank " << comm.rank();
-      EXPECT_EQ(out.r.rows(), k);
-      EXPECT_EQ(out.r.cols(), k);
+      EXPECT_EQ(out.r.rows(), comm.is_root() ? k : 0);
+      EXPECT_EQ(out.r.cols(), comm.is_root() ? k : 0);
     }
+    const Matrix y =
+        comm.is_root() ? testing::random_matrix(k, c, 901) : Matrix{};
+    const Matrix qy = out.q_times(comm, y);
+    EXPECT_EQ(qy.rows(), rows[r]);
+    EXPECT_EQ(qy.cols(), c);
   });
   EXPECT_EQ(ctx->dead_ranks(), std::vector<int>{victim});
   EXPECT_EQ(ctx->total_messages(), model.messages);
@@ -514,11 +520,12 @@ void cross_validate_streaming(int p, std::vector<std::int64_t> rows,
 }
 
 TEST(FaultCrossValidation, StreamingKillAtSecondRoundEnergyPost) {
-  // Victim dies at its round-2 energy post (model step 8): round 1 is
-  // fully healthy, round 2 runs degraded with the death observed at
-  // the energy gather.
+  // Victim dies at its round-2 energy post (model step 6, after the six
+  // round-1 events: energy post, R post, Q·U block, sigma, modes post,
+  // report): round 1 is fully healthy, round 2 runs degraded with the
+  // death observed at the energy gather.
   cross_validate_streaming(/*p=*/4, {4, 5, 6, 7}, /*cols0=*/4, /*victim=*/1,
-                           /*rounds=*/2, /*kill_step=*/8);
+                           /*rounds=*/2, /*kill_step=*/6);
 }
 
 TEST(FaultCrossValidation, StreamingKillAtModesPostShrinksRoundTwo) {
@@ -526,10 +533,10 @@ TEST(FaultCrossValidation, StreamingKillAtModesPostShrinksRoundTwo) {
   // round-2 degraded sizes genuinely diverge from the healthy ones
   // (qcols drops from 3 to 2) — the totals only match if the model
   // tracks the degraded size evolution exactly. The kill lands at the
-  // victim's round-1 modes post (model step 6), after it already
-  // consumed the round-1 result broadcasts.
+  // victim's round-1 modes post (model step 4), after it already
+  // consumed its round-1 Q·U block and the sigma broadcast.
   cross_validate_streaming(/*p=*/3, {1, 1, 1}, /*cols0=*/4, /*victim=*/2,
-                           /*rounds=*/2, /*kill_step=*/6);
+                           /*rounds=*/2, /*kill_step=*/4);
 }
 
 }  // namespace

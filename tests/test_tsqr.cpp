@@ -1,12 +1,14 @@
 // Distributed TSQR tests: the direct TSQR against the serial QR, on a
 // clean context and under a delay-fault plan, rank-count invariance,
-// uneven row splits, orthogonality of the assembled Q, and the implicit
-// Q·Y product (q_times) against the explicit local Q.
+// uneven row splits, orthogonality of the assembled Q, the root-only R,
+// and the collective Q·Y product (q_times) against a dense serial Q·Y,
+// also when a rank dies before or after posting its R factor.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -26,6 +28,7 @@ using pmpi::Communicator;
 using testing::expect_matrix_near;
 using testing::naive_matmul;
 using testing::ortho_defect;
+using testing::q_local;
 using testing::random_matrix;
 using workloads::partition_rows;
 
@@ -46,12 +49,17 @@ QrResult run_tsqr(const Matrix& a, int p, bool faulty = false) {
     const auto part = partition_rows(a.rows(), p, comm.rank());
     const Matrix local = a.block(part.offset, 0, part.count, a.cols());
     TsqrResult res = tsqr(comm, local);
+    Matrix q = q_local(comm, res);
     std::lock_guard<std::mutex> lock(mu);
-    q_blocks[static_cast<std::size_t>(comm.rank())] = res.q_local();
+    q_blocks[static_cast<std::size_t>(comm.rank())] = std::move(q);
     if (comm.is_root()) r = std::move(res.r);
   });
   return {vcat(q_blocks), std::move(r)};
 }
+
+// q_times against the dense serial Q: the two factorizations differ only
+// in rounding order.
+constexpr double kSerialTol = 1e-13;
 
 class TsqrSweep
     : public ::testing::TestWithParam<std::tuple<int, int, int, int>> {};
@@ -69,29 +77,56 @@ TEST_P(TsqrSweep, MatchesSerialQr) {
   expect_matrix_near(dist.q, serial.q, 1e-10, "Q");
 }
 
-/// Largest |q_times(Y) - q_local()·Y| over the ranks that return, for
-/// row blocks of the given heights, n columns and a Y of `c` columns
-/// (the same seeded Y on every rank). `ctx` may carry a fault plan.
+/// Largest |q_times(Y) - Q·Y| over the ranks that return, Q the dense
+/// serial thin Q of the row blocks whose R factor reached the root, for
+/// blocks of the given heights, n columns and a seeded Y of `c`
+/// columns passed at root. `ctx` may carry a fault plan; the blocks of
+/// `excluded` ranks (dead before posting R) are left out of Q.
 double q_times_defect(const std::vector<Index>& rows, Index n, Index c,
-                      const std::shared_ptr<pmpi::Context>& ctx) {
-  double worst = 0.0;
-  int returned = 0;
+                      const std::shared_ptr<pmpi::Context>& ctx,
+                      const std::vector<int>& excluded = {}) {
+  const std::size_t p = rows.size();
+  const auto in_q = [&](std::size_t r) {
+    return std::find(excluded.begin(), excluded.end(), static_cast<int>(r)) ==
+           excluded.end();
+  };
+  std::vector<Matrix> locals(p);
+  std::vector<Matrix> stack;
+  for (std::size_t r = 0; r < p; ++r) {
+    locals[r] = random_matrix(rows[r], n, 300 + r);
+    if (in_q(r)) stack.push_back(locals[r]);
+  }
+  const Matrix q = qr_thin(vcat(stack)).q;
+  const Matrix qy = naive_matmul(q, random_matrix(q.cols(), c, 299));
+
+  std::vector<std::optional<Matrix>> got(p);
   std::mutex mu;
   pmpi::run_on(ctx, [&](Communicator& comm) {
     const auto r = static_cast<std::size_t>(comm.rank());
-    const Matrix local = random_matrix(rows[r], n, 300 + r);
-    const TsqrResult res = tsqr(comm, local);
-    const Matrix y = random_matrix(res.r.rows(), c, 299);
-    const Matrix implicit = res.q_times(y);
-    const Matrix explicit_q = res.q_local();
-    EXPECT_EQ(implicit.rows(), rows[r]);
-    EXPECT_EQ(explicit_q.rows(), rows[r]);
-    EXPECT_EQ(explicit_q.cols(), res.r.rows());
-    const double d = max_abs_diff(implicit, naive_matmul(explicit_q, y));
+    const TsqrResult res = tsqr(comm, locals[r]);
+    if (comm.is_root()) {
+      EXPECT_EQ(res.excluded_ranks, excluded);
+    }
+    const Matrix y =
+        comm.is_root() ? random_matrix(res.r.rows(), c, 299) : Matrix{};
+    Matrix mine = res.q_times(comm, y);
     std::lock_guard<std::mutex> lock(mu);
-    worst = std::max(worst, d);
-    ++returned;
+    got[r] = std::move(mine);
   });
+  double worst = 0.0;
+  int returned = 0;
+  Index offset = 0;
+  for (std::size_t r = 0; r < p; ++r) {
+    if (got[r]) {
+      EXPECT_TRUE(in_q(r)) << "an excluded rank returned";
+      EXPECT_EQ(got[r]->rows(), rows[r]);
+      EXPECT_EQ(got[r]->cols(), c);
+      worst = std::max(worst,
+                       max_abs_diff(*got[r], qy.block(offset, 0, rows[r], c)));
+      ++returned;
+    }
+    if (in_q(r)) offset += rows[r];
+  }
   EXPECT_GT(returned, 0);
   return worst;
 }
@@ -107,8 +142,8 @@ TEST_P(TsqrSweep, QTimesMatchesExplicitQ) {
     ctx->set_fault_plan(pmpi::FaultPlan::chaos(
         static_cast<std::uint64_t>(m * 31 + p), 0.1));
   }
-  for (const Index c : {Index{1}, Index{4}}) {
-    EXPECT_LT(q_times_defect(rows, n, c, ctx), 1e-13) << "Y columns " << c;
+  for (const Index c : {Index{1}, Index{4}, Index{n}}) {
+    EXPECT_LT(q_times_defect(rows, n, c, ctx), kSerialTol) << "Y columns " << c;
   }
 }
 
@@ -123,7 +158,7 @@ TEST(Tsqr, QTimesBlockShapes) {
     const int p = static_cast<int>(rows.size());
     for (const Index c : {Index{1}, Index{4}, Index{12}}) {
       EXPECT_LT(q_times_defect(rows, 12, c, std::make_shared<pmpi::Context>(p)),
-                1e-13)
+                kSerialTol)
           << "P " << p << ", Y columns " << c;
     }
   }
@@ -131,13 +166,26 @@ TEST(Tsqr, QTimesBlockShapes) {
 
 TEST(Tsqr, QTimesOnSurvivorsWithAnExcludedRank) {
   // Rank 1 dies on its first op (the R gather post): the survivors'
-  // q_times must still match their explicit Q rows.
+  // q_times must match their rows of the serial Q of the other blocks.
   pmpi::FaultPlan plan;
   plan.kill_rank(1, 0);
   auto ctx = std::make_shared<pmpi::Context>(4);
   ctx->set_fault_plan(std::move(plan));
-  EXPECT_LT(q_times_defect({20, 20, 20, 20}, 6, 4, ctx), 1e-13);
+  EXPECT_LT(q_times_defect({20, 20, 20, 20}, 6, 4, ctx, {1}), kSerialTol);
   EXPECT_EQ(ctx->dead_ranks(), std::vector<int>{1});
+}
+
+TEST(Tsqr, QTimesOnSurvivorsWhenARankDiesAfterPostingR) {
+  // Rank 2 posts its R factor, then dies waiting for its Q·Y block (its
+  // second op). Its rows stay in the factorization and its block stays
+  // unconsumed; the survivors' rows are those of the serial Q of all four
+  // blocks, and nobody hangs.
+  pmpi::FaultPlan plan;
+  plan.kill_rank(2, 1);
+  auto ctx = std::make_shared<pmpi::Context>(4);
+  ctx->set_fault_plan(std::move(plan));
+  EXPECT_LT(q_times_defect({20, 9, 20, 3}, 6, 4, ctx), kSerialTol);
+  EXPECT_EQ(ctx->dead_ranks(), std::vector<int>{2});
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -150,8 +198,8 @@ INSTANTIATE_TEST_SUITE_P(
 // Local panels at the pipeline shapes (burgers 4096 x 20, era5 2592 x 204
 // and 816 x 204, the root's 80 x 20) plus a ragged mᵢ < n block, at P = 4.
 // The assembled Q and R are checked against oracles that run no QR code
-// (testing::expect_qr_matches_oracle), and every rank's q_times(Y)
-// against its rows of that Q times Y.
+// (testing::expect_qr_matches_oracle), and the q_times(Y) rows against
+// that Q times Y.
 using PanelParam = std::tuple<std::pair<int, int>, testing::PanelCase>;
 
 class TsqrPanelShapes : public ::testing::TestWithParam<PanelParam> {};
@@ -169,22 +217,28 @@ TEST_P(TsqrPanelShapes, QTimesMatchesOracles) {
   const testing::PanelInput in = testing::panel_input(
       kRanks * rows_per_rank, n, c, static_cast<std::uint64_t>(700 + n));
   std::vector<Matrix> q_blocks(kRanks);
+  std::vector<Matrix> qy_blocks(kRanks);
   Matrix r;
-  double q_times_defect = 0.0;
+  Matrix y;
   std::mutex mu;
   pmpi::run(kRanks, [&](Communicator& comm) {
     const auto part = partition_rows(in.a.rows(), kRanks, comm.rank());
     const TsqrResult res = tsqr(comm, in.a.block(part.offset, 0, part.count, n));
-    const Matrix q_block = res.q_local();
-    const Matrix y = random_matrix(res.r.rows(), 10, 701);
-    const double d = max_abs_diff(res.q_times(y), naive_matmul(q_block, y));
+    Matrix q_block = q_local(comm, res);
+    const Matrix y_root =
+        comm.is_root() ? random_matrix(res.r.rows(), 10, 701) : Matrix{};
+    Matrix qy_block = res.q_times(comm, y_root);
     std::lock_guard<std::mutex> lock(mu);
-    q_times_defect = std::max(q_times_defect, d);
-    q_blocks[static_cast<std::size_t>(comm.rank())] = q_block;
-    if (comm.is_root()) r = res.r;
+    q_blocks[static_cast<std::size_t>(comm.rank())] = std::move(q_block);
+    qy_blocks[static_cast<std::size_t>(comm.rank())] = std::move(qy_block);
+    if (comm.is_root()) {
+      r = res.r;
+      y = y_root;
+    }
   });
-  EXPECT_LT(q_times_defect, 1e-12);
-  testing::expect_qr_matches_oracle(in, vcat(q_blocks), r, 1e-12);
+  const Matrix q = vcat(q_blocks);
+  EXPECT_LT(max_abs_diff(vcat(qy_blocks), naive_matmul(q, y)), 1e-12);
+  testing::expect_qr_matches_oracle(in, q, r, 1e-12);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -226,7 +280,8 @@ TEST(Tsqr, UnevenRowDistribution) {
   expect_matrix_near(dist.q, serial.q, 1e-10);
 }
 
-TEST(Tsqr, RFactorIdenticalOnAllRanks) {
+TEST(Tsqr, RFactorOnRootOnly) {
+  // Only the root's SVD reads R, so it never leaves the root.
   const Matrix a = random_matrix(80, 5, 80);
   std::vector<Matrix> r_per_rank(4);
   pmpi::run(4, [&](Communicator& comm) {
@@ -235,9 +290,9 @@ TEST(Tsqr, RFactorIdenticalOnAllRanks) {
     TsqrResult res = tsqr(comm, local);
     r_per_rank[static_cast<std::size_t>(comm.rank())] = std::move(res.r);
   });
+  expect_matrix_near(r_per_rank[0], qr_thin(a).r, 1e-10);
   for (int r = 1; r < 4; ++r) {
-    expect_matrix_near(r_per_rank[static_cast<std::size_t>(r)], r_per_rank[0],
-                       0.0);
+    EXPECT_TRUE(r_per_rank[static_cast<std::size_t>(r)].empty()) << "rank " << r;
   }
 }
 

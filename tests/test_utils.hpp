@@ -10,7 +10,9 @@
 #include <limits>
 #include <vector>
 
+#include "core/tsqr.hpp"
 #include "linalg/matrix.hpp"
+#include "pmpi/comm.hpp"
 #include "support/rng.hpp"
 
 namespace parsvd::testing {
@@ -244,6 +246,13 @@ inline void expect_qr_matches_oracle(const PanelInput& in, const Matrix& q,
     worst_r = std::max(worst_r, diff / norm);
   }
   EXPECT_LE(worst_r, tol) << "R against the Cholesky factor of AᵀA";
+}
+
+/// Collective: this rank's rows of the global thin Q of a tsqr() result,
+/// i.e. q_times with the identity (read at root only).
+inline Matrix q_local(pmpi::Communicator& comm, const TsqrResult& res) {
+  return res.q_times(comm, comm.is_root() ? Matrix::identity(res.r.rows())
+                                          : Matrix{});
 }
 
 }  // namespace parsvd::testing

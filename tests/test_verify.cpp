@@ -290,22 +290,34 @@ TEST(VerifyCrossValidation, ScatterRows) {
   }
 }
 
+/// tsqr of this rank's panel, then the collective q_times with a
+/// `y_cols`-column Y read at root: the protocol script_tsqr_direct models.
+void tsqr_then_q_times(pmpi::Communicator& comm, Index rows, Index k,
+                       Index y_cols) {
+  const TsqrResult qr = tsqr(comm, tsqr_panel(rows, k, comm.rank()));
+  const Matrix y = comm.is_root() ? testing::random_matrix(qr.r.rows(), y_cols, 5)
+                                  : Matrix{};
+  qr.q_times(comm, y);
+}
+
 TEST(VerifyCrossValidation, TsqrDirect) {
   constexpr Index k = 4;
   for (const int p : kRankCounts) {
     // Uniform tall panels, and a ragged layout where some ranks hold
-    // fewer rows than k (their R factors and Q slices shrink).
+    // fewer rows than k (their R factors and Q·Y blocks shrink).
     std::vector<std::int64_t> uniform(static_cast<std::size_t>(p), 8);
     std::vector<std::int64_t> ragged(static_cast<std::size_t>(p));
     for (int r = 0; r < p; ++r) {
       ragged[static_cast<std::size_t>(r)] = 2 + r % 5;
     }
     for (const auto& rows : {uniform, ragged}) {
-      const Schedule s = script_tsqr_direct(rows, k).schedule;
-      expect_matches_reality(s, p, [&rows](pmpi::Communicator& comm) {
-        tsqr(comm, tsqr_panel(rows[static_cast<std::size_t>(comm.rank())], k,
-                              comm.rank()));
-      });
+      for (const Index c : {Index{1}, k}) {
+        const Schedule s = script_tsqr_direct(rows, k, c).schedule;
+        expect_matches_reality(s, p, [&rows, c](pmpi::Communicator& comm) {
+          tsqr_then_q_times(comm, rows[static_cast<std::size_t>(comm.rank())],
+                            k, c);
+        });
+      }
     }
   }
 }
@@ -373,7 +385,7 @@ TEST(VerifyCrossValidation, GroupRegistryTotals) {
   // Model: group 1 (evens) runs a direct TSQR, group 2 (odds) an
   // allreduce followed by a group barrier.
   Schedule s = make_schedule("two subgroup jobs", p);
-  embed_group_schedule(s, script_tsqr_direct(rows, k).schedule,
+  embed_group_schedule(s, script_tsqr_direct(rows, k, 2).schedule,
                        GroupSpec{1, {evens.begin(), evens.end()}});
   const GroupSpec odd_spec{2, {odds.begin(), odds.end()}};
   embed_group_schedule(s, script_allreduce(4, n * sizeof(double)).schedule,
@@ -391,8 +403,8 @@ TEST(VerifyCrossValidation, GroupRegistryTotals) {
     if (comm.rank() % 2 == 0) {
       auto sub = comm.subgroup(evens);
       ASSERT_TRUE(sub.has_value());
-      tsqr(*sub, tsqr_panel(rows[static_cast<std::size_t>(sub->rank())], k,
-                            sub->rank()));
+      tsqr_then_q_times(*sub, rows[static_cast<std::size_t>(sub->rank())], k,
+                        2);
     } else {
       auto sub = comm.subgroup(odds);
       ASSERT_TRUE(sub.has_value());
@@ -521,14 +533,14 @@ void cross_validate_streaming_updates(bool fault_tolerant,
 }
 
 TEST(VerifyCrossValidation, StreamingUpdatesDefaultPolicy) {
-  // TSQR gather + Q slices + R bcast, U and sigma bcasts, mode gather:
-  // six legs of P-1 = 3 messages.
-  cross_validate_streaming_updates(/*fault_tolerant=*/false, 18);
+  // TSQR R gather, Q·U block scatter, sigma bcast, mode gather: four
+  // legs of P-1 = 3 messages.
+  cross_validate_streaming_updates(/*fault_tolerant=*/false, 12);
 }
 
 TEST(VerifyCrossValidation, StreamingUpdatesFaultTolerantPolicy) {
   // Plus the energy-ledger gather and the FaultReport bcast.
-  cross_validate_streaming_updates(/*fault_tolerant=*/true, 24);
+  cross_validate_streaming_updates(/*fault_tolerant=*/true, 18);
 }
 
 }  // namespace
