@@ -118,6 +118,25 @@ Matrix build_t(const PanelV& v, std::span<const double> tau) {
 
 }  // namespace
 
+namespace {
+
+obs::Counter& qr_flops() {
+  static obs::Counter& flops =
+      obs::Registry::global().counter("linalg.qr.flops");
+  return flops;
+}
+
+/// Applying k reflectors to an m x c block: 4mck - 2ck^2 flops, written
+/// 2ck(2m - k) so that (k <= m) the unsigned counter cannot wrap.
+void count_apply(Index m, Index c, Index k) {
+  qr_flops().add(2ull * static_cast<std::uint64_t>(c) *
+                 static_cast<std::uint64_t>(k) *
+                 (2ull * static_cast<std::uint64_t>(m) -
+                  static_cast<std::uint64_t>(k)));
+}
+
+}  // namespace
+
 HouseholderQr::HouseholderQr(Matrix a) : HouseholderQr(std::move(a), 0) {}
 
 HouseholderQr::HouseholderQr(Matrix a, Index block) : qr_(std::move(a)) {
@@ -126,12 +145,11 @@ HouseholderQr::HouseholderQr(Matrix a, Index block) : qr_(std::move(a)) {
   PARSVD_REQUIRE(m > 0 && n > 0, "QR of an empty matrix");
   PARSVD_TRACE_SCOPE("linalg.qr.factor");
   static obs::Counter& calls = obs::Registry::global().counter("linalg.qr.calls");
-  static obs::Counter& flops = obs::Registry::global().counter("linalg.qr.flops");
   calls.add(1);
   const Index k = std::min(m, n);
   // Householder QR cost model: 2mnk - 2k^3/3 (k = min(m, n)); since
   // k <= m and k <= n the subtraction can't wrap the unsigned counter.
-  flops.add(2ull * static_cast<std::uint64_t>(m) * static_cast<std::uint64_t>(n) *
+  qr_flops().add(2ull * static_cast<std::uint64_t>(m) * static_cast<std::uint64_t>(n) *
                 static_cast<std::uint64_t>(k) -
             2ull * static_cast<std::uint64_t>(k) * static_cast<std::uint64_t>(k) *
                 static_cast<std::uint64_t>(k) / 3);
@@ -225,6 +243,7 @@ void HouseholderQr::apply_qt(Matrix& b) const {
   const Index m = qr_.rows();
   PARSVD_REQUIRE(b.rows() == m, "apply_qt: row mismatch");
   PARSVD_TRACE_SCOPE("linalg.qr.apply");
+  count_apply(m, b.cols(), rank_bound());
   if (block_ > 1) {
     apply_blocked(b, /*transpose=*/true);
     return;
@@ -245,6 +264,7 @@ void HouseholderQr::apply_q(Matrix& b) const {
   const Index m = qr_.rows();
   PARSVD_REQUIRE(b.rows() == m, "apply_q: row mismatch");
   PARSVD_TRACE_SCOPE("linalg.qr.apply");
+  count_apply(m, b.cols(), rank_bound());
   if (block_ > 1) {
     apply_blocked(b, /*transpose=*/false);
     return;

@@ -7,7 +7,6 @@
 
 #include "support/env.hpp"
 #include "support/log.hpp"
-#include "support/timer.hpp"
 
 namespace parsvd::pmpi {
 
@@ -30,12 +29,9 @@ Context::Context(int size)
   payload_hist_ = &metrics_.histogram("comm.payload_bytes");
   faults_injected_ = &metrics_.counter("comm.faults_injected");
   timeouts_ = &metrics_.counter("comm.timeouts");
-  timeout_retries_ = &metrics_.counter("comm.timeout_retries");
   // Timeout up to a day; payload cap up to 1 TiB, 0 keeping the default.
   wait_timeout_ = std::chrono::milliseconds(
       env::get_int("PARSVD_FAULT_TIMEOUT_MS", 0, 0, 86'400'000));
-  max_retries_ =
-      static_cast<int>(env::get_int("PARSVD_FAULT_RETRIES", 3, 0, 1000));
   const std::int64_t max_mb =
       env::get_int("PARSVD_MAX_PAYLOAD_MB", 0, 0, std::int64_t{1} << 20);
   if (max_mb > 0) max_payload_ = static_cast<std::uint64_t>(max_mb) << 20;
@@ -98,10 +94,6 @@ void Context::set_wait_timeout(std::chrono::milliseconds timeout) {
   wait_timeout_ = std::max(timeout, std::chrono::milliseconds(0));
 }
 
-void Context::set_max_retries(int retries) {
-  max_retries_ = std::max(retries, 0);
-}
-
 std::uint64_t Context::account_op(int rank) {
   if (rank < 0) return 0;
   const std::uint64_t op = op_counters_[static_cast<std::size_t>(rank)]
@@ -154,6 +146,13 @@ std::vector<int> Context::dead_ranks() const {
   return out;
 }
 
+bool Context::sees_dead(int rank, int peer) {
+  if (tap_ == nullptr) return is_dead(peer);
+  WireTap::Log& log = tap_->logs_[static_cast<std::size_t>(rank)];
+  log.reads.push_back({log.events.size(), peer});
+  return log.seen_dead.count(peer) != 0;
+}
+
 void Context::post(int src, int dest, int tag, std::vector<std::byte> payload) {
   PARSVD_REQUIRE(dest >= 0 && dest < size_, "post: dest out of range");
   if (payload.size() > max_payload_) {
@@ -162,6 +161,10 @@ void Context::post(int src, int dest, int tag, std::vector<std::byte> payload) {
                     std::to_string(max_payload_) + " bytes");
   }
   const std::uint64_t op = account_op(src);
+  if (tap_) {
+    tap_->logs_[static_cast<std::size_t>(src)].events.push_back(
+        {true, dest, tag, payload.size(), op});
+  }
   messages_total_->add(1);
   bytes_total_->add(payload.size());
   bytes_by_rank_[static_cast<std::size_t>(src)]->add(payload.size());
@@ -213,7 +216,17 @@ bool Context::scan_channel_locked(Mailbox& box, int dest, int src, int tag,
 }
 
 std::vector<std::byte> Context::wait(int dest, int src, int tag) {
-  account_op(dest);
+  return *wait_channel(dest, src, tag, /*death_bounded=*/false);
+}
+
+std::optional<std::vector<std::byte>> Context::wait_bounded(int dest, int src,
+                                                            int tag) {
+  return wait_channel(dest, src, tag, /*death_bounded=*/true);
+}
+
+std::optional<std::vector<std::byte>> Context::wait_channel(
+    int dest, int src, int tag, bool death_bounded) {
+  const std::uint64_t op = account_op(dest);
 #ifndef NDEBUG
   {
     // A blocking receive racing an outstanding irecv on the same channel
@@ -230,7 +243,23 @@ std::vector<std::byte> Context::wait(int dest, int src, int tag) {
   }
 #endif
   const Channel channel{src, tag};
-  return wait_any_impl(dest, std::span<const Channel>(&channel, 1)).second;
+  try {
+    std::vector<std::byte> payload =
+        wait_any_impl(dest, std::span<const Channel>(&channel, 1)).second;
+    if (tap_) {
+      tap_->logs_[static_cast<std::size_t>(dest)].events.push_back(
+          {false, src, tag, payload.size(), op, death_bounded});
+    }
+    return payload;
+  } catch (const RankDeadError&) {
+    if (tap_) {
+      WireTap::Log& log = tap_->logs_[static_cast<std::size_t>(dest)];
+      log.events.push_back({false, src, tag, 0, op, death_bounded, true});
+      log.seen_dead.insert(src);
+    }
+    if (!death_bounded) throw;
+    return std::nullopt;  // died before posting: excluded, not waited for
+  }
 }
 
 std::optional<std::vector<std::byte>> Context::try_wait(int dest, int src,
@@ -315,9 +344,6 @@ std::pair<std::size_t, std::vector<std::byte>> Context::wait_any_impl(
                kWatchdogTick) +
            1;
   };
-  ExponentialBackoff backoff(wait_timeout_ / 2, 2.0, wait_timeout_ * 2);
-  int retries_left = max_retries_;
-
   for (;;) {
     Clock::time_point next_deliverable = Clock::time_point::max();
     for (std::size_t i = 0; i < channels.size(); ++i) {
@@ -360,28 +386,14 @@ std::pair<std::size_t, std::vector<std::byte>> Context::wait_any_impl(
         ensure_watchdog();
         deadline_tick = t + ticks_for(wait_timeout_);
       } else if (t >= deadline_tick) {
-        if (retries_left > 0) {
-          --retries_left;
-          timeout_retries_->add(1);
-          PARSVD_TRACE_INSTANT("comm.timeout.retry");
-          const std::chrono::milliseconds extension = backoff.next();
-          log::debug("pmpi: wait timed out (dest ", dest, " <- src ",
-                     channels[0].src, ", tag ", channels[0].tag, " [",
-                     channels.size(), " channel(s)]), extending deadline by ",
-                     extension.count(), " ms");
-          deadline_tick = t + ticks_for(extension);
-        } else {
-          timeouts_->add(1);
-          PARSVD_TRACE_INSTANT("comm.timeout");
-          throw CommTimeout(
-              "pmpi: receive timed out after " +
-              std::to_string(wait_timeout_.count()) + " ms and " +
-              std::to_string(max_retries_) + " retries (dest " +
-              std::to_string(dest) + " <- src " +
-              std::to_string(channels[0].src) + ", tag " +
-              std::to_string(channels[0].tag) + ", " +
-              std::to_string(channels.size()) + " channel(s))");
-        }
+        timeouts_->add(1);
+        PARSVD_TRACE_INSTANT("comm.timeout");
+        throw CommTimeout("pmpi: receive timed out after " +
+                          std::to_string(wait_timeout_.count()) +
+                          " ms (dest " + std::to_string(dest) + " <- src " +
+                          std::to_string(channels[0].src) + ", tag " +
+                          std::to_string(channels[0].tag) + ", " +
+                          std::to_string(channels.size()) + " channel(s))");
       }
     }
     if (next_deliverable != Clock::time_point::max()) {
@@ -572,10 +584,9 @@ std::optional<Communicator> Communicator::subgroup(
 }
 
 std::vector<int> Communicator::dead_ranks() const {
-  if (!group_) return ctx_->dead_ranks();
   std::vector<int> out;
   for (int r = 0; r < size(); ++r) {
-    if (ctx_->is_dead(group_->world_rank(r))) out.push_back(r);
+    if (is_dead(r)) out.push_back(r);
   }
   return out;
 }
@@ -728,12 +739,7 @@ void Communicator::bcast_index(Index& value, int root) {
 
 std::optional<std::vector<std::byte>> Communicator::wait_bounded(int src,
                                                                  int tag) {
-  try {
-    return wait_scoped(src, tag);
-  } catch (const RankDeadError&) {
-    // Died before posting: excluded, not waited for.
-    return std::nullopt;
-  }
+  return ctx_->wait_bounded(wr(rank_), wr(src), wire_tag(tag));
 }
 
 std::vector<std::optional<std::vector<std::byte>>> Communicator::gather_bytes(
@@ -899,34 +905,25 @@ double Communicator::allreduce_scalar(double value, Op op) {
 
 // ------------------------------------------------------------------ run
 
-std::shared_ptr<Context> run_on(std::shared_ptr<Context> ctx,
-                                const std::function<void(Communicator&)>& fn) {
-  PARSVD_REQUIRE(ctx != nullptr, "run_on: null context");
-  const int size = ctx->size();
-  std::vector<std::thread> threads;
-  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(size));
-  threads.reserve(static_cast<std::size_t>(size));
-  for (int r = 0; r < size; ++r) {
-    threads.emplace_back([r, &fn, ctx, &errors] {
-      // Rank threads get pid = rank+1 in the trace (pid 0 is reserved
-      // for shared infrastructure threads: pool, watchdog, prefetch).
-      obs::set_thread_identity(r, 0, "rank-main");
-      try {
-        Communicator comm(r, ctx);
-        fn(comm);
-      } catch (const RankKilledError&) {
-        // Injected death: the context marked the rank dead and woke its
-        // peers. The survivors decide the job's fate — degraded
-        // completion returns normally, stuck survivors surface typed
-        // RankDeadError/CommTimeout through the branch below.
-      } catch (...) {
-        errors[static_cast<std::size_t>(r)] = std::current_exception();
-        // Wake peers blocked on messages this rank will never send.
-        ctx->abort_job();
-      }
-    });
+void run_rank(const std::shared_ptr<Context>& ctx, int rank,
+              const std::function<void(Communicator&)>& fn,
+              std::exception_ptr* error) {
+  try {
+    Communicator comm(rank, ctx);
+    fn(comm);
+  } catch (const RankKilledError&) {
+    // Injected death: the context marked the rank dead and woke its
+    // peers. The survivors decide the job's fate — degraded completion
+    // returns normally, stuck survivors surface typed
+    // RankDeadError/CommTimeout through the branch below.
+  } catch (...) {
+    *error = std::current_exception();
+    // Wake peers blocked on messages this rank will never send.
+    ctx->abort_job();
   }
-  for (auto& t : threads) t.join();
+}
+
+void rethrow_job_error(std::span<const std::exception_ptr> errors) {
   // Prefer the root cause. Ranks merely woken by abort_job carry
   // JobAbortedError; a non-comm error (assertion, bad_alloc, ...) beats
   // any comm error, and any primary comm error beats an abort victim.
@@ -949,6 +946,25 @@ std::shared_ptr<Context> run_on(std::shared_ptr<Context> ctx,
   }
   if (primary) std::rethrow_exception(primary);
   if (first) std::rethrow_exception(first);
+}
+
+std::shared_ptr<Context> run_on(std::shared_ptr<Context> ctx,
+                                const std::function<void(Communicator&)>& fn) {
+  PARSVD_REQUIRE(ctx != nullptr, "run_on: null context");
+  const int size = ctx->size();
+  std::vector<std::thread> threads;
+  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(size));
+  threads.reserve(static_cast<std::size_t>(size));
+  for (int r = 0; r < size; ++r) {
+    threads.emplace_back([r, &fn, ctx, &errors] {
+      // Rank threads get pid = rank+1 in the trace (pid 0 is reserved
+      // for shared infrastructure threads: pool, watchdog, prefetch).
+      obs::set_thread_identity(r, 0, "rank-main");
+      run_rank(ctx, r, fn, &errors[static_cast<std::size_t>(r)]);
+    });
+  }
+  for (auto& t : threads) t.join();
+  rethrow_job_error(errors);
   return ctx;
 }
 

@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <cstring>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <map>
 #include <memory>
@@ -67,6 +68,61 @@ Matrix unpack_matrix(std::span<const std::byte> payload);
 void require_no_missing(std::span<const int> missing, const char* what);
 
 class Context;
+
+/// One wire operation of one rank, as a WireTap records it.
+struct WireEvent {
+  bool send = false;        ///< a post; otherwise a blocking receive
+  int peer = -1;            ///< world rank: the destination / the source
+  int tag = 0;              ///< wire tag (group-scoped on a subgroup)
+  std::uint64_t bytes = 0;  ///< payload bytes; 0 when resolved dead
+  std::uint64_t op = 0;     ///< the rank's pmpi op index (Context::ops)
+  bool bounded = false;     ///< a death-bounded receive (wait_bounded)
+  /// The receive ended in RankDeadError: its source died before
+  /// posting the message.
+  bool resolved_dead = false;
+};
+
+/// A recording of a job's wire traffic. While a tap is set on a Context
+/// every post and every blocking wait of rank r appends a WireEvent to
+/// r's log, in program order. Liveness reads (Communicator::is_dead /
+/// dead_ranks, e.g. the bcast fan-out guard) then answer from what the
+/// reading rank has observed instead of the context's racy truth: a rank
+/// sees a peer dead only after one of its own waits on that peer
+/// resolved dead. Every read is logged too. Each rank touches only its
+/// own log, so the tap needs no lock; read it after the ranks joined.
+class WireTap {
+ public:
+  /// A read of `peer`'s (world rank) liveness, made before the reading
+  /// rank's event number `at`.
+  struct LivenessRead {
+    std::size_t at = 0;
+    int peer = -1;
+  };
+
+  explicit WireTap(int size) : logs_(static_cast<std::size_t>(size)) {}
+
+  const std::vector<WireEvent>& events(int rank) const {
+    return logs_[static_cast<std::size_t>(rank)].events;
+  }
+  const std::vector<LivenessRead>& reads(int rank) const {
+    return logs_[static_cast<std::size_t>(rank)].reads;
+  }
+  /// Forget `rank`'s events and reads so far (op indices stay absolute),
+  /// so a recording can leave out a job's set-up phase.
+  void restart(int rank) {
+    logs_[static_cast<std::size_t>(rank)].events.clear();
+    logs_[static_cast<std::size_t>(rank)].reads.clear();
+  }
+
+ private:
+  friend class Context;
+  struct Log {
+    std::vector<WireEvent> events;
+    std::vector<LivenessRead> reads;
+    std::set<int> seen_dead;
+  };
+  std::vector<Log> logs_;
+};
 
 /// An ordered subset of a Context's world ranks with its own dense rank
 /// numbering [0, size()). Minted by Context::group_for — one shared
@@ -131,9 +187,15 @@ class Context {
   /// (MPI's non-overtaking rule): a delayed message holds back every
   /// later message on its channel, and no other channel. A wait that
   /// cannot complete becomes a typed error: CommTimeout once the wait
-  /// timeout (plus bounded backoff retries) expires, RankDeadError when
-  /// `src` is dead with no message queued or delayed in flight.
+  /// timeout expires with nothing deliverable or delayed in flight,
+  /// RankDeadError when `src` is dead with no message queued or delayed
+  /// in flight.
   std::vector<std::byte> wait(int dest, int src, int tag);
+
+  /// wait(), death-bounded: nullopt instead of RankDeadError when `src`
+  /// died before posting the message.
+  std::optional<std::vector<std::byte>> wait_bounded(int dest, int src,
+                                                     int tag);
 
   /// One point-to-point channel, as named by the multi-channel waits.
   struct Channel {
@@ -204,13 +266,14 @@ class Context {
   void set_fault_plan(FaultPlan plan);
   const FaultPlan& fault_plan() const { return plan_; }
 
-  /// Maximum blocking time of one wait() before recovery/retry kicks in.
+  /// Maximum blocking time of one wait() before it throws CommTimeout.
   /// Zero (the default without a fault plan) waits forever.
   void set_wait_timeout(std::chrono::milliseconds timeout);
 
-  /// Deadline extensions (with exponential backoff) granted after the
-  /// first timeout before CommTimeout is thrown. Default 3.
-  void set_max_retries(int retries);
+  /// Install a wire tap (before ranks start; nullptr removes it). Null
+  /// in production, where it costs one branch per operation.
+  void set_tap(WireTap* tap) { tap_ = tap; }
+  WireTap* tap() const { return tap_; }
 
   /// Reject any single payload larger than this (typed CommError).
   void set_max_payload_bytes(std::uint64_t bytes) { max_payload_ = bytes; }
@@ -225,6 +288,9 @@ class Context {
   }
   int alive_count() const { return size_ - dead_count_.load(std::memory_order_acquire); }
   std::vector<int> dead_ranks() const;
+  /// is_dead(peer) as `rank` may branch on it: the context's truth, or
+  /// under a wire tap only a death `rank` observed (see WireTap).
+  bool sees_dead(int rank, int peer);
 
   /// Operations (post/wait/barrier) `rank` has performed so far. The
   /// per-rank sequence is deterministic for a fixed workload, so a probe
@@ -256,8 +322,8 @@ class Context {
   /// The per-context metrics registry backing every statistic above —
   /// the single source of truth ("comm.messages", "comm.bytes",
   /// "comm.rank<r>.bytes", "comm.faults_injected",
-  /// "comm.timeouts", "comm.timeout_retries", "comm.payload_bytes"
-  /// histogram). The accessors above are views into it.
+  /// "comm.timeouts", "comm.payload_bytes" histogram). The accessors
+  /// above are views into it.
   obs::Registry& metrics() { return metrics_; }
   const obs::Registry& metrics() const { return metrics_; }
 
@@ -285,10 +351,15 @@ class Context {
                            Clock::time_point* next_deliverable);
 
   /// Shared engine under wait / wait_any: blocking multi-channel scan
-  /// with the lazily-armed watchdog deadline and backoff retries. Never
-  /// accounts an op (callers decide).
+  /// with the lazily-armed watchdog deadline. Never accounts an op
+  /// (callers decide).
   std::pair<std::size_t, std::vector<std::byte>> wait_any_impl(
       int dest, std::span<const Channel> channels);
+
+  /// wait / wait_bounded: accounts the op, records it on the tap.
+  std::optional<std::vector<std::byte>> wait_channel(int dest, int src,
+                                                     int tag,
+                                                     bool death_bounded);
 
   /// Lazily start the deadline watchdog (bounded waits sleep untimed and
   /// rely on its periodic mailbox wakes to re-check their deadline).
@@ -319,7 +390,7 @@ class Context {
                                 // per-operation kill lookup for plans
                                 // that only delay messages
   std::chrono::milliseconds wait_timeout_{0};
-  int max_retries_ = 3;
+  WireTap* tap_ = nullptr;
   std::uint64_t max_payload_ = std::uint64_t{1} << 33;  // 8 GiB
   std::vector<std::atomic<std::uint64_t>> op_counters_;
   std::vector<std::atomic<bool>> dead_;
@@ -336,7 +407,6 @@ class Context {
   std::condition_variable watchdog_cv_;
   obs::Counter* faults_injected_ = nullptr;
   obs::Counter* timeouts_ = nullptr;
-  obs::Counter* timeout_retries_ = nullptr;
 
   // Debug-build registry of outstanding non-blocking receives, keyed
   // (dest, src, tag). Unused (but kept declared, for a single layout
@@ -406,8 +476,11 @@ class Communicator {
   /// a group communicator (a sibling group's dead rank is invisible
   /// here — the death-isolation contract), world ranks on the world
   /// communicator.
+  /// Both read through Context::sees_dead, so a wire tap can answer.
   std::vector<int> dead_ranks() const;
-  bool is_dead(int rank) const { return ctx_->is_dead(wr(rank)); }
+  bool is_dead(int rank) const {
+    return ctx_->sees_dead(world_rank(), wr(rank));
+  }
   int alive_count() const;
 
   // ------------------------------------------------------- point-to-point
@@ -654,5 +727,19 @@ std::shared_ptr<Context> run_with_stats(
 /// desired size. Returns `ctx` for post-mortem inspection.
 std::shared_ptr<Context> run_on(std::shared_ptr<Context> ctx,
                                 const std::function<void(Communicator&)>& fn);
+
+// The two halves of run_on, for callers that keep their own rank threads.
+
+/// One rank of run_on: fn on rank `rank` of `ctx`. An injected death ends
+/// the rank quietly; any other exception lands in *error and aborts the
+/// job so no peer waits for it forever.
+void run_rank(const std::shared_ptr<Context>& ctx, int rank,
+              const std::function<void(Communicator&)>& fn,
+              std::exception_ptr* error);
+
+/// After every rank returned: rethrow the job's root-cause error, if any
+/// (a non-comm error before a comm error before JobAbortedError, then
+/// lowest rank first).
+void rethrow_job_error(std::span<const std::exception_ptr> errors);
 
 }  // namespace parsvd::pmpi

@@ -14,8 +14,8 @@
 //     deliverable (in the same per-channel order as a blocking receive,
 //     so a delayed head holds back its successors) and surfaces
 //     dead-source and aborted-job conditions as the same typed errors.
-//   * wait() blocks with the channel-order, watchdog-timeout and
-//     backoff-retry semantics of Communicator::recv.
+//   * wait() blocks with the channel-order and watchdog-timeout
+//     semantics of Communicator::recv.
 //   * a pending receive that is destroyed (or cancel()ed) is abandoned:
 //     a message that later arrives simply stays queued for a future
 //     receive on the same channel.
@@ -61,8 +61,8 @@ class Request {
   /// post time).
   bool test();
 
-  /// Block until complete, with the blocking receive's full timeout /
-  /// retry / recovery semantics.
+  /// Block until complete, with the blocking receive's timeout and
+  /// dead-source semantics.
   void wait();
 
   /// Abandon a pending receive. The request becomes invalid; a matching

@@ -51,9 +51,8 @@ class CommError : public Error {
   explicit CommError(const std::string& what) : Error(what) {}
 };
 
-/// A blocking pmpi wait exceeded its configured timeout budget (including
-/// bounded retries) — the typed replacement for a silent deadlock when a
-/// message is lost and cannot be recovered.
+/// A blocking pmpi wait exceeded its configured timeout — the typed
+/// replacement for a silent deadlock when a message never arrives.
 class CommTimeout : public CommError {
  public:
   explicit CommTimeout(const std::string& what) : CommError(what) {}

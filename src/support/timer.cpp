@@ -14,22 +14,6 @@ double thread_cpu_seconds() {
          1e-9 * static_cast<double>(ts.tv_nsec);
 }
 
-ExponentialBackoff::ExponentialBackoff(std::chrono::milliseconds base,
-                                       double factor,
-                                       std::chrono::milliseconds cap)
-    : base_(std::max(base, std::chrono::milliseconds(1))),
-      cap_(std::max(cap, base_)),
-      current_(base_),
-      factor_(std::max(factor, 1.0)) {}
-
-std::chrono::milliseconds ExponentialBackoff::next() {
-  const std::chrono::milliseconds delay = current_;
-  const auto scaled = static_cast<long long>(
-      static_cast<double>(current_.count()) * factor_);
-  current_ = std::min(cap_, std::chrono::milliseconds(scaled));
-  return delay;
-}
-
 double Stopwatch::stop() {
   if (!running_) return 0.0;
   const double lap = lap_seconds();

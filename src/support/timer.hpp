@@ -50,27 +50,6 @@ class Stopwatch {
   bool running_ = false;
 };
 
-/// Capped exponential retry-delay schedule, used by the pmpi reliability
-/// layer to extend a timed-out wait: next() yields base, base*factor,
-/// base*factor^2, ... clamped to `cap`.
-class ExponentialBackoff {
- public:
-  explicit ExponentialBackoff(
-      std::chrono::milliseconds base, double factor = 2.0,
-      std::chrono::milliseconds cap = std::chrono::milliseconds(10000));
-
-  /// Current delay; advances the schedule.
-  std::chrono::milliseconds next();
-
-  void reset() { current_ = base_; }
-
- private:
-  std::chrono::milliseconds base_;
-  std::chrono::milliseconds cap_;
-  std::chrono::milliseconds current_;
-  double factor_;
-};
-
 /// Aggregated statistics for one named timing section.
 struct TimingStats {
   std::size_t count = 0;

@@ -50,6 +50,7 @@ std::string to_string(const CommEvent& e) {
     out += e.bytes == kAnyBytes ? ", ? B" : ", " + std::to_string(e.bytes) + " B";
   }
   if (e.bounded) out += ", bounded";
+  if (e.op >= 0) out += ", op " + std::to_string(e.op);
   out += ')';
   if (!e.note.empty()) {
     out += "  // ";
@@ -134,21 +135,6 @@ Schedule make_schedule(std::string name, int p) {
   s.name = std::move(name);
   s.ranks.reserve(static_cast<std::size_t>(p));
   for (int r = 0; r < p; ++r) s.ranks.emplace_back(r);
-  return s;
-}
-
-std::uint64_t matrix_bytes(std::int64_t rows, std::int64_t cols) {
-  return 2 * sizeof(std::int64_t) +
-         static_cast<std::uint64_t>(rows) * static_cast<std::uint64_t>(cols) *
-             sizeof(double);
-}
-
-std::string rows_suffix(std::span<const std::int64_t> rows) {
-  std::string s;
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    if (i) s += '/';
-    s += std::to_string(rows[i]);
-  }
   return s;
 }
 

@@ -1,17 +1,16 @@
 // CommScript: a solver's communication schedule as plain data.
 //
-// The verify layer never spawns a thread or touches a payload. Each
-// protocol emitter (fault_schedules.hpp, schedules.hpp) replays the
-// program order of the production code and records, per rank, the
-// ordered sequence of wire operations the rank would post:
-// sends, blocking receives, non-blocking receive posts and their
-// completion waits — each carrying (peer, tag, byte count) and nothing
-// else. The ScheduleChecker (checker.hpp) then proves properties of
-// the recorded choreography without ever executing it.
+// A Schedule holds, per rank, the ordered sequence of wire operations
+// the rank performs: sends, blocking receives, non-blocking receive
+// posts and their completion waits, each carrying (peer, tag, byte
+// count) and nothing else. The recorder (record.hpp) takes it from the
+// threaded runtime by running the production code under a wire tap;
+// the seeded defects (selftest.hpp) are built by hand. The
+// ScheduleChecker (checker.hpp) then proves properties of the
+// choreography without executing it again.
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -45,6 +44,9 @@ struct CommEvent {
   /// checker exists to catch.
   bool bounded = false;
   std::string note;         ///< human context for counterexample traces
+  /// Recorded events: the rank's pmpi op index (what FaultPlan::kill_rank
+  /// aims at); -1 for hand-built ones.
+  std::int64_t op = -1;
 };
 
 const char* to_string(CommEvent::Kind kind);
@@ -71,6 +73,8 @@ class CommScript {
   int irecv(int src, int tag, std::uint64_t bytes, std::string note = "");
   void wait(int req, std::string note = "");
   void wait_all(std::vector<int> reqs, std::string note = "");
+  /// Append a Send or Recv taken from a recording.
+  void append(CommEvent e) { events_.push_back(std::move(e)); }
 
  private:
   int rank_;
@@ -94,13 +98,6 @@ struct Schedule {
 /// A Schedule with one per-rank script builder per rank, ready to emit.
 Schedule make_schedule(std::string name, int p);
 
-/// pack_matrix framing: 16-byte [rows, cols] header + column-major
-/// doubles — what send_matrix / gather_matrices put on the wire.
-std::uint64_t matrix_bytes(std::int64_t rows, std::int64_t cols);
-
-/// "a/b/c" rendering of a per-rank row layout, for schedule names.
-std::string rows_suffix(std::span<const std::int64_t> rows);
-
 /// A single-rank failure transition over a Schedule: `victim` executes
 /// exactly its first `kill_step` events, then dies. The event at index
 /// kill_step never starts — pmpi evaluates kills inside account_op,
@@ -118,8 +115,7 @@ struct FaultScenario {
 /// kill_step sentinel for "the victim never dies" (healthy emission).
 inline constexpr std::size_t kNoKillStep = ~std::size_t{0};
 
-/// The scenario in which nobody dies: every protocol emitter's default,
-/// under which it emits the fault-free schedule.
+/// The scenario in which nobody dies.
 inline constexpr FaultScenario kKillFree{-1, kNoKillStep};
 
 }  // namespace parsvd::verify

@@ -1,7 +1,10 @@
 // schedule_check: sweep every SPMD protocol schedule over P in [1, 64],
 // proving match-completeness, tag hygiene, channel discipline and
-// deadlock-freedom statically (no threads, no payloads). Also self-tests the checker against seeded
-// defective schedules, printing the counterexample trace for each.
+// deadlock-freedom. The schedules are recorded from the runtime
+// (verify/record.hpp): each protocol's production code runs once on
+// pmpi's rank threads under a wire tap, on tiny seeded payloads. Also
+// self-tests the checker against seeded defective schedules, printing
+// the counterexample trace for each.
 //
 // Subgroup schedules are swept alongside the world ones: every P is
 // partitioned into halves / singleton+rest / three-way / even-odd
@@ -9,15 +12,13 @@
 // its own tag scope, and the partition is checked as one world
 // schedule — proving sibling groups cannot interfere by construction.
 //
-// Every death-aware protocol has ONE emitter (verify/fault_schedules.hpp),
-// parameterised by a FaultScenario: the default and --groups sweeps run
-// its kill-free emission, and the --faults mode sweeps the FAILURE space
-// over the same emitters (DESIGN §13): every protocol × P in [2, 32] ×
-// every non-root victim × every single-rank kill point, each scenario
-// checked for degraded-mode quiescence with check_fault_schedule, plus
-// the emission where the victim survives. Seeded recovery-path defects
-// self-test the fault checker the same way seeded_defects() self-tests
-// the fault-free one.
+// The --faults mode sweeps the FAILURE space (DESIGN §13): every
+// death-aware protocol × P in [2, 32] × every non-root victim × every
+// single-rank kill point, each recorded by rerunning the protocol with
+// the victim killed there and checked for degraded-mode quiescence with
+// check_fault_schedule, plus the run where the victim survives. Seeded
+// recovery-path defects self-test the fault checker the same way
+// seeded_defects() self-tests the fault-free one.
 //
 //   schedule_check            full sweep (world + groups) + selftest
 //   schedule_check --smoke    reduced rank set (CI gate)
@@ -31,16 +32,20 @@
 // Exit code 0 iff every real schedule passes AND every seeded defect is
 // caught with the expected violation kind.
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <iostream>
 #include <iterator>
+#include <mutex>
+#include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "support/log.hpp"
 #include "verify/checker.hpp"
-#include "verify/fault_schedules.hpp"
-#include "verify/schedules.hpp"
+#include "verify/record.hpp"
 #include "verify/selftest.hpp"
 
 namespace {
@@ -48,20 +53,29 @@ namespace {
 using namespace parsvd;
 using namespace parsvd::verify;
 
+/// Recordings the fault sweep runs at once.
+constexpr int kRecordingThreads = 2;
+
 struct SweepStats {
   std::size_t schedules = 0;
   std::size_t events = 0;
   std::size_t failures = 0;
+  std::size_t racy = 0;  ///< fault sweep: recordings that raced the kill
 };
 
-void run_check(const Schedule& s, SweepStats* stats) {
-  const CheckReport report = check_schedule(s);
+/// Record `job` and check it; a job the runtime cannot finish (a rank
+/// throws, a wait times out) is a failure too.
+void run_check(const Job& job, SweepStats* stats) {
   ++stats->schedules;
-  stats->events += report.events_checked;
-  if (!report.ok()) {
-    ++stats->failures;
+  try {
+    const CheckReport report = check_schedule(record(job));
+    stats->events += report.events_checked;
+    if (report.ok()) return;
     std::cerr << report.to_string();
+  } catch (const std::exception& e) {
+    std::cerr << "FAIL " << job.name << ": " << e.what() << "\n";
   }
+  ++stats->failures;
 }
 
 void sweep_p(int p, SweepStats* stats) {
@@ -74,45 +88,40 @@ void sweep_p(int p, SweepStats* stats) {
   // Asymmetric per-rank contributions (gatherv has no symmetry
   // guarantee) and per-rank scatter blocks.
   std::vector<std::uint64_t> gather_bytes(static_cast<std::size_t>(p));
-  std::vector<std::uint64_t> scatter_bytes(static_cast<std::size_t>(p));
+  std::vector<Index> scatter_rows(static_cast<std::size_t>(p));
   for (int r = 0; r < p; ++r) {
     gather_bytes[static_cast<std::size_t>(r)] =
         24 + 8 * static_cast<std::uint64_t>(r);
-    scatter_bytes[static_cast<std::size_t>(r)] =
-        16 + 8 * 3 * static_cast<std::uint64_t>(r + 1);
+    scatter_rows[static_cast<std::size_t>(r)] = r + 1;
   }
 
   for (const int root : roots) {
-    run_check(script_bcast(p, root, 4096).schedule, stats);
-    run_check(script_gather(p, root, gather_bytes).schedule, stats);
-    run_check(script_scatter_rows(p, root, scatter_bytes), stats);
-    run_check(script_reduce(p, root, 64).schedule, stats);
+    run_check(bcast_job(p, root, 4096), stats);
+    run_check(gather_job(p, root, gather_bytes), stats);
+    run_check(scatter_rows_job(p, root, scatter_rows, 3), stats);
+    run_check(reduce_job(p, root, 64), stats);
   }
-  run_check(script_allgather(p, 8).schedule, stats);
-  run_check(script_allreduce(p, 64).schedule, stats);
-  for (const std::int64_t k : {std::int64_t{3}, std::int64_t{5}}) {
+  run_check(allgather_job(p), stats);
+  run_check(allreduce_job(p, 64), stats);
+  for (const Index k : {Index{3}, Index{5}}) {
     // Uniform tall panels, and a ragged layout with some blocks shorter
     // than k so the min(rows, k) extents are exercised.
-    std::vector<std::int64_t> uniform(static_cast<std::size_t>(p), k + 2);
-    std::vector<std::int64_t> ragged(static_cast<std::size_t>(p));
+    std::vector<Index> uniform(static_cast<std::size_t>(p), k + 2);
+    std::vector<Index> ragged(static_cast<std::size_t>(p));
     for (int r = 0; r < p; ++r) {
       ragged[static_cast<std::size_t>(r)] = 2 + (r % 5);
     }
     // q_times with a 2-column Y, as the streaming update's K = 2 below.
-    run_check(script_tsqr_direct(uniform, k, 2).schedule, stats);
-    run_check(script_tsqr_direct(ragged, k, 2).schedule, stats);
+    run_check(tsqr_job(uniform, k, 2), stats);
+    run_check(tsqr_job(ragged, k, 2), stats);
   }
-  std::vector<std::int64_t> rows(static_cast<std::size_t>(p));
+  std::vector<Index> rows(static_cast<std::size_t>(p));
   for (int r = 0; r < p; ++r) {
     rows[static_cast<std::size_t>(r)] = 3 + (r % 4);
   }
   for (const bool fault_tolerant : {false, true}) {
-    run_check(script_apmos(rows, 6, 4, 4, fault_tolerant).schedule, stats);
-    StreamingShape shape;
-    shape.rows_by_rank = rows;
-    shape.rounds = 2;
-    shape.fault_tolerant = fault_tolerant;
-    run_check(script_streaming_updates(shape).schedule, stats);
+    run_check(apmos_job(rows, 6, 4, 4, fault_tolerant), stats);
+    run_check(streaming_job(rows, 2, 2, 2, fault_tolerant), stats);
   }
 }
 
@@ -121,9 +130,9 @@ void sweep_p(int p, SweepStats* stats) {
 /// interleave (non-contiguous members, so the group-rank -> world-rank
 /// translation is exercised, not just offsetting). Shapes collapse for
 /// tiny p (p=1 yields the same single-group partition three times over);
-/// empty groups are dropped. Group ids are minted 1..n in partition
-/// order, matching Communicator::split's ascending-color order.
-std::vector<std::vector<GroupSpec>> partitions_for(int p) {
+/// empty groups are dropped. partition_job mints the group ids 1..n in
+/// partition order.
+std::vector<std::vector<std::vector<int>>> partitions_for(int p) {
   std::vector<std::vector<int>> shapes[4];
   // halves
   shapes[0].assign(2, {});
@@ -145,13 +154,11 @@ std::vector<std::vector<GroupSpec>> partitions_for(int p) {
   for (int r = 0; r < p; ++r) shapes[3][static_cast<std::size_t>(r % 2)]
       .push_back(r);
 
-  std::vector<std::vector<GroupSpec>> out;
+  std::vector<std::vector<std::vector<int>>> out;
   for (auto& shape : shapes) {
-    std::vector<GroupSpec> partition;
-    int next_id = 1;
+    std::vector<std::vector<int>> partition;
     for (auto& members : shape) {
-      if (members.empty()) continue;
-      partition.push_back({next_id++, std::move(members)});
+      if (!members.empty()) partition.push_back(std::move(members));
     }
     out.push_back(std::move(partition));
   }
@@ -166,17 +173,17 @@ void sweep_groups(int p, SweepStats* stats) {
       GroupProtocol::Reduce,   GroupProtocol::Apmos,
   };
   constexpr int kNumProtos = static_cast<int>(std::size(kProtos));
-  const std::vector<std::vector<GroupSpec>> partitions = partitions_for(p);
+  std::vector<std::vector<std::vector<int>>> partitions = partitions_for(p);
   for (std::size_t shape = 0; shape < partitions.size(); ++shape) {
-    const std::vector<GroupSpec>& groups = partitions[shape];
     // Rotate protocol assignments with the shape index so every protocol
     // eventually runs concurrently with every other.
     std::vector<GroupProtocol> protos;
-    protos.reserve(groups.size());
-    for (std::size_t i = 0; i < groups.size(); ++i) {
+    protos.reserve(partitions[shape].size());
+    for (std::size_t i = 0; i < partitions[shape].size(); ++i) {
       protos.push_back(kProtos[(static_cast<int>(i + shape)) % kNumProtos]);
     }
-    run_check(script_partition(p, groups, protos, 64), stats);
+    run_check(partition_job(p, std::move(partitions[shape]), protos, 64),
+              stats);
   }
 }
 
@@ -203,34 +210,73 @@ bool run_sweep(bool smoke, bool groups_only) {
 
 // ------------------------------------------------- failure-space sweep
 
-/// Check one degraded schedule; racy scenarios (a root is_dead() guard
-/// concurrent with the kill) are counted but still checked — the model
-/// commits to the traffic-dominating alive branch.
-void run_fault_check(const FaultSchedule& fs, SweepStats* stats,
-                     std::size_t* racy) {
-  const CheckReport report = check_fault_schedule(fs.schedule, fs.scenario);
+/// Check one degraded recording; racy ones (a liveness read concurrent
+/// with the kill) are counted but still checked — the recording commits
+/// to the traffic-dominating alive branch.
+void run_fault_check(const Recording& rec, SweepStats* stats,
+                     std::ostream& log) {
+  const CheckReport report = check_fault_schedule(rec.schedule, rec.scenario);
   ++stats->schedules;
   stats->events += report.events_checked;
-  if (!fs.deterministic) ++*racy;
+  if (rec.racy) ++stats->racy;
   if (!report.ok()) {
     ++stats->failures;
-    std::cerr << report.to_string();
+    log << report.to_string();
   }
 }
 
-/// Enumerate every kill point of one (protocol, victim) pair: emit the
-/// healthy scenario once to learn the victim's event count, check it,
-/// then check the kill at every step before each of those events.
-template <typename Emit>
-void sweep_kill_points(Emit&& emit, int victim, SweepStats* stats,
-                       std::size_t* racy) {
-  const FaultSchedule healthy = emit(FaultScenario{victim, kNoKillStep});
-  const std::size_t n =
-      healthy.schedule.ranks[static_cast<std::size_t>(victim)].events().size();
-  run_fault_check(healthy, stats, racy);
-  for (std::size_t step = 0; step < n; ++step) {
-    run_fault_check(emit(FaultScenario{victim, step}), stats, racy);
+/// Enumerate every kill point of every non-root victim of one protocol:
+/// the kill-free recording gives each victim's event count and stands
+/// for the run the victim survives; then one recording per kill step.
+/// Diagnostics go to `log`.
+void sweep_kill_points(const Job& job, int root, SweepStats* stats,
+                       std::ostream& log) {
+  try {
+    const Schedule kill_free = record(job);
+    for (int victim = 0; victim < job.p; ++victim) {
+      if (victim == root) continue;
+      const std::size_t n =
+          kill_free.ranks[static_cast<std::size_t>(victim)].events().size();
+      run_fault_check({kill_free, {victim, kNoKillStep}, false}, stats, log);
+      for (std::size_t step = 0; step < n; ++step) {
+        run_fault_check(record(job, kill_free, {victim, step}), stats, log);
+      }
+    }
+  } catch (const std::exception& e) {
+    ++stats->schedules;
+    ++stats->failures;
+    log << "FAIL " << job.name << ": " << e.what() << "\n";
   }
+}
+
+/// A protocol instance of the fault sweep and the root no kill targets.
+struct FaultJob {
+  Job job;
+  int root = 0;
+};
+
+/// Sweep `jobs` on a few recording threads (each recording already runs
+/// job.p rank threads, so two of them keep a small host busy). Totals
+/// are sums, so they do not depend on the interleaving.
+void sweep_fault_jobs(const std::vector<FaultJob>& jobs, SweepStats* stats) {
+  std::mutex mu;
+  std::atomic<std::size_t> next{0};
+  const auto worker = [&] {
+    for (std::size_t i = next++; i < jobs.size(); i = next++) {
+      SweepStats s;
+      std::ostringstream log;
+      sweep_kill_points(jobs[i].job, jobs[i].root, &s, log);
+      std::lock_guard<std::mutex> lock(mu);
+      stats->schedules += s.schedules;
+      stats->events += s.events;
+      stats->failures += s.failures;
+      stats->racy += s.racy;
+      std::cerr << log.str();
+    }
+  };
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kRecordingThreads; ++t) threads.emplace_back(worker);
+  for (std::thread& t : threads) t.join();
 }
 
 bool proto_enabled(const std::string& filter, const char* name) {
@@ -244,9 +290,7 @@ bool proto_enabled(const std::string& filter, const char* name) {
 /// runs no wire protocol, so the sweep starts at the first p with a
 /// victim.
 bool run_fault_sweep(bool smoke, const std::string& proto) {
-  SweepStats stats;
-  std::size_t racy = 0;
-
+  std::vector<FaultJob> jobs;
   std::vector<int> ps;
   if (smoke) {
     ps = {2, 3, 4, 5, 8, 16, 32};
@@ -266,102 +310,68 @@ bool run_fault_sweep(bool smoke, const std::string& proto) {
             24 + 8 * static_cast<std::uint64_t>(r);
       }
       for (const int root : roots) {
-        for (int v = 0; v < p; ++v) {
-          if (v == root) continue;
-          sweep_kill_points(
-              [&](FaultScenario f) { return script_gather(p, root, bytes, f); },
-              v, &stats, &racy);
-        }
+        jobs.push_back({gather_job(p, root, bytes), root});
       }
     }
     if (proto_enabled(proto, "bcast")) {
       for (const int root : roots) {
-        for (int v = 0; v < p; ++v) {
-          if (v == root) continue;
-          sweep_kill_points(
-              [&](FaultScenario f) { return script_bcast(p, root, 4096, f); },
-              v, &stats, &racy);
-        }
+        jobs.push_back({bcast_job(p, root, 4096), root});
       }
     }
     if (proto_enabled(proto, "allreduce")) {
-      for (int v = 1; v < p; ++v) {
-        sweep_kill_points(
-            [&](FaultScenario f) { return script_allreduce(p, 48, f); }, v,
-            &stats, &racy);
-        sweep_kill_points(
-            [&](FaultScenario f) { return script_reduce(p, 0, 48, f); }, v,
-            &stats, &racy);
-      }
+      jobs.push_back({allreduce_job(p, 48), 0});
+      jobs.push_back({reduce_job(p, 0, 48), 0});
     }
     if (proto_enabled(proto, "tsqr")) {
-      for (const std::int64_t k : {std::int64_t{3}, std::int64_t{5}}) {
+      for (const Index k : {Index{3}, Index{5}}) {
         // Uniform tall panels, and a ragged layout with some blocks
         // shorter than k so the min(rows, k) extents are exercised.
-        std::vector<std::int64_t> uniform(static_cast<std::size_t>(p), k + 2);
-        std::vector<std::int64_t> ragged(static_cast<std::size_t>(p));
+        std::vector<Index> uniform(static_cast<std::size_t>(p), k + 2);
+        std::vector<Index> ragged(static_cast<std::size_t>(p));
         for (int r = 0; r < p; ++r) {
           ragged[static_cast<std::size_t>(r)] = 2 + (r % 5);
         }
         for (const auto& rows : {uniform, ragged}) {
-          for (int v = 1; v < p; ++v) {
-            sweep_kill_points(
-                [&](FaultScenario f) {
-                  return script_tsqr_direct(rows, k, 2, f);
-                },
-                v, &stats, &racy);
-          }
+          jobs.push_back({tsqr_job(rows, k, 2), 0});
         }
       }
     }
     if (proto_enabled(proto, "apmos")) {
       struct ApmosShape {
-        std::int64_t n_cols, r1, r2;
+        Index n_cols, r1, r2;
       };
+      std::vector<Index> rows(static_cast<std::size_t>(p));
+      for (int r = 0; r < p; ++r) {
+        rows[static_cast<std::size_t>(r)] = 3 + (r % 4);
+      }
       for (const ApmosShape& sh : {ApmosShape{6, 3, 2}, ApmosShape{4, 5, 4}}) {
-        std::vector<std::int64_t> rows(static_cast<std::size_t>(p));
-        for (int r = 0; r < p; ++r) {
-          rows[static_cast<std::size_t>(r)] = 3 + (r % 4);
-        }
-        for (int v = 1; v < p; ++v) {
-          sweep_kill_points(
-              [&](FaultScenario f) {
-                return script_apmos(rows, sh.n_cols, sh.r1, sh.r2,
-                                    /*fault_tolerant=*/true, f);
-              },
-              v, &stats, &racy);
-        }
+        jobs.push_back({apmos_job(rows, sh.n_cols, sh.r1, sh.r2,
+                                  /*fault_tolerant=*/true),
+                        0});
       }
     }
     if (proto_enabled(proto, "streaming")) {
       struct StreamKB {
-        std::int64_t num_modes, batch_cols;
+        Index num_modes, batch_cols;
       };
+      std::vector<Index> rows(static_cast<std::size_t>(p));
+      for (int r = 0; r < p; ++r) {
+        rows[static_cast<std::size_t>(r)] = 4 + (r % 3);
+      }
       for (const StreamKB& kb : {StreamKB{2, 2}, StreamKB{3, 1}}) {
         for (int rounds = 1; rounds <= 4; ++rounds) {
-          StreamingShape shape;
-          shape.rows_by_rank.resize(static_cast<std::size_t>(p));
-          for (int r = 0; r < p; ++r) {
-            shape.rows_by_rank[static_cast<std::size_t>(r)] = 4 + (r % 3);
-          }
-          shape.num_modes = kb.num_modes;
-          shape.batch_cols = kb.batch_cols;
-          shape.rounds = rounds;
-          shape.fault_tolerant = true;
-          for (int v = 1; v < p; ++v) {
-            sweep_kill_points(
-                [&](FaultScenario f) {
-                  return script_streaming_updates(shape, f);
-                },
-                v, &stats, &racy);
-          }
+          jobs.push_back({streaming_job(rows, kb.num_modes, kb.batch_cols,
+                                        rounds, /*fault_tolerant=*/true),
+                          0});
         }
       }
     }
   }
 
+  SweepStats stats;
+  sweep_fault_jobs(jobs, &stats);
   std::cout << "schedule_check --faults: " << stats.schedules
-            << " scenarios (" << racy << " racy), " << stats.events
+            << " scenarios (" << stats.racy << " racy), " << stats.events
             << " events, " << stats.failures << " failure(s)"
             << (proto.empty() ? "" : " [proto=" + proto + "]")
             << (smoke ? " [smoke]" : "") << "\n";
@@ -427,6 +437,8 @@ bool run_selftest() {
 }  // namespace
 
 int main(int argc, char** argv) {
+  // Every kill scenario logs its injected death at warn level.
+  log::set_level(log::Level::Error);
   bool smoke = false;
   bool selftest_only = false;
   bool groups_only = false;

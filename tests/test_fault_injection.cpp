@@ -115,10 +115,10 @@ TEST(FaultPlanTest, MalformedEnvValueThrows) {
   ::setenv("PARSVD_FAULT_TIMEOUT_MS", "5s", 1);
   EXPECT_THROW(Context(2), ConfigError);
   ::unsetenv("PARSVD_FAULT_TIMEOUT_MS");
-  // Out of range is an error too, not a silent clamp to zero retries.
-  ::setenv("PARSVD_FAULT_RETRIES", "-1", 1);
+  // Out of range is an error too, not a silent clamp to no timeout.
+  ::setenv("PARSVD_FAULT_TIMEOUT_MS", "-1", 1);
   EXPECT_THROW(Context(2), ConfigError);
-  ::unsetenv("PARSVD_FAULT_RETRIES");
+  ::unsetenv("PARSVD_FAULT_TIMEOUT_MS");
   ::setenv("PARSVD_FAULT_DELAY_MS", "-5", 1);
   EXPECT_THROW(FaultPlan::from_env(), ConfigError);
   ::unsetenv("PARSVD_FAULT_DELAY_MS");
@@ -251,7 +251,6 @@ TEST(FaultInjection, MessagePostedBeforeDeathIsStillConsumed) {
 TEST(FaultInjection, SilentPeerTimesOutWithCommTimeout) {
   auto ctx = std::make_shared<Context>(2);
   ctx->set_wait_timeout(std::chrono::milliseconds(50));
-  ctx->set_max_retries(1);
   EXPECT_THROW(pmpi::run_on(ctx,
                             [](Communicator& comm) {
                               if (comm.rank() == 0) {

@@ -10,6 +10,7 @@
 
 #include "linalg/blas.hpp"
 #include "linalg/qr.hpp"
+#include "obs/metrics.hpp"
 #include "test_utils.hpp"
 
 namespace parsvd {
@@ -136,6 +137,21 @@ TEST(HouseholderQr, ApplyQtGivesRFromA) {
   for (Index j = 0; j < 4; ++j) {
     for (Index i = 4; i < 10; ++i) EXPECT_NEAR(work(i, j), 0.0, 1e-12);
   }
+}
+
+TEST(HouseholderQr, FlopCounterCountsFactorAndApplies) {
+  // The linalg.qr.flops cost model on a 40 x 12 panel: the factor
+  // 2mnk - 2k^3/3, then 4mck - 2ck^2 per apply of the k = 12 reflectors
+  // to an m x c block — thin_q (c = 12) and apply_qt (c = 3).
+  obs::Counter& flops = obs::Registry::global().counter("linalg.qr.flops");
+  const std::uint64_t before = flops.value();
+  const HouseholderQr f(random_matrix(40, 12, 17));
+  EXPECT_EQ(flops.value() - before, 10368u);
+  const Matrix q = f.thin_q();
+  EXPECT_EQ(flops.value() - before, 10368u + 19584u);
+  Matrix b = random_matrix(40, 3, 18);
+  f.apply_qt(b);
+  EXPECT_EQ(flops.value() - before, 10368u + 19584u + 4896u);
 }
 
 TEST(HouseholderQr, LeastSquaresSolvesConsistentSystem) {
