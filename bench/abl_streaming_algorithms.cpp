@@ -1,15 +1,10 @@
-// Ablation: streaming-update algorithm — Levy-Lindenbaum (Algorithm 1,
-// the paper's choice) vs Brand's incremental SVD (the classical baseline
-// the paper cites through the recommender-system lineage).
-//
-// Same stream, same K, same ff: per-update cost differs structurally —
-// Levy-Lindenbaum re-QRs the full m x (K + B) concatenation every batch;
-// Brand factors only the (K + b') x (K + B) core after projecting, and
-// can optionally carry right singular vectors. The bench reports wall
-// time and the spectrum deviation from the batch SVD for both.
+// Ablation: streaming-update inner SVD — the Levy-Lindenbaum update
+// (Algorithm 1, the paper's choice) with its deterministic Golub–Kahan
+// root SVD vs the randomized one (§3.3). Same stream, same K, same ff;
+// the bench reports wall time and the spectrum deviation from the batch
+// SVD for both.
 #include <cstdio>
 
-#include "core/incremental_brand.hpp"
 #include "core/streaming.hpp"
 #include "io/matrix_io.hpp"
 #include "linalg/svd.hpp"
@@ -81,16 +76,6 @@ int main() {
     report("Levy-Lindenbaum (paper Alg. 1)", ll, t);
   }
   {
-    IncrementalSVD brand(opts);
-    const double t = drive(brand);
-    report("Brand incremental", brand, t);
-  }
-  {
-    IncrementalSVD brand_v(opts, /*track_right_vectors=*/true);
-    const double t = drive(brand_v);
-    report("Brand incremental (+V)", brand_v, t);
-  }
-  {
     StreamingOptions ropts = opts;
     ropts.low_rank = true;
     ropts.randomized.oversampling = 8;
@@ -108,9 +93,6 @@ int main() {
   }
   io::write_csv("abl_streaming_algorithms.csv", out,
                 {"time_s", "snaps_per_s", "max_rel_sigma_err"});
-  std::printf("\nboth updates track the batch spectrum; Brand's core-only "
-              "refactorization\nwins on throughput for m >> K + B, at the "
-              "price of the periodic\nre-orthonormalization. wrote "
-              "abl_streaming_algorithms.csv\n\n");
+  std::printf("\nwrote abl_streaming_algorithms.csv\n\n");
   return 0;
 }

@@ -3,8 +3,7 @@
 // Defaults mirror the paper: forget factor ff = 0.95 (§3.1), APMOS
 // truncation r1 = 50, r2 = 5 (§3.2), Gaussian sketching for the
 // randomized path (§3.3), and LAPACK-style dense kernels — Golub–Kahan
-// SVD and tridiagonal-QL eigh, the routes np.linalg takes. Jacobi stays
-// selectable as the high-relative-accuracy reference.
+// SVD and tridiagonal-QL eigh, the routes np.linalg takes.
 #pragma once
 
 #include <cstdint>
@@ -62,7 +61,8 @@ struct FaultReport {
 void accept_or_throw(bool fault_tolerant, std::span<const int> missing,
                      const char* what);
 
-/// Randomized range-finder configuration (Halko et al. style).
+/// Randomized range-finder configuration (Halko et al. style). The small
+/// inner SVD of Qᵀ A is Golub–Kahan.
 struct RandomizedOptions {
   /// Target rank r of the approximation (required, > 0).
   Index rank = 10;
@@ -72,8 +72,6 @@ struct RandomizedOptions {
   int power_iterations = 0;
   /// Seed for the test matrix (deterministic per seed).
   std::uint64_t seed = 0x5eed;
-  /// Backend used for the small inner SVD.
-  SvdMethod inner_method = SvdMethod::GolubKahan;
 };
 
 /// Streaming (Levy-Lindenbaum) configuration, serial and parallel.
@@ -82,12 +80,10 @@ struct StreamingOptions {
   Index num_modes = 10;
   /// Forget factor in (0, 1]; 1.0 reproduces the batch SVD exactly.
   double forget_factor = 0.95;
-  /// Route the inner dense SVDs through the randomized path.
+  /// Route the inner dense SVDs (the root SVD of every streaming update)
+  /// through the randomized path; unset, they are Golub–Kahan.
   bool low_rank = false;
   RandomizedOptions randomized{};
-  /// Deterministic backend for non-randomized inner SVDs (the root SVD
-  /// of every streaming update).
-  SvdMethod method = SvdMethod::GolubKahan;
   /// Optional positive row weights w defining the inner product
   /// ⟨u, v⟩ = uᵀ diag(w) v — e.g. cell-area (cos-latitude) weights for
   /// lat-lon grids, the standard EOF convention in weather/climate work.

@@ -53,7 +53,6 @@ void ParallelStreamingSVD::initialize(const Matrix& batch) {
   aopts.r2 = keep;
   aopts.low_rank = opts_.low_rank;
   aopts.randomized = opts_.randomized;
-  aopts.method = opts_.method;
   ApmosResult init = apmos_svd(comm_, weighted, aopts, &rng_);
 
   u_local_ = std::move(init.u_local);
@@ -74,7 +73,6 @@ void ParallelStreamingSVD::root_svd(const Matrix& r, Matrix& u_small,
     f = randomized_svd(r, ropts, rng_);
   } else {
     SvdOptions sopts;
-    sopts.method = opts_.method;
     sopts.rank = keep;
     f = svd(r, sopts);
   }

@@ -46,9 +46,7 @@ SvdResult randomized_svd(const Matrix& a, const RandomizedOptions& opts,
                          Rng& rng) {
   const Matrix q = randomized_range_finder(a, opts, rng);
   // B = Qᵀ A is (r + p) x n — small enough for a dense SVD.
-  SvdOptions inner;
-  inner.method = opts.inner_method;
-  SvdResult f = svd(matmul(q, a, Trans::Yes, Trans::No), inner);
+  SvdResult f = svd(matmul(q, a, Trans::Yes, Trans::No));
   f.u = matmul(q, f.u);
 
   const Index keep = std::min(opts.rank, f.s.size());

@@ -64,7 +64,6 @@ SvdResult SerialStreamingSVD::inner_svd(const Matrix& a, Index rank) {
     return randomized_svd(a, ropts, rng_);
   }
   SvdOptions sopts;
-  sopts.method = opts_.method;
   sopts.rank = std::min(rank, std::min(a.rows(), a.cols()));
   return svd(a, sopts);
 }

@@ -1,124 +1,212 @@
+// Symmetric eigendecomposition via Householder tridiagonalization and
+// implicit-shift QL iteration, written against Golub & Van Loan §8.3.
+// The reduction is LAPACK's dsytd2 (lower), column by column; the QL
+// sweep is EISPACK's tql2 with its rotations logged instead of applied,
+// so only the kept eigenvectors are ever formed (see RotationLog).
 #include "linalg/eigh.hpp"
 
 #include <algorithm>
 #include <cmath>
 #include <numeric>
 
+#include "linalg/blas.hpp"
+#include "linalg/householder.hpp"
 #include "obs/trace.hpp"
 
 namespace parsvd {
 namespace {
 
-/// Sum of squares of the strictly-upper off-diagonal entries.
-double off_diagonal_norm(const Matrix& a) {
-  double s = 0.0;
-  for (Index j = 0; j < a.cols(); ++j) {
-    for (Index i = 0; i < j; ++i) s += a(i, j) * a(i, j);
+using detail::RotationLog;
+
+/// A = Q T Qᵀ with T symmetric tridiagonal. Q = H_0 ⋯ H_{n-2} stays in
+/// factored form: reflector i acts on rows i+1..n-1 and its tail lives in
+/// a(i+2.., i).
+struct Tridiagonalization {
+  Matrix a;
+  std::vector<double> tau;  // length n
+  std::vector<double> d;    // diagonal, length n
+  std::vector<double> e;    // subdiagonal e[i] = T(i+1, i); e[n-1] = 0
+};
+
+/// Lower-triangle reduction of the symmetric matrix `a` (dsytd2): every
+/// step is a reflector, a symv and a rank-2 update, each done as sweeps
+/// down the columns of the trailing block, so all access is unit-stride.
+Tridiagonalization tridiagonalize(Matrix a) {
+  const Index n = a.rows();
+  std::vector<double> tau(static_cast<std::size_t>(n), 0.0);
+  std::vector<double> d(static_cast<std::size_t>(n), 0.0);
+  std::vector<double> e(static_cast<std::size_t>(n), 0.0);
+  std::vector<double> v(static_cast<std::size_t>(n));
+  std::vector<double> w(static_cast<std::size_t>(n));
+
+  for (Index i = 0; i + 1 < n; ++i) {
+    double* coli = a.col_data(i);
+    const detail::Reflector h = detail::make_reflector(
+        coli[i + 1], std::span<double>(coli + i + 2, static_cast<std::size_t>(n - i - 2)));
+    e[static_cast<std::size_t>(i)] = h.beta;
+    tau[static_cast<std::size_t>(i)] = h.tau;
+    d[static_cast<std::size_t>(i)] = coli[i];
+    if (h.tau == 0.0) continue;
+
+    // Trailing block S = A(i+1:n, i+1:n) (lower triangle), v = (1; tail).
+    const Index p = n - i - 1;
+    const Index off = i + 1;
+    v[0] = 1.0;
+    std::copy(coli + i + 2, coli + n, v.begin() + 1);
+    // w = tau S v: column c adds S(c.., c) v_c below the diagonal and
+    // takes S(c+1.., c)ᵀ v(c+1..) into w_c.
+    std::fill(w.begin(), w.begin() + p, 0.0);
+    for (Index c = 0; c < p; ++c) {
+      const double* s = a.col_data(off + c) + off;
+      const auto len = static_cast<std::size_t>(p - c - 1);
+      const double vc = h.tau * v[static_cast<std::size_t>(c)];
+      w[static_cast<std::size_t>(c)] +=
+          s[c] * vc + h.tau * detail::dot_kernel(s + c + 1, v.data() + c + 1, len);
+      axpy(vc, std::span<const double>(s + c + 1, len),
+           std::span<double>(w.data() + c + 1, len));
+    }
+    // w -= (tau/2)(wᵀv) v, then S -= v wᵀ + w vᵀ on the lower triangle.
+    const double alpha = -0.5 * h.tau *
+                         detail::dot_kernel(w.data(), v.data(), static_cast<std::size_t>(p));
+    axpy(alpha, std::span<const double>(v.data(), static_cast<std::size_t>(p)),
+         std::span<double>(w.data(), static_cast<std::size_t>(p)));
+    for (Index c = 0; c < p; ++c) {
+      double* s = a.col_data(off + c) + off;
+      const auto len = static_cast<std::size_t>(p - c);
+      axpy(-w[static_cast<std::size_t>(c)], std::span<const double>(v.data() + c, len),
+           std::span<double>(s + c, len));
+      axpy(-v[static_cast<std::size_t>(c)], std::span<const double>(w.data() + c, len),
+           std::span<double>(s + c, len));
+    }
   }
-  return std::sqrt(2.0 * s);
+  if (n > 0) d[static_cast<std::size_t>(n - 1)] = a(n - 1, n - 1);
+  return {std::move(a), std::move(tau), std::move(d), std::move(e)};
+}
+
+/// Implicit-shift QL iteration on the tridiagonal (d, e); the rotations
+/// it would apply to the eigenvector matrix go to `log` instead.
+void tql2(std::vector<double>& d, std::vector<double>& e, RotationLog& log) {
+  const auto n = static_cast<Index>(d.size());
+  if (n == 1) return;
+
+  constexpr double kEps = 2.220446049250313e-16;
+  // Absolute deflation floor: rank-deficient inputs (e.g. Gram matrices
+  // of low-rank data) leave trailing blocks whose d AND e entries are
+  // all round-off noise ~ eps*||A||; the relative test |e| <= eps*dd
+  // never fires there and the sweep stagnates. Dropping |e| <= eps*anorm
+  // perturbs eigenvalues by at most eps*||A|| — the method's intrinsic
+  // (backward-stable) accuracy.
+  double anorm = 0.0;
+  for (Index i = 0; i < n; ++i) {
+    anorm = std::max(anorm, std::fabs(d[static_cast<std::size_t>(i)]) +
+                                std::fabs(e[static_cast<std::size_t>(i)]));
+  }
+  const double abs_floor = kEps * anorm;
+
+  constexpr int kMaxIter = 50;
+  for (Index l = 0; l < n; ++l) {
+    int iter = 0;
+    Index m;
+    do {
+      // Look for a negligible subdiagonal element to split at.
+      for (m = l; m + 1 < n; ++m) {
+        const double dd = std::fabs(d[static_cast<std::size_t>(m)]) +
+                          std::fabs(d[static_cast<std::size_t>(m + 1)]);
+        const double em = std::fabs(e[static_cast<std::size_t>(m)]);
+        if (em <= kEps * dd || em <= abs_floor) {
+          break;
+        }
+      }
+      if (m != l) {
+        if (++iter > kMaxIter) {
+          throw ConvergenceError("tql2 exceeded its iteration budget");
+        }
+        // Wilkinson shift from the leading 2x2.
+        double g = (d[static_cast<std::size_t>(l + 1)] -
+                    d[static_cast<std::size_t>(l)]) /
+                   (2.0 * e[static_cast<std::size_t>(l)]);
+        double r = detail::make_givens(g, 1.0).r;  // hypot(g, 1)
+        g = d[static_cast<std::size_t>(m)] - d[static_cast<std::size_t>(l)] +
+            e[static_cast<std::size_t>(l)] / (g + std::copysign(r, g));
+        double s = 1.0, c = 1.0, p = 0.0;
+        Index i = m - 1;
+        for (; i >= l; --i) {
+          const double f = s * e[static_cast<std::size_t>(i)];
+          const double b = c * e[static_cast<std::size_t>(i)];
+          const detail::Givens rot = detail::make_givens(g, f);  // c = g/r, s = f/r
+          r = rot.r;
+          e[static_cast<std::size_t>(i + 1)] = r;
+          if (r == 0.0) {
+            // Deflate without finishing the sweep.
+            d[static_cast<std::size_t>(i + 1)] -= p;
+            e[static_cast<std::size_t>(m)] = 0.0;
+            break;
+          }
+          s = rot.s;
+          c = rot.c;
+          g = d[static_cast<std::size_t>(i + 1)] - p;
+          r = (d[static_cast<std::size_t>(i)] - g) * s + 2.0 * c * b;
+          p = s * r;
+          d[static_cast<std::size_t>(i + 1)] = g + p;
+          g = c * r - b;
+          // Z(:, i) := c Z(:, i) - s Z(:, i+1), Z(:, i+1) := s Z(:, i) + c Z(:, i+1).
+          log.record(i, i + 1, c, -s);
+        }
+        if (r == 0.0 && i >= l) continue;
+        d[static_cast<std::size_t>(l)] -= p;
+        e[static_cast<std::size_t>(l)] = g;
+        e[static_cast<std::size_t>(m)] = 0.0;
+      }
+    } while (m != l);
+  }
 }
 
 }  // namespace
 
 EighResult eigh(const Matrix& input, const EighOptions& opts) {
   PARSVD_TRACE_SCOPE("linalg.eigh");
-  if (opts.method == EighMethod::Tridiagonal) {
-    return eigh_tridiagonal(input, opts);
-  }
-  PARSVD_REQUIRE(input.rows() == input.cols(), "eigh requires a square matrix");
+  PARSVD_REQUIRE(input.rows() == input.cols(),
+                 "eigh requires a square matrix");
   const Index n = input.rows();
   if (n == 0) return {Vector{}, Matrix{}};
 
-  // The convergence test below sums squared entries, which underflow to
-  // zero far below unit scale (the sweep loop then exits at once with
-  // wrong eigenvalues) and overflow far above it. Run at an exact
-  // power-of-two rescaling instead and scale the eigenvalues back.
   const double amax = input.norm_max();
   if (!std::isfinite(amax)) throw NonFiniteError("eigh input has a non-finite entry");
-  if (const int e = safe_scale_exponent(amax); e != 0) {
-    EighResult out = eigh(scale_by_pow2(input, -e), opts);
-    for (Index j = 0; j < out.values.size(); ++j) {
-      out.values[j] = std::ldexp(out.values[j], e);
-    }
-    return out;
-  }
-
-  // Validate symmetry, then work on the symmetrized copy so tiny
-  // round-off asymmetries from the Gram computation can't bias rotations.
   const double scale = std::max(amax, 1.0);
   Matrix a(n, n);
   for (Index j = 0; j < n; ++j) {
     for (Index i = 0; i <= j; ++i) {
       PARSVD_REQUIRE(std::fabs(input(i, j) - input(j, i)) <= 1e-8 * scale,
                      "eigh input is not symmetric");
-      const double v = 0.5 * (input(i, j) + input(j, i));
-      a(i, j) = v;
-      a(j, i) = v;
+      a(j, i) = 0.5 * (input(i, j) + input(j, i));
     }
   }
 
-  Matrix v = Matrix::identity(n);
-  const double fro = std::max(a.norm_fro(), 1e-300);
+  Tridiagonalization t = tridiagonalize(std::move(a));
+  std::vector<double>& d = t.d;
+  RotationLog log(2 * n * n);  // a sweep takes about n² rotations
+  tql2(d, t.e, log);
 
-  int sweep = 0;
-  while (off_diagonal_norm(a) > opts.tol * fro) {
-    if (++sweep > opts.max_sweeps) {
-      throw ConvergenceError("Jacobi eigensolver exceeded sweep budget");
-    }
-    for (Index p = 0; p < n - 1; ++p) {
-      for (Index q = p + 1; q < n; ++q) {
-        const double apq = a(p, q);
-        if (std::fabs(apq) <= 1e-300) continue;
-        // Classical Jacobi rotation (Golub & Van Loan §8.5.2): choose
-        // c, s zeroing a(p,q) with the smaller rotation angle.
-        const double theta = (a(q, q) - a(p, p)) / (2.0 * apq);
-        const double t = (theta >= 0.0)
-                             ? 1.0 / (theta + std::sqrt(1.0 + theta * theta))
-                             : 1.0 / (theta - std::sqrt(1.0 + theta * theta));
-        const double c = 1.0 / std::sqrt(1.0 + t * t);
-        const double s = t * c;
-
-        // A := Jᵀ A J restricted to rows/cols p, q.
-        const double app = a(p, p), aqq = a(q, q);
-        a(p, p) = app - t * apq;
-        a(q, q) = aqq + t * apq;
-        a(p, q) = 0.0;
-        a(q, p) = 0.0;
-        for (Index k = 0; k < n; ++k) {
-          if (k == p || k == q) continue;
-          const double akp = a(k, p), akq = a(k, q);
-          a(k, p) = c * akp - s * akq;
-          a(p, k) = a(k, p);
-          a(k, q) = s * akp + c * akq;
-          a(q, k) = a(k, q);
-        }
-        // Accumulate eigenvectors: V := V J.
-        double* vp = v.col_data(p);
-        double* vq = v.col_data(q);
-        for (Index k = 0; k < n; ++k) {
-          const double xp = vp[k], xq = vq[k];
-          vp[k] = c * xp - s * xq;
-          vq[k] = s * xp + c * xq;
-        }
-      }
-    }
-  }
-
-  // Sort eigenpairs by descending eigenvalue.
+  // Sort descending; keep the leading r (ties at the cut go to the lower
+  // index, as the sort is stable).
   std::vector<Index> order(static_cast<std::size_t>(n));
   std::iota(order.begin(), order.end(), Index{0});
-  std::stable_sort(order.begin(), order.end(),
-                   [&a](Index i, Index j) { return a(i, i) > a(j, j); });
-
+  std::stable_sort(order.begin(), order.end(), [&d](Index x, Index y) {
+    return d[static_cast<std::size_t>(x)] > d[static_cast<std::size_t>(y)];
+  });
   const Index r = (opts.rank > 0 && opts.rank < n) ? opts.rank : n;
+
   EighResult out;
   out.values = Vector(r);
-  out.vectors = Matrix(n, r);
-  for (Index k = 0; k < r; ++k) {
-    const Index src = order[static_cast<std::size_t>(k)];
-    out.values[k] = a(src, src);
-    out.vectors.set_col(k, v.col(src));
+  Matrix y(r, n);
+  for (Index q = 0; q < r; ++q) {
+    const Index src = order[static_cast<std::size_t>(q)];
+    out.values[q] = d[static_cast<std::size_t>(src)];
+    y(q, src) = 1.0;
   }
+  log.unwind(y);
+  out.vectors = y.transposed();
+  detail::apply_reflectors_backward(t.a, t.tau, 1, out.vectors);
   return out;
 }
 

@@ -1,7 +1,6 @@
 // Householder reflectors and Givens rotations shared by the dense
 // factorizations: the Householder QR (qr.cpp), the Golub–Kahan SVD
-// (svd_golub_kahan.cpp) and the tridiagonal eigensolver
-// (eigh_tridiagonal.cpp). Linalg-internal; not part of the public API.
+// (svd_golub_kahan.cpp) and the tridiagonal eigensolver (eigh.cpp). Linalg-internal; not part of the public API.
 #pragma once
 
 #include <cstdint>

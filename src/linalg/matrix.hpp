@@ -203,10 +203,9 @@ Matrix vcat(const std::vector<Matrix>& blocks);
 double max_abs_diff(const Matrix& a, const Matrix& b);
 double max_abs_diff(const Vector& a, const Vector& b);
 
-/// Scale guard of the dense SVD and eigensolver backends (LAPACK's dlascl
-/// idea). Their squared and fourth-power intermediates (Golub–Kahan's
-/// Wilkinson shift, the method-of-snapshots Gram, the Jacobi off-diagonal
-/// norm) over- or underflow far from unit scale. Given amax = max |a_ij|,
+/// Scale guard of the dense SVD backends (LAPACK's dlascl idea). Their
+/// squared and fourth-power intermediates (Golub–Kahan's Wilkinson shift,
+/// the method-of-snapshots Gram) over- or underflow far from unit scale. Given amax = max |a_ij|,
 /// returns the exponent e such that 2^-e·a has max |a_ij| in [0.5, 1)
 /// when amax lies outside [2^-200, 2^200], and 0 otherwise (also for a
 /// zero or non-finite amax), so inputs inside that range are untouched.

@@ -1,25 +1,22 @@
 // Singular value decomposition front-end and backends.
 //
-// Three independently-implemented deterministic backends are provided:
+// One SVD family, two routes to it:
 //   * GolubKahan        — Householder bidiagonalization + implicit-shift
 //                         QR on the bidiagonal: the LAPACK route that the
 //                         paper's np.linalg.svd takes, and the default.
-//   * Jacobi            — QR-preconditioned one-sided Jacobi. The
-//                         reference backend: computes small singular
-//                         values to high relative accuracy; request it
-//                         explicitly where that matters. singular_values()
-//                         and pinv() use it.
+//                         singular_values() and pinv() use it.
 //   * MethodOfSnapshots — eigendecomposition of the n x n Gram matrix AᵀA.
 //                         O(m n^2) with a tiny constant; the classical POD
 //                         route and the one the APMOS paper assumes when
 //                         m >> n. Loses half the digits for σ near
 //                         sqrt(eps)·σ_max, which tests document.
-// Having independent backends lets the test suite cross-validate them
-// against each other on random matrices — the strongest correctness check
-// available without a reference LAPACK. Golub–Kahan and the method of
-// snapshots rescale inputs far from unit scale by an exact power of two
-// (safe_scale_exponent), so every backend handles entries near 1e±300.
-// Every backend throws NonFiniteError on a NaN or infinite entry.
+// Golub–Kahan's accuracy is absolute (eps·σ_max), not relative: σ far
+// below σ_max carry that absolute error. The test suite cross-validates
+// both backends against an independent one-sided Jacobi SVD
+// (tests/oracle), which is not part of the library. Both backends rescale
+// inputs far from unit scale by an exact power of two
+// (safe_scale_exponent), so they handle entries near 1e±300, and both
+// throw NonFiniteError on a NaN or infinite entry.
 //
 // The convention throughout: thin SVD A = U diag(s) Vᵀ with U (m x r),
 // s descending and non-negative, V (n x r), r = min(m, n) (or the
@@ -41,23 +38,18 @@ struct SvdResult {
 };
 
 enum class SvdMethod {
-  Jacobi,
   MethodOfSnapshots,
   GolubKahan,
 };
 
 struct SvdOptions {
   SvdMethod method = SvdMethod::GolubKahan;
-  /// Keep only the leading `rank` triplets; 0 = full thin SVD. Golub–Kahan
-  /// and the method of snapshots form only the kept vectors, so their
-  /// vector cost is O(rank), not O(min(m, n)); Jacobi truncates its full
-  /// result.
+  /// Keep only the leading `rank` triplets; 0 = full thin SVD. Both
+  /// backends form only the kept vectors, so their vector cost is
+  /// O(rank), not O(min(m, n)).
   Index rank = 0;
-  /// Jacobi sweep convergence threshold on normalized column coherence.
-  double tol = 1e-13;
-  int max_sweeps = 64;
-  /// Eigensolver used by the MethodOfSnapshots backend for the Gram
-  /// matrix (Tridiagonal is the fast default; Jacobi the reference).
+  /// Eigensolver of the MethodOfSnapshots backend's Gram matrix (there
+  /// is one, eigh()).
   EighMethod eigh_method = EighMethod::Tridiagonal;
 };
 
@@ -67,14 +59,14 @@ SvdResult svd(const Matrix& a, const SvdOptions& opts = {});
 
 /// Direct entry points for the individual backends (used by tests and
 /// by callers that know their matrix shape).
-SvdResult svd_jacobi(const Matrix& a, const SvdOptions& opts = {});
 SvdResult svd_method_of_snapshots(const Matrix& a, const SvdOptions& opts = {});
 SvdResult svd_golub_kahan(const Matrix& a, const SvdOptions& opts = {});
 
-/// Singular values only, to high relative accuracy (Jacobi-backed).
+/// Singular values only, via svd() (Golub–Kahan): accurate to
+/// eps·σ_max absolutely.
 Vector singular_values(const Matrix& a);
 
-/// Moore-Penrose pseudoinverse via the SVD; singular values below
+/// Moore-Penrose pseudoinverse via svd(); singular values below
 /// rcond * s_max are treated as zero (NumPy-compatible default).
 Matrix pinv(const Matrix& a, double rcond = 1e-15);
 

@@ -4,10 +4,10 @@
 // np.linalg.svd takes, and the default backend. Only the r = opts.rank
 // kept singular vectors are formed: the sweep logs its rotations, which
 // are replayed onto r columns and back-transformed through the reflectors
-// (left in factored form), so vector work is O(r), not O(n). One-sided
-// Jacobi is the independent reference the tests cross-validate it
-// against; the two share no code beyond the Matrix container and the
-// Householder reflector.
+// (left in factored form), so vector work is O(r), not O(n). The tests
+// cross-validate it against a one-sided Jacobi SVD (tests/oracle) that
+// shares no code with it beyond the Matrix container and the Householder
+// reflector.
 #include <algorithm>
 #include <cmath>
 #include <numeric>

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <exception>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -472,6 +473,48 @@ Job partition_job(int world_p, std::vector<std::vector<int>> groups,
     bodies[static_cast<std::size_t>(g)](*sub);
   };
   return {std::move(name), world_p, std::move(body), std::move(setup)};
+}
+
+std::vector<PartitionCase> group_sweep(int p) {
+  constexpr GroupProtocol kProtos[] = {
+      GroupProtocol::Tsqr,     GroupProtocol::Allreduce,
+      GroupProtocol::Gather,   GroupProtocol::Bcast,
+      GroupProtocol::Barrier,  GroupProtocol::Allgather,
+      GroupProtocol::Reduce,   GroupProtocol::Apmos,
+  };
+  std::vector<std::vector<int>> shapes[4];
+  // halves
+  shapes[0].assign(2, {});
+  for (int r = 0; r < p; ++r) {
+    shapes[0][r < p / 2 ? 0u : 1u].push_back(r);
+  }
+  // singleton + rest
+  shapes[1].assign(2, {});
+  shapes[1][0].push_back(0);
+  for (int r = 1; r < p; ++r) shapes[1][1].push_back(r);
+  // three-way
+  shapes[2].assign(3, {});
+  for (int r = 0; r < p; ++r) {
+    shapes[2][static_cast<std::size_t>(std::min(r / ((p + 2) / 3), 2))]
+        .push_back(r);
+  }
+  // even/odd interleave
+  shapes[3].assign(2, {});
+  for (int r = 0; r < p; ++r) shapes[3][static_cast<std::size_t>(r % 2)]
+      .push_back(r);
+
+  std::vector<PartitionCase> out;
+  std::size_t next = static_cast<std::size_t>(p);
+  for (auto& shape : shapes) {
+    PartitionCase c;
+    for (auto& members : shape) {
+      if (members.empty()) continue;
+      c.groups.push_back(std::move(members));
+      c.protocols.push_back(kProtos[next++ % std::size(kProtos)]);
+    }
+    out.push_back(std::move(c));
+  }
+  return out;
 }
 
 }  // namespace parsvd::verify

@@ -118,4 +118,21 @@ const char* to_string(GroupProtocol proto);
 Job partition_job(int world_p, std::vector<std::vector<int>> groups,
                   std::vector<GroupProtocol> protocols, std::uint64_t bytes);
 
+/// One partition of the subgroup sweep: the groups' world ranks and the
+/// protocol each group runs (partition_job's arguments).
+struct PartitionCase {
+  std::vector<std::vector<int>> groups;
+  std::vector<GroupProtocol> protocols;
+};
+
+/// The subgroup sweep at world size `p`: contiguous halves, a singleton
+/// plus the rest, contiguous thirds, and an even/odd interleave
+/// (non-contiguous members, so the group-rank -> world-rank translation
+/// is exercised, not just offsetting), with empty groups dropped. Shapes
+/// collapse for tiny p (p = 1 yields one single-group partition per
+/// shape). Protocols are dealt to the groups of all shapes in turn from a
+/// counter that starts at p, so at every p >= 2 (8 or 9 groups) each
+/// GroupProtocol runs, and the concurrent pairings rotate with p.
+std::vector<PartitionCase> group_sweep(int p);
+
 }  // namespace parsvd::verify

@@ -31,12 +31,10 @@
 //
 // Exit code 0 iff every real schedule passes AND every seeded defect is
 // caught with the expected violation kind.
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <iostream>
-#include <iterator>
 #include <mutex>
 #include <sstream>
 #include <string>
@@ -125,64 +123,9 @@ void sweep_p(int p, SweepStats* stats) {
   }
 }
 
-/// The partition shapes swept per world size: contiguous halves, a
-/// singleton plus the rest, contiguous thirds, and an even/odd
-/// interleave (non-contiguous members, so the group-rank -> world-rank
-/// translation is exercised, not just offsetting). Shapes collapse for
-/// tiny p (p=1 yields the same single-group partition three times over);
-/// empty groups are dropped. partition_job mints the group ids 1..n in
-/// partition order.
-std::vector<std::vector<std::vector<int>>> partitions_for(int p) {
-  std::vector<std::vector<int>> shapes[4];
-  // halves
-  shapes[0].assign(2, {});
-  for (int r = 0; r < p; ++r) {
-    shapes[0][r < p / 2 ? 0u : 1u].push_back(r);
-  }
-  // singleton + rest
-  shapes[1].assign(2, {});
-  shapes[1][0].push_back(0);
-  for (int r = 1; r < p; ++r) shapes[1][1].push_back(r);
-  // three-way
-  shapes[2].assign(3, {});
-  for (int r = 0; r < p; ++r) {
-    shapes[2][static_cast<std::size_t>(std::min(r / ((p + 2) / 3), 2))]
-        .push_back(r);
-  }
-  // even/odd interleave
-  shapes[3].assign(2, {});
-  for (int r = 0; r < p; ++r) shapes[3][static_cast<std::size_t>(r % 2)]
-      .push_back(r);
-
-  std::vector<std::vector<std::vector<int>>> out;
-  for (auto& shape : shapes) {
-    std::vector<std::vector<int>> partition;
-    for (auto& members : shape) {
-      if (!members.empty()) partition.push_back(std::move(members));
-    }
-    out.push_back(std::move(partition));
-  }
-  return out;
-}
-
 void sweep_groups(int p, SweepStats* stats) {
-  constexpr GroupProtocol kProtos[] = {
-      GroupProtocol::Tsqr,     GroupProtocol::Allreduce,
-      GroupProtocol::Gather,   GroupProtocol::Bcast,
-      GroupProtocol::Barrier,  GroupProtocol::Allgather,
-      GroupProtocol::Reduce,   GroupProtocol::Apmos,
-  };
-  constexpr int kNumProtos = static_cast<int>(std::size(kProtos));
-  std::vector<std::vector<std::vector<int>>> partitions = partitions_for(p);
-  for (std::size_t shape = 0; shape < partitions.size(); ++shape) {
-    // Rotate protocol assignments with the shape index so every protocol
-    // eventually runs concurrently with every other.
-    std::vector<GroupProtocol> protos;
-    protos.reserve(partitions[shape].size());
-    for (std::size_t i = 0; i < partitions[shape].size(); ++i) {
-      protos.push_back(kProtos[(static_cast<int>(i + shape)) % kNumProtos]);
-    }
-    run_check(partition_job(p, std::move(partitions[shape]), protos, 64),
+  for (PartitionCase& c : group_sweep(p)) {
+    run_check(partition_job(p, std::move(c.groups), std::move(c.protocols), 64),
               stats);
   }
 }

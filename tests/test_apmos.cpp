@@ -2,6 +2,7 @@
 // invariance, truncation (r1/r2) behaviour, randomized root SVD.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <mutex>
 
 #include "core/apmos.hpp"
@@ -167,11 +168,17 @@ TEST(Apmos, SingularValuesConsistentAcrossRanks) {
 
 TEST(Apmos, GenerateRightVectorsShapes) {
   const Matrix a = testing::random_matrix(30, 12, 201);
-  const auto [v, s] = generate_right_vectors(a, 5, SvdMethod::Jacobi);
+  const auto [v, s] = generate_right_vectors(a, 5, SvdMethod::GolubKahan);
   EXPECT_EQ(v.rows(), 12);
   EXPECT_EQ(v.cols(), 5);
   EXPECT_EQ(s.size(), 5);
   EXPECT_LT(ortho_defect(v), 1e-12);
+  // The leading σ and right subspace of the Jacobi oracle.
+  const SvdResult ref = oracle::svd_jacobi(a, 5);
+  testing::expect_vector_near(s, ref.s, 1e-12 * ref.s[0]);
+  for (Index j = 0; j < 5; ++j) {
+    EXPECT_GT(std::fabs(dot(v.col_span(j), ref.v.col_span(j))), 1.0 - 1e-10) << j;
+  }
 }
 
 TEST(Apmos, OptionValidation) {

@@ -1,8 +1,7 @@
-// Cyclic-Jacobi eigensolver tests: known decompositions, invariants over a
-// random sweep, Gram-matrix positive semidefiniteness, convergence. The
-// suite requests EighMethod::Jacobi explicitly (the default is
-// Tridiagonal, covered by test_eigh_tridiagonal.cpp); the scale-guard
-// test at the end runs both backends.
+// eigh() tests: known decompositions, invariants over a random sweep,
+// Gram-matrix positive semidefiniteness. The non-finite and scale-guard
+// tests at the end run eigh() and the cyclic-Jacobi oracle (tests/oracle)
+// side by side; test_eigh_tridiagonal.cpp cross-validates the two.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,15 +21,9 @@ using testing::naive_matmul;
 using testing::ortho_defect;
 using testing::random_symmetric;
 
-EighOptions jac() {
-  EighOptions opts;
-  opts.method = EighMethod::Jacobi;
-  return opts;
-}
-
 TEST(Eigh, DiagonalMatrix) {
   const Matrix a = Matrix::diag(Vector{3, 1, 2});
-  const EighResult e = eigh(a, jac());
+  const EighResult e = eigh(a);
   EXPECT_DOUBLE_EQ(e.values[0], 3.0);
   EXPECT_DOUBLE_EQ(e.values[1], 2.0);
   EXPECT_DOUBLE_EQ(e.values[2], 1.0);
@@ -39,7 +32,7 @@ TEST(Eigh, DiagonalMatrix) {
 TEST(Eigh, Known2x2) {
   // [[2, 1], [1, 2]] has eigenvalues 3 and 1 with vectors (1,1), (1,-1).
   const Matrix a{{2, 1}, {1, 2}};
-  const EighResult e = eigh(a, jac());
+  const EighResult e = eigh(a);
   EXPECT_NEAR(e.values[0], 3.0, 1e-14);
   EXPECT_NEAR(e.values[1], 1.0, 1e-14);
   const double inv_sqrt2 = 1.0 / std::sqrt(2.0);
@@ -48,13 +41,13 @@ TEST(Eigh, Known2x2) {
 }
 
 TEST(Eigh, IdentityHasUnitEigenvalues) {
-  const EighResult e = eigh(Matrix::identity(5), jac());
+  const EighResult e = eigh(Matrix::identity(5));
   for (Index i = 0; i < 5; ++i) EXPECT_NEAR(e.values[i], 1.0, 1e-15);
 }
 
 TEST(Eigh, ValuesDescending) {
   const Matrix a = random_symmetric(12, 21);
-  const EighResult e = eigh(a, jac());
+  const EighResult e = eigh(a);
   for (Index i = 1; i < e.values.size(); ++i) {
     EXPECT_GE(e.values[i - 1], e.values[i]);
   }
@@ -62,13 +55,13 @@ TEST(Eigh, ValuesDescending) {
 
 TEST(Eigh, VectorsOrthonormal) {
   const Matrix a = random_symmetric(15, 22);
-  const EighResult e = eigh(a, jac());
+  const EighResult e = eigh(a);
   EXPECT_LT(ortho_defect(e.vectors), 1e-12);
 }
 
 TEST(Eigh, Reconstruction) {
   const Matrix a = random_symmetric(10, 23);
-  const EighResult e = eigh(a, jac());
+  const EighResult e = eigh(a);
   const Matrix vd = naive_matmul(e.vectors, Matrix::diag(e.values));
   const Matrix rec = naive_matmul(vd, e.vectors.transposed());
   expect_matrix_near(rec, a, 1e-11);
@@ -76,7 +69,7 @@ TEST(Eigh, Reconstruction) {
 
 TEST(Eigh, EigenvalueEquationHolds) {
   const Matrix a = random_symmetric(8, 24);
-  const EighResult e = eigh(a, jac());
+  const EighResult e = eigh(a);
   for (Index j = 0; j < 8; ++j) {
     Vector av(8, 0.0);
     gemv(Trans::No, 1.0, a, e.vectors.col_span(j), 0.0, av.span());
@@ -87,7 +80,7 @@ TEST(Eigh, EigenvalueEquationHolds) {
 
 TEST(Eigh, TraceEqualsEigenvalueSum) {
   const Matrix a = random_symmetric(9, 25);
-  const EighResult e = eigh(a, jac());
+  const EighResult e = eigh(a);
   double trace = 0.0;
   for (Index i = 0; i < 9; ++i) trace += a(i, i);
   EXPECT_NEAR(e.values.sum(), trace, 1e-11);
@@ -95,26 +88,26 @@ TEST(Eigh, TraceEqualsEigenvalueSum) {
 
 TEST(Eigh, GramMatrixIsPsd) {
   const Matrix g = gram(testing::random_matrix(20, 6, 26));
-  const EighResult e = eigh(g, jac());
+  const EighResult e = eigh(g);
   for (Index i = 0; i < e.values.size(); ++i) {
     EXPECT_GE(e.values[i], -1e-10);
   }
 }
 
 TEST(Eigh, RejectsNonSquare) {
-  EXPECT_THROW(eigh(Matrix(3, 4), jac()), Error);
+  EXPECT_THROW(eigh(Matrix(3, 4)), Error);
 }
 
 TEST(Eigh, RejectsAsymmetric) {
   Matrix a{{1, 2}, {5, 1}};
-  EXPECT_THROW(eigh(a, jac()), Error);
+  EXPECT_THROW(eigh(a), Error);
 }
 
 TEST(Eigh, HandlesRepeatedEigenvalues) {
   // 2 I plus a rank-1 bump: eigenvalues {3, 2, 2}.
   Matrix a = 2.0 * Matrix::identity(3);
   a(0, 0) = 3.0;
-  const EighResult e = eigh(a, jac());
+  const EighResult e = eigh(a);
   EXPECT_NEAR(e.values[0], 3.0, 1e-13);
   EXPECT_NEAR(e.values[1], 2.0, 1e-13);
   EXPECT_NEAR(e.values[2], 2.0, 1e-13);
@@ -122,7 +115,7 @@ TEST(Eigh, HandlesRepeatedEigenvalues) {
 }
 
 TEST(Eigh, OneByOne) {
-  const EighResult e = eigh(Matrix{{-4.0}}, jac());
+  const EighResult e = eigh(Matrix{{-4.0}});
   EXPECT_DOUBLE_EQ(e.values[0], -4.0);
   EXPECT_DOUBLE_EQ(std::fabs(e.vectors(0, 0)), 1.0);
 }
@@ -132,7 +125,7 @@ class EighSweep : public ::testing::TestWithParam<std::tuple<int, std::uint64_t>
 TEST_P(EighSweep, Invariants) {
   const auto [n, seed] = GetParam();
   const Matrix a = random_symmetric(n, 500 + seed);
-  const EighResult e = eigh(a, jac());
+  const EighResult e = eigh(a);
   EXPECT_LT(ortho_defect(e.vectors), 1e-11);
   const Matrix vd = naive_matmul(e.vectors, Matrix::diag(e.values));
   const Matrix rec = naive_matmul(vd, e.vectors.transposed());
@@ -145,62 +138,44 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(2, 3, 7, 16, 33),
                        ::testing::Values(0u, 1u, 2u, 3u)));
 
-// Both backends reject a NaN or infinite entry with the typed error, not
-// with "eigh input is not symmetric" (NaN fails every comparison).
+// eigh() and the Jacobi oracle reject a NaN or infinite entry with the
+// typed error, not with "eigh input is not symmetric" (NaN fails every
+// comparison).
 class EighNonFinite : public ::testing::TestWithParam<std::tuple<int, double>> {};
 
 TEST_P(EighNonFinite, ThrowsNonFiniteError) {
-  const auto [method_idx, bad] = GetParam();
-  const auto method = static_cast<EighMethod>(method_idx);
+  const auto [solver, bad] = GetParam();
   Matrix a = random_symmetric(40, 12);
   a(7, 3) = bad;
   a(3, 7) = bad;
-  EighOptions opts;
-  opts.method = method;
-  EXPECT_THROW(eigh(a, opts), NonFiniteError);
+  if (solver == 0) {
+    EXPECT_THROW(oracle::eigh_jacobi(a), NonFiniteError);
+  } else {
+    EXPECT_THROW(eigh(a), NonFiniteError);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Backends, EighNonFinite,
-    ::testing::Combine(::testing::Values(0, 1),  // Jacobi, Tridiagonal
+    ::testing::Combine(::testing::Values(0, 1),  // Jacobi oracle, eigh()
                        ::testing::Values(std::numeric_limits<double>::quiet_NaN(),
                                          std::numeric_limits<double>::infinity(),
                                          -std::numeric_limits<double>::infinity())));
-
-TEST(Eigh, RankKeepsLeadingPairsJacobi) {
-  // EighOptions::rank on the Jacobi backend truncates its full result.
-  const Matrix a = random_symmetric(20, 13);
-  const EighResult full = eigh(a, jac());
-  for (const Index rank : {Index{1}, Index{7}, Index{20}, Index{25}}) {
-    EighOptions opts = jac();
-    opts.rank = rank;
-    const EighResult e = eigh(a, opts);
-    const Index k = std::min<Index>(rank, 20);
-    ASSERT_EQ(e.values.size(), k);
-    ASSERT_EQ(e.vectors.cols(), k);
-    for (Index j = 0; j < k; ++j) {
-      EXPECT_EQ(e.values[j], full.values[j]) << "rank " << rank;
-      for (Index i = 0; i < 20; ++i) EXPECT_EQ(e.vectors(i, j), full.vectors(i, j));
-    }
-  }
-}
 
 TEST(Eigh, ExtremeScaleBothBackends) {
   // A 10 x 10 SPD matrix scaled by 1e±200 and 1e±300. Unguarded, cyclic
   // Jacobi's squared off-diagonal norm underflows to zero at 1e-200 and
   // it returns the diagonal as the spectrum (λ₀ off by 30%) without an
-  // error. With the power-of-two scale guard both backends must return
-  // the scaled spectrum of the unit-scale matrix.
+  // error. With the power-of-two scale guard the Jacobi oracle, like
+  // eigh(), must return the scaled spectrum of the unit-scale matrix.
   const Matrix b = testing::random_matrix(10, 10, 27);
   const Matrix unit = naive_matmul(b.transposed(), b) + Matrix::identity(10);
-  const EighResult ref = eigh(unit, jac());
-  for (const auto method : {EighMethod::Jacobi, EighMethod::Tridiagonal}) {
+  const EighResult ref = oracle::eigh_jacobi(unit);
+  for (const bool jacobi : {true, false}) {
     for (const double scale : {1e200, 1e300, 1e-200, 1e-300}) {
       Matrix a = unit;
       a *= scale;
-      EighOptions opts;
-      opts.method = method;
-      const EighResult e = eigh(a, opts);
+      const EighResult e = jacobi ? oracle::eigh_jacobi(a) : eigh(a);
       const double lmax = ref.values[0] * scale;
       for (Index i = 0; i < 10; ++i) {
         EXPECT_NEAR(e.values[i] / lmax, ref.values[i] / ref.values[0], 1e-12)

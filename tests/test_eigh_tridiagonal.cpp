@@ -1,7 +1,8 @@
 // Tridiagonal (dsytd2/tql2) eigensolver tests: invariants, known cases,
 // and cross-validation against the independently-implemented Jacobi
-// backend — two unrelated algorithms agreeing on random inputs is the
-// strongest correctness evidence available without a reference LAPACK.
+// oracle (tests/oracle) — two unrelated algorithms agreeing on random
+// inputs is the strongest correctness evidence available without a
+// reference LAPACK.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,33 +23,21 @@ using testing::naive_matmul;
 using testing::ortho_defect;
 using testing::random_symmetric;
 
-EighOptions tri() {
-  EighOptions opts;
-  opts.method = EighMethod::Tridiagonal;
-  return opts;
-}
-
-EighOptions jac() {
-  EighOptions opts;
-  opts.method = EighMethod::Jacobi;
-  return opts;
-}
-
 TEST(EighTridiagonal, DiagonalMatrix) {
-  const EighResult e = eigh(Matrix::diag(Vector{3, 1, 2}), tri());
+  const EighResult e = eigh(Matrix::diag(Vector{3, 1, 2}));
   EXPECT_DOUBLE_EQ(e.values[0], 3.0);
   EXPECT_DOUBLE_EQ(e.values[1], 2.0);
   EXPECT_DOUBLE_EQ(e.values[2], 1.0);
 }
 
 TEST(EighTridiagonal, Known2x2) {
-  const EighResult e = eigh(Matrix{{2, 1}, {1, 2}}, tri());
+  const EighResult e = eigh(Matrix{{2, 1}, {1, 2}});
   EXPECT_NEAR(e.values[0], 3.0, 1e-14);
   EXPECT_NEAR(e.values[1], 1.0, 1e-14);
 }
 
 TEST(EighTridiagonal, OneByOne) {
-  const EighResult e = eigh(Matrix{{-5.0}}, tri());
+  const EighResult e = eigh(Matrix{{-5.0}});
   EXPECT_DOUBLE_EQ(e.values[0], -5.0);
 }
 
@@ -63,7 +52,7 @@ TEST(EighTridiagonal, AlreadyTridiagonal) {
       a(i + 1, i) = -1.0;
     }
   }
-  const EighResult e = eigh(a, tri());
+  const EighResult e = eigh(a);
   constexpr double kPi = 3.14159265358979323846;
   for (Index k = 0; k < n; ++k) {
     // Descending order → the k-th value uses mode (n - k).
@@ -75,13 +64,13 @@ TEST(EighTridiagonal, AlreadyTridiagonal) {
 }
 
 TEST(EighTridiagonal, VectorsOrthonormal) {
-  const EighResult e = eigh(random_symmetric(25, 81), tri());
+  const EighResult e = eigh(random_symmetric(25, 81));
   EXPECT_LT(ortho_defect(e.vectors), 1e-12);
 }
 
 TEST(EighTridiagonal, Reconstruction) {
   const Matrix a = random_symmetric(18, 82);
-  const EighResult e = eigh(a, tri());
+  const EighResult e = eigh(a);
   const Matrix vd = naive_matmul(e.vectors, Matrix::diag(e.values));
   expect_matrix_near(naive_matmul(vd, e.vectors.transposed()), a, 1e-11);
 }
@@ -89,16 +78,16 @@ TEST(EighTridiagonal, Reconstruction) {
 TEST(EighTridiagonal, AgreesWithJacobiOnSpectra) {
   for (std::uint64_t seed = 0; seed < 6; ++seed) {
     const Matrix a = random_symmetric(20, 900 + seed);
-    const EighResult ej = eigh(a, jac());
-    const EighResult et = eigh(a, tri());
+    const EighResult ej = oracle::eigh_jacobi(a);
+    const EighResult et = eigh(a);
     expect_vector_near(et.values, ej.values, 1e-11, "spectra");
   }
 }
 
 TEST(EighTridiagonal, AgreesWithJacobiOnSubspaces) {
   const Matrix a = random_symmetric(15, 83);
-  const EighResult ej = eigh(a, jac());
-  const EighResult et = eigh(a, tri());
+  const EighResult ej = oracle::eigh_jacobi(a);
+  const EighResult et = eigh(a);
   // Eigenvectors agree up to sign for simple spectra.
   for (Index j = 0; j < 15; ++j) {
     const double c =
@@ -110,7 +99,7 @@ TEST(EighTridiagonal, AgreesWithJacobiOnSubspaces) {
 TEST(EighTridiagonal, RepeatedEigenvalues) {
   Matrix a = 2.0 * Matrix::identity(4);
   a(0, 0) = 5.0;
-  const EighResult e = eigh(a, tri());
+  const EighResult e = eigh(a);
   EXPECT_NEAR(e.values[0], 5.0, 1e-13);
   for (Index i = 1; i < 4; ++i) EXPECT_NEAR(e.values[i], 2.0, 1e-13);
   EXPECT_LT(ortho_defect(e.vectors), 1e-12);
@@ -119,15 +108,15 @@ TEST(EighTridiagonal, RepeatedEigenvalues) {
 TEST(EighTridiagonal, NegativeSpectra) {
   Matrix a = random_symmetric(10, 84);
   a -= 100.0 * Matrix::identity(10);
-  const EighResult e = eigh(a, tri());
+  const EighResult e = eigh(a);
   for (Index i = 0; i < 10; ++i) EXPECT_LT(e.values[i], 0.0);
   const Matrix vd = naive_matmul(e.vectors, Matrix::diag(e.values));
   expect_matrix_near(naive_matmul(vd, e.vectors.transposed()), a, 1e-9);
 }
 
 TEST(EighTridiagonal, RejectsNonSquareAndAsymmetric) {
-  EXPECT_THROW(eigh(Matrix(3, 4), tri()), Error);
-  EXPECT_THROW(eigh(Matrix{{1, 2}, {5, 1}}, tri()), Error);
+  EXPECT_THROW(eigh(Matrix(3, 4)), Error);
+  EXPECT_THROW(eigh(Matrix{{1, 2}, {5, 1}}), Error);
 }
 
 // Q diag(spectrum) Qᵀ with a random orthonormal Q (n x k).
@@ -169,8 +158,8 @@ TEST_P(EighTridiagonalKeptRank, LeadingPairsOfFullSolve) {
   const KeptRankCase& c = GetParam();
   const Matrix a = c.make();
   const Index n = a.rows();
-  const EighResult full = eigh(a, tri());
-  EighOptions opts = tri();
+  const EighResult full = eigh(a);
+  EighOptions opts;
   opts.rank = c.rank;
   const EighResult e = eigh(a, opts);
   const Index k = std::min(c.rank, n);
@@ -184,8 +173,8 @@ TEST_P(EighTridiagonalKeptRank, LeadingPairsOfFullSolve) {
   }
   testing::expect_leading_columns(e.vectors, full.vectors, 1e-12, "vectors");
 
-  // Against the Jacobi reference: λ, orthogonality and A z_j = λ_j z_j.
-  const EighResult ref = eigh(a, jac());
+  // Against the Jacobi oracle: λ, orthogonality and A z_j = λ_j z_j.
+  const EighResult ref = oracle::eigh_jacobi(a);
   for (Index j = 0; j < k; ++j) {
     EXPECT_NEAR(e.values[j], ref.values[j], 1e-12 * lmax) << "lambda " << j;
   }
@@ -207,8 +196,8 @@ class EighTridiagonalSweep
 TEST_P(EighTridiagonalSweep, CrossValidatesJacobi) {
   const auto [n, seed] = GetParam();
   const Matrix a = random_symmetric(n, 1000 + seed);
-  const EighResult ej = eigh(a, jac());
-  const EighResult et = eigh(a, tri());
+  const EighResult ej = oracle::eigh_jacobi(a);
+  const EighResult et = eigh(a);
   expect_vector_near(et.values, ej.values,
                      1e-10 * std::max(1.0, a.norm_fro()));
   EXPECT_LT(ortho_defect(et.vectors), 1e-11);

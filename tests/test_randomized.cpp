@@ -194,13 +194,12 @@ TEST(RandomizedSvd, RankValidation) {
   EXPECT_THROW(randomized_svd(a, opts), Error);
 }
 
-TEST(RandomizedSvd, InnerMethodSelectable) {
+TEST(RandomizedSvd, InnerSvdRecoversLeadingSigma) {
   Rng rng(14);
   const Vector spectrum = geometric_spectrum(3, 2.0, 0.5);
   const Matrix a = synthetic_low_rank(40, 20, spectrum, rng);
   RandomizedOptions opts;
   opts.rank = 3;
-  opts.inner_method = SvdMethod::GolubKahan;
   const SvdResult f = randomized_svd(a, opts);
   EXPECT_NEAR(f.s[0], spectrum[0], 1e-8);
 }

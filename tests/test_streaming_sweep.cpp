@@ -1,5 +1,5 @@
 // Parameterized property sweeps over the streaming SVD configuration
-// space: every (K, batch, ff, backend, parallel-ranks, fault-tolerant)
+// space: every (K, batch, ff, parallel-ranks, fault-tolerant)
 // combination must uphold the structural invariants regardless of
 // accuracy — orthonormal modes, non-negative descending singular values,
 // stable shapes — and the ff = 1 configurations must track the batch
@@ -35,18 +35,17 @@ const Matrix& shared_data() {
 
 // ------------------------------------------------- serial sweep (TEST_P)
 
-using SerialCase = std::tuple<int, int, double, int>;  // K, B, ff, method
+using SerialCase = std::tuple<int, int, double>;  // K, B, ff
 
 class SerialStreamingSweep : public ::testing::TestWithParam<SerialCase> {};
 
 TEST_P(SerialStreamingSweep, StructuralInvariants) {
-  const auto [k, b, ff, method_idx] = GetParam();
+  const auto [k, b, ff] = GetParam();
   const Matrix& data = shared_data();
 
   StreamingOptions opts;
   opts.num_modes = k;
   opts.forget_factor = ff;
-  opts.method = static_cast<SvdMethod>(method_idx);
   SerialStreamingSVD s(opts);
 
   wl::MatrixBatchSource src(data);
@@ -92,8 +91,7 @@ INSTANTIATE_TEST_SUITE_P(
     Configs, SerialStreamingSweep,
     ::testing::Combine(::testing::Values(1, 4, 12),          // K
                        ::testing::Values(8, 24, 96),         // batch
-                       ::testing::Values(1.0, 0.95, 0.7),    // ff
-                       ::testing::Values(0, 2)));            // Jacobi, GK
+                       ::testing::Values(1.0, 0.95, 0.7)));  // ff
 
 // ----------------------------------------------- parallel sweep (TEST_P)
 

@@ -1,5 +1,6 @@
 // SVD tests: exact small cases, invariant sweep over shapes x backends,
-// cross-backend agreement, truncation, pseudoinverse axioms, sign fixing.
+// agreement with the Jacobi oracle (tests/oracle), truncation,
+// pseudoinverse axioms, sign fixing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,6 +22,7 @@ using testing::expect_vector_near;
 using testing::naive_matmul;
 using testing::ortho_defect;
 using testing::random_matrix;
+using testing::svd_backend;
 
 Matrix reconstruct(const SvdResult& f) {
   Matrix us = f.u;
@@ -32,11 +34,8 @@ Matrix reconstruct(const SvdResult& f) {
 
 TEST(Svd, DiagonalMatrixExact) {
   const Matrix a = Matrix::diag(Vector{5, 3, 1});
-  for (const auto method : {SvdMethod::Jacobi, SvdMethod::GolubKahan,
-                            SvdMethod::MethodOfSnapshots}) {
-    SvdOptions opts;
-    opts.method = method;
-    const SvdResult f = svd(a, opts);
+  for (const int backend : {0, 1, 2}) {  // Jacobi oracle, MOS, GK
+    const SvdResult f = svd_backend(backend, a);
     EXPECT_NEAR(f.s[0], 5.0, 1e-12);
     EXPECT_NEAR(f.s[1], 3.0, 1e-12);
     EXPECT_NEAR(f.s[2], 1.0, 1e-12);
@@ -103,11 +102,8 @@ TEST(Svd, ReconstructMethodMatchesManual) {
 TEST(Svd, JacobiAndGolubKahanAgreeOnSpectrum) {
   for (std::uint64_t seed = 0; seed < 5; ++seed) {
     const Matrix a = random_matrix(20, 9, 600 + seed);
-    SvdOptions j, g;
-    j.method = SvdMethod::Jacobi;
-    g.method = SvdMethod::GolubKahan;
-    const SvdResult fj = svd(a, j);
-    const SvdResult fg = svd(a, g);
+    const SvdResult fj = oracle::svd_jacobi(a);
+    const SvdResult fg = svd(a);
     expect_vector_near(fj.s, fg.s, 1e-10, "spectra");
   }
 }
@@ -135,10 +131,8 @@ TEST(Svd, RecoversPlantedSpectrumExactly) {
 
 TEST(Svd, WideMatrixHandled) {
   const Matrix a = random_matrix(4, 11, 35);
-  for (const auto method : {SvdMethod::Jacobi, SvdMethod::GolubKahan}) {
-    SvdOptions opts;
-    opts.method = method;
-    const SvdResult f = svd(a, opts);
+  for (const int backend : {0, 2}) {  // Jacobi oracle, GK
+    const SvdResult f = svd_backend(backend, a);
     ASSERT_EQ(f.u.rows(), 4);
     ASSERT_EQ(f.v.rows(), 11);
     expect_matrix_near(reconstruct(f), a, 1e-11);
@@ -296,9 +290,9 @@ TEST_P(GolubKahanKeptRank, LeadingTripletsOfFullSolve) {
   testing::expect_leading_columns(f.u, full.u, 1e-12, "u");
   testing::expect_leading_columns(f.v, full.v, 1e-12, "v");
 
-  // Against the Jacobi reference: σ, orthogonality and both residuals
+  // Against the Jacobi oracle: σ, orthogonality and both residuals
   // A v_j = σ_j u_j and Aᵀ u_j = σ_j v_j.
-  const SvdResult ref = svd_jacobi(a);
+  const SvdResult ref = oracle::svd_jacobi(a);
   const double smax = ref.s[0];
   for (Index j = 0; j < k; ++j) {
     EXPECT_NEAR(f.s[j], ref.s[j], 1e-12 * smax) << "sigma " << j;
@@ -322,20 +316,17 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ----------------------------------------------- invariant sweep (TEST_P)
 
-using SvdCase = std::tuple<int, int, int, std::uint64_t>;  // m, n, method, seed
+using SvdCase = std::tuple<int, int, int, std::uint64_t>;  // m, n, backend, seed
 
 class SvdSweep : public ::testing::TestWithParam<SvdCase> {};
 
 TEST_P(SvdSweep, Invariants) {
-  const auto [m, n, method_idx, seed] = GetParam();
-  const auto method = static_cast<SvdMethod>(method_idx);
-  if (method == SvdMethod::MethodOfSnapshots && m < n) {
+  const auto [m, n, backend, seed] = GetParam();
+  if (backend == 1 && m < n) {
     GTEST_SKIP() << "MOS assumes m >= n";
   }
   const Matrix a = random_matrix(m, n, 700 + seed);
-  SvdOptions opts;
-  opts.method = method;
-  const SvdResult f = svd(a, opts);
+  const SvdResult f = svd_backend(backend, a);
 
   // σ descending, non-negative.
   for (Index i = 0; i < f.s.size(); ++i) {
@@ -357,7 +348,7 @@ INSTANTIATE_TEST_SUITE_P(
     Shapes, SvdSweep,
     ::testing::Combine(::testing::Values(1, 2, 6, 19, 48),
                        ::testing::Values(1, 2, 6, 19),
-                       ::testing::Values(0, 1, 2),  // Jacobi, MOS, GK
+                       ::testing::Values(0, 1, 2),  // Jacobi oracle, MOS, GK
                        ::testing::Values(0u, 1u)));
 
 }  // namespace

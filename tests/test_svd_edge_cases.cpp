@@ -1,14 +1,18 @@
 // Edge-case and robustness tests for the SVD backends: graded spectra,
 // duplicate singular values, bidiagonal-already inputs, extreme scales,
-// rank deficiency, and agreement on the paper's own data shapes.
+// rank deficiency, and agreement on the paper's own data shapes. The
+// reference is the Jacobi oracle (tests/oracle).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <tuple>
 
 #include "linalg/blas.hpp"
+#include "linalg/qr.hpp"
 #include "linalg/svd.hpp"
+#include "post/metrics.hpp"
 #include "test_utils.hpp"
 #include "workloads/burgers.hpp"
 #include "workloads/lowrank.hpp"
@@ -18,29 +22,12 @@ namespace {
 
 using testing::expect_vector_near;
 using testing::ortho_defect;
+using testing::svd_backend;
 namespace wl = workloads;
 
-TEST(SvdEdge, GradedSpectrumTwelveOrders) {
-  // σ spanning 1e0 .. 1e-12: Jacobi must resolve every value to high
-  // relative accuracy (its signature property).
-  Rng rng(1);
-  Vector spectrum(7);
-  for (Index i = 0; i < 7; ++i) spectrum[i] = std::pow(10.0, -2.0 * static_cast<double>(i));
-  const Matrix a = wl::synthetic_low_rank(40, 20, spectrum, rng);
-  const SvdResult f = svd_jacobi(a);
-  // The synthetic construction itself (GEMM at sigma_max scale) injects
-  // ~eps*sigma_max absolute noise into the data, so the achievable bound
-  // is relative accuracy down to ~1e-10 and absolute eps*sigma_max below.
-  for (Index i = 0; i < 7; ++i) {
-    const double tol =
-        std::max(1e-10 * spectrum[i], 5e-16 * spectrum[0] * 100.0);
-    EXPECT_NEAR(f.s[i], spectrum[i], tol) << "sigma " << i;
-  }
-}
-
 TEST(SvdEdge, GolubKahanGradedSpectrum) {
-  // GK's accuracy is absolute (eps * sigma_max), looser than Jacobi for
-  // tiny values — document the contract at 1e-8 sigma_max.
+  // GK's accuracy is absolute (eps * sigma_max), looser than the Jacobi
+  // oracle's for tiny values — document the contract at 1e-8 sigma_max.
   Rng rng(2);
   Vector spectrum{1.0, 1e-4, 1e-8};
   const Matrix a = wl::synthetic_low_rank(30, 15, spectrum, rng);
@@ -57,12 +44,9 @@ TEST(SvdEdge, DuplicateSingularValues) {
   Rng rng(3);
   const Vector spectrum{2.0, 2.0, 1.0};
   const Matrix a = wl::synthetic_low_rank(25, 12, spectrum, rng);
-  for (const auto method :
-       {SvdMethod::Jacobi, SvdMethod::GolubKahan, SvdMethod::MethodOfSnapshots}) {
-    SvdOptions opts;
-    opts.method = method;
-    opts.rank = 3;  // the rank-deficient tail would yield zero U columns
-    const SvdResult f = svd(a, opts);
+  for (const int backend : {0, 2, 1}) {  // Jacobi oracle, GK, MOS
+    // Rank 3: the rank-deficient tail would yield zero U columns.
+    const SvdResult f = svd_backend(backend, a, 3);
     EXPECT_NEAR(f.s[0], 2.0, 1e-10);
     EXPECT_NEAR(f.s[1], 2.0, 1e-10);
     EXPECT_NEAR(f.s[2], 1.0, 1e-10);
@@ -76,10 +60,8 @@ TEST(SvdEdge, AlreadyDiagonalRectangular) {
   a(0, 0) = 3.0;
   a(1, 1) = 2.0;
   a(2, 2) = 1.0;
-  for (const auto method : {SvdMethod::Jacobi, SvdMethod::GolubKahan}) {
-    SvdOptions opts;
-    opts.method = method;
-    const SvdResult f = svd(a, opts);
+  for (const int backend : {0, 2}) {  // Jacobi oracle, GK
+    const SvdResult f = svd_backend(backend, a);
     EXPECT_NEAR(f.s[0], 3.0, 1e-14);
     EXPECT_NEAR(f.s[1], 2.0, 1e-14);
     EXPECT_NEAR(f.s[2], 1.0, 1e-14);
@@ -95,33 +77,30 @@ TEST(SvdEdge, BidiagonalInput) {
   a(2, 2) = 2.0; a(2, 3) = 1.0;
   a(3, 3) = 1.0;
   const SvdResult gk = svd_golub_kahan(a);
-  const SvdResult jac = svd_jacobi(a);
+  const SvdResult jac = oracle::svd_jacobi(a);
   expect_vector_near(gk.s, jac.s, 1e-12);
   testing::expect_matrix_near(gk.reconstruct(), a, 1e-12);
 }
 
-// Every backend on a 12 x 8 Gaussian at the given scales: σ must be the
-// scaled σ of the unit-scale matrix and the factors must reconstruct the
-// input. Unguarded, Golub–Kahan's Wilkinson shift (~σ⁴) over- or
+// Every backend (and the Jacobi oracle) on a 12 x 8 Gaussian at the given
+// scales: σ must be the scaled σ of the unit-scale matrix and the factors
+// must reconstruct the input. Unguarded, Golub–Kahan's Wilkinson shift (~σ⁴) over- or
 // underflows from 1e±78 on and the iteration never converges, and the
 // method of snapshots' Gram (~σ²) overflows or flushes to zero.
 void expect_all_backends_at_scales(std::uint64_t seed,
                                    std::initializer_list<double> scales) {
   Rng rng(seed);
   const Matrix unit = Matrix::gaussian(12, 8, rng);
-  const SvdResult ref = svd_jacobi(unit);
-  for (const auto method :
-       {SvdMethod::Jacobi, SvdMethod::GolubKahan, SvdMethod::MethodOfSnapshots}) {
+  const SvdResult ref = oracle::svd_jacobi(unit);
+  for (const int backend : {0, 2, 1}) {  // Jacobi oracle, GK, MOS
     for (const double scale : scales) {
       Matrix a = unit;
       a *= scale;
-      SvdOptions opts;
-      opts.method = method;
-      const SvdResult f = svd(a, opts);
+      const SvdResult f = svd_backend(backend, a);
       ASSERT_TRUE(std::isfinite(f.s[0]));
       for (Index i = 0; i < 8; ++i) {
         EXPECT_NEAR(f.s[i] / (ref.s[0] * scale), ref.s[i] / ref.s[0], 1e-12)
-            << "method " << static_cast<int>(method) << " scale " << scale
+            << "backend " << backend << " scale " << scale
             << " sigma " << i;
       }
       testing::expect_matrix_near(f.reconstruct(), a, 1e-12 * scale);
@@ -166,7 +145,7 @@ TEST(SvdEdge, GolubKahanExactlyRankOne) {
       scal(1.0 + 0.1 * static_cast<double>(j), a.col_span(j));
     }
     const SvdResult f = svd_golub_kahan(a);
-    const SvdResult ref = svd_jacobi(a);
+    const SvdResult ref = oracle::svd_jacobi(a);
     EXPECT_NEAR(f.s[0], ref.s[0], 1e-13 * ref.s[0]) << "seed " << seed;
     for (Index i = 1; i < f.s.size(); ++i) {
       EXPECT_LT(f.s[i], 1e-14 * ref.s[0]) << "seed " << seed << " sigma " << i;
@@ -177,28 +156,25 @@ TEST(SvdEdge, GolubKahanExactlyRankOne) {
   }
 }
 
-// Every backend rejects a NaN or infinite entry at entry with the typed
-// error. A 60 x 40 input with one bad entry used to run Golub–Kahan's
-// whole iteration budget into a ConvergenceError, and to give Jacobi a
-// NaN σ₀ with no error.
+// Every backend, and the Jacobi oracle, rejects a NaN or infinite entry
+// at entry with the typed error. A 60 x 40 input with one bad entry used
+// to run Golub–Kahan's whole iteration budget into a ConvergenceError,
+// and to give Jacobi a NaN σ₀ with no error.
 class SvdNonFinite : public ::testing::TestWithParam<std::tuple<int, double>> {};
 
 TEST_P(SvdNonFinite, ThrowsNonFiniteError) {
-  const auto [method_idx, bad] = GetParam();
-  const auto method = static_cast<SvdMethod>(method_idx);
+  const auto [backend, bad] = GetParam();
   for (const bool wide : {false, true}) {
     Matrix a = testing::random_matrix(60, 40, 11);
     a(17, 23) = bad;
     if (wide) a = a.transposed();
-    SvdOptions opts;
-    opts.method = method;
-    EXPECT_THROW(svd(a, opts), NonFiniteError) << "wide " << wide;
+    EXPECT_THROW(svd_backend(backend, a), NonFiniteError) << "wide " << wide;
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Backends, SvdNonFinite,
-    ::testing::Combine(::testing::Values(0, 1, 2),  // Jacobi, MOS, GK
+    ::testing::Combine(::testing::Values(0, 1, 2),  // Jacobi oracle, MOS, GK
                        ::testing::Values(std::numeric_limits<double>::quiet_NaN(),
                                          std::numeric_limits<double>::infinity(),
                                          -std::numeric_limits<double>::infinity())));
@@ -223,20 +199,15 @@ TEST(SvdEdge, OrthogonalInputHasUnitSpectrum) {
 
 TEST(SvdEdge, BurgersShapeBackendsAgree) {
   // The paper's data shape (tall snapshot matrix, fast-decaying
-  // spectrum): all three backends agree on the retained spectrum.
+  // spectrum): both backends agree with the Jacobi oracle on the
+  // retained spectrum.
   wl::BurgersConfig cfg;
   cfg.grid_points = 512;
   cfg.snapshots = 80;
   const Matrix a = wl::Burgers(cfg).snapshot_matrix();
-  SvdOptions j, g, m;
-  j.method = SvdMethod::Jacobi;
-  g.method = SvdMethod::GolubKahan;
-  m.method = SvdMethod::MethodOfSnapshots;
-  m.eigh_method = EighMethod::Tridiagonal;
-  j.rank = g.rank = m.rank = 10;
-  const SvdResult fj = svd(a, j);
-  const SvdResult fg = svd(a, g);
-  const SvdResult fm = svd(a, m);
+  const SvdResult fj = oracle::svd_jacobi(a, 10);
+  const SvdResult fg = svd_backend(2, a, 10);
+  const SvdResult fm = svd_backend(1, a, 10);
   for (Index i = 0; i < 10; ++i) {
     EXPECT_NEAR(fg.s[i], fj.s[i], 1e-9 * fj.s[0]) << "GK sigma " << i;
     EXPECT_NEAR(fm.s[i], fj.s[i], 1e-7 * fj.s[0]) << "MOS sigma " << i;
@@ -244,15 +215,75 @@ TEST(SvdEdge, BurgersShapeBackendsAgree) {
 }
 
 TEST(SvdEdge, MosTridiagonalMatchesMosJacobi) {
+  // The method of snapshots (tridiagonal eigh of the Gram) against σ from
+  // the Jacobi oracle's eigenvalues of the same Gram.
   Rng rng(7);
   const Matrix a = Matrix::gaussian(60, 25, rng);
-  SvdOptions mj, mt;
-  mj.method = mt.method = SvdMethod::MethodOfSnapshots;
-  mj.eigh_method = EighMethod::Jacobi;
-  mt.eigh_method = EighMethod::Tridiagonal;
-  const SvdResult fj = svd(a, mj);
-  const SvdResult ft = svd(a, mt);
-  expect_vector_near(ft.s, fj.s, 1e-9 * fj.s[0]);
+  const EighResult ej = oracle::eigh_jacobi(gram(a));
+  Vector sj(ej.values.size());
+  for (Index i = 0; i < sj.size(); ++i) sj[i] = std::sqrt(std::max(ej.values[i], 0.0));
+  const SvdResult ft = svd_backend(1, a);
+  expect_vector_near(ft.s, sj, 1e-9 * sj[0]);
+}
+
+// pinv(a, rcond) rebuilt from the Jacobi oracle's factors.
+Matrix oracle_pinv(const Matrix& a, double rcond) {
+  const SvdResult f = oracle::svd_jacobi(a);
+  Matrix vs = f.v;
+  for (Index j = 0; j < vs.cols(); ++j) {
+    const double sj = f.s[j];
+    scal(sj > rcond * f.s[0] && sj > 0.0 ? 1.0 / sj : 0.0, vs.col_span(j));
+  }
+  return matmul(vs, f.u, Trans::No, Trans::Yes);
+}
+
+// post::principal_angles(a, b) rebuilt with the Jacobi oracle's σ.
+Vector oracle_principal_angles(const Matrix& a, const Matrix& b) {
+  Matrix qa = a;
+  Matrix qb = b;
+  orthonormalize_mgs2(qa);
+  orthonormalize_mgs2(qb);
+  const Vector cosines = oracle::svd_jacobi(matmul(qa, qb, Trans::Yes, Trans::No)).s;
+  Vector angles(cosines.size());
+  for (Index i = 0; i < cosines.size(); ++i) {
+    angles[i] = std::acos(std::clamp(cosines[i], -1.0, 1.0));
+  }
+  return angles;
+}
+
+// singular_values(), pinv() and post::principal_angles() run on svd()
+// (Golub–Kahan). On a graded spectrum (σ from 1 down to 1e-12) and on an
+// exactly rank-2 matrix they match the same quantities built from the
+// Jacobi oracle to absolute tolerances: σ to 1e-14·σ_max (Golub–Kahan's
+// accuracy is absolute), angles to 1e-7 rad (acos amplifies an eps-level
+// cosine error to ~sqrt(eps) next to 0), and pinv to 1e-9 with
+// rcond = 1e-5 on the graded matrix (entries up to ~2e3) and to 1e-13 on
+// the rank-2 one. The graded pinv cuts at 1e-5: kept σ near 1e-12 carry
+// an absolute eps-level error, which 1/σ turns into a large one.
+TEST(SvdEdge, HelpersMatchOracleOnGradedAndRankTwo) {
+  Rng rng(10);
+  Vector graded(7);
+  for (Index i = 0; i < 7; ++i) graded[i] = std::pow(10.0, -2.0 * static_cast<double>(i));
+  const Matrix g = wl::synthetic_low_rank(40, 12, graded, rng);
+  const Matrix r2 = wl::synthetic_low_rank(30, 8, Vector{3.0, 0.5}, rng);
+  const Matrix probe = testing::random_matrix(40, 4, 12);
+
+  expect_vector_near(singular_values(g), oracle::svd_jacobi(g).s, 1e-14);
+  expect_vector_near(singular_values(r2), oracle::svd_jacobi(r2).s, 1e-14 * 3.0);
+
+  testing::expect_matrix_near(pinv(g, 1e-5), oracle_pinv(g, 1e-5), 1e-9);
+  testing::expect_matrix_near(pinv(r2), oracle_pinv(r2, 1e-15), 1e-13);
+
+  // The graded matrix's leading columns against itself (angles ~0) and
+  // against a random probe (angles spread over (0, π/2)).
+  expect_vector_near(post::principal_angles(g.left_cols(4), g.left_cols(4)),
+                     oracle_principal_angles(g.left_cols(4), g.left_cols(4)), 1e-7);
+  expect_vector_near(post::principal_angles(g.left_cols(4), probe),
+                     oracle_principal_angles(g.left_cols(4), probe), 1e-7);
+  // The rank-2 matrix's column space against a random probe.
+  const Matrix probe30 = testing::random_matrix(30, 3, 13);
+  expect_vector_near(post::principal_angles(r2, probe30),
+                     oracle_principal_angles(r2, probe30), 1e-7);
 }
 
 TEST(SvdEdge, RepeatedCallsDeterministic) {
@@ -273,10 +304,8 @@ TEST(SvdEdge, NearRankDeficientStable) {
     a(i, 0) = rng.gaussian();
     a(i, 1) = a(i, 0) * (1.0 + 1e-13);
   }
-  for (const auto method : {SvdMethod::Jacobi, SvdMethod::GolubKahan}) {
-    SvdOptions opts;
-    opts.method = method;
-    const SvdResult f = svd(a, opts);
+  for (const int backend : {0, 2}) {  // Jacobi oracle, GK
+    const SvdResult f = svd_backend(backend, a);
     EXPECT_LT(f.s[1] / f.s[0], 1e-11);
     testing::expect_matrix_near(f.reconstruct(), a, 1e-12);
   }

@@ -11,11 +11,22 @@
 #include <vector>
 
 #include "core/tsqr.hpp"
+#include "jacobi.hpp"
 #include "linalg/matrix.hpp"
 #include "pmpi/comm.hpp"
 #include "support/rng.hpp"
 
 namespace parsvd::testing {
+
+/// The SVD backends the parameterized sweeps run, by index: 0 the Jacobi
+/// oracle (tests/oracle), 1 the method of snapshots, 2 Golub–Kahan.
+inline SvdResult svd_backend(int backend, const Matrix& a, Index rank = 0) {
+  if (backend == 0) return oracle::svd_jacobi(a, rank);
+  SvdOptions opts;
+  opts.method = backend == 1 ? SvdMethod::MethodOfSnapshots : SvdMethod::GolubKahan;
+  opts.rank = rank;
+  return svd(a, opts);
+}
 
 /// Reference O(mnk) matmul written against operator() only.
 inline Matrix naive_matmul(const Matrix& a, const Matrix& b) {

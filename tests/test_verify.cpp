@@ -218,6 +218,36 @@ TEST(VerifyGroups, OverlappingPartitionRejected) {
                Error);
 }
 
+TEST(VerifyGroups, SweepRunsEveryProtocolAtEveryP) {
+  // schedule_check's subgroup sweep (--groups) runs group_sweep(p). Each
+  // p >= 2 has 8 or 9 groups across the four partition shapes, enough
+  // for every protocol to run inside a subgroup partition; the members
+  // of each partition are disjoint and cover the world.
+  const std::vector<GroupProtocol> all{
+      GroupProtocol::Bcast,     GroupProtocol::Gather, GroupProtocol::Reduce,
+      GroupProtocol::Allreduce, GroupProtocol::Allgather,
+      GroupProtocol::Barrier,   GroupProtocol::Tsqr,   GroupProtocol::Apmos};
+  for (const int p : {2, 3, 4, 5, 8, 16, 33, 64}) {
+    std::vector<GroupProtocol> seen;
+    for (const PartitionCase& c : group_sweep(p)) {
+      ASSERT_EQ(c.groups.size(), c.protocols.size()) << "p = " << p;
+      std::vector<int> members;
+      for (const std::vector<int>& g : c.groups) {
+        members.insert(members.end(), g.begin(), g.end());
+      }
+      std::sort(members.begin(), members.end());
+      std::vector<int> world(static_cast<std::size_t>(p));
+      std::iota(world.begin(), world.end(), 0);
+      EXPECT_EQ(members, world) << "p = " << p;
+      seen.insert(seen.end(), c.protocols.begin(), c.protocols.end());
+    }
+    for (const GroupProtocol proto : all) {
+      EXPECT_NE(std::find(seen.begin(), seen.end(), proto), seen.end())
+          << to_string(proto) << " never runs at p = " << p;
+    }
+  }
+}
+
 // ---------------------------------------------------------- recorder
 
 TEST(Record, Deterministic) {
