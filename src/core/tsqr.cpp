@@ -1,5 +1,6 @@
 #include "core/tsqr.hpp"
 
+#include <algorithm>
 #include <optional>
 #include <utility>
 
@@ -24,6 +25,22 @@ Matrix lift(const Matrix& top, const std::vector<double>& signs, Index rows) {
     }
   }
   return b;
+}
+
+// Visits the interleaved stack order: row i of every contributing block,
+// in rank order, for i = 0, 1, ...; f(rank, i, stack row). Upper
+// triangular blocks then stack to a staircase, column j nonzero only in
+// its first Σ min(kᵢ, j + 1) rows, which the blocked QR's panel trim
+// skips below (about 17 instead of 62 Mflop for four 204 x 204 blocks).
+template <typename F>
+void for_each_interleaved(const std::vector<Index>& block_rows, F f) {
+  const Index depth = *std::max_element(block_rows.begin(), block_rows.end());
+  Index s = 0;
+  for (Index i = 0; i < depth; ++i) {
+    for (std::size_t b = 0; b < block_rows.size(); ++b) {
+      if (i < block_rows[b]) f(b, i, s++);
+    }
+  }
 }
 
 }  // namespace
@@ -55,18 +72,24 @@ TsqrResult tsqr(pmpi::Communicator& comm, Matrix a_local) {
   if (!comm.is_root()) return out;
 
   out.block_rows_.assign(static_cast<std::size_t>(p), 0);
-  std::vector<Matrix> stack;
-  stack.reserve(r_blocks.size());
+  Index stack_rows = 0;
   for (int src = 0; src < p; ++src) {
-    auto& block = r_blocks[static_cast<std::size_t>(src)];
+    const auto& block = r_blocks[static_cast<std::size_t>(src)];
     if (!block) {
       out.excluded_ranks.push_back(src);
       continue;
     }
     out.block_rows_[static_cast<std::size_t>(src)] = block->rows();
-    stack.push_back(std::move(*block));
+    stack_rows += block->rows();
   }
-  out.stack_.emplace(vcat(stack));
+  Matrix stack(stack_rows, local_r.cols());
+  for (Index j = 0; j < stack.cols(); ++j) {
+    double* col = stack.col_data(j);
+    for_each_interleaved(out.block_rows_, [&](std::size_t b, Index i, Index s) {
+      col[s] = (*r_blocks[b])(i, j);
+    });
+  }
+  out.stack_.emplace(std::move(stack));
   out.r = out.stack_->r();
   out.stack_signs_ = fix_r_signs(out.r);
   return out;
@@ -88,13 +111,17 @@ Matrix TsqrResult::q_times(pmpi::Communicator& comm, const Matrix& y) const {
     } else {
       Matrix qy = lift(y, stack_signs_, stack_->rows());
       stack_->apply_q(qy);
-      // Scatter the row blocks in rank order to the contributors.
-      Index offset = 0;
+      // Un-interleave the stack rows into each contributor's block, then
+      // scatter the blocks in rank order.
+      std::vector<Matrix> blocks;
+      blocks.reserve(block_rows_.size());
+      for (const Index nrows : block_rows_) blocks.emplace_back(nrows, qy.cols());
+      for_each_interleaved(block_rows_, [&](std::size_t b, Index i, Index s) {
+        for (Index j = 0; j < qy.cols(); ++j) blocks[b](i, j) = qy(s, j);
+      });
       for (int dst = 0; dst < comm.size(); ++dst) {
-        const Index nrows = block_rows_[static_cast<std::size_t>(dst)];
-        if (nrows == 0) continue;  // excluded: no R factor, no block
-        Matrix block = qy.block(offset, 0, nrows, qy.cols());
-        offset += nrows;
+        if (block_rows_[static_cast<std::size_t>(dst)] == 0) continue;  // excluded
+        Matrix& block = blocks[static_cast<std::size_t>(dst)];
         if (dst == 0) {
           top = std::move(block);
         } else {

@@ -8,6 +8,14 @@
 // yields the global R. The global Q is Q_local · Q_stack, and no rank
 // ever forms either factor: both stay in Householder form.
 //
+// Root stacks the R factors interleaved by row index (row i of every
+// contributor, in rank order), so the stack of triangles is a staircase
+// whose zeros the blocked QR skips panel by panel, as the structured
+// stack QR of communication-avoiding TSQR does (Demmel, Grigori, Hoemmen
+// & Langou 2012). Permuting rows only permutes Q, so R is the one of the
+// rank-ordered stack up to rounding; q_times un-interleaves before it
+// scatters, and the wire is that of the rank-ordered protocol.
+//
 // The streaming update only needs Q·Ũ for the K kept left vectors Ũ of
 // the root SVD, so q_times() is the second half of the protocol: the
 // root applies the stack's reflectors to [Ũ; 0] and scatters the kᵢ x K
@@ -41,8 +49,8 @@ class TsqrResult {
   /// Collective: this rank's rows of Q·Y, for the global thin Q and a Y
   /// of r.rows() rows that only the root reads (the other ranks may pass
   /// an empty matrix). The root applies the stack's reflectors to
-  /// [D·Y; 0] (D its diag(R) signs) and sends each contributor its
-  /// kᵢ x Y.cols() block on tsqr_down(0); an excluded rank gets nothing,
+  /// [D·Y; 0] (D its diag(R) signs), un-interleaves the rows and sends
+  /// each contributor its kᵢ x Y.cols() block on tsqr_down(0); an excluded rank gets nothing,
   /// and a rank that died after posting its R leaves its block
   /// unconsumed. Every rank then applies its local reflectors to
   /// [D·blockᵢ; 0]. Costs O(Σkᵢ·n·c) at root and O(mᵢ·kᵢ·c) per rank.
@@ -53,8 +61,8 @@ class TsqrResult {
 
   std::optional<HouseholderQr> local_;  // this rank's panel, factored form
   std::vector<double> signs_;           // diag(R_local) sign fix, ±1
-  // Root only, P > 1: the factored stack of R factors, its diag(R)
-  // signs, and every rank's kᵢ (0 = excluded) in stack order.
+  // Root only, P > 1: the factored row-interleaved stack of R factors,
+  // its diag(R) signs, and every rank's kᵢ (0 = excluded) in rank order.
   std::optional<HouseholderQr> stack_;
   std::vector<double> stack_signs_;
   std::vector<Index> block_rows_;

@@ -277,8 +277,7 @@ SweepResult sweep(bool smoke) {
 
   // QR panel width, probed on the era5_stream local panel (2592 x 204;
   // a quarter of each side under smoke). The burgers_stream panel
-  // (4096 x 20) is narrower than every candidate block, so the block
-  // cannot change how it is factored.
+  // (4096 x 20) is one panel at every candidate but 16.
   result.qr_rows = smoke ? 648 : 2592;
   result.qr_cols = smoke ? 51 : 204;
   const Matrix qa = Matrix::gaussian(result.qr_rows, result.qr_cols, rng);

@@ -273,8 +273,6 @@ const ActiveConfig<double>& active_f64() {
   return cfg;
 }
 
-constexpr Index kGemmPackThreshold = 24 * 24 * 24;
-
 // Shared accumulate driver: tiny products skip packing, large ones fan
 // out over disjoint column panels of C (one chunk per pool slot, each
 // running the full packed structure on its slice — thread-local packing

@@ -93,6 +93,10 @@ bool compensated_enabled();
 /// pool; exposed so tests can force both the serial and parallel paths.
 inline constexpr Index kGemmParallelThreshold = 64 * 64 * 64;
 
+/// Minimum per-op flop proxy (m*n*k) before GEMM packs its operands;
+/// smaller products run an unpacked loop.
+inline constexpr Index kGemmPackThreshold = 24 * 24 * 24;
+
 /// Minimum element count (m*n) before GEMV fans out to the thread pool.
 inline constexpr Index kGemvParallelThreshold = 128 * 1024;
 

@@ -1,28 +1,45 @@
 // QR factorizations.
 //
 // Householder QR is the workhorse of both the streaming SVD update
-// (Algorithm 1, step 1) and the local stage of TSQR.  The factorization is
-// *blocked*: panels of PARSVD_QR_BLOCK reflectors are factored with the
-// level-2 sweep, accumulated into a compact-WY representation
+// (Algorithm 1, step 1) and the local and root stages of TSQR. The
+// factorization is *blocked*: panels of PARSVD_QR_BLOCK reflectors
+// (default 32) are accumulated into a compact-WY representation
 // Q = I − V T Vᵀ (LAPACK larft convention, T upper triangular), and the
-// trailing matrix is updated with level-3 GEMMs through the packed kernel
-// engine; thin_q() and both apply paths use the same GEMMs.  A panel no
-// wider than the block (the streaming update's 4096 x 20 is one) never
-// leaves the level-2 sweep, so the sweep itself is vectorized: each
-// reflector is applied with a multi-accumulator dot and an axpy per
-// column, the reflector norm is an unscaled sum of squares with a scaled
-// fallback, and T comes from one VᵀV product through the engine.  Single
-// thread on a 4-core x86-64 host that took the 4096 x 20 factorization
-// from ≈1.5 to ≈5.8 GF/s and the 2592 x 204 one from ≈7 to ≈24 GF/s.
+// trailing matrix is updated with level-3 products.
+//
+// Each panel is factored recursively (Elmroth & Gustavson 2000; LAPACK
+// dgeqrt3): split it in halves, factor the left half, update the right
+// half with the left half's WY form, factor the right half, and join the
+// two T factors with T12 = −T11 (V1ᵀV2) T22, so T falls out of the
+// recursion. Only slivers of at most 8 columns run the level-2 sweep
+// (one dot and one axpy per reflector and column) and take T from one
+// VᵀV product; a panel too short for its halves' products to reach the
+// packed engine keeps that sweep whole. The WY products with V (VᵀB with
+// a small output, C −= V·W of rank at most a panel) run through unpacked
+// register-tiled kernels; the wide trailing VᵀC goes through the packed
+// engine.
+//
+// Staircase trim: before a panel is factored, its last nonzero row is
+// recorded next to its T. Every reflector of the panel vanishes below
+// that row, so the panel's sweep, its T products and its trailing and
+// apply products stop there. This is exact for any input; a dense panel
+// keeps its full height. The TSQR root's row-interleaved stack of R
+// factors is a staircase: for four 204-column triangles the trim runs
+// about 17 of the dense stack's 62 Mflop (see core/tsqr.hpp).
+//
 // Each panel's T is built once, during the factorization, and reused by
-// every later apply.  We keep the factored representation so Q·B and
+// every later apply. We keep the factored representation so Q·B and
 // Qᵀ·B products don't need an explicit Q (the distributed TSQR applies
 // it to a K-column block instead of forming the m x n local Q), and
 // expose a thin-QR convenience with a deterministic sign convention:
-// diag(R) >= 0.  The PyParSVD code obtains
-// cross-rank consistency by negating NumPy's Q and R ("trick for
-// consistency"); fixing the sign inside the factorization achieves the
-// same goal deterministically for every backend and rank count.
+// diag(R) >= 0. The PyParSVD code obtains cross-rank consistency by
+// negating NumPy's Q and R ("trick for consistency"); fixing the sign
+// inside the factorization achieves the same goal deterministically for
+// every backend and rank count.
+//
+// The linalg.qr.flops counter is the dense cost model (2mnk − 2k³/3 per
+// factorization, 4mck − 2ck² per apply), whatever the trim skips, so
+// linalg.qr_flops_per_op does not move with the data's structure.
 #pragma once
 
 #include "linalg/matrix.hpp"
@@ -39,9 +56,9 @@ struct QrResult {
 /// Householder QR in factored form.
 ///
 /// Stores the reflectors in the lower triangle of the working copy plus
-/// the tau coefficients (LAPACK geqrf layout). Cost 2mn^2 - 2n^3/3 flops,
-/// with the dominant share running as level-3 trailing updates when
-/// min(m,n) exceeds the panel width.
+/// the tau coefficients (LAPACK geqrf layout). Cost 2mn^2 - 2n^3/3 flops
+/// for a dense input (less where the staircase trim applies), nearly all
+/// of it in level-3 products.
 class HouseholderQr {
  public:
   /// Factor A (any shape; m >= 1, n >= 1) with the default panel width
@@ -50,8 +67,9 @@ class HouseholderQr {
   explicit HouseholderQr(Matrix a);
 
   /// Factor with an explicit panel width. `block == 1` forces the
-  /// unblocked column-at-a-time sweep (the reference path tests compare
-  /// against); `block <= 0` selects the default.
+  /// unblocked column-at-a-time sweep over the full height, without
+  /// recursion or trim (the reference path tests compare against);
+  /// `block <= 0` selects the default.
   HouseholderQr(Matrix a, Index block);
 
   Index rows() const { return qr_.rows(); }
@@ -80,20 +98,31 @@ class HouseholderQr {
  private:
   void factor_unblocked();
   void factor_blocked();
-  /// Level-2 panel sweep over columns [j0, j0+jb); reflections are applied
-  /// to columns [j0, update_to) only.
-  void factor_panel(Index j0, Index jb, Index update_to);
+  /// Factors columns [j0, j0 + jb), whose rows from `end` on are zero,
+  /// and returns the panel's T: the level-2 sweep and one VᵀV product up
+  /// to a fixed base width, halving recursion above it.
+  Matrix factor_recursive(Index j0, Index jb, Index end);
+  /// Level-2 sweep over columns [j0, j0+jb) and rows [j0, end);
+  /// reflections are applied to columns [j0, update_to) only.
+  void factor_panel(Index j0, Index jb, Index update_to, Index end);
   /// B := Q B (forward=false) or Qᵀ B (forward=true) for B with qr_.rows()
   /// rows, using the blocked WY representation.
   void apply_blocked(Matrix& b, bool transpose) const;
 
+  /// One panel's compact-WY T and one past its last nonzero row: its
+  /// reflectors, T product and GEMMs stop there (m for a dense panel).
+  struct Panel {
+    Matrix t;
+    Index end;
+  };
+
   Matrix qr_;                 // reflectors below diagonal, R on/above
   std::vector<double> tau_;   // reflector scaling coefficients
   Index block_ = 1;           // panel width used by blocked paths
-  // One T per panel, built as the panel is factored: a panel's reflector
-  // columns are final once it is factored (trailing updates only touch
-  // later columns), so the applies reuse them bit-identically.
-  std::vector<Matrix> t_;
+  // One Panel per block of reflectors, built as it is factored: a panel's
+  // reflector columns are final once it is factored (trailing updates only
+  // touch later columns), so the applies reuse them bit-identically.
+  std::vector<Panel> panels_;
 };
 
 /// Deterministic sign convention on an R factor: negate every row whose

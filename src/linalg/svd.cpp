@@ -82,10 +82,6 @@ SvdResult svd(const Matrix& a, const SvdOptions& opts) {
   throw ConfigError("unknown SVD method");
 }
 
-Vector singular_values(const Matrix& a) {
-  return svd(a).s;
-}
-
 Matrix pinv(const Matrix& a, double rcond) {
   SvdResult f = svd(a);
   const double cutoff = (f.s.size() > 0 ? f.s[0] : 0.0) * rcond;

@@ -62,7 +62,8 @@ SvdResult svd(const Matrix& a, const SvdOptions& opts = {});
 SvdResult svd_method_of_snapshots(const Matrix& a, const SvdOptions& opts = {});
 SvdResult svd_golub_kahan(const Matrix& a, const SvdOptions& opts = {});
 
-/// Singular values only, via svd() (Golub–Kahan): accurate to
+/// Singular values only: the Golub–Kahan sweep without its rotation logs,
+/// replay or back-transforms, bit-identical to svd(a).s. Accurate to
 /// eps·σ_max absolutely.
 Vector singular_values(const Matrix& a);
 

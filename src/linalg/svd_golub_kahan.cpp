@@ -4,16 +4,19 @@
 // np.linalg.svd takes, and the default backend. Only the r = opts.rank
 // kept singular vectors are formed: the sweep logs its rotations, which
 // are replayed onto r columns and back-transformed through the reflectors
-// (left in factored form), so vector work is O(r), not O(n). The tests
+// (left in factored form), so vector work is O(r), not O(n); the σ-only
+// singular_values() logs and replays nothing. The tests
 // cross-validate it against a one-sided Jacobi SVD (tests/oracle) that
 // shares no code with it beyond the Matrix container and the Householder
 // reflector.
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <optional>
 
 #include "linalg/householder.hpp"
 #include "linalg/svd.hpp"
+#include "obs/trace.hpp"
 
 namespace parsvd {
 namespace {
@@ -98,9 +101,10 @@ Bidiagonalization bidiagonalize(Matrix a) {
   return out;
 }
 
-/// One implicit-shift QR step with bulge chasing on block [lo, hi].
+/// One implicit-shift QR step with bulge chasing on block [lo, hi]. The
+/// rotations go to the logs `u` and `v` unless they are null (σ only).
 void qr_step(std::vector<double>& d, std::vector<double>& e, Index lo,
-             Index hi, RotationLog& u, RotationLog& v) {
+             Index hi, RotationLog* u, RotationLog* v) {
   auto D = [&](Index i) -> double& { return d[static_cast<std::size_t>(i)]; };
   auto E = [&](Index i) -> double& { return e[static_cast<std::size_t>(i)]; };
 
@@ -133,7 +137,7 @@ void qr_step(std::vector<double>& d, std::vector<double>& e, Index lo,
     E(k) = -g.s * dk + g.c * ek;
     double bulge = g.s * dk1;
     D(k + 1) = g.c * dk1;
-    v.record(k, k + 1, g.c, g.s);
+    if (v != nullptr) v->record(k, k + 1, g.c, g.s);
 
     // Left rotation on rows (k, k+1): annihilate the bulge.
     g = make_givens(D(k), bulge);
@@ -141,7 +145,7 @@ void qr_step(std::vector<double>& d, std::vector<double>& e, Index lo,
     const double ek2 = E(k), dk2 = D(k + 1);
     E(k) = g.c * ek2 + g.s * dk2;
     D(k + 1) = -g.s * ek2 + g.c * dk2;
-    u.record(k, k + 1, g.c, g.s);
+    if (u != nullptr) u->record(k, k + 1, g.c, g.s);
     if (k + 1 < hi) {
       const double ek1 = E(k + 1);
       y = E(k);
@@ -152,9 +156,10 @@ void qr_step(std::vector<double>& d, std::vector<double>& e, Index lo,
 }
 
 /// Annihilate superdiagonal entry e[k] when d[k] is (numerically) zero by
-/// chasing it along row k with left rotations against rows k+1..hi.
+/// chasing it along row k with left rotations against rows k+1..hi,
+/// logged to `u` unless it is null.
 void zero_row(std::vector<double>& d, std::vector<double>& e, Index k,
-              Index hi, RotationLog& u) {
+              Index hi, RotationLog* u) {
   auto D = [&](Index i) -> double& { return d[static_cast<std::size_t>(i)]; };
   auto E = [&](Index i) -> double& { return e[static_cast<std::size_t>(i)]; };
 
@@ -165,7 +170,7 @@ void zero_row(std::vector<double>& d, std::vector<double>& e, Index k,
     D(l) = g.r;
     // Row k mixes with row l: U columns (k, l) rotate with (c, -s)
     // because new row_k = c*row_k - s*row_l.
-    u.record(l, k, g.c, g.s);
+    if (u != nullptr) u->record(l, k, g.c, g.s);
     if (l < hi) {
       f = -g.s * E(l);
       E(l) = g.c * E(l);
@@ -173,9 +178,11 @@ void zero_row(std::vector<double>& d, std::vector<double>& e, Index k,
   }
 }
 
-}  // namespace
-
-SvdResult svd_golub_kahan(const Matrix& a, const SvdOptions& opts) {
+/// The Golub–Kahan SVD keeping the leading `rank` triplets (0 = all).
+/// Without `vectors` it returns σ alone: the sweep logs no rotation, and
+/// nothing is replayed or back-transformed. The sweep and the sort are
+/// the same either way, so σ is bit-identical to the one with vectors.
+SvdResult golub_kahan(const Matrix& a, Index rank, bool vectors) {
   PARSVD_REQUIRE(!a.empty(), "svd of an empty matrix");
   const double amax = a.norm_max();
   if (!std::isfinite(amax)) throw NonFiniteError("svd input has a non-finite entry");
@@ -183,7 +190,7 @@ SvdResult svd_golub_kahan(const Matrix& a, const SvdOptions& opts) {
   // or underflows and the iteration never converges. Run at an exact
   // power-of-two rescaling instead and scale σ back.
   if (const int e = safe_scale_exponent(amax); e != 0) {
-    SvdResult out = svd_golub_kahan(scale_by_pow2(a, -e), opts);
+    SvdResult out = golub_kahan(scale_by_pow2(a, -e), rank, vectors);
     for (Index j = 0; j < out.s.size(); ++j) out.s[j] = std::ldexp(out.s[j], e);
     return out;
   }
@@ -191,7 +198,7 @@ SvdResult svd_golub_kahan(const Matrix& a, const SvdOptions& opts) {
   const Index n = a.cols();
 
   if (m < n) {
-    SvdResult out = svd_golub_kahan(a.transposed(), opts);
+    SvdResult out = golub_kahan(a.transposed(), rank, vectors);
     std::swap(out.u, out.v);
     return out;
   }
@@ -200,7 +207,13 @@ SvdResult svd_golub_kahan(const Matrix& a, const SvdOptions& opts) {
   std::vector<double>& d = bd.d;
   std::vector<double>& e = bd.e;
   // A sweep takes about n² rotations per side on random input.
-  RotationLog u_log(2 * n * n), v_log(2 * n * n);
+  std::optional<RotationLog> u_log, v_log;
+  if (vectors) {
+    u_log.emplace(2 * n * n);
+    v_log.emplace(2 * n * n);
+  }
+  RotationLog* const u_rot = vectors ? &*u_log : nullptr;
+  RotationLog* const v_rot = vectors ? &*v_log : nullptr;
   constexpr double kEps = 2.220446049250313e-16;
   // Absolute floor for a "numerically zero" diagonal: eps·‖B‖, the
   // backward error the bidiagonalization already commits. The block-
@@ -252,13 +265,13 @@ SvdResult svd_golub_kahan(const Matrix& a, const SvdOptions& opts) {
     for (Index i = lo; i < hi; ++i) {
       if (std::fabs(d[static_cast<std::size_t>(i)]) <= dzero) {
         d[static_cast<std::size_t>(i)] = 0.0;
-        zero_row(d, e, i, hi, u_log);
+        zero_row(d, e, i, hi, u_rot);
         handled_zero = true;
         break;
       }
     }
     if (!handled_zero) {
-      qr_step(d, e, lo, hi, u_log, v_log);
+      qr_step(d, e, lo, hi, u_rot, v_rot);
     }
   }
 
@@ -278,12 +291,18 @@ SvdResult svd_golub_kahan(const Matrix& a, const SvdOptions& opts) {
   std::stable_sort(order.begin(), order.end(), [&d](Index x, Index y) {
     return d[static_cast<std::size_t>(x)] > d[static_cast<std::size_t>(y)];
   });
-  const Index r = (opts.rank > 0 && opts.rank < n) ? opts.rank : n;
+  const Index r = (rank > 0 && rank < n) ? rank : n;
 
-  // Only the kept columns are formed: the sweep's rotations are replayed
-  // onto them, then they go back through the Householder reflectors.
   SvdResult out;
   out.s = Vector(r);
+  if (!vectors) {
+    for (Index q = 0; q < r; ++q) {
+      out.s[q] = d[static_cast<std::size_t>(order[static_cast<std::size_t>(q)])];
+    }
+    return out;
+  }
+  // Only the kept columns are formed: the sweep's rotations are replayed
+  // onto them, then they go back through the Householder reflectors.
   Matrix yu(r, n), yv(r, n);
   for (Index q = 0; q < r; ++q) {
     const auto src = static_cast<std::size_t>(order[static_cast<std::size_t>(q)]);
@@ -291,14 +310,25 @@ SvdResult svd_golub_kahan(const Matrix& a, const SvdOptions& opts) {
     yu(q, static_cast<Index>(src)) = 1.0;
     yv(q, static_cast<Index>(src)) = sign[src];
   }
-  u_log.unwind(yu);
-  v_log.unwind(yv);
+  u_log->unwind(yu);
+  v_log->unwind(yv);
   out.u = Matrix(m, r);
   out.u.set_block(0, 0, yu.transposed());
   detail::apply_reflectors_backward(bd.a, bd.tau_l, 0, out.u);
   out.v = yv.transposed();
   detail::apply_reflectors_backward(bd.vr, bd.tau_r, 1, out.v);
   return out;
+}
+
+}  // namespace
+
+SvdResult svd_golub_kahan(const Matrix& a, const SvdOptions& opts) {
+  return golub_kahan(a, opts.rank, /*vectors=*/true);
+}
+
+Vector singular_values(const Matrix& a) {
+  PARSVD_TRACE_SCOPE("linalg.svd");
+  return golub_kahan(a, 0, /*vectors=*/false).s;
 }
 
 }  // namespace parsvd

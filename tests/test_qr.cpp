@@ -370,6 +370,126 @@ INSTANTIATE_TEST_SUITE_P(
                           testing::PanelCase::ExtremeScales)),
     panel_param_name);
 
+// ------------------------------------- recursive panels and staircase trim
+
+// The blocked factor at the default panel width and with one panel over
+// every column (so the recursion starts from the full width) against the
+// unblocked reference: widths around the base and panel boundaries, on
+// shapes tall enough that every panel wider than the 8-column base
+// recurses, plus wide m < n shapes.
+class QrRecursive : public ::testing::TestWithParam<std::pair<int, int>> {};
+
+TEST_P(QrRecursive, MatchesUnblockedReference) {
+  const auto [m, n] = GetParam();
+  const Matrix a = random_matrix(m, n, static_cast<std::uint64_t>(1000 + m + n));
+  const Matrix b = random_matrix(m, 5, static_cast<std::uint64_t>(2000 + m));
+  const HouseholderQr ref(a, 1);
+  Matrix ref_q = b;
+  Matrix ref_qt = b;
+  ref.apply_q(ref_q);
+  ref.apply_qt(ref_qt);
+  for (const Index block : {Index{0}, Index{256}}) {
+    SCOPED_TRACE(::testing::Message() << "block " << block);
+    const HouseholderQr f(a, block);
+    expect_matrix_near(f.r(), ref.r(), 1e-12, "R");
+    expect_matrix_near(f.thin_q(), ref.thin_q(), 1e-12, "thin_q");
+    Matrix q = b;
+    Matrix qt = b;
+    f.apply_q(q);
+    f.apply_qt(qt);
+    expect_matrix_near(q, ref_q, 1e-12, "apply_q");
+    expect_matrix_near(qt, ref_qt, 1e-12, "apply_qt");
+  }
+}
+
+std::vector<std::pair<int, int>> recursive_shapes() {
+  std::vector<std::pair<int, int>> shapes;
+  for (const int n : {1, 2, 15, 16, 17, 31, 32, 33, 63, 64, 65, 97, 204}) {
+    shapes.emplace_back(2 * n + 400, n);
+  }
+  for (const auto& wide : {std::pair{100, 204}, std::pair{70, 97}, std::pair{40, 65}}) {
+    shapes.push_back(wide);
+  }
+  return shapes;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Widths, QrRecursive, ::testing::ValuesIn(recursive_shapes()),
+    [](const ::testing::TestParamInfo<std::pair<int, int>>& p) {
+      return std::to_string(p.param.first) + "x" + std::to_string(p.param.second);
+    });
+
+/// Checks the blocked factor of `a` against the unblocked reference, which
+/// runs every reflector over the full height: R, thin Q and both applies
+/// at 1e-12. Rows from `zero_from` on are zero in `a`, so Q is the
+/// identity there and both applies must return them untouched.
+void expect_trim_matches_reference(const Matrix& a, Index zero_from) {
+  const HouseholderQr trimmed(a);
+  const HouseholderQr untrimmed(a, 1);
+  expect_matrix_near(trimmed.r(), untrimmed.r(), 1e-12, "R");
+  expect_matrix_near(trimmed.thin_q(), untrimmed.thin_q(), 1e-12, "thin_q");
+  const Matrix b = random_matrix(a.rows(), 4, 3001);
+  for (const bool transpose : {false, true}) {
+    SCOPED_TRACE(transpose ? "apply_qt" : "apply_q");
+    Matrix got = b;
+    Matrix want = b;
+    if (transpose) {
+      trimmed.apply_qt(got);
+      untrimmed.apply_qt(want);
+    } else {
+      trimmed.apply_q(got);
+      untrimmed.apply_q(want);
+    }
+    expect_matrix_near(got, want, 1e-12);
+    for (Index j = 0; j < b.cols(); ++j) {
+      for (Index i = zero_from; i < b.rows(); ++i) ASSERT_EQ(got(i, j), b(i, j));
+    }
+  }
+}
+
+TEST(QrStaircase, ZeroTrailingRowsTrimmedApplyMatchesUntrimmed) {
+  // A dense 300 x 72 panel (and its ZeroSubcolumn variant, whose column
+  // 36 arrives with tau = 0) above 120 exactly-zero rows: every panel
+  // stops at row 300.
+  for (const auto c : {testing::PanelCase::Gaussian, testing::PanelCase::ZeroSubcolumn}) {
+    SCOPED_TRACE(testing::to_string(c));
+    const testing::PanelInput in = testing::panel_input(300, 72, c, 41);
+    Matrix a(420, 72);
+    a.set_block(0, 0, in.a);
+    expect_trim_matches_reference(a, 300);
+    if (c == testing::PanelCase::ZeroSubcolumn) {
+      EXPECT_EQ(HouseholderQr(a).r()(36, 36), 3.0);
+    }
+  }
+}
+
+TEST(QrStaircase, InterleavedTrianglesMatchUntrimmed) {
+  // The TSQR root's stack: four 72 x 72 upper triangles and a ragged
+  // 15 x 72 trapezoid, interleaved by row index, so column j is nonzero
+  // only in its first 4·min(j + 1, 72) + min(j + 1, 15) rows; then the
+  // same stack above 50 zero rows.
+  std::vector<Matrix> tri;
+  for (const Index rows : {72, 72, 15, 72, 72}) {
+    tri.push_back(HouseholderQr(random_matrix(rows + 100, 72, 3100 + rows)).r()
+                      .top_rows(rows));
+  }
+  Index total = 0;
+  for (const Matrix& t : tri) total += t.rows();
+  for (const Index pad : {Index{0}, Index{50}}) {
+    SCOPED_TRACE(::testing::Message() << "zero rows below " << pad);
+    Matrix stack(total + pad, 72);
+    Index s = 0;
+    for (Index i = 0; i < 72; ++i) {
+      for (const Matrix& t : tri) {
+        if (i >= t.rows()) continue;
+        for (Index j = 0; j < 72; ++j) stack(s, j) = t(i, j);
+        ++s;
+      }
+    }
+    expect_trim_matches_reference(stack, total);
+  }
+}
+
 // ----------------------------------------------------------- shape sweep
 
 class QrShapeSweep

@@ -286,6 +286,31 @@ TEST(SvdEdge, HelpersMatchOracleOnGradedAndRankTwo) {
                      oracle_principal_angles(r2, probe30), 1e-7);
 }
 
+TEST(SvdEdge, SingularValuesOnlyBitIdenticalToFullSvd) {
+  // singular_values() skips the rotation logs, their replay and the
+  // back-transforms; the sweep is the same, so σ must match svd(a).s to
+  // the bit: graded (down to 1e-24, with the power-of-two rescale off),
+  // exactly rank 2, wide (the transposed route), 1 x n, and far from unit
+  // scale (the rescaled route).
+  Rng rng(21);
+  Vector graded(9);
+  for (Index i = 0; i < 9; ++i) graded[i] = std::pow(10.0, -3.0 * static_cast<double>(i));
+  const Matrix inputs[] = {
+      wl::synthetic_low_rank(50, 14, graded, rng),
+      wl::synthetic_low_rank(30, 8, Vector{3.0, 0.5}, rng),
+      testing::random_matrix(9, 37, 22),
+      testing::random_matrix(1, 23, 23),
+      scale_by_pow2(testing::random_matrix(17, 6, 24), 900),
+  };
+  for (const Matrix& a : inputs) {
+    SCOPED_TRACE(::testing::Message() << a.rows() << " x " << a.cols());
+    const Vector s = singular_values(a);
+    const Vector full = svd(a).s;
+    ASSERT_EQ(s.size(), full.size());
+    for (Index i = 0; i < s.size(); ++i) EXPECT_EQ(s[i], full[i]) << "sigma " << i;
+  }
+}
+
 TEST(SvdEdge, RepeatedCallsDeterministic) {
   const Matrix a = testing::random_matrix(30, 18, 8);
   const SvdResult f1 = svd(a);

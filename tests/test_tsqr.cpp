@@ -252,6 +252,74 @@ INSTANTIATE_TEST_SUITE_P(
                           testing::PanelCase::ExtremeScales)),
     panel_param_name);
 
+TEST(Tsqr, InterleavedStackMatchesOracles) {
+  // The root stacks the R factors interleaved by row index. P = 2, 3, 4
+  // with a ragged 15-row block (its R is 15 x n) and, at P = 3 and 4, a
+  // rank that dies before posting its R. At n = 72 the stack spans three
+  // panels, the first two cut short by the staircase trim. R and the
+  // assembled Q are checked against oracles that run no QR code, and
+  // q_times(Y) against that Q times Y.
+  struct Layout {
+    std::vector<Index> rows;
+    int excluded;  // -1: none
+  };
+  const Layout layouts[] = {{{80, 15}, -1}, {{80, 15, 80}, 2}, {{80, 80, 15, 80}, 1}};
+  for (const Index n : {Index{20}, Index{72}}) {
+    for (const Layout& layout : layouts) {
+      const auto p = static_cast<int>(layout.rows.size());
+      SCOPED_TRACE(::testing::Message() << "P " << p << ", n " << n);
+      std::vector<Matrix> locals;
+      for (int r = 0; r < p; ++r) {
+        locals.push_back(random_matrix(layout.rows[static_cast<std::size_t>(r)], n,
+                                       static_cast<std::uint64_t>(500 + 10 * r + n)));
+      }
+      auto ctx = std::make_shared<pmpi::Context>(p);
+      if (layout.excluded >= 0) {
+        pmpi::FaultPlan plan;
+        plan.kill_rank(layout.excluded, 0);
+        ctx->set_fault_plan(std::move(plan));
+      }
+      std::vector<std::optional<Matrix>> q_blocks(static_cast<std::size_t>(p));
+      std::vector<std::optional<Matrix>> qy_blocks(static_cast<std::size_t>(p));
+      Matrix r;
+      Matrix y;
+      std::mutex mu;
+      pmpi::run_on(ctx, [&](Communicator& comm) {
+        const auto me = static_cast<std::size_t>(comm.rank());
+        const TsqrResult res = tsqr(comm, locals[me]);
+        Matrix q_mine = q_local(comm, res);
+        const Matrix y_root =
+            comm.is_root() ? random_matrix(res.r.rows(), 3, 501) : Matrix{};
+        Matrix qy_mine = res.q_times(comm, y_root);
+        std::lock_guard<std::mutex> lock(mu);
+        q_blocks[me] = std::move(q_mine);
+        qy_blocks[me] = std::move(qy_mine);
+        if (comm.is_root()) {
+          r = res.r;
+          y = y_root;
+        }
+      });
+      std::vector<Matrix> a_in, q_in, qy_in;
+      for (int rank = 0; rank < p; ++rank) {
+        const auto slot = static_cast<std::size_t>(rank);
+        if (rank == layout.excluded) {
+          EXPECT_FALSE(q_blocks[slot]) << "the excluded rank returned";
+          continue;
+        }
+        ASSERT_TRUE(q_blocks[slot] && qy_blocks[slot]) << "rank " << rank;
+        a_in.push_back(locals[slot]);
+        q_in.push_back(*q_blocks[slot]);
+        qy_in.push_back(*qy_blocks[slot]);
+      }
+      const Matrix a = vcat(a_in);
+      const testing::PanelInput in{a, a, std::vector<double>(static_cast<std::size_t>(n), 1.0)};
+      const Matrix q = vcat(q_in);
+      testing::expect_qr_matches_oracle(in, q, r, 1e-12);
+      EXPECT_LT(max_abs_diff(vcat(qy_in), naive_matmul(q, y)), 1e-12);
+    }
+  }
+}
+
 TEST(Tsqr, SubnormalScaleStaysFinite) {
   // The local and root reflectors of a 1e-310 / 1e-315 matrix have a
   // subnormal alpha - beta (see Qr.SubnormalScaleStaysFinite).
