@@ -11,11 +11,6 @@
 //                              agreement and nonzero throughput (ctest
 //                              hook); the full-size claim fields are
 //                              emitted as JSON null — never as fake zeros
-//   bench_kernels --tune       run the autotune sweep first, persist the
-//                              winning profile, and record the
-//                              tuned-vs-default deltas in the JSON
-//   bench_kernels --tune-out=F write the tuned profile to F
-//                              (default parsvd_tune.json)
 //   bench_kernels --out=F      write the JSON trajectory to F
 //   PARSVD_BENCH_OUT=F         same as --out=F
 //
@@ -23,7 +18,6 @@
 //   { bench, schema_version, smoke, hardware_concurrency,
 //     blocking: {f64: {mc..nr}, qr_block, tuned},
 //     results: [ {kernel, m, n, k, threads, seconds, gflops, flops} ... ],
-//     autotune: null | {probe_size, f64: {...}, qr: {...}},
 //     gemm_512_seed_seconds, gemm_512_packed_seconds,
 //     gemm_512_speedup_vs_seed, failures }
 // Claim fields are numbers in a full run and null in smoke runs (the
@@ -183,8 +177,6 @@ class Harness {
   // Full-size claim measurements; unset (emitted as null) in smoke runs.
   std::optional<double> seed_512_seconds;
   std::optional<double> packed_512_seconds;
-
-  std::optional<parsvd::autotune::SweepResult> tune;
 
  private:
   bool smoke_;
@@ -423,31 +415,6 @@ void smoke_checks(Harness& h) {
   std::printf("smoke checks: %s\n", h.failures() == 0 ? "ok" : "FAILED");
 }
 
-// ---------------------------------------------------------------- tuning
-
-void run_tune(Harness& h, const std::string& profile_out) {
-  std::printf("autotune sweep (%s)...\n", h.smoke() ? "smoke" : "full");
-  parsvd::autotune::SweepResult sweep = parsvd::autotune::sweep(h.smoke());
-  parsvd::autotune::save_profile(sweep.profile, profile_out);
-  std::printf("wrote %s\n", profile_out.c_str());
-  auto report = [](const char* name, const parsvd::autotune::SweepEntry& e) {
-    std::printf(
-        "tune %-4s best mc=%td kc=%td nc=%td mr=%td nr=%td  "
-        "%.4f ms vs default %.4f ms (%.2fx, %d candidates)\n",
-        name, e.best.mc, e.best.kc, e.best.nc, e.best.mr, e.best.nr,
-        e.best_seconds * 1e3, e.default_seconds * 1e3,
-        (e.best_seconds > 0.0) ? e.default_seconds / e.best_seconds : 0.0,
-        e.candidates);
-  };
-  report("f64", sweep.f64);
-  std::printf("tune qr   best block=%td  %.4f ms vs default %.4f ms\n",
-              sweep.profile.qr_block, sweep.qr_best_seconds * 1e3,
-              sweep.qr_default_seconds * 1e3);
-  h.check(sweep.f64.best_seconds <= sweep.f64.default_seconds,
-          "autotune f64 winner slower than the default blocking");
-  h.tune = std::move(sweep);
-}
-
 // ------------------------------------------------------------ JSON output
 
 void print_opt(std::FILE* f, const char* key, std::optional<double> v,
@@ -503,39 +470,6 @@ bool write_json(const Harness& h, const std::string& path) {
                  (i + 1 < rs.size()) ? "," : "");
   }
   std::fprintf(f, "  ],\n");
-  if (h.tune.has_value()) {
-    const parsvd::autotune::SweepResult& t = *h.tune;
-    auto entry = [&](const char* name, const parsvd::autotune::SweepEntry& e,
-                     const char* suffix) {
-      std::fprintf(f, "    \"%s\": {\"best\": ", name);
-      print_blocking(f, e.best);
-      std::fprintf(f,
-                   ", \"default_seconds\": %.6e, \"best_seconds\": %.6e, "
-                   "\"speedup\": %.3f, \"candidates\": %d}%s\n",
-                   e.default_seconds, e.best_seconds,
-                   (e.best_seconds > 0.0) ? e.default_seconds / e.best_seconds
-                                          : 0.0,
-                   e.candidates, suffix);
-    };
-    std::fprintf(f, "  \"autotune\": {\n");
-    std::fprintf(f, "    \"probe_size\": %lld,\n",
-                 static_cast<long long>(t.probe_size));
-    entry("f64", t.f64, ",");
-    std::fprintf(f,
-                 "    \"qr\": {\"block\": %lld, \"rows\": %lld, \"cols\": %lld, "
-                 "\"default_seconds\": %.6e, \"best_seconds\": %.6e, "
-                 "\"speedup\": %.3f}\n",
-                 static_cast<long long>(t.profile.qr_block),
-                 static_cast<long long>(t.qr_rows),
-                 static_cast<long long>(t.qr_cols), t.qr_default_seconds,
-                 t.qr_best_seconds,
-                 (t.qr_best_seconds > 0.0)
-                     ? t.qr_default_seconds / t.qr_best_seconds
-                     : 0.0);
-    std::fprintf(f, "  },\n");
-  } else {
-    std::fprintf(f, "  \"autotune\": null,\n");
-  }
   print_opt(f, "gemm_512_seed_seconds", h.seed_512_seconds, ",");
   print_opt(f, "gemm_512_packed_seconds", h.packed_512_seconds, ",");
   std::optional<double> speedup_vs_seed;
@@ -554,22 +488,16 @@ bool write_json(const Harness& h, const std::string& path) {
 
 int main(int argc, char** argv) try {
   bool smoke = false;
-  bool tune = false;
   std::string out = parsvd::env::get_string("PARSVD_BENCH_OUT",
                                             "BENCH_kernels.json");
-  std::string tune_out = "parsvd_tune.json";
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
-    } else if (std::strcmp(argv[i], "--tune") == 0) {
-      tune = true;
-    } else if (std::strncmp(argv[i], "--tune-out=", 11) == 0) {
-      tune_out = argv[i] + 11;
     } else if (std::strncmp(argv[i], "--out=", 6) == 0) {
       out = argv[i] + 6;
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--smoke] [--tune] [--tune-out=PATH] [--out=PATH]\n",
+                   "usage: %s [--smoke] [--out=PATH]\n",
                    argv[0]);
       return 2;
     }
@@ -578,7 +506,6 @@ int main(int argc, char** argv) try {
   Harness h(smoke);
   smoke_checks(h);  // correctness gate runs in both modes (cheap)
   parsvd::ThreadPool::set_global_threads(1);
-  if (tune) run_tune(h, tune_out);
   bench_gemm(h);
   bench_qr(h);
   bench_gram(h);

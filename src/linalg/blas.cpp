@@ -5,6 +5,7 @@
 #include <limits>
 #include <vector>
 
+#include "linalg/autotune.hpp"
 #include "linalg/gemm_engine.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -203,82 +204,20 @@ void ger(double alpha, std::span<const double> x, std::span<const double> y,
 // ===================================================== packed GEMM engine
 //
 // The engine itself lives in linalg/gemm_engine.hpp (packing +
-// micro-kernels). This file instantiates the candidate fp64 micro tiles
-// and dispatches through a table keyed on the active autotune profile, which is how the autotuner sweeps the compile-time
-// micro shape without recompiling.
+// micro-kernel). Its blocking is the constant autotune::active_profile().
 
 namespace {
 
-template <typename T>
-using PackedFn = void (*)(const detail::OpViewT<T>&, const detail::OpViewT<T>&,
-                          Index, Index, Index, T, T*, Index,
-                          const detail::EngineBlocking&);
-
-template <typename T>
-struct KernelEntry {
-  Index mr;
-  Index nr;
-  PackedFn<T> fn;
-};
-
-// The candidate set, kept in sync with the MicroRowOf
-// specializations in gemm_engine.hpp (MR in {4, 8, 16}, NR <= 8).
-template <typename T>
-constexpr KernelEntry<T> kKernels[] = {
-    {4, 6, &detail::gemm_packed_serial<T, 4, 6>},
-    {8, 4, &detail::gemm_packed_serial<T, 8, 4>},
-    {8, 6, &detail::gemm_packed_serial<T, 8, 6>},
-    {8, 8, &detail::gemm_packed_serial<T, 8, 8>},
-    {16, 4, &detail::gemm_packed_serial<T, 16, 4>},
-    {16, 6, &detail::gemm_packed_serial<T, 16, 6>},
-    {16, 8, &detail::gemm_packed_serial<T, 16, 8>},
-};
-
-template <typename T>
-PackedFn<T> find_kernel(Index mr, Index nr) {
-  for (const KernelEntry<T>& e : kKernels<T>) {
-    if (e.mr == mr && e.nr == nr) return e.fn;
-  }
-  return nullptr;
-}
-
-// Resolved engine configuration: the dispatched micro-kernel
-// plus its cache blocks, from the autotune profile (already sanitized by
-// autotune::active_profile(), but the kernel lookup re-checks and falls
-// back to the default micro tile so a hand-edited profile can't crash us).
-template <typename T>
-struct ActiveConfig {
-  PackedFn<T> fn;
-  detail::EngineBlocking blk;
-  Index mr;
-  Index nr;
-};
-
-template <typename T>
-ActiveConfig<T> resolve_config(const autotune::Blocking& tuned,
-                               const autotune::Blocking& fallback) {
-  autotune::Blocking b = autotune::sanitize(tuned, fallback);
-  PackedFn<T> fn = find_kernel<T>(b.mr, b.nr);
-  if (fn == nullptr) {
-    b = autotune::sanitize(fallback, fallback);
-    fn = find_kernel<T>(b.mr, b.nr);
-  }
-  PARSVD_REQUIRE(fn != nullptr, "gemm: no micro-kernel for default blocking");
-  return {fn, {b.mc, b.kc, b.nc}, b.mr, b.nr};
-}
-
-const ActiveConfig<double>& active_f64() {
-  static const ActiveConfig<double> cfg = resolve_config<double>(
-      autotune::active_profile().f64, autotune::default_profile().f64);
-  return cfg;
-}
+constexpr autotune::Blocking kBlocking = autotune::active_profile().f64;
+static_assert(kBlocking.mr == 8 && kBlocking.nr == 6,
+              "the blocking's micro tile must match the 8x6 kernel below");
 
 // Shared accumulate driver: tiny products skip packing, large ones fan
 // out over disjoint column panels of C (one chunk per pool slot, each
 // running the full packed structure on its slice — thread-local packing
 // buffers, no synchronization on writes).
 template <typename T>
-void accumulate_engine(const ActiveConfig<T>& cfg, const detail::OpViewT<T>& va,
+void accumulate_engine(const detail::OpViewT<T>& va,
                        const detail::OpViewT<T>& vb, Index m, Index n, Index k,
                        T alpha, T* c, Index ldc, bool allow_parallel) {
   const Index flops_proxy = m * n * k;
@@ -292,17 +231,19 @@ void accumulate_engine(const ActiveConfig<T>& cfg, const detail::OpViewT<T>& va,
     const std::size_t slots = ThreadPool::global().size() + 1;
     const std::size_t grain = static_cast<std::size_t>(detail::engine_round_up(
         (n + static_cast<Index>(slots) - 1) / static_cast<Index>(slots),
-        cfg.nr));
+        kBlocking.nr));
     ThreadPool::global().parallel_for(
         0, static_cast<std::size_t>(n),
         [&](std::size_t lo, std::size_t hi) {
           const Index j0 = static_cast<Index>(lo);
-          cfg.fn(va, vb.shifted_cols(j0), m, static_cast<Index>(hi) - j0, k,
-                 alpha, c + j0 * ldc, ldc, cfg.blk);
+          detail::gemm_packed_serial<T, 8, 6>(
+              va, vb.shifted_cols(j0), m, static_cast<Index>(hi) - j0, k,
+              alpha, c + j0 * ldc, ldc, kBlocking);
         },
         grain);
   } else {
-    cfg.fn(va, vb, m, n, k, alpha, c, ldc, cfg.blk);
+    detail::gemm_packed_serial<T, 8, 6>(va, vb, m, n, k, alpha, c, ldc,
+                                        kBlocking);
   }
 }
 
@@ -317,21 +258,7 @@ void gemm_accumulate(Trans trans_a, Trans trans_b, Index m, Index n, Index k,
   if (alpha == 0.0 || m == 0 || n == 0 || k == 0) return;
   const OpViewT<double> va = make_op_view(a, lda, trans_a == Trans::Yes);
   const OpViewT<double> vb = make_op_view(b, ldb, trans_b == Trans::Yes);
-  accumulate_engine<double>(active_f64(), va, vb, m, n, k, alpha, c, ldc,
-                            allow_parallel);
-}
-
-bool has_kernel_f64(Index mr, Index nr) {
-  return find_kernel<double>(mr, nr) != nullptr;
-}
-
-void gemm_probe_f64(Index m, Index n, Index k, const double* a,
-                    const double* b, double* c,
-                    const autotune::Blocking& blk) {
-  PackedFn<double> fn = find_kernel<double>(blk.mr, blk.nr);
-  PARSVD_REQUIRE(fn != nullptr, "gemm_probe_f64: no such micro-kernel");
-  fn(make_op_view(a, m, false), make_op_view(b, k, false), m, n, k, 1.0, c, m,
-     {blk.mc, blk.kc, blk.nc});
+  accumulate_engine<double>(va, vb, m, n, k, alpha, c, ldc, allow_parallel);
 }
 
 }  // namespace detail

@@ -14,11 +14,10 @@
 // ill-conditioned spots where naive fp64 summation loses digits
 // (DESIGN.md §12).
 //
-// Blocking parameters come from the autotune profile (linalg/autotune.hpp):
-// defaults -> PARSVD_TUNE_PROFILE file -> PARSVD_GEMM_MC/KC/NC overrides.
+// The blocking is a compile-time constant (linalg/autotune.hpp):
+// MC/KC/NC 96/256/4032 around an 8x6 micro tile.
 #pragma once
 
-#include "linalg/autotune.hpp"
 #include "linalg/matrix.hpp"
 
 namespace parsvd {
@@ -118,17 +117,6 @@ void gemm_accumulate(Trans trans_a, Trans trans_b, Index m, Index n, Index k,
                      double alpha, const double* a, Index lda,
                      const double* b, Index ldb, double* c, Index ldc,
                      bool allow_parallel = true);
-
-/// True when an (mr, nr) micro-kernel is instantiated — the autotuner's
-/// feasibility check for sweep candidates.
-bool has_kernel_f64(Index mr, Index nr);
-
-/// Timed-probe entry for the autotuner: run the serial packed engine on
-/// untransposed column-major operands with an *explicit* blocking (cache
-/// blocks and micro tile), bypassing the cached active profile. C += A*B.
-/// Throws parsvd::Error when (blk.mr, blk.nr) has no instantiated kernel.
-void gemm_probe_f64(Index m, Index n, Index k, const double* a,
-                    const double* b, double* c, const autotune::Blocking& blk);
 
 }  // namespace detail
 

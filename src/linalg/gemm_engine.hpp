@@ -8,16 +8,15 @@
 //
 // The micro tile (MR, NR) is a compile-time template parameter so the
 // accumulators live in registers; the cache blocks (MC, KC, NC) are
-// runtime values supplied by the autotune profile (src/linalg/autotune.*).
-// blas.cpp instantiates a small candidate set of (MR, NR) kernels and
-// dispatches through a table keyed on the active profile, which is how
-// the autotuner gets to sweep the micro shape without recompiling.
+// passed in. blas.cpp instantiates the one 8x6 kernel with the constant
+// blocking of linalg/autotune.hpp.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <vector>
 
+#include "linalg/autotune.hpp"
 #include "linalg/matrix.hpp"
 
 namespace parsvd::detail {
@@ -42,13 +41,6 @@ OpViewT<T> make_op_view(const T* data, Index ld, bool transposed) {
 }
 
 inline Index engine_round_up(Index v, Index to) { return (v + to - 1) / to * to; }
-
-/// Runtime cache-blocking parameters (autotuned).
-struct EngineBlocking {
-  Index mc;
-  Index kc;
-  Index nc;
-};
 
 // Pack op(A)(i0:i0+mc, p0:p0+kc) into MR-wide micro-panels with alpha
 // folded in; short edge panels are zero-padded so the micro-kernel never
@@ -107,13 +99,9 @@ void pack_b_panel(const OpViewT<T>& b, Index p0, Index kc, Index j0, Index nc,
 template <typename T, int MR>
 struct MicroRowOf;  // only the specialized (T, MR) pairs have kernels
 
-typedef double VecD4 __attribute__((vector_size(32), aligned(8)));
 typedef double VecD8 __attribute__((vector_size(64), aligned(8)));
-typedef double VecD16 __attribute__((vector_size(128), aligned(8)));
 
-template <> struct MicroRowOf<double, 4> { using type = VecD4; };
 template <> struct MicroRowOf<double, 8> { using type = VecD8; };
-template <> struct MicroRowOf<double, 16> { using type = VecD16; };
 
 // Accumulators are eight explicitly named locals (NR <= 8) rather than an
 // array: gcc 12 will not promote an indexed accumulator array out of
@@ -183,7 +171,7 @@ void micro_kernel(Index kc, const T* a_panel, const T* b_panel, T* c,
 template <typename T, int MR, int NR>
 void gemm_packed_serial(const OpViewT<T>& va, const OpViewT<T>& vb, Index m,
                         Index n, Index k, T alpha, T* c, Index ldc,
-                        const EngineBlocking& blk) {
+                        const autotune::Blocking& blk) {
   const Index mc_max = std::min(engine_round_up(m, MR), blk.mc);
   const Index nc_max = std::min(engine_round_up(n, NR), blk.nc);
   const Index kc_max = std::min(k, blk.kc);

@@ -87,12 +87,6 @@ void triangular_left(const Matrix& t, bool transpose, Matrix& w) {
   }
 }
 
-Index default_qr_block() {
-  // The autotune profile already folds in the PARSVD_QR_BLOCK override
-  // (defaults -> profile file -> env; see linalg/autotune.hpp).
-  return autotune::active_profile().qr_block;
-}
-
 // The WY algebra's products with the reflectors V (tall, at most a panel
 // wide) come in two shapes the packed engine serves poorly, because it
 // packs a whole tall operand for a few outputs: Vᵀ·B with a small output
@@ -313,7 +307,7 @@ HouseholderQr::HouseholderQr(Matrix a, Index block) : qr_(std::move(a)) {
             2ull * static_cast<std::uint64_t>(k) * static_cast<std::uint64_t>(k) *
                 static_cast<std::uint64_t>(k) / 3);
   tau_.assign(static_cast<std::size_t>(k), 0.0);
-  block_ = (block > 0) ? block : default_qr_block();
+  block_ = (block > 0) ? block : autotune::active_profile().qr_block;
   if (block_ <= 1) {
     factor_unblocked();
   } else {

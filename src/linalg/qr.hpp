@@ -2,10 +2,10 @@
 //
 // Householder QR is the workhorse of both the streaming SVD update
 // (Algorithm 1, step 1) and the local and root stages of TSQR. The
-// factorization is *blocked*: panels of PARSVD_QR_BLOCK reflectors
-// (default 32) are accumulated into a compact-WY representation
-// Q = I − V T Vᵀ (LAPACK larft convention, T upper triangular), and the
-// trailing matrix is updated with level-3 products.
+// factorization is *blocked*: panels of 32 reflectors (the constant
+// qr_block of linalg/autotune.hpp) are accumulated into a compact-WY
+// representation Q = I − V T Vᵀ (LAPACK larft convention, T upper
+// triangular), and the trailing matrix is updated with level-3 products.
 //
 // Each panel is factored recursively (Elmroth & Gustavson 2000; LAPACK
 // dgeqrt3): split it in halves, factor the left half, update the right
@@ -62,7 +62,7 @@ struct QrResult {
 class HouseholderQr {
  public:
   /// Factor A (any shape; m >= 1, n >= 1) with the default panel width
-  /// (PARSVD_QR_BLOCK, default 32). A is taken by value and factored in
+  /// (32, linalg/autotune.hpp). A is taken by value and factored in
   /// place: a caller done with its matrix moves it in and saves the copy.
   explicit HouseholderQr(Matrix a);
 

@@ -1,8 +1,8 @@
-// Lint fixture — NOT compiled. The raw blocking-constant env reads must
-// each produce a [blocking] finding: cache-blocking knobs are resolved
-// once by the autotune profile (linalg/autotune.cpp); a second read
-// outside src/linalg/ can disagree with what the kernels actually use
-// and skips sanitization.
+// Lint fixture — NOT compiled. The GEMM/QR blocking is a compile-time
+// constant (linalg/autotune.hpp) with no environment knob, so these
+// names are absent from the README registry and each read must produce
+// an [env-registry] finding: a retired blocking knob read anywhere would
+// silently do nothing.
 #include "support/env.hpp"
 
 long fixture() {

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <tuple>
+#include <vector>
 
 #include "linalg/blas.hpp"
 #include "test_utils.hpp"
@@ -253,22 +255,38 @@ TEST(Blas3, GemmRejectsAliasedOutput) {
 }
 
 TEST(Blas3, OddAndPrimeSizesAllTransposeCombos) {
-  // Sizes straddling the 8x6 micro-tile and the MC/KC panel edges: every
-  // combination exercises ragged packing in at least one dimension.
-  const int sizes[] = {1, 3, 7, 63, 64, 65, 129};
-  for (const int s : sizes) {
+  // Shapes straddling the 8x6 micro tile and the MC = 96, KC = 256 and
+  // NC = 4032 block edges: every combination exercises ragged packing in
+  // at least one dimension.
+  struct Shape {
+    Index m, k, n;
+  };
+  std::vector<Shape> shapes;
+  for (const Index s : {1, 3, 7, 63, 64, 65, 129}) {
+    // Rectangular m,k,n derived from s so the three extents differ.
+    shapes.push_back({s, std::max<Index>(1, s - 2), std::max<Index>(1, s - 1)});
+  }
+  for (const Index m : {95, 96, 97, 193}) {
+    for (const Index k : {255, 256, 257, 513}) shapes.push_back({m, k, 13});
+  }
+  // n crosses NC in a product small enough to stay on one serial call,
+  // so the packed driver itself walks past the NC edge.
+  static_assert(8 * 8 * 4033 < kGemmParallelThreshold);
+  shapes.push_back({8, 8, 4033});
+  for (const Shape& sh : shapes) {
+    const auto [m, k, n] = sh;
     for (int combo = 0; combo < 4; ++combo) {
       const Trans ta = (combo & 1) ? Trans::Yes : Trans::No;
       const Trans tb = (combo & 2) ? Trans::Yes : Trans::No;
-      // Rectangular m,k,n derived from s so the three extents differ.
-      const Index m = s, k = std::max(1, s - 2), n = std::max(1, s - 1);
-      const Matrix a = (ta == Trans::No) ? random_matrix(m, k, 300 + s + combo)
-                                         : random_matrix(k, m, 300 + s + combo);
-      const Matrix b = (tb == Trans::No) ? random_matrix(k, n, 400 + s + combo)
-                                         : random_matrix(n, k, 400 + s + combo);
+      const std::uint64_t seed = static_cast<std::uint64_t>(m + k + combo);
+      const Matrix a = (ta == Trans::No) ? random_matrix(m, k, 300 + seed)
+                                         : random_matrix(k, m, 300 + seed);
+      const Matrix b = (tb == Trans::No) ? random_matrix(k, n, 400 + seed)
+                                         : random_matrix(n, k, 400 + seed);
       const Matrix lhs = (ta == Trans::No) ? a : a.transposed();
       const Matrix rhs = (tb == Trans::No) ? b : b.transposed();
-      SCOPED_TRACE(::testing::Message() << "s=" << s << " combo=" << combo);
+      SCOPED_TRACE(::testing::Message() << "m=" << m << " k=" << k << " n="
+                                        << n << " combo=" << combo);
       expect_matrix_near(matmul(a, b, ta, tb), naive_matmul(lhs, rhs), 1e-11);
     }
   }

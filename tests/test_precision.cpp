@@ -1,17 +1,14 @@
-// Compensated-accumulation and autotune-profile contracts (DESIGN §12):
+// Compensated-accumulation and kernel-blocking contracts (DESIGN §12):
 // compensated dot/Gram survive catastrophic cancellation that naive fp64
-// summation loses entirely, and the autotune profile round-trips through
-// its JSON persistence, including profiles written with an extra "f32"
-// section by earlier releases.
+// summation loses entirely, and the blocking constants are the values the
+// committed benchmark numbers ran with.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
-#include <string>
 #include <vector>
 
 #include "linalg/autotune.hpp"
 #include "linalg/blas.hpp"
+#include "linalg/qr.hpp"
 
 namespace parsvd {
 namespace {
@@ -56,78 +53,18 @@ TEST(PrecisionCompensated, GramBeatsNaiveOnIllConditionedColumns) {
   EXPECT_EQ(g(0, 0), static_cast<double>(d0));
 }
 
-TEST(Autotune, ProfileRoundTripsThroughJson) {
-  autotune::Profile p;
-  p.f64 = {128, 384, 4096, 8, 6};
-  p.qr_block = 48;
-  p.tuned = true;
-  const std::string path = ::testing::TempDir() + "parsvd_tune_roundtrip.json";
-  autotune::save_profile(p, path);
-  autotune::Profile loaded;
-  ASSERT_TRUE(autotune::load_profile(path, loaded));
-  EXPECT_EQ(loaded, p);
-
-  // A profile saved before the fp32 engine was removed still carries an
-  // "f32" section; it loads, and the section is ignored.
-  {
-    std::ofstream out(path);
-    out << "{\n  \"schema_version\": 1,\n  \"tuned\": true,\n"
-        << "  \"f64\": {\"mc\": 128, \"kc\": 384, \"nc\": 4096, \"mr\": 8, "
-           "\"nr\": 6},\n"
-        << "  \"f32\": {\"mc\": 64, \"kc\": 512, \"nc\": 4032, \"mr\": 16, "
-           "\"nr\": 6},\n"
-        << "  \"qr_block\": 48\n}\n";
-  }
-  autotune::Profile legacy;
-  ASSERT_TRUE(autotune::load_profile(path, legacy));
-  EXPECT_EQ(legacy, p);
-  std::remove(path.c_str());
-}
-
-TEST(Autotune, VersionMismatchIsRejected) {
-  const std::string path = ::testing::TempDir() + "parsvd_tune_badver.json";
-  {
-    std::ofstream out(path);
-    out << "{\n  \"schema_version\": 99,\n  \"tuned\": true,\n"
-        << "  \"f64\": {\"mc\": 96, \"kc\": 256, \"nc\": 4032, \"mr\": 8, "
-           "\"nr\": 6},\n"
-        << "  \"f32\": {\"mc\": 96, \"kc\": 512, \"nc\": 4032, \"mr\": 16, "
-           "\"nr\": 6},\n"
-        << "  \"qr_block\": 32\n}\n";
-  }
-  autotune::Profile loaded = autotune::default_profile();
-  const autotune::Profile before = loaded;
-  EXPECT_FALSE(autotune::load_profile(path, loaded));
-  EXPECT_EQ(loaded, before);  // untouched on rejection
-  std::remove(path.c_str());
-}
-
-TEST(Autotune, SanitizeClampsToLegalFeasibleBlocking) {
-  const autotune::Blocking fallback = autotune::default_profile().f64;
-  // Nonsense request: tiny/huge blocks and an uninstantiated micro tile.
-  autotune::Blocking wild{1, 100000, 3, 5, 7};
-  const autotune::Blocking fixed = autotune::sanitize(wild, fallback);
-  EXPECT_TRUE(detail::has_kernel_f64(fixed.mr, fixed.nr));
-  EXPECT_GE(fixed.mc, fixed.mr);
-  EXPECT_EQ(fixed.mc % fixed.mr, 0);
-  EXPECT_GE(fixed.nc, fixed.nr);
-  EXPECT_EQ(fixed.nc % fixed.nr, 0);
-  EXPECT_GE(fixed.kc, 8);
-  EXPECT_LE(fixed.kc, 8192);
-  // Sane requests pass through unchanged.
-  const autotune::Blocking ok = autotune::sanitize(fallback, fallback);
-  EXPECT_EQ(ok, fallback);
-}
-
-TEST(Autotune, DefaultProfileIsFeasible) {
-  const autotune::Profile p = autotune::default_profile();
-  EXPECT_TRUE(detail::has_kernel_f64(p.f64.mr, p.f64.nr));
+TEST(Blocking, ConstantsAreTheBenchmarkedValues) {
+  // bench/e2e reports these as "f64 96/256/4032 8x6 qr 32 (tuned: False)".
+  constexpr autotune::Profile p = autotune::active_profile();
+  EXPECT_EQ(p.f64.mc, 96);
+  EXPECT_EQ(p.f64.kc, 256);
+  EXPECT_EQ(p.f64.nc, 4032);
+  EXPECT_EQ(p.f64.mr, 8);
+  EXPECT_EQ(p.f64.nr, 6);
+  EXPECT_EQ(p.qr_block, 32);
   EXPECT_FALSE(p.tuned);
-  EXPECT_GT(p.qr_block, 0);
-  // The active profile (whatever env this test runs under) is feasible
-  // too — resolution always ends in sanitize().
-  const autotune::Profile& active = autotune::active_profile();
-  EXPECT_TRUE(detail::has_kernel_f64(active.f64.mr, active.f64.nr));
+  // The QR's default panel width is the constant.
+  EXPECT_EQ(HouseholderQr(Matrix::identity(4)).block(), p.qr_block);
 }
 
 }  // namespace
