@@ -256,10 +256,14 @@ Vector oracle_principal_angles(const Matrix& a, const Matrix& b) {
 // exactly rank-2 matrix they match the same quantities built from the
 // Jacobi oracle to absolute tolerances: σ to 1e-14·σ_max (Golub–Kahan's
 // accuracy is absolute), angles to 1e-7 rad (acos amplifies an eps-level
-// cosine error to ~sqrt(eps) next to 0), and pinv to 1e-9 with
-// rcond = 1e-5 on the graded matrix (entries up to ~2e3) and to 1e-13 on
-// the rank-2 one. The graded pinv cuts at 1e-5: kept σ near 1e-12 carry
-// an absolute eps-level error, which 1/σ turns into a large one.
+// cosine error to ~sqrt(eps) next to 0), and pinv to 1e-13 on the
+// rank-2 one. The graded pinv cuts at rcond = 1e-5: kept σ near 1e-12
+// carry an absolute eps-level error, which 1/σ turns into a large one.
+// Its bound is the one Golub–Kahan's absolute accuracy gives: a kept σ_k
+// moves by about eps·σ_max, so 1/σ_k moves by eps·σ_max/σ_k², and its
+// vectors by eps·σ_max/gap ≥ the same over 1/σ_k. With σ_min the smallest
+// kept σ that is κ·eps·‖pinv‖ for κ = σ_max/σ_min and ‖pinv‖ = 1/σ_min
+// (about 2e-8 here), computed from the oracle's σ.
 TEST(SvdEdge, HelpersMatchOracleOnGradedAndRankTwo) {
   Rng rng(10);
   Vector graded(7);
@@ -271,7 +275,14 @@ TEST(SvdEdge, HelpersMatchOracleOnGradedAndRankTwo) {
   expect_vector_near(singular_values(g), oracle::svd_jacobi(g).s, 1e-14);
   expect_vector_near(singular_values(r2), oracle::svd_jacobi(r2).s, 1e-14 * 3.0);
 
-  testing::expect_matrix_near(pinv(g, 1e-5), oracle_pinv(g, 1e-5), 1e-9);
+  const Vector gs = oracle::svd_jacobi(g).s;
+  double s_min = gs[0];
+  for (Index i = 0; i < gs.size(); ++i) {
+    if (gs[i] > 1e-5 * gs[0]) s_min = gs[i];
+  }
+  const double kappa = gs[0] / s_min;
+  const double pinv_bound = kappa * std::numeric_limits<double>::epsilon() / s_min;
+  testing::expect_matrix_near(pinv(g, 1e-5), oracle_pinv(g, 1e-5), pinv_bound);
   testing::expect_matrix_near(pinv(r2), oracle_pinv(r2, 1e-15), 1e-13);
 
   // The graded matrix's leading columns against itself (angles ~0) and
