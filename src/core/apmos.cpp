@@ -21,8 +21,11 @@ std::pair<Matrix, Vector> generate_right_vectors(const Matrix& a, Index r1,
   opts.method = method;
   opts.eigh_method = eigh_method;
   opts.rank = std::min(r1, std::min(a.rows(), a.cols()));
-  const SvdResult f = svd(a, opts);
-  return {f.v, f.s};
+  // The caller keeps V and σ only; the method of snapshots forms no U.
+  SvdResult f = method == SvdMethod::MethodOfSnapshots
+                    ? snapshots_right_vectors(a, opts.rank)
+                    : svd(a, opts);
+  return {std::move(f.v), std::move(f.s)};
 }
 
 ApmosResult apmos_svd(pmpi::Communicator& comm, const Matrix& a_local,

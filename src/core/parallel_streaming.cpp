@@ -90,14 +90,26 @@ void ParallelStreamingSVD::incorporate_data(const Matrix& batch) {
   ++iteration_;
   snapshots_seen_ += batch.cols();
 
-  const Matrix weighted = apply_row_weights(batch);
+  // Step 1 (distributed): the discounted local factorization next to the
+  // new local snapshots, [U·diag(ff·σ), W·batch], written once into the
+  // matrix TSQR factors.
+  const Index k = u_local_.cols();
+  Matrix ll(num_rows_, k + batch.cols());
+  for (Index j = 0; j < k; ++j) {
+    const double scale = opts_.forget_factor * singular_values_[j];
+    const double* u = u_local_.col_data(j);
+    double* dst = ll.col_data(j);
+    for (Index i = 0; i < num_rows_; ++i) dst[i] = u[i] * scale;
+  }
+  write_row_weighted(batch, ll, k);
 
   // Fault-tolerant policy: fold this batch's energy into root's
   // per-rank ledger before the factorization touches the network, so a
   // rank that dies later in this update counts its in-flight batch as
   // lost (the conservative direction for the coverage bound).
   if (opts_.fault_tolerant) {
-    const double frob = weighted.norm_fro();
+    const double frob = frobenius_norm(std::span<const double>(
+        ll.col_data(k), static_cast<std::size_t>(batch.size())));
     const double energy = frob * frob;
     std::vector<std::byte> buf(sizeof(double));
     std::memcpy(buf.data(), &energy, sizeof(double));
@@ -113,13 +125,7 @@ void ParallelStreamingSVD::incorporate_data(const Matrix& batch) {
     }
   }
 
-  // Step 1 (distributed): concatenate the discounted local factorization
-  // with the new local snapshots, then TSQR across ranks.
-  Matrix ll = u_local_;
-  for (Index j = 0; j < ll.cols(); ++j) {
-    scal(opts_.forget_factor * singular_values_[j], ll.col_span(j));
-  }
-  ll = hcat(ll, weighted);
+  // TSQR across ranks.
   TsqrResult qr = tsqr(comm_, std::move(ll));
   accept_or_throw(opts_.fault_tolerant, qr.excluded_ranks, "tsqr R gather");
 

@@ -13,16 +13,30 @@ SvdBase::SvdBase(StreamingOptions opts) : opts_(opts) { opts_.validate(); }
 
 Matrix SvdBase::apply_row_weights(const Matrix& batch) const {
   if (opts_.row_weights.empty()) return batch;
+  Matrix scaled(batch.rows(), batch.cols());
+  write_row_weighted(batch, scaled, 0);
+  return scaled;
+}
+
+void SvdBase::write_row_weighted(const Matrix& batch, Matrix& out,
+                                 Index col0) const {
+  PARSVD_REQUIRE(out.rows() == batch.rows() && col0 + batch.cols() <= out.cols(),
+                 "weighted batch does not fit its destination");
+  const auto rows = static_cast<std::size_t>(batch.rows());
+  if (opts_.row_weights.empty()) {
+    std::copy(batch.data(), batch.data() + rows * static_cast<std::size_t>(batch.cols()),
+              out.col_data(col0));
+    return;
+  }
   PARSVD_REQUIRE(opts_.row_weights.size() == batch.rows(),
                  "row_weights length must match the batch row count");
-  Matrix scaled = batch;
-  for (Index j = 0; j < scaled.cols(); ++j) {
-    double* col = scaled.col_data(j);
-    for (Index i = 0; i < scaled.rows(); ++i) {
-      col[i] *= std::sqrt(opts_.row_weights[i]);
+  for (Index j = 0; j < batch.cols(); ++j) {
+    const double* src = batch.col_data(j);
+    double* dst = out.col_data(col0 + j);
+    for (Index i = 0; i < batch.rows(); ++i) {
+      dst[i] = src[i] * std::sqrt(opts_.row_weights[i]);
     }
   }
-  return scaled;
 }
 
 Matrix SvdBase::remove_row_weights(const Matrix& modes) const {

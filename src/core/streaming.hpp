@@ -84,6 +84,11 @@ class SvdBase {
   /// the first batch.
   Matrix apply_row_weights(const Matrix& batch) const;
 
+  /// The same weighted batch written into columns [col0, col0 +
+  /// batch.cols()) of `out` (same rows), so a caller assembling a wider
+  /// matrix copies the batch once.
+  void write_row_weighted(const Matrix& batch, Matrix& out, Index col0) const;
+
   /// Undo the √w scaling on a mode block whose rows correspond to
   /// row_weights (identity when unweighted).
   Matrix remove_row_weights(const Matrix& modes) const;

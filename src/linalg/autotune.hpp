@@ -7,7 +7,11 @@
 // plus a KC x NR B-sliver to L1, MC x KC of packed A to L2, and KC x NC of
 // packed B to L3. The values are the ones every committed benchmark ran
 // with. The QR panel width 32 measured within noise of 16 once the panels
-// recurse (qr.cpp).
+// recurse (qr.cpp). The symmetric tridiagonal and Golub–Kahan bidiagonal
+// reductions (eigh.cpp, svd_golub_kahan.cpp) take 16-column panels: on
+// the 256 x 256 APMOS Gram and a 204 x 204 R, 16 beat 32 on the reduction
+// and on the WY back-transform alike (EXPERIMENTS.md), as a panel's
+// level-2 corrections and T grow with its width.
 #pragma once
 
 #include "linalg/matrix.hpp"
@@ -37,5 +41,17 @@ struct Profile {
 constexpr Profile active_profile() {
   return {{96, 256, 4032, 8, 6}, 32, false};
 }
+
+/// Panel width of the blocked Householder reductions (tridiagonal and
+/// bidiagonal) and of the compact-WY back-transforms through their
+/// reflectors.
+inline constexpr Index kReductionBlock = 16;
+
+/// Reductions of order below this run the column-at-a-time sweep whole,
+/// and a blocked reduction hands its last trailing block to that sweep
+/// once the block is this small. Back-transforms through fewer reflectors
+/// apply them one at a time. Below it a rank-2·nb trailing update stays
+/// too small for the packed engine to pay back its panel bookkeeping.
+inline constexpr Index kReductionCrossover = 64;
 
 }  // namespace parsvd::autotune

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <numeric>
 
+#include "linalg/autotune.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/householder.hpp"
 #include "obs/trace.hpp"
@@ -18,28 +19,17 @@ namespace {
 
 using detail::RotationLog;
 
-/// A = Q T Qᵀ with T symmetric tridiagonal. Q = H_0 ⋯ H_{n-2} stays in
-/// factored form: reflector i acts on rows i+1..n-1 and its tail lives in
-/// a(i+2.., i).
-struct Tridiagonalization {
-  Matrix a;
-  std::vector<double> tau;  // length n
-  std::vector<double> d;    // diagonal, length n
-  std::vector<double> e;    // subdiagonal e[i] = T(i+1, i); e[n-1] = 0
-};
-
-/// Lower-triangle reduction of the symmetric matrix `a` (dsytd2): every
-/// step is a reflector, a symv and a rank-2 update, each done as sweeps
-/// down the columns of the trailing block, so all access is unit-stride.
-Tridiagonalization tridiagonalize(Matrix a) {
+/// The column sweep (dsytd2) over columns [i0, n) of the lower triangle:
+/// every step is a reflector, a symv and a rank-2 update, each done as
+/// sweeps down the columns of the trailing block, so all access is
+/// unit-stride.
+void sweep_columns(Matrix& a, Index i0, std::vector<double>& tau,
+                   std::vector<double>& d, std::vector<double>& e) {
   const Index n = a.rows();
-  std::vector<double> tau(static_cast<std::size_t>(n), 0.0);
-  std::vector<double> d(static_cast<std::size_t>(n), 0.0);
-  std::vector<double> e(static_cast<std::size_t>(n), 0.0);
   std::vector<double> v(static_cast<std::size_t>(n));
   std::vector<double> w(static_cast<std::size_t>(n));
 
-  for (Index i = 0; i + 1 < n; ++i) {
+  for (Index i = i0; i + 1 < n; ++i) {
     double* coli = a.col_data(i);
     const detail::Reflector h = detail::make_reflector(
         coli[i + 1], std::span<double>(coli + i + 2, static_cast<std::size_t>(n - i - 2)));
@@ -80,8 +70,105 @@ Tridiagonalization tridiagonalize(Matrix a) {
     }
   }
   if (n > 0) d[static_cast<std::size_t>(n - 1)] = a(n - 1, n - 1);
+}
+
+/// LAPACK dlatrd (lower) on the panel of columns [i0, i0 + nb): reduces
+/// them and returns, in w's columns (rows i0+1..n-1), the W with which the
+/// trailing block's update is A -= V Wᵀ + W Vᵀ. The trailing block is
+/// left untouched: each step's symv reads it as it was before the panel
+/// and corrects with the panel's earlier V and W. Reflector i's unit
+/// entry is written into a(i+1, i), where the trailing update reads it.
+void reduce_panel(Matrix& a, Index i0, Index nb, Matrix& w,
+                  std::vector<double>& tau, std::vector<double>& d,
+                  std::vector<double>& e) {
+  const Index n = a.rows();
+  std::vector<double> t(static_cast<std::size_t>(nb));
+  const double* v0 = a.col_data(i0);  // V, leading dimension n
+  const double* w0 = w.data();        // W, leading dimension n
+  for (Index jj = 0; jj < nb; ++jj) {
+    const Index i = i0 + jj;
+    double* coli = a.col_data(i);
+    // Column i catches up with the panel so far:
+    // A(i:n, i) -= V(i:n, :jj) W(i, :jj)ᵀ + W(i:n, :jj) V(i, :jj)ᵀ.
+    for (Index q = 0; q < jj; ++q) t[static_cast<std::size_t>(q)] = w(i, q);
+    detail::gemv_sub(n - i, jj, v0 + i, n, t.data(), coli + i);
+    for (Index q = 0; q < jj; ++q) t[static_cast<std::size_t>(q)] = a(i, i0 + q);
+    detail::gemv_sub(n - i, jj, w0 + i, n, t.data(), coli + i);
+
+    const detail::Reflector h = detail::make_reflector(
+        coli[i + 1], std::span<double>(coli + i + 2, static_cast<std::size_t>(n - i - 2)));
+    e[static_cast<std::size_t>(i)] = h.beta;
+    tau[static_cast<std::size_t>(i)] = h.tau;
+    d[static_cast<std::size_t>(i)] = coli[i];
+    coli[i + 1] = 1.0;
+
+    // W(i+1:n, jj) = tau (S v - V (Wᵀv) - W (Vᵀv)), then the dsytd2
+    // correction W -= (tau/2)(Wᵀv) v. tau = 0 leaves a zero column.
+    const Index p = n - i - 1;
+    const auto lp = static_cast<std::size_t>(p);
+    const double* v = coli + i + 1;
+    double* wj = w.col_data(jj) + i + 1;
+    std::fill(wj, wj + p, 0.0);
+    if (h.tau == 0.0) continue;
+    detail::symv_lower(p, a.col_data(i + 1) + i + 1, n, v, wj);
+    std::fill(t.begin(), t.begin() + jj, 0.0);
+    detail::gemv_t(p, jj, w0 + i + 1, n, v, t.data());
+    detail::gemv_sub(p, jj, v0 + i + 1, n, t.data(), wj);
+    std::fill(t.begin(), t.begin() + jj, 0.0);
+    detail::gemv_t(p, jj, v0 + i + 1, n, v, t.data());
+    detail::gemv_sub(p, jj, w0 + i + 1, n, t.data(), wj);
+    scal(h.tau, std::span<double>(wj, lp));
+    const double alpha = -0.5 * h.tau * detail::dot_kernel(wj, v, lp);
+    axpy(alpha, std::span<const double>(v, lp), std::span<double>(wj, lp));
+  }
+}
+
+}  // namespace
+
+namespace detail {
+
+Tridiagonalization tridiagonalize(Matrix a, Index block) {
+  const Index n = a.rows();
+  std::vector<double> tau(static_cast<std::size_t>(n), 0.0);
+  std::vector<double> d(static_cast<std::size_t>(n), 0.0);
+  std::vector<double> e(static_cast<std::size_t>(n), 0.0);
+  Index i0 = 0;
+  if (block > 1) {
+    const Index nb = block;
+    const Index nx = std::max(nb, autotune::kReductionCrossover);
+    Matrix w(n, nb);
+    // [V W] and [W V] side by side: the trailing update is one GEMM of
+    // depth 2·nb, A -= [V W] [W V]ᵀ, on the lower triangle.
+    Matrix vw(n, 2 * nb), wv(n, 2 * nb);
+    for (; n - i0 > nx; i0 += nb) {
+      reduce_panel(a, i0, nb, w, tau, d, e);
+      const Index j = i0 + nb;
+      const Index rows = n - j;
+      for (Index q = 0; q < nb; ++q) {
+        const double* vq = a.col_data(i0 + q) + j;
+        const double* wq = w.col_data(q) + j;
+        std::copy(vq, vq + rows, vw.col_data(q));
+        std::copy(wq, wq + rows, vw.col_data(nb + q));
+        std::copy(wq, wq + rows, wv.col_data(q));
+        std::copy(vq, vq + rows, wv.col_data(nb + q));
+      }
+      // Column blocks of the lower triangle, each from its diagonal down
+      // (the upper part of a diagonal block is updated too, and unread).
+      for (Index c0 = 0; c0 < rows; c0 += nb) {
+        const Index cb = std::min(nb, rows - c0);
+        detail::gemm_accumulate(Trans::No, Trans::Yes, rows - c0, cb, 2 * nb, -1.0,
+                                vw.data() + c0, n, wv.data() + c0, n,
+                                a.col_data(j + c0) + j + c0, n);
+      }
+    }
+  }
+  sweep_columns(a, i0, tau, d, e);
   return {std::move(a), std::move(tau), std::move(d), std::move(e)};
 }
+
+}  // namespace detail
+
+namespace {
 
 /// Implicit-shift QL iteration on the tridiagonal (d, e); the rotations
 /// it would apply to the eigenvector matrix go to `log` instead.
@@ -182,7 +269,8 @@ EighResult eigh(const Matrix& input, const EighOptions& opts) {
     }
   }
 
-  Tridiagonalization t = tridiagonalize(std::move(a));
+  detail::Tridiagonalization t =
+      detail::tridiagonalize(std::move(a), autotune::kReductionBlock);
   std::vector<double>& d = t.d;
   RotationLog log(2 * n * n);  // a sweep takes about n² rotations
   tql2(d, t.e, log);
@@ -206,7 +294,8 @@ EighResult eigh(const Matrix& input, const EighOptions& opts) {
   }
   log.unwind(y);
   out.vectors = y.transposed();
-  detail::apply_reflectors_backward(t.a, t.tau, 1, out.vectors);
+  detail::apply_reflectors_backward(t.a, t.tau, 1, out.vectors,
+                                    autotune::kReductionBlock);
   return out;
 }
 

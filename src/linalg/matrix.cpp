@@ -193,9 +193,11 @@ Matrix Matrix::transposed() const {
   return out;
 }
 
-double Matrix::norm_fro() const {
+double Matrix::norm_fro() const { return frobenius_norm(data_); }
+
+double frobenius_norm(std::span<const double> xs) {
   double scale = 0.0, ssq = 1.0;
-  for (double x : data_) {
+  for (double x : xs) {
     if (x == 0.0) continue;
     const double ax = std::fabs(x);
     if (scale < ax) {

@@ -199,6 +199,10 @@ Matrix vcat(const Matrix& a, const Matrix& b);
 Matrix hcat(const std::vector<Matrix>& blocks);
 Matrix vcat(const std::vector<Matrix>& blocks);
 
+/// Frobenius norm of the entries of `x` (scaled sum of squares, the
+/// loop Matrix::norm_fro runs over its storage).
+double frobenius_norm(std::span<const double> x);
+
 /// Max elementwise |a - b|; requires equal shapes.
 double max_abs_diff(const Matrix& a, const Matrix& b);
 double max_abs_diff(const Vector& a, const Vector& b);

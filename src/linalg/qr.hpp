@@ -82,6 +82,10 @@ class HouseholderQr {
   /// R factor, min(m,n) x n, upper triangular/trapezoidal.
   Matrix r() const;
 
+  /// The factored storage itself: R on and above the diagonal, the
+  /// reflector tails below it. Lets a caller read R without a copy.
+  const Matrix& factored() const { return qr_; }
+
   /// Thin Q, m x min(m,n), orthonormal columns (apply_q on [I; 0]).
   Matrix thin_q() const;
 

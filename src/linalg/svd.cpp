@@ -17,7 +17,7 @@ Matrix SvdResult::reconstruct() const {
   return matmul(us, v, Trans::No, Trans::Yes);
 }
 
-SvdResult svd_method_of_snapshots(const Matrix& a, const SvdOptions& opts) {
+SvdResult snapshots_right_vectors(const Matrix& a, Index rank) {
   PARSVD_REQUIRE(!a.empty(), "svd of an empty matrix");
   const Index n = a.cols();
 
@@ -36,13 +36,13 @@ SvdResult svd_method_of_snapshots(const Matrix& a, const SvdOptions& opts) {
     const double amax = a.norm_max();
     if (!std::isfinite(amax)) throw NonFiniteError("svd input has a non-finite entry");
     if (const int e = safe_scale_exponent(amax); e != 0) {
-      SvdResult out = svd_method_of_snapshots(scale_by_pow2(a, -e), opts);
+      SvdResult out = snapshots_right_vectors(scale_by_pow2(a, -e), rank);
       for (Index j = 0; j < out.s.size(); ++j) out.s[j] = std::ldexp(out.s[j], e);
       return out;
     }
   }
   EighOptions eopts;
-  eopts.rank = opts.rank;
+  eopts.rank = rank;
   EighResult eig = eigh(g, eopts);
   const Index k = eig.values.size();
 
@@ -54,6 +54,12 @@ SvdResult svd_method_of_snapshots(const Matrix& a, const SvdOptions& opts) {
   for (Index j = 0; j < k; ++j) {
     out.s[j] = std::sqrt(std::max(eig.values[j], 0.0));
   }
+  return out;
+}
+
+SvdResult svd_method_of_snapshots(const Matrix& a, const SvdOptions& opts) {
+  SvdResult out = snapshots_right_vectors(a, opts.rank);
+  const Index k = out.s.size();
 
   // U = A V Σ⁻¹ over the k kept columns, computed only for numerically
   // nonzero singular values.

@@ -62,6 +62,13 @@ SvdResult svd(const Matrix& a, const SvdOptions& opts = {});
 SvdResult svd_method_of_snapshots(const Matrix& a, const SvdOptions& opts = {});
 SvdResult svd_golub_kahan(const Matrix& a, const SvdOptions& opts = {});
 
+/// The method of snapshots without its left factor: σ and the kept
+/// right vectors V from eigh(AᵀA) (with the backend's rescaling and
+/// non-finite guards); `u` stays empty, so the 2·m·n·rank flops of
+/// U = A V Σ⁻¹ are skipped. σ and V are bit-identical to
+/// svd_method_of_snapshots' at the same rank (0 = all).
+SvdResult snapshots_right_vectors(const Matrix& a, Index rank);
+
 /// Singular values only: the Golub–Kahan sweep without its rotation logs,
 /// replay or back-transforms, bit-identical to svd(a).s. Accurate to
 /// eps·σ_max absolutely.

@@ -14,6 +14,8 @@
 #include <numeric>
 #include <optional>
 
+#include "linalg/autotune.hpp"
+#include "linalg/blas.hpp"
 #include "linalg/householder.hpp"
 #include "linalg/svd.hpp"
 #include "obs/trace.hpp"
@@ -25,28 +27,16 @@ using detail::Givens;
 using detail::make_givens;
 using detail::RotationLog;
 
-/// Householder bidiagonalization A = Q_L B Q_Rᵀ of A (m >= n), with B
-/// upper bidiagonal. Q_L and Q_R stay in factored form: left reflector j
-/// acts on rows j.. and its tail lives below the diagonal of `a`; right
-/// reflector j acts on rows j+1.. of V and its tail lives in vr(j+2.., j).
-struct Bidiagonalization {
-  Matrix a;
-  Matrix vr;                  // n x n
-  std::vector<double> tau_l;  // length n
-  std::vector<double> tau_r;  // length n (the last two stay 0)
-  std::vector<double> d;      // diagonal, length n
-  std::vector<double> e;      // superdiagonal, length n-1
-};
-
-Bidiagonalization bidiagonalize(Matrix a) {
+/// The column sweep (dgebd2) over columns and rows [j0, n) of `a`: a left
+/// reflector zeroes column j below the diagonal, a right one row j beyond
+/// the superdiagonal, each applied to the trailing block at once.
+void sweep_columns(Matrix& a, Index j0, Matrix& vr, std::vector<double>& tau_l,
+                   std::vector<double>& tau_r) {
   const Index m = a.rows();
   const Index n = a.cols();
-  Matrix vr(n, n);
-  std::vector<double> tau_l(static_cast<std::size_t>(n), 0.0);
-  std::vector<double> tau_r(static_cast<std::size_t>(n), 0.0);
   std::vector<double> rw(static_cast<std::size_t>(m));  // right-reflector work
 
-  for (Index j = 0; j < n; ++j) {
+  for (Index j = j0; j < n; ++j) {
     // --- left reflector: zero column j below the diagonal ---
     double* colj = a.col_data(j);
     const detail::Reflector hl = detail::make_reflector(
@@ -88,18 +78,141 @@ Bidiagonalization bidiagonalize(Matrix a) {
       }
     }
   }
+}
 
+/// LAPACK dlabrd (m >= n) on the panel of columns and rows [i0, i0 + nb):
+/// reduces them and returns X (rows i0+1..m-1) and Y (rows i0+1..n-1)
+/// such that the trailing block's update is A -= V Yᵀ + X U, with V the
+/// panel's left reflectors (columns) and U its right ones (rows). The
+/// trailing block is left untouched: each step's gemv pair reads it as it
+/// was before the panel and corrects with the panel's earlier V, U, X, Y.
+/// Each right reflector is built in vr's column and copied back into its
+/// row of `a`, unit entry included, where the trailing update reads it;
+/// each left reflector's unit entry stands in for its diagonal until the
+/// caller restores d.
+void reduce_panel(Matrix& a, Index i0, Index nb, Matrix& x, Matrix& y,
+                  Matrix& vr, std::vector<double>& tau_l,
+                  std::vector<double>& tau_r, std::vector<double>& d,
+                  std::vector<double>& e) {
+  const Index m = a.rows();
+  const Index n = a.cols();
+  std::vector<double> t(static_cast<std::size_t>(nb + 1));
+  std::vector<double> neg(static_cast<std::size_t>(n));
+  const double* v0 = a.col_data(i0);  // V, leading dimension m
+  const double* x0 = x.data();        // X, leading dimension m
+  const double* y0 = y.data();        // Y, leading dimension n
+  const auto zero_t = [&t](Index k) { std::fill(t.begin(), t.begin() + k, 0.0); };
+  for (Index jj = 0; jj < nb; ++jj) {
+    const Index i = i0 + jj;
+    double* coli = a.col_data(i);
+    // U(:jj, c) for the trailing columns c > i, leading dimension m.
+    const double* ut = a.col_data(i + 1) + i0;
+    const Index mi = m - i;      // rows i..m-1
+    const Index nt = n - i - 1;  // columns (or Y rows) i+1..n-1
+    // Column i catches up with the panel so far:
+    // A(i:m, i) -= V(i:m, :jj) Y(i, :jj)ᵀ + X(i:m, :jj) U(:jj, i).
+    for (Index q = 0; q < jj; ++q) t[static_cast<std::size_t>(q)] = y(i, q);
+    detail::gemv_sub(mi, jj, v0 + i, m, t.data(), coli + i);
+    detail::gemv_sub(mi, jj, x0 + i, m, coli + i0, coli + i);
+    // --- left reflector: zero column i below the diagonal ---
+    const detail::Reflector hl = detail::make_reflector(
+        coli[i], std::span<double>(coli + i + 1, static_cast<std::size_t>(m - i - 1)));
+    tau_l[static_cast<std::size_t>(i)] = hl.tau;
+    d[static_cast<std::size_t>(i)] = hl.beta;
+    coli[i] = 1.0;
+    const double* u = coli + i;  // the left reflector, unit entry first
+
+    // Y(i+1:n, jj) = tau_l (A(i:m, i+1:n)ᵀ u - Y V(i:m, :jj)ᵀ u
+    //                       - U(:jj, i+1:n)ᵀ X(i:m, :jj)ᵀ u).
+    double* yj = y.col_data(jj) + i + 1;
+    std::fill(yj, yj + nt, 0.0);
+    detail::gemv_t(mi, nt, a.col_data(i + 1) + i, m, u, yj);
+    zero_t(jj);
+    detail::gemv_t(mi, jj, v0 + i, m, u, t.data());
+    detail::gemv_sub(nt, jj, y0 + i + 1, n, t.data(), yj);
+    zero_t(jj);
+    detail::gemv_t(mi, jj, x0 + i, m, u, t.data());
+    for (Index q = 0; q < jj; ++q) t[static_cast<std::size_t>(q)] = -t[static_cast<std::size_t>(q)];
+    detail::gemv_t(jj, nt, ut, m, t.data(), yj);
+    scal(hl.tau, std::span<double>(yj, static_cast<std::size_t>(nt)));
+
+    // Row i catches up, in vr's column i (rows i+1..n-1):
+    // A(i, i+1:n) -= Y(i+1:n, :jj+1) A(i, i0:i+1)ᵀ + U(:jj, i+1:n)ᵀ X(i, :jj)ᵀ.
+    double* r = vr.col_data(i) + i + 1;
+    for (Index c = 0; c < nt; ++c) r[c] = a(i, i + 1 + c);
+    for (Index q = 0; q <= jj; ++q) t[static_cast<std::size_t>(q)] = a(i, i0 + q);
+    detail::gemv_sub(nt, jj + 1, y0 + i + 1, n, t.data(), r);
+    for (Index q = 0; q < jj; ++q) t[static_cast<std::size_t>(q)] = -x(i, q);
+    detail::gemv_t(jj, nt, ut, m, t.data(), r);
+    // --- right reflector: zero row i beyond the superdiagonal ---
+    const detail::Reflector hr = detail::make_reflector(
+        r[0], std::span<double>(r + 1, static_cast<std::size_t>(nt - 1)));
+    tau_r[static_cast<std::size_t>(i)] = hr.tau;
+    e[static_cast<std::size_t>(i)] = hr.beta;
+    r[0] = 1.0;
+    for (Index c = 0; c < nt; ++c) a(i, i + 1 + c) = r[c];
+    const double* v = r;  // the right reflector, unit entry first
+
+    // X(i+1:m, jj) = tau_r (A(i+1:m, i+1:n) v - V(i+1:m, :jj+1) Y(i+1:n, :jj+1)ᵀ v
+    //                       - X(i+1:m, :jj) U(:jj, i+1:n) v).
+    const Index mt = m - i - 1;
+    double* xj = x.col_data(jj) + i + 1;
+    std::fill(xj, xj + mt, 0.0);
+    for (Index c = 0; c < nt; ++c) neg[static_cast<std::size_t>(c)] = -v[c];
+    detail::gemv_sub(mt, nt, a.col_data(i + 1) + i + 1, m, neg.data(), xj);
+    zero_t(jj + 1);
+    detail::gemv_t(nt, jj + 1, y0 + i + 1, n, v, t.data());
+    detail::gemv_sub(mt, jj + 1, v0 + i + 1, m, t.data(), xj);
+    zero_t(jj);
+    detail::gemv_sub(jj, nt, ut, m, neg.data(), t.data());
+    detail::gemv_sub(mt, jj, x0 + i + 1, m, t.data(), xj);
+    scal(hr.tau, std::span<double>(xj, static_cast<std::size_t>(mt)));
+  }
+}
+
+}  // namespace
+
+namespace detail {
+
+Bidiagonalization bidiagonalize(Matrix a, Index block) {
+  const Index m = a.rows();
+  const Index n = a.cols();
   Bidiagonalization out;
-  out.d.resize(static_cast<std::size_t>(n));
-  out.e.resize(static_cast<std::size_t>(n > 0 ? n - 1 : 0));
-  for (Index j = 0; j < n; ++j) out.d[static_cast<std::size_t>(j)] = a(j, j);
-  for (Index j = 0; j + 1 < n; ++j) out.e[static_cast<std::size_t>(j)] = a(j, j + 1);
+  out.vr = Matrix(n, n);
+  out.tau_l.assign(static_cast<std::size_t>(n), 0.0);
+  out.tau_r.assign(static_cast<std::size_t>(n), 0.0);
+  out.d.assign(static_cast<std::size_t>(n), 0.0);
+  out.e.assign(static_cast<std::size_t>(n > 0 ? n - 1 : 0), 0.0);
+  Index i0 = 0;
+  if (block > 1) {
+    const Index nb = block;
+    const Index nx = std::max(nb, autotune::kReductionCrossover);
+    Matrix x(m, nb), y(n, nb);
+    for (; n - i0 > nx; i0 += nb) {
+      reduce_panel(a, i0, nb, x, y, out.vr, out.tau_l, out.tau_r, out.d, out.e);
+      // A(j:m, j:n) -= V(j:m, :) Y(j:n, :)ᵀ + X(j:m, :) U(:, j:n).
+      const Index j = i0 + nb;
+      double* c = a.col_data(j) + j;
+      detail::gemm_accumulate(Trans::No, Trans::Yes, m - j, n - j, nb, -1.0,
+                              a.col_data(i0) + j, m, y.data() + j, n, c, m);
+      detail::gemm_accumulate(Trans::No, Trans::No, m - j, n - j, nb, -1.0,
+                              x.data() + j, m, a.col_data(j) + i0, m, c, m);
+      for (Index i = i0; i < j; ++i) {
+        a(i, i) = out.d[static_cast<std::size_t>(i)];
+        a(i, i + 1) = out.e[static_cast<std::size_t>(i)];
+      }
+    }
+  }
+  sweep_columns(a, i0, out.vr, out.tau_l, out.tau_r);
+  for (Index j = i0; j < n; ++j) out.d[static_cast<std::size_t>(j)] = a(j, j);
+  for (Index j = i0; j + 1 < n; ++j) out.e[static_cast<std::size_t>(j)] = a(j, j + 1);
   out.a = std::move(a);
-  out.vr = std::move(vr);
-  out.tau_l = std::move(tau_l);
-  out.tau_r = std::move(tau_r);
   return out;
 }
+
+}  // namespace detail
+
+namespace {
 
 /// One implicit-shift QR step with bulge chasing on block [lo, hi]. The
 /// rotations go to the logs `u` and `v` unless they are null (σ only).
@@ -203,7 +316,7 @@ SvdResult golub_kahan(const Matrix& a, Index rank, bool vectors) {
     return out;
   }
 
-  Bidiagonalization bd = bidiagonalize(a);
+  detail::Bidiagonalization bd = detail::bidiagonalize(a, autotune::kReductionBlock);
   std::vector<double>& d = bd.d;
   std::vector<double>& e = bd.e;
   // A sweep takes about n² rotations per side on random input.
@@ -314,9 +427,9 @@ SvdResult golub_kahan(const Matrix& a, Index rank, bool vectors) {
   v_log->unwind(yv);
   out.u = Matrix(m, r);
   out.u.set_block(0, 0, yu.transposed());
-  detail::apply_reflectors_backward(bd.a, bd.tau_l, 0, out.u);
+  detail::apply_reflectors_backward(bd.a, bd.tau_l, 0, out.u, autotune::kReductionBlock);
   out.v = yv.transposed();
-  detail::apply_reflectors_backward(bd.vr, bd.tau_r, 1, out.v);
+  detail::apply_reflectors_backward(bd.vr, bd.tau_r, 1, out.v, autotune::kReductionBlock);
   return out;
 }
 
