@@ -1,11 +1,15 @@
 // Ablation: symmetric eigensolver (the library's tridiagonalization + QL
 // vs the cyclic-Jacobi test oracle) on Gram matrices — the kernel behind
 // the method-of-snapshots SVD that APMOS stage 1 runs on every rank. The
-// kept-rank row is the APMOS shape: 50 of 256 eigenvectors. The Jacobi
-// rows time tests/oracle, which is not selectable in the library.
+// kept-rank row is the APMOS shape: 50 of 256 eigenvectors. The rows at
+// the reduction crossover ± 1 and two panels past it put the blocked
+// tridiagonalization's edges (linalg/autotune.hpp) in the smoke ctest.
+// The Jacobi rows time tests/oracle, which is not selectable in the
+// library.
 #include <benchmark/benchmark.h>
 
 #include "jacobi.hpp"
+#include "linalg/autotune.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/eigh.hpp"
 #include "support/rng.hpp"
@@ -51,6 +55,12 @@ BENCHMARK(BM_EighJacobi)->Arg(32)->Arg(64)->Arg(128)->Arg(256)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_EighTridiagonal)->Arg(32)->Arg(64)->Arg(128)->Arg(256)
     ->Unit(benchmark::kMillisecond);
+
+// The blocked reduction's edges: the crossover (column sweep whole) and
+// one past it (one panel), and one past two panels beyond it.
+constexpr Index kCross = autotune::kReductionCrossover;
+BENCHMARK(BM_EighTridiagonal)->Arg(kCross - 1)->Arg(kCross + 1)
+    ->Arg(kCross + 2 * autotune::kReductionBlock + 1)->Unit(benchmark::kMillisecond);
 
 // The APMOS stage-1 Gram: n = 256, r1 = 50 vectors kept.
 BENCHMARK(BM_EighJacobiKept)->Args({256, 50})->Unit(benchmark::kMillisecond);

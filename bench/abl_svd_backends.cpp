@@ -2,11 +2,14 @@
 // snapshots, against the one-sided Jacobi test oracle) across the matrix
 // shapes the library actually sees — square R factors from the streaming
 // update (in full and at its kept rank) and tall-skinny snapshot blocks
-// from APMOS stage 1. The Jacobi rows time tests/oracle, which is not
-// selectable in the library.
+// from APMOS stage 1. The Golub–Kahan rows at the reduction crossover
+// ± 1 and two panels past it put the blocked bidiagonalization's edges
+// (linalg/autotune.hpp) in the smoke ctest. The Jacobi rows time
+// tests/oracle, which is not selectable in the library.
 #include <benchmark/benchmark.h>
 
 #include "jacobi.hpp"
+#include "linalg/autotune.hpp"
 #include "linalg/svd.hpp"
 #include "support/rng.hpp"
 
@@ -64,6 +67,14 @@ BENCHMARK(BM_SvdGolubKahan)->Args({60, 60})->Args({120, 120})->Args({240, 240})
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SvdMethodOfSnapshots)->Args({60, 60})->Args({120, 120})
     ->Args({240, 240})->Unit(benchmark::kMillisecond);
+
+// The blocked bidiagonalization's edges: the crossover (column sweep
+// whole), one past it (one panel), and one past two panels beyond it.
+constexpr Index kCross = autotune::kReductionCrossover;
+constexpr Index kPast2 = kCross + 2 * autotune::kReductionBlock + 1;
+BENCHMARK(BM_SvdGolubKahan)->Args({kCross - 1, kCross - 1})
+    ->Args({kCross + 1, kCross + 1})->Args({kPast2, kPast2})
+    ->Unit(benchmark::kMillisecond);
 
 // Tall-skinny snapshot blocks (APMOS stage 1).
 BENCHMARK(BM_SvdJacobi)->Args({4096, 64})->Args({8192, 64})

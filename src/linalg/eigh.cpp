@@ -1,8 +1,13 @@
 // Symmetric eigendecomposition via Householder tridiagonalization and
 // implicit-shift QL iteration, written against Golub & Van Loan §8.3.
-// The reduction is LAPACK's dsytd2 (lower), column by column; the QL
-// sweep is EISPACK's tql2 with its rotations logged instead of applied,
-// so only the kept eigenvectors are ever formed (see RotationLog).
+// The reduction is LAPACK's dsytrd (lower): dlatrd panels reduce 16
+// columns at level-2 cost against the untouched trailing block (one symv
+// per column), then one GEMM of depth 32 applies the panel's rank-32
+// update; orders up to 64, and the last (at most 64) columns, run
+// dsytd2's column sweep. The QL sweep is EISPACK's tql2 with its
+// rotations logged instead of applied, so only the kept eigenvectors are
+// ever formed (see RotationLog), and they go back through the reflectors
+// in compact-WY panels (apply_reflectors_backward).
 #include "linalg/eigh.hpp"
 
 #include <algorithm>

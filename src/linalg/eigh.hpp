@@ -3,11 +3,14 @@
 //
 // Needed by the method-of-snapshots SVD backend (eigendecomposition of the
 // Gram matrix AᵀA), which is the classical POD path the APMOS paper builds
-// on. The solver is one O(n³) reduction (LAPACK dsytd2) plus a QL sweep
-// whose rotations are replayed onto the kept eigenvectors only, so asking
-// for r of n vectors costs O(n²r) beyond the reduction. The reduction's
-// reflectors carry LAPACK dlarfg's scale guard, so entries near 1e±300
-// are handled; a NaN or infinite entry is rejected with NonFiniteError.
+// on. The solver is one O(n³) reduction (LAPACK dsytrd: 16-column dlatrd
+// panels whose rank-2·16 trailing updates run through the packed GEMM
+// engine, with the dsytd2 column sweep up to order 64) plus a QL sweep
+// whose rotations are replayed onto the kept eigenvectors only, and a
+// compact-WY back-transform of those r vectors, so asking for r of n
+// vectors costs O(n²r) beyond the reduction. The reduction's reflectors
+// carry LAPACK dlarfg's scale guard, so entries near 1e±300 are handled;
+// a NaN or infinite entry is rejected with NonFiniteError.
 // The tests cross-validate it against an independent cyclic-Jacobi
 // solver (tests/oracle).
 #pragma once
@@ -27,7 +30,7 @@ struct EighResult {
 /// and ApmosOptions::eigh_method.
 enum class EighMethod {
   /// Householder tridiagonalization + implicit-shift QL iteration
-  /// (LAPACK dsytd2 reduction, EISPACK tql2 sweep).
+  /// (LAPACK dsytrd reduction, EISPACK tql2 sweep).
   Tridiagonal,
 };
 

@@ -355,7 +355,7 @@ void apply_reflectors_backward(const Matrix& v, std::span<const double> tau,
   // tau = 0 by contract.
   const Index m = c.rows();
   const Index k = std::min(static_cast<Index>(tau.size()), m - shift);
-  if (block <= 1 || k < autotune::kReductionCrossover) {
+  if (block <= 1 || k < autotune::kReductionCrossover || c.cols() < block) {
     for (Index j = k - 1; j >= 0; --j) {
       const double t = tau[static_cast<std::size_t>(j)];
       if (t == 0.0) continue;

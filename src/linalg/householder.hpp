@@ -91,8 +91,10 @@ void triangular_left(const Matrix& t, bool transpose, Matrix& w);
 /// at row j + shift of C and its tail below it, in column j of `v` from
 /// row j + shift + 1 on (tau_j = 0 for a reflector that would start past
 /// C's last row). Panels of `block` reflectors are applied last to first
-/// in compact-WY form; `block` = 1, or fewer than kReductionCrossover
-/// reflectors, applies them one at a time, each to every column of C.
+/// in compact-WY form; `block` = 1, fewer than kReductionCrossover
+/// reflectors, or a C narrower than a panel (whose T would cost more than
+/// the products it saves) applies them one at a time, each to every
+/// column of C.
 void apply_reflectors_backward(const Matrix& v, std::span<const double> tau,
                                Index shift, Matrix& c, Index block);
 

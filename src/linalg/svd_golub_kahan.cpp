@@ -1,11 +1,15 @@
 // Golub-Kahan-Reinsch SVD: Householder bidiagonalization followed by
 // implicit-shift QR iteration on the bidiagonal with bulge chasing
 // (Golub & Van Loan, Algorithm 8.6.2) — the LAPACK route NumPy's
-// np.linalg.svd takes, and the default backend. Only the r = opts.rank
-// kept singular vectors are formed: the sweep logs its rotations, which
-// are replayed onto r columns and back-transformed through the reflectors
-// (left in factored form), so vector work is O(r), not O(n); the σ-only
-// singular_values() logs and replays nothing. The tests
+// np.linalg.svd takes, and the default backend. The bidiagonalization is
+// LAPACK's dgebrd: dlabrd panels reduce 16 columns and rows against the
+// untouched trailing block (one gemv pair per step), and two GEMMs of
+// depth 16 apply the panel's update; up to 64 columns, and for the last
+// 64, dgebd2's column sweep runs. Only the r = opts.rank kept singular
+// vectors are formed: the sweep logs its rotations, which are replayed
+// onto r columns and back-transformed through the reflectors (left in
+// factored form, applied in compact-WY panels), so vector work is O(r),
+// not O(n); the σ-only singular_values() logs and replays nothing. The tests
 // cross-validate it against a one-sided Jacobi SVD (tests/oracle) that
 // shares no code with it beyond the Matrix container and the Householder
 // reflector.
