@@ -4,12 +4,16 @@
 // update (in full and at its kept rank) and tall-skinny snapshot blocks
 // from APMOS stage 1. The Golub–Kahan rows at the reduction crossover
 // ± 1 and two panels past it put the blocked bidiagonalization's edges
-// (linalg/autotune.hpp) in the smoke ctest. The Jacobi rows time
-// tests/oracle, which is not selectable in the library.
+// (linalg/autotune.hpp) in the smoke ctest, and the kept-rank rows run
+// both of its kept-rank routes (bisection with inverse iteration, and the
+// QR sweep). The Jacobi rows time tests/oracle, which is not selectable
+// in the library.
 #include <benchmark/benchmark.h>
 
 #include "jacobi.hpp"
 #include "linalg/autotune.hpp"
+#include "linalg/blas.hpp"
+#include "linalg/qr.hpp"
 #include "linalg/svd.hpp"
 #include "support/rng.hpp"
 
@@ -89,6 +93,36 @@ BENCHMARK(BM_SvdJacobiKept)->Args({204, 204, 4})->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SvdGolubKahanKept)->Args({204, 204, 4})->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SvdMethodOfSnapshotsKept)->Args({204, 204, 4})
     ->Unit(benchmark::kMillisecond);
+
+// Golub–Kahan's two kept-rank routes. On Gaussian input, rank 4 and 10
+// pass the spectrum gate and run bisection and inverse iteration, while
+// ranks 50 and n/2 cut between σ closer than 1e-3·σ_1 and run the QR
+// sweep; below the crossover (63) every rank runs the sweep. The
+// separated rows plant n evenly spaced σ, so every kept rank takes the
+// bisection route; their rank 0 is the full sweep, for scale.
+BENCHMARK(BM_SvdGolubKahanKept)->Args({kCross - 1, kCross - 1, 4})
+    ->Args({kCross, kCross, 4})->Args({kCross + 1, kCross + 1, 4})
+    ->Args({204, 204, 10})->Args({204, 204, 50})->Args({204, 204, 102})
+    ->Args({256, 256, 4})->Args({256, 256, 10})->Args({256, 256, 50})
+    ->Args({256, 256, 128})->Unit(benchmark::kMillisecond);
+
+void BM_SvdGolubKahanKeptSeparated(benchmark::State& state) {
+  const Index n = state.range(0);
+  Rng rng(17);
+  const Matrix q = qr_thin(Matrix::gaussian(n, n, rng)).q;
+  const Matrix p = qr_thin(Matrix::gaussian(n, n, rng)).q;
+  Vector s(n);
+  for (Index i = 0; i < n; ++i) s[i] = 1.0 - 0.9 * static_cast<double>(i) / static_cast<double>(n);
+  const Matrix a = matmul(matmul(q, Matrix::diag(s)), p, Trans::No, Trans::Yes);
+  SvdOptions opts;
+  opts.rank = state.range(1);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(svd(a, opts));
+  }
+}
+BENCHMARK(BM_SvdGolubKahanKeptSeparated)->Args({204, 4})->Args({204, 50})
+    ->Args({204, 102})->Args({204, 0})->Args({256, 4})->Args({256, 50})
+    ->Args({256, 128})->Args({256, 0})->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -311,6 +311,40 @@ void vt_times(Index m, Index n, Index k, const double* a, Index lda,
                           c, ldc);
 }
 
+void vt_times_upper(Index n, Index k, const double* a, Index lda,
+                    const double* b, Index ldb, double* c, Index ldc) {
+#ifdef PARSVD_GEMM_VECTOR_EXT
+  if (n * n <= kTnMaxOutputs && n * n * k >= kGemmPackThreshold) {
+    for (Index j = 0; j < n; j += 4) {
+      const Index tj = std::min<Index>(4, n - j);
+      const Index rows = j + tj - 1;  // rows with an entry above the diagonal
+      Index i = 0;
+      for (; i + 4 <= n && i < rows; i += 4) {
+        tn_tiles<4>(tj, k, a + i * lda, lda, b + j * ldb, ldb, c + i + j * ldc, ldc);
+      }
+      for (; i < rows; ++i) {
+        tn_tiles<1>(tj, k, a + i * lda, lda, b + j * ldb, ldb, c + i + j * ldc, ldc);
+      }
+    }
+    return;
+  }
+#endif
+  if (n * n * k >= kGemmPackThreshold) {  // the packed engine's, whole
+    vt_times(n, n, k, a, lda, b, ldb, c, ldc);
+    return;
+  }
+  // The engine's unpacked loop (gemm_small_serial) over rows i < j only.
+  for (Index j = 1; j < n; ++j) {
+    double* cj = c + j * ldc;
+    for (Index p = 0; p < k; ++p) {
+      const double bpj = b[p + j * ldb];
+      if (bpj == 0.0) continue;
+      for (Index i = 0; i < j; ++i) cj[i] += bpj * a[p + i * lda];
+    }
+  }
+}
+
+
 void apply_wy(const PanelV& v, const Matrix& t, bool transpose, double* c,
               Index ldc, Index nc) {
   const Index jb = v.top.rows();
@@ -330,11 +364,12 @@ Matrix build_t(const PanelV& v, std::span<const double> tau) {
   // Growing T so that H_0 ... H_{i} = I - V(:,0:i+1) T(0:i+1,0:i+1)
   // V(:,0:i+1)ᵀ with T(0:i, i) = -tau_i T(0:i,0:i) (V(:,0:i)ᵀ v_i),
   // T(i,i) = tau_i. Every V(:,0:i)ᵀ v_i is a column of VᵀV's strict upper
-  // triangle, so all of them come from one VᵀV = V1ᵀV1 + V2ᵀV2.
+  // triangle, so all of them come from one VᵀV = V1ᵀV1 + V2ᵀV2, formed
+  // only as far as that triangle reaches.
   const Index jb = v.top.rows();
   Matrix vtv(jb, jb);
-  vt_times(jb, jb, jb, v.top.data(), jb, v.top.data(), jb, vtv.data(), jb);
-  vt_times(jb, jb, v.dense_rows, v.dense, v.ld, v.dense, v.ld, vtv.data(), jb);
+  vt_times_upper(jb, jb, v.top.data(), jb, v.top.data(), jb, vtv.data(), jb);
+  vt_times_upper(jb, v.dense_rows, v.dense, v.ld, v.dense, v.ld, vtv.data(), jb);
   Matrix t(jb, jb);
   for (Index i = 0; i < jb; ++i) {
     const double taui = tau[static_cast<std::size_t>(i)];

@@ -7,10 +7,12 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
 #include "linalg/matrix.hpp"
+#include "linalg/svd.hpp"
 
 namespace parsvd::detail {
 
@@ -53,7 +55,10 @@ PanelV panel_v(const Matrix& v, Index j0, Index jb, Index end, Index shift);
 /// Compact-WY T factor (jb x jb upper triangular, LAPACK larft forward
 /// columnwise) of the panel `v` with the jb coefficients `tau`, so that
 /// H_{j0} ⋯ H_{j0+jb-1} = I - V T Vᵀ. A zero tau gives a zero row and
-/// column of T (the identity reflector).
+/// column of T (the identity reflector). Of VᵀV it forms only the tiles
+/// that reach the strict upper triangle, which is all T reads, with the
+/// same kernel and summation order as the full product, so T is
+/// bit-identical to the one the full VᵀV gives.
 Matrix build_t(const PanelV& v, std::span<const double> tau);
 
 /// In-place C := (I - V op(T) Vᵀ) C for C ((end - j0 - shift) x nc,
@@ -68,6 +73,15 @@ void apply_wy(const PanelV& v, const Matrix& t, bool transpose, double* c,
 /// algebra's products with the reflectors, unpacked for a small output.
 void vt_times(Index m, Index n, Index k, const double* a, Index lda,
               const double* b, Index ldb, double* c, Index ldc);
+
+/// vt_times for a square C (n x n) of which only the strict upper
+/// triangle is wanted: only the work that reaches it runs (its 4 x 4
+/// tiles, or below the packing threshold its column loop, down to the
+/// last row above the diagonal). Every entry formed takes the same kernel
+/// and summation order as in vt_times, so that triangle is bit-identical
+/// to vt_times'; a product for the packed engine runs whole.
+void vt_times_upper(Index n, Index k, const double* a, Index lda,
+                    const double* b, Index ldb, double* c, Index ldc);
 
 /// y(k) += Aᵀ x for A (p x k, lda): the transposed gemv of a panel step,
 /// on the same register tiles as vt_times.
@@ -138,6 +152,28 @@ struct Bidiagonalization {
 /// kReductionCrossover) columns, on the whole of a smaller matrix and for
 /// `block` = 1.
 Bidiagonalization bidiagonalize(Matrix a, Index block);
+
+// ------------------------------------------------ bidiagonal SVD
+
+/// The leading triplets of the upper bidiagonal B (diagonal d, length n;
+/// superdiagonal e, length n-1) by the implicit-shift QR sweep: σ
+/// descending, r = rank of them (0 = all); with `vectors`, u and v hold
+/// B's r kept singular vectors (n x r), replayed from the sweep's
+/// rotation logs. svd_golub_kahan's route for every call the bisection
+/// route below does not take.
+SvdResult bidiagonal_sweep(std::vector<double> d, std::vector<double> e,
+                           Index rank, bool vectors);
+
+/// The same r = rank triplets (0 < rank < n) of B without a sweep
+/// (LAPACK dbdsvdx's route): bisection for σ_1..σ_{r+1} as the largest
+/// eigenvalues of the Golub–Kahan tridiagonal TGK, then one inverse
+/// iteration on TGK per kept vector, split into v (even entries) and u
+/// (odd entries). Nullopt when some σ_j − σ_{j+1}, j <= r, is at most
+/// 1e-3·σ_1 (clustered, repeated or near-zero kept values) or an inverse
+/// iteration misses its residual check; the caller then runs the sweep.
+std::optional<SvdResult> bidiagonal_kept_triplets(std::span<const double> d,
+                                                  std::span<const double> e,
+                                                  Index rank);
 
 /// Plane rotation with c·a + s·b = r and -s·a + c·b = 0. r = sqrt(a² + b²)
 /// when max(|a|, |b|) lies in (2^-480, 2^480), where neither square can

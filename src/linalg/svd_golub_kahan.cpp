@@ -6,20 +6,31 @@
 // untouched trailing block (one gemv pair per step), and two GEMMs of
 // depth 16 apply the panel's update; up to 64 columns, and for the last
 // 64, dgebd2's column sweep runs. Only the r = opts.rank kept singular
-// vectors are formed: the sweep logs its rotations, which are replayed
-// onto r columns and back-transformed through the reflectors (left in
-// factored form, applied in compact-WY panels), so vector work is O(r),
-// not O(n); the σ-only singular_values() logs and replays nothing. The tests
-// cross-validate it against a one-sided Jacobi SVD (tests/oracle) that
-// shares no code with it beyond the Matrix container and the Householder
-// reflector.
+// vectors are formed, and back-transformed through the reflectors (left
+// in factored form, applied in compact-WY panels), by one of two routes:
+//   * r < n at order 64 or more, with every kept σ separated from the
+//     next by more than 1e-3·σ_1 (the cut included): LAPACK dbdsvdx's
+//     route. Bisection on the Golub–Kahan tridiagonal TGK finds σ_1..σ_{r+1}
+//     and inverse iteration on TGK one vector per kept σ, so the kept
+//     triplets cost O(n·r) beyond the bidiagonalization.
+//   * every other call (rank 0, full rank, small or clustered inputs, and
+//     an inverse iteration that misses its residual check): the sweep
+//     logs its rotations, which are replayed onto the r kept columns. The
+//     σ-only singular_values() logs and replays nothing.
+// The tests cross-validate both against a one-sided Jacobi SVD
+// (tests/oracle) that shares no code with them beyond the Matrix
+// container and the Householder reflector.
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <numeric>
 #include <optional>
 
 #include "linalg/autotune.hpp"
 #include "linalg/blas.hpp"
+#include "linalg/gemm_engine.hpp"
 #include "linalg/householder.hpp"
 #include "linalg/svd.hpp"
 #include "obs/trace.hpp"
@@ -295,34 +306,232 @@ void zero_row(std::vector<double>& d, std::vector<double>& e, Index k,
   }
 }
 
-/// The Golub–Kahan SVD keeping the leading `rank` triplets (0 = all).
-/// Without `vectors` it returns σ alone: the sweep logs no rotation, and
-/// nothing is replayed or back-transformed. The sweep and the sort are
-/// the same either way, so σ is bit-identical to the one with vectors.
-SvdResult golub_kahan(const Matrix& a, Index rank, bool vectors) {
-  PARSVD_REQUIRE(!a.empty(), "svd of an empty matrix");
-  const double amax = a.norm_max();
-  if (!std::isfinite(amax)) throw NonFiniteError("svd input has a non-finite entry");
-  // The Wilkinson shift squares d·e (~σ⁴): far from unit scale it over-
-  // or underflows and the iteration never converges. Run at an exact
-  // power-of-two rescaling instead and scale σ back.
-  if (const int e = safe_scale_exponent(amax); e != 0) {
-    SvdResult out = golub_kahan(scale_by_pow2(a, -e), rank, vectors);
-    for (Index j = 0; j < out.s.size(); ++j) out.s[j] = std::ldexp(out.s[j], e);
-    return out;
-  }
-  const Index m = a.rows();
-  const Index n = a.cols();
+/// The kept-triplet route's spectrum gate: each of σ_1..σ_r must stand
+/// more than this fraction of σ_1 above the next one, σ_{r+1} included.
+/// It is LAPACK dstein's cluster threshold (1e-3·‖T‖), so no kept vector
+/// needs reorthogonalizing, and it keeps ±σ_r of the Golub–Kahan
+/// tridiagonal at least 2e-3·σ_1 apart, clear of the loss of
+/// orthogonality its vectors suffer near σ = 0.
+constexpr double kSeparation = 1e-3;
+/// Bisection chains run side by side, so their divisions pipeline: up to
+/// kChains at once, as 256-bit vectors of kLanes (wider vectors measured
+/// slower, their division's latency being longer).
+constexpr int kLanes = 4;
+constexpr int kChains = 16;
+/// Inverse-iteration solves per kept vector.
+constexpr int kPasses = 3;
+/// A kept vector is accepted when ‖TGK z − σ z‖_∞ is within this many
+/// eps·‖TGK‖ for the unit z.
+constexpr double kResidual = 4.0;
+constexpr double kEps = 2.220446049250313e-16;
 
-  if (m < n) {
-    SvdResult out = golub_kahan(a.transposed(), rank, vectors);
-    std::swap(out.u, out.v);
-    return out;
+/// The Golub–Kahan tridiagonal TGK of the upper bidiagonal B: order 2n,
+/// zero diagonal and off-diagonal t = (d_0, e_0, d_1, …, e_{n-2}, d_{n-1}).
+/// Its eigenvalues are ±σ_i, and the eigenvector of +σ_i interleaves
+/// v_i (even entries) and u_i (odd entries), scaled by 1/√2.
+struct Tgk {
+  std::vector<double> t;
+  std::vector<double> t2;  // t², the Sturm count's input
+  double norm = 0.0;       // Gershgorin bound on ‖TGK‖, at least σ_1
+  double pivmin = 0.0;     // smallest pivot magnitude a Sturm count uses
+};
+
+Tgk golub_kahan_tridiagonal(std::span<const double> d, std::span<const double> e) {
+  const std::size_t n = d.size();
+  Tgk g;
+  g.t.resize(2 * n - 1);
+  for (std::size_t i = 0; i < n; ++i) {
+    g.t[2 * i] = d[i];
+    if (i + 1 < n) g.t[2 * i + 1] = e[i];
+  }
+  g.t2.resize(g.t.size());
+  double tmax2 = 0.0;
+  for (std::size_t i = 0; i < g.t.size(); ++i) {
+    g.t2[i] = g.t[i] * g.t[i];
+    tmax2 = std::max(tmax2, g.t2[i]);
+    const double left = i > 0 ? std::fabs(g.t[i - 1]) : 0.0;
+    g.norm = std::max(g.norm, left + std::fabs(g.t[i]));
+  }
+  g.norm = std::max(g.norm, std::fabs(g.t.back()));
+  g.pivmin = std::numeric_limits<double>::min() * std::max(1.0, tmax2);
+  return g;
+}
+
+/// For each of the kLanes·NV lanes c, the number of TGK eigenvalues below
+/// x[c]: the signs of the LDLᵀ pivots of TGK − x[c]·I (LAPACK dlaneg on a
+/// zero diagonal), a pivot smaller than pivmin in magnitude taken as
+/// −pivmin. The lanes are independent, so each count is the same in any
+/// lane. Each step is one division chain per lane; NV 256-bit vectors of
+/// chains in flight hide its latency.
+template <int NV>
+void sturm_counts(const Tgk& g, const double* x, Index* count) {
+  const double pivmin = g.pivmin;
+#ifdef PARSVD_GEMM_VECTOR_EXT
+  typedef double VecD4 __attribute__((vector_size(32), aligned(8)));
+  typedef std::int64_t VecI4 __attribute__((vector_size(32), aligned(8)));
+  static_assert(sizeof(VecD4) == kLanes * sizeof(double), "one vector of lanes");
+  const VecD4 pm = VecD4{} + pivmin;
+  VecD4 xv[NV], q[NV];
+  VecI4 neg[NV];
+  for (int v = 0; v < NV; ++v) {
+    std::memcpy(&xv[v], x + v * kLanes, sizeof xv[v]);
+    q[v] = -xv[v];
+    q[v] = (q[v] < pm && q[v] > -pm) ? -pm : q[v];
+    neg[v] = -(q[v] < 0.0);
+  }
+  for (const double t2 : g.t2) {
+    for (int v = 0; v < NV; ++v) {
+      q[v] = -xv[v] - t2 / q[v];
+      q[v] = (q[v] < pm && q[v] > -pm) ? -pm : q[v];
+      neg[v] -= q[v] < 0.0;
+    }
+  }
+  for (int v = 0; v < NV; ++v) {
+    for (int c = 0; c < kLanes; ++c) count[v * kLanes + c] = static_cast<Index>(neg[v][c]);
+  }
+#else
+  constexpr int lanes = NV * kLanes;
+  double q[lanes];
+  for (int c = 0; c < lanes; ++c) {
+    q[c] = std::fabs(x[c]) < pivmin ? -pivmin : -x[c];
+    count[c] = q[c] < 0.0 ? 1 : 0;
+  }
+  for (const double t2 : g.t2) {
+    for (int c = 0; c < lanes; ++c) {
+      const double qc = -x[c] - t2 / q[c];
+      q[c] = std::fabs(qc) < pivmin ? -pivmin : qc;
+      count[c] += q[c] < 0.0 ? 1 : 0;
+    }
+  }
+#endif
+}
+
+/// σ_{k0+1}..σ_{k0+k} of B (k <= kChains) as eigenvalues of TGK, written
+/// to sigma[k0..k0+k): each is bisected from [0, ‖TGK‖] until its bracket
+/// is within 2 ulp of its upper end, or that end falls to eps·‖TGK‖ (σ
+/// that small cannot pass the gate). The k brackets shrink together, in
+/// as few vectors of lanes as they fill.
+void bisect_group(const Tgk& g, Index k0, Index k, std::vector<double>& sigma) {
+  const Index order = static_cast<Index>(g.t.size()) + 1;
+  const double top = g.norm * (1.0 + 4.0 * kEps) + g.pivmin;
+  const double floor = kEps * g.norm;
+  const int vectors = static_cast<int>((k + kLanes - 1) / kLanes);
+  // Lane c brackets the (k0 + c + 1)-th largest eigenvalue, whose index
+  // from below is order − k0 − c − 1; spare lanes repeat the last one.
+  double lo[kChains], hi[kChains], mid[kChains];
+  Index below[kChains], count[kChains];
+  for (int c = 0; c < kChains; ++c) {
+    below[c] = order - k0 - std::min<Index>(c, k - 1) - 1;
+    lo[c] = 0.0;
+    hi[c] = top;
+  }
+  // A bracket is done at 2 ulp, at the floor, or when its midpoint rounds
+  // onto an end.
+  const auto done = [&](int c) {
+    return hi[c] - lo[c] <= 2.0 * kEps * hi[c] || hi[c] <= floor ||
+           mid[c] <= lo[c] || mid[c] >= hi[c];
+  };
+  for (;;) {
+    bool all_done = true;
+    for (int c = 0; c < vectors * kLanes; ++c) {
+      mid[c] = 0.5 * (lo[c] + hi[c]);
+      all_done = all_done && done(c);
+    }
+    if (all_done) break;
+    switch (vectors) {
+      case 1: sturm_counts<1>(g, mid, count); break;
+      case 2: sturm_counts<2>(g, mid, count); break;
+      case 3: sturm_counts<3>(g, mid, count); break;
+      default: sturm_counts<4>(g, mid, count); break;
+    }
+    for (int c = 0; c < vectors * kLanes; ++c) {
+      if (!done(c)) (count[c] <= below[c] ? lo[c] : hi[c]) = mid[c];
+    }
+  }
+  for (Index c = 0; c < k; ++c) sigma[static_cast<std::size_t>(k0 + c)] = mid[c];
+}
+
+/// The unit eigenvector z of TGK at the eigenvalue estimate `lambda`:
+/// kPasses solves with TGK − λI = P L U (partial pivoting, LAPACK
+/// dgttrf/dgttrs; a U pivot below eps·‖TGK‖ in magnitude is raised to
+/// it), from a fixed start. False when the iterate is not finite or the
+/// residual ‖TGK z − λ z‖_∞ exceeds kResidual·eps·‖TGK‖.
+bool inverse_iteration(const Tgk& g, double lambda, std::vector<double>& z) {
+  const std::size_t order = g.t.size() + 1;
+  std::vector<double> dd(order, -lambda), du(g.t), dl(g.t), du2(order, 0.0);
+  std::vector<char> swapped(order, 0);
+  for (std::size_t i = 0; i + 1 < order; ++i) {
+    if (std::fabs(dd[i]) >= std::fabs(dl[i])) {
+      // No interchange; dl[i] is zero when dd[i] is.
+      if (dd[i] != 0.0) {
+        const double f = dl[i] / dd[i];
+        dl[i] = f;
+        dd[i + 1] -= f * du[i];
+      }
+    } else {
+      // Interchange rows i and i + 1; row i + 1's U entries fill in.
+      swapped[i] = 1;
+      const double f = dd[i] / dl[i];
+      dd[i] = dl[i];
+      dl[i] = f;
+      const double tmp = du[i];
+      du[i] = dd[i + 1];
+      dd[i + 1] = tmp - f * dd[i + 1];
+      if (i + 2 < order) {
+        du2[i] = du[i + 1];
+        du[i + 1] = -f * du[i + 1];
+      }
+    }
+  }
+  const double pert = kEps * g.norm;
+  for (double& p : dd) {
+    if (std::fabs(p) < pert) p = std::copysign(pert, p);
   }
 
-  detail::Bidiagonalization bd = detail::bidiagonalize(a, autotune::kReductionBlock);
-  std::vector<double>& d = bd.d;
-  std::vector<double>& e = bd.e;
+  // A fixed start spread over (−1, 1): a golden-ratio hash of the index.
+  z.resize(order);
+  for (std::size_t i = 0; i < order; ++i) {
+    const std::uint64_t h = (i + 1) * 0x9E3779B97F4A7C15ULL;
+    z[i] = static_cast<double>(h >> 11) * 0x1p-52 - 1.0;
+  }
+  for (int pass = 0; pass < kPasses; ++pass) {
+    // L then U.
+    for (std::size_t i = 0; i + 1 < order; ++i) {
+      if (swapped[i] != 0) {
+        const double zi = z[i];
+        z[i] = z[i + 1];
+        z[i + 1] = zi - dl[i] * z[i];
+      } else {
+        z[i + 1] -= dl[i] * z[i];
+      }
+    }
+    z[order - 1] /= dd[order - 1];
+    if (order > 1) z[order - 2] = (z[order - 2] - du[order - 2] * z[order - 1]) / dd[order - 2];
+    for (std::size_t i = order - 2; i-- > 0;) {
+      z[i] = (z[i] - du[i] * z[i + 1] - du2[i] * z[i + 2]) / dd[i];
+    }
+    const double norm = nrm2(std::span<const double>(z));
+    if (!(norm > 0.0) || !std::isfinite(norm)) return false;
+    scal(1.0 / norm, std::span<double>(z));
+  }
+
+  double res = 0.0;
+  for (std::size_t i = 0; i < order; ++i) {
+    double r = -lambda * z[i];
+    if (i > 0) r += g.t[i - 1] * z[i - 1];
+    if (i + 1 < order) r += g.t[i] * z[i + 1];
+    res = std::max(res, std::fabs(r));
+  }
+  return res <= kResidual * kEps * g.norm;
+}
+
+}  // namespace
+
+namespace detail {
+
+SvdResult bidiagonal_sweep(std::vector<double> d, std::vector<double> e,
+                           Index rank, bool vectors) {
+  const Index n = static_cast<Index>(d.size());
   // A sweep takes about n² rotations per side on random input.
   std::optional<RotationLog> u_log, v_log;
   if (vectors) {
@@ -331,7 +540,6 @@ SvdResult golub_kahan(const Matrix& a, Index rank, bool vectors) {
   }
   RotationLog* const u_rot = vectors ? &*u_log : nullptr;
   RotationLog* const v_rot = vectors ? &*v_log : nullptr;
-  constexpr double kEps = 2.220446049250313e-16;
   // Absolute floor for a "numerically zero" diagonal: eps·‖B‖, the
   // backward error the bidiagonalization already commits. The block-
   // relative test alone never fires on a block of noise-level or
@@ -419,7 +627,7 @@ SvdResult golub_kahan(const Matrix& a, Index rank, bool vectors) {
     return out;
   }
   // Only the kept columns are formed: the sweep's rotations are replayed
-  // onto them, then they go back through the Householder reflectors.
+  // onto them.
   Matrix yu(r, n), yv(r, n);
   for (Index q = 0; q < r; ++q) {
     const auto src = static_cast<std::size_t>(order[static_cast<std::size_t>(q)]);
@@ -429,10 +637,96 @@ SvdResult golub_kahan(const Matrix& a, Index rank, bool vectors) {
   }
   u_log->unwind(yu);
   v_log->unwind(yv);
-  out.u = Matrix(m, r);
-  out.u.set_block(0, 0, yu.transposed());
-  detail::apply_reflectors_backward(bd.a, bd.tau_l, 0, out.u, autotune::kReductionBlock);
+  out.u = yu.transposed();
   out.v = yv.transposed();
+  return out;
+}
+
+std::optional<SvdResult> bidiagonal_kept_triplets(std::span<const double> d,
+                                                  std::span<const double> e,
+                                                  Index rank) {
+  const Index n = static_cast<Index>(d.size());
+  PARSVD_REQUIRE(rank > 0 && rank < n, "kept triplets need 0 < rank < n");
+  const Tgk g = golub_kahan_tridiagonal(d, e);
+  if (!(g.norm > 0.0)) return std::nullopt;
+  // σ_1..σ_{r+1}, kChains at a time; each pair's gap is checked as soon
+  // as both are in, so a failing gate stops the bisection early.
+  std::vector<double> sigma(static_cast<std::size_t>(rank + 1));
+  for (Index k0 = 0; k0 <= rank; k0 += kChains) {
+    const Index k = std::min<Index>(kChains, rank + 1 - k0);
+    bisect_group(g, k0, k, sigma);
+    for (Index j = std::max<Index>(k0, 1); j < k0 + k; ++j) {
+      const double gap = sigma[static_cast<std::size_t>(j - 1)] - sigma[static_cast<std::size_t>(j)];
+      if (!(gap > kSeparation * sigma[0])) return std::nullopt;
+    }
+  }
+
+  SvdResult out;
+  out.s = Vector(rank);
+  out.u = Matrix(n, rank);
+  out.v = Matrix(n, rank);
+  std::vector<double> z;
+  for (Index j = 0; j < rank; ++j) {
+    const double s = sigma[static_cast<std::size_t>(j)];
+    if (!inverse_iteration(g, s, z)) return std::nullopt;
+    out.s[j] = s;
+    double* u = out.u.col_data(j);
+    double* v = out.v.col_data(j);
+    for (Index i = 0; i < n; ++i) {
+      v[i] = z[static_cast<std::size_t>(2 * i)];
+      u[i] = z[static_cast<std::size_t>(2 * i + 1)];
+    }
+    scal(1.0 / nrm2(out.u.col_span(j)), out.u.col_span(j));
+    scal(1.0 / nrm2(out.v.col_span(j)), out.v.col_span(j));
+  }
+  return out;
+}
+
+}  // namespace detail
+
+namespace {
+
+/// The Golub–Kahan SVD keeping the leading `rank` triplets (0 = all).
+/// Without `vectors` it returns σ alone: the sweep logs no rotation, and
+/// nothing is back-transformed. The sweep and the sort are the same
+/// either way, so σ is bit-identical to the one with vectors. A kept rank
+/// below n at order kReductionCrossover or more tries the bisection route
+/// first, and takes the sweep when its gate or check says no.
+SvdResult golub_kahan(const Matrix& a, Index rank, bool vectors) {
+  PARSVD_REQUIRE(!a.empty(), "svd of an empty matrix");
+  const double amax = a.norm_max();
+  if (!std::isfinite(amax)) throw NonFiniteError("svd input has a non-finite entry");
+  // The Wilkinson shift squares d·e (~σ⁴): far from unit scale it over-
+  // or underflows and the iteration never converges. Run at an exact
+  // power-of-two rescaling instead and scale σ back.
+  if (const int e = safe_scale_exponent(amax); e != 0) {
+    SvdResult out = golub_kahan(scale_by_pow2(a, -e), rank, vectors);
+    for (Index j = 0; j < out.s.size(); ++j) out.s[j] = std::ldexp(out.s[j], e);
+    return out;
+  }
+  const Index m = a.rows();
+  const Index n = a.cols();
+
+  if (m < n) {
+    SvdResult out = golub_kahan(a.transposed(), rank, vectors);
+    std::swap(out.u, out.v);
+    return out;
+  }
+
+  detail::Bidiagonalization bd = detail::bidiagonalize(a, autotune::kReductionBlock);
+  std::optional<SvdResult> kept;
+  if (vectors && rank > 0 && rank < n && n >= autotune::kReductionCrossover) {
+    kept = detail::bidiagonal_kept_triplets(bd.d, bd.e, rank);
+  }
+  SvdResult out = kept ? std::move(*kept)
+                       : detail::bidiagonal_sweep(std::move(bd.d), std::move(bd.e),
+                                                  rank, vectors);
+  if (!vectors) return out;
+  // B's kept vectors go back through the Householder reflectors.
+  Matrix ub = std::move(out.u);
+  out.u = Matrix(m, ub.cols());
+  out.u.set_block(0, 0, ub);
+  detail::apply_reflectors_backward(bd.a, bd.tau_l, 0, out.u, autotune::kReductionBlock);
   detail::apply_reflectors_backward(bd.vr, bd.tau_r, 1, out.v, autotune::kReductionBlock);
   return out;
 }

@@ -237,5 +237,79 @@ TEST(ReductionCrossover, SmallInputsRunTheColumnSweepBitIdentically) {
   }
 }
 
+// build_t forms only the tiles of VᵀV that reach its strict upper
+// triangle, the part its recurrence reads (detail::vt_times_upper). That
+// triangle must equal the full product's to the bit, on both of the
+// product's paths (register tiles, and the column loop below the packing
+// threshold) and for panels whose reflectors stop early (a staircase
+// `end`); T, from the unchanged recurrence, then is bit-identical too. The
+// recurrence kept here runs in a test built without -march=native, whose
+// rounding of s += t·v (no fused multiply-add) can differ from the
+// library's in the last bits, so T is held to 16·jb·eps·max|T| of it.
+Matrix t_from_full_product(const detail::PanelV& v, const std::vector<double>& tau,
+                           Matrix& vtv) {
+  const Index jb = v.top.rows();
+  vtv = Matrix(jb, jb);
+  detail::vt_times(jb, jb, jb, v.top.data(), jb, v.top.data(), jb, vtv.data(), jb);
+  detail::vt_times(jb, jb, v.dense_rows, v.dense, v.ld, v.dense, v.ld, vtv.data(), jb);
+  Matrix t(jb, jb);
+  for (Index i = 0; i < jb; ++i) {
+    const double taui = tau[static_cast<std::size_t>(i)];
+    if (taui == 0.0) continue;
+    t(i, i) = taui;
+    for (Index l = 0; l < i; ++l) {
+      double s = 0.0;
+      for (Index p = l; p < i; ++p) s += t(l, p) * vtv(p, i);
+      t(l, i) = -taui * s;
+    }
+  }
+  return t;
+}
+
+TEST(BuildT, UpperTriangleOnlyMatchesFullProduct) {
+  for (const Index rows : {Index{40}, Index{900}}) {
+    for (Index jb = 1; jb <= 32; ++jb) {
+      const Matrix v = random_matrix(rows, jb, 1200 + static_cast<std::uint64_t>(jb));
+      for (const Index end : {jb, jb + 1, jb + 7, rows / 2, rows}) {
+        for (const Index shift : {Index{0}, Index{1}}) {
+          if (end > rows || end - shift < jb) continue;
+          SCOPED_TRACE(::testing::Message() << "rows " << rows << " jb " << jb
+                                            << " end " << end << " shift " << shift);
+          const detail::PanelV pv = detail::panel_v(v, 0, jb, end, shift);
+          // tau = 2 / ‖v‖², so each H is a true reflector, and one of them
+          // the identity (tau = 0).
+          std::vector<double> tau(static_cast<std::size_t>(jb));
+          for (Index i = 0; i < jb; ++i) {
+            double vv = 0.0;
+            for (Index r = 0; r < jb; ++r) vv += pv.top(r, i) * pv.top(r, i);
+            for (Index r = 0; r < pv.dense_rows; ++r) {
+              vv += pv.dense[r + i * pv.ld] * pv.dense[r + i * pv.ld];
+            }
+            tau[static_cast<std::size_t>(i)] = (jb > 2 && i == 1) ? 0.0 : 2.0 / vv;
+          }
+          Matrix full;
+          const Matrix ref = t_from_full_product(pv, tau, full);
+          Matrix upper(jb, jb);
+          detail::vt_times_upper(jb, jb, pv.top.data(), jb, pv.top.data(), jb,
+                                 upper.data(), jb);
+          detail::vt_times_upper(jb, pv.dense_rows, pv.dense, pv.ld, pv.dense, pv.ld,
+                                 upper.data(), jb);
+          const Matrix t = detail::build_t(pv, tau);
+          const double tol = 16.0 * static_cast<double>(jb) * kEps * max_abs(ref);
+          for (Index j = 0; j < jb; ++j) {
+            for (Index i = 0; i < j; ++i) {
+              ASSERT_EQ(upper(i, j), full(i, j)) << "VᵀV (" << i << ", " << j << ")";
+            }
+            for (Index i = 0; i <= j; ++i) {
+              ASSERT_NEAR(t(i, j), ref(i, j), tol)
+                  << "T (" << i << ", " << j << ")";
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace parsvd
